@@ -7,9 +7,9 @@ from .errors import (ConfigError, InfiniteLossError, NumericalAssertionError,
                      SmoothnessError)
 from .hypotheses import (Hypothesis, RegionCounts, RegionFamily, count_regions,
                          evaluate, mle_oracle, offline_best_loss)
-from .adversary import (AdversaryPolicy, SmoothDistribution, adversary_from_spec,
-                        greedy_label, realizable_label, subset_smooth_adversary,
-                        validate_smooth)
+from .adversary import (AdversaryPolicy, SmoothDistribution, SubsetUniform,
+                        adversary_from_spec, greedy_label, realizable_label,
+                        subset_smooth_adversary, validate_smooth)
 from .coupling import CouplingOutcome, block_coupling, rejection_couple
 from .learners import (FtplConfig, FtplLearner, KtLearner, MixtureLearner,
                        MixtureState, TruncatedClassView, UniformLearner,

@@ -7,6 +7,7 @@ singleton bound is equivalent to the all-measurable-sets condition.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -61,6 +62,10 @@ class SmoothDistribution:
                 f"(cap 1/(sigma*U) = {1.0 / (self.sigma * max(len(self.pmf), 1)):.6g})"
             )
 
+    def sample(self, rng: np.random.Generator) -> int:
+        """One context drawn from the pmf."""
+        return int(rng.choice(self.pmf.size, p=self.pmf))
+
     @classmethod
     def uniform(cls, size: int, sigma: float = 1.0) -> "SmoothDistribution":
         return cls(np.full(size, 1.0 / size), sigma)
@@ -76,6 +81,75 @@ class SmoothDistribution:
 def min_support_size(sigma: float, size: int) -> int:
     """Smallest subset size ceil(sigma*U) on which a uniform pmf is sigma-smooth."""
     return int(math.ceil(sigma * size - 1e-12))
+
+
+@functools.lru_cache(maxsize=256)
+def _uniform_cdf(k: int) -> np.ndarray:
+    """Normalized running sum of k equal masses 1/k, as rng.choice builds it."""
+    cdf = np.cumsum(np.full(k, 1.0 / k))
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
+class SubsetUniform:
+    """Uniform distribution on a set of distinct context ids.
+
+    Uniform mass on k >= ceil(sigma*U) atoms is at most 1/(sigma*U), so the
+    size check certifies sigma-smoothness without building the dense pmf; a
+    repeated id, an id outside [0, U) or too small a set raises SmoothnessError.
+    `sample` draws the same context from the same generator state as
+    `rng.choice(U, p=self.pmf)`.
+    """
+
+    def __init__(self, size: int, subset: Sequence[int], sigma: float):
+        ids = np.asarray(subset, dtype=np.int64)
+        if ids.ndim != 1:
+            raise SmoothnessError(f"target set must be a flat list of ids, got shape {ids.shape}")
+        if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
+            ids = np.sort(ids)
+            dup = np.flatnonzero(ids[1:] == ids[:-1])
+            if dup.size:
+                raise SmoothnessError(f"target set repeats context id {ids[dup[0]]}")
+        if ids.size and (ids[0] < 0 or ids[-1] >= size):     # ids ascend here
+            bad = ids[0] if ids[0] < 0 else ids[-1]
+            raise SmoothnessError(f"target set has context id {bad} outside [0, {size})")
+        k = min_support_size(sigma, size)
+        if ids.size < k:
+            raise SmoothnessError(
+                f"target set of size {ids.size} below minimum {k} for sigma={sigma}")
+        self.size = size
+        self.ids = ids
+        self.sigma = sigma
+
+    @functools.cached_property
+    def pmf(self) -> np.ndarray:
+        pmf = np.zeros(self.size)
+        pmf[self.ids] = 1.0 / self.ids.size
+        return pmf
+
+    def sample(self, rng: np.random.Generator) -> int:
+        """One context: the subset member where a uniform draw falls in the cdf."""
+        return int(self.ids[_uniform_cdf(self.ids.size).searchsorted(rng.random(), side="right")])
+
+
+def check_static_set(ids, universe: Optional[int]) -> None:
+    """Reject a configured static target set with a bad entry: not an integer,
+    outside [0, universe) (when the universe is known), or repeated."""
+    if ids is None:
+        return
+    if not isinstance(ids, (list, tuple)):
+        raise ConfigError("adversary.set: must be a list of context ids")
+    seen = set()
+    for i, v in enumerate(ids):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ConfigError(f"adversary.set[{i}]: {v!r} is not an integer context id")
+        if v < 0 or (universe is not None and v >= universe):
+            where = f"[0, {universe})" if universe is not None else "the universe"
+            raise ConfigError(f"adversary.set[{i}]: context id {v} outside {where}")
+        if v in seen:
+            raise ConfigError(f"adversary.set[{i}]: context id {v} repeated")
+        seen.add(v)
 
 
 def greedy_label(q1: float) -> int:
@@ -206,13 +280,9 @@ class AdversaryPolicy:
         self.context_rule.reset(universe, self.sigma)
         self.label_rule.reset(universe, rng, family=self.family)
 
-    def context_distribution(self, history: GameHistory) -> SmoothDistribution:
-        subset = np.asarray(self.context_rule.target_set(history), dtype=np.int64)
-        k = min_support_size(self.sigma, self.universe.size)
-        if subset.size < k:
-            raise SmoothnessError(
-                f"target set of size {subset.size} below minimum {k} for sigma={self.sigma}")
-        return SmoothDistribution.uniform_on(self.universe.size, subset, self.sigma)
+    def context_distribution(self, history: GameHistory) -> SubsetUniform:
+        return SubsetUniform(self.universe.size, self.context_rule.target_set(history),
+                             self.sigma)
 
     def label(self, history: GameHistory, x: int, q: float) -> int:
         return self.label_rule.label(history, x, q)
@@ -228,7 +298,8 @@ def subset_smooth_adversary(sigma: float, target_set_rule=None, label_rule=None,
 
     target_set_rule may be any object with reset/observe/target_set; otherwise
     `rule` selects the built-in static or adaptive rule. Sets smaller than
-    ceil(sigma*U) are rejected at emission time.
+    ceil(sigma*U), with repeated ids or with ids outside the universe are
+    rejected at emission time.
     """
     if target_set_rule is None:
         if rule == "static":
@@ -259,6 +330,7 @@ def adversary_from_spec(spec: dict, sigma: Optional[float] = None,
     if sig is None:
         raise ConfigError("adversary.sigma: missing")
     rule = spec.get("rule", "static")
+    check_static_set(spec.get("set"), None if family is None else family.universe.size)
 
     label_kind = spec.get("label", "greedy")
     if label_kind == "greedy":

@@ -116,9 +116,10 @@ def run_game(learner, adversary, universe: ContextUniverse, T: int, seed: int,
              run_id: str = "game") -> GameTrace:
     """Play one seeded trajectory of the assignment game.
 
-    Per round: the adversary emits a smooth context distribution given the
-    history, a context is drawn from it, the learner predicts, the adversary
-    picks the label after seeing the prediction, and the loss is recorded.
+    Per round: the adversary emits a smooth context distribution (any object
+    with `sample(rng) -> int`) given the history, a context is drawn from it,
+    the learner predicts, the adversary picks the label after seeing the
+    prediction, and the loss is recorded.
     Comparator columns are left at zero; the harness fills them offline.
 
     All randomness (context draws, learner perturbations, label coin flips)
@@ -137,7 +138,7 @@ def run_game(learner, adversary, universe: ContextUniverse, T: int, seed: int,
     cum = 0.0
     for t in range(1, T + 1):
         dist = adversary.context_distribution(history)
-        x = int(ctx_rng.choice(universe.size, p=dist.pmf))
+        x = int(dist.sample(ctx_rng))
         q = float(learner.predict(x))
         y = int(adversary.label(history, x, q))
         loss = log_loss(q, y)

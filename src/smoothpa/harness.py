@@ -18,10 +18,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .adversary import adversary_from_spec
+from .adversary import adversary_from_spec, check_static_set
 from .core import CSV_HEADER, ContextUniverse, RegretRecord, format_records_csv, run_game
 from .errors import ConfigError
-from .hypotheses import ComparatorTracker, RegionFamily
+from .hypotheses import RegionFamily, prefix_best_losses
 from .learners import learner_from_spec
 
 THREADS_ENV = "SMOOTHPA_THREADS"
@@ -81,6 +81,7 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     adversary = need("adversary")
     if not isinstance(adversary, dict):
         raise ConfigError("adversary: must be an object")
+    check_static_set(adversary.get("set"), universe)
 
     sweep = obj.get("sweep", {})
     if not isinstance(sweep, dict):
@@ -135,10 +136,9 @@ class SweepSummary:
                            "fits": self.fits}, sort_keys=True, indent=2)
 
 
-def _run_one(config: ExperimentConfig, cell_idx: int, learner_spec: dict, t: int,
-             sigma: float, rep: int) -> CellResult:
+def _run_one(config: ExperimentConfig, family: RegionFamily, cell_idx: int,
+             learner_spec: dict, t: int, sigma: float, rep: int) -> CellResult:
     universe = ContextUniverse(config.universe)
-    family = RegionFamily.from_spec(config.family)
     learner = learner_from_spec(learner_spec, family, universe, t, sigma)
     adversary = adversary_from_spec(config.adversary, sigma=sigma, family=family)
     cell_key = {"learner": learner_spec, "T": t, "sigma": sigma}
@@ -146,10 +146,9 @@ def _run_one(config: ExperimentConfig, cell_idx: int, learner_spec: dict, t: int
     run_id = f"c{cell_idx:03d}r{rep:03d}"
     trace = run_game(learner, adversary, universe, t, seed, run_id=run_id)
 
-    tracker = ComparatorTracker(family)
+    comparator = prefix_best_losses(trace.xs, trace.ys, family).tolist()
     enriched = []
-    for rec, x, y in zip(trace.records, trace.xs, trace.ys):
-        comp = tracker.update(int(x), int(y))
+    for rec, comp in zip(trace.records, comparator):
         enriched.append(RegretRecord(
             run_id=rec.run_id, seed=rec.seed, t=rec.t,
             learner_loss=rec.learner_loss, cum_learner_loss=rec.cum_learner_loss,
@@ -193,12 +192,13 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
             fh.writelines(lines)
             fh.flush()
 
+    family = RegionFamily.from_spec(cfg.family)
     pool = ThreadPoolExecutor(max_workers=_max_workers())
     try:
         futures = {}
         for ci, (ls, t, s) in enumerate(cells):
             for rep in range(cfg.repetitions):
-                futures[(ci, rep)] = pool.submit(_run_one, cfg, ci, ls, t, s, rep)
+                futures[(ci, rep)] = pool.submit(_run_one, cfg, family, ci, ls, t, s, rep)
         for ci, (ls, t, s) in enumerate(cells):
             done: list[CellResult] = []
             try:
@@ -268,15 +268,19 @@ def fit_scaling(summary: Union[SweepSummary, dict], n_boot: int = 200,
             continue
         means = np.array([c["mean_final_regret"] for c in group])
         ll_b, ll_a, lt_b, lt_a = _slopes(ts, means)
-        boot_ll, boot_lt = [], []
-        for _ in range(n_boot):
-            resampled = []
-            for c in group:
-                vals = np.asarray(c["final_regrets"])
-                resampled.append(vals[rng.integers(0, len(vals), len(vals))].mean())
-            b_ll, _, b_lt, _ = _slopes(ts, np.asarray(resampled))
-            boot_ll.append(b_ll)
-            boot_lt.append(b_lt)
+        # Resample indices for every (resample, cell, repetition) in one draw,
+        # in that order; row b holds resample b's index vectors back to back.
+        # Each resample keeps its own fit: one polyfit over all of them rounds
+        # differently once there are 8 or more horizons.
+        vals = [np.asarray(c["final_regrets"]) for c in group]
+        sizes = np.array([len(v) for v in vals])
+        idx = rng.integers(0, np.tile(np.repeat(sizes, sizes), (n_boot, 1)))
+        ends = np.cumsum(sizes)
+        resampled = np.stack([v[idx[:, end - len(v): end]].mean(axis=1)
+                              for v, end in zip(vals, ends)], axis=1)
+        boot = [_slopes(ts, row) for row in resampled]
+        boot_ll = [b[0] for b in boot]
+        boot_lt = [b[2] for b in boot]
         meta = json.loads(key)
         fitted.append({
             "learner": meta["learner"], "sigma": meta["sigma"],

@@ -157,12 +157,15 @@ def examples_to_counts(data: Sequence[Example] | tuple[np.ndarray, np.ndarray],
     return cnt, pos
 
 
+def _split_losses(n0, k0, total_n, total_k):
+    """Per-region minimized log-loss from the counts inside each region and the totals."""
+    return _nll(n0, k0) + _nll(total_n - n0, total_k - k0)
+
+
 def region_losses_from_counts(cnt: np.ndarray, pos: np.ndarray, family: RegionFamily,
                               force_generic: bool = False) -> np.ndarray:
     """Per-region minimized log-loss. Threshold grids use one prefix-sum pass
     unless force_generic asks for the bitmap scan (the two must agree)."""
-    total_n = cnt.sum()
-    total_k = pos.sum()
     if family.kind == THRESHOLD_GRID and not force_generic:
         n0 = np.cumsum(cnt)
         k0 = np.cumsum(pos)
@@ -170,9 +173,7 @@ def region_losses_from_counts(cnt: np.ndarray, pos: np.ndarray, family: RegionFa
         bm = family.bitmaps
         n0 = bm @ cnt
         k0 = bm @ pos
-    n1 = total_n - n0
-    k1 = total_k - k0
-    return _nll(n0, k0) + _nll(n1, k1)
+    return _split_losses(n0, k0, cnt.sum(), pos.sum())
 
 
 def mle_from_counts(cnt: np.ndarray, pos: np.ndarray,
@@ -208,6 +209,45 @@ def offline_best_loss(data, family: RegionFamily) -> float:
     """Cumulative log-loss of the best fixed hypothesis on the full sequence."""
     cnt, pos = examples_to_counts(data, family.universe.size)
     return mle_from_counts(cnt, pos, family)[1]
+
+
+# Temporary memory one block of prefix_best_losses may use; the block's row count
+# follows from it and the number of regions. Larger blocks run no faster and
+# only raise peak memory.
+_PREFIX_BLOCK_BYTES = 1 << 18
+
+
+def prefix_best_losses(xs: np.ndarray, ys: np.ndarray, family: RegionFamily) -> np.ndarray:
+    """Offline-best loss on every prefix of (xs, ys): entry t - 1 is the best
+    in-class loss on the first t examples, as ComparatorTracker.update returns.
+
+    Per region, the counts inside it on every prefix are running sums over
+    time of the examples' membership rows, built a block of rounds at a time.
+    All counts are integers, exact whatever the summation order, so the values
+    equal the incremental ones bit for bit.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.float64)
+    member = np.ascontiguousarray(family.bitmaps.T, dtype=np.float64)   # (U, regions)
+    # the two count blocks plus about ten per-region temporaries in the losses
+    rows = max(1, _PREFIX_BLOCK_BYTES // (8 * 12 * member.shape[1]))
+    out = np.empty(len(xs))
+    n0_carry = np.zeros(member.shape[1])
+    k0_carry = np.zeros(member.shape[1])
+    total_k = np.cumsum(ys)
+    for start in range(0, len(xs), rows):
+        stop = min(start + rows, len(xs))
+        n0 = member[xs[start:stop]]
+        k0 = n0 * ys[start:stop, None]
+        np.cumsum(n0, axis=0, out=n0)
+        np.cumsum(k0, axis=0, out=k0)
+        n0 += n0_carry
+        k0 += k0_carry
+        total_n = np.arange(start + 1.0, stop + 1.0)[:, None]
+        losses = _split_losses(n0, k0, total_n, total_k[start:stop, None])
+        out[start:stop] = losses.min(axis=1)
+        n0_carry, k0_carry = n0[-1], k0[-1]
+    return out
 
 
 class ComparatorTracker:

@@ -11,7 +11,7 @@ the add-one Laplace rule per region side, reweighted by the region marginals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -90,6 +90,8 @@ class MixtureState:
 
     Per element i: counts n[i, j], k[i, j] on side j (0 inside, 1 outside) and
     the log marginal ln[B(k0, n0) * B(k1, n1)] of the labels seen so far.
+    side[x, i] is the flat index 2i + j into n and k of element i's side
+    holding context x.
     """
 
     cover: np.ndarray
@@ -97,6 +99,10 @@ class MixtureState:
     n: np.ndarray
     k: np.ndarray
     log_marginal: np.ndarray
+    side: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.side = np.ascontiguousarray(np.arange(0, 2 * self.size, 2) + ~self.member.T)
 
     @property
     def size(self) -> int:
@@ -106,6 +112,11 @@ class MixtureState:
     def log_normalizer(self) -> float:
         """ln q(y_1:t || x_1:t): log-sum-exp of element marginals minus ln m."""
         return float(logsumexp(self.log_marginal) - math.log(self.size))
+
+    def copy(self) -> "MixtureState":
+        """Independent counts and marginals; cover and membership are shared."""
+        return MixtureState(self.cover, self.member, self.n.copy(), self.k.copy(),
+                            self.log_marginal.copy())
 
 
 def init_mixture_state(family: RegionFamily, cover: Sequence[int]) -> MixtureState:
@@ -123,42 +134,44 @@ def init_mixture_state(family: RegionFamily, cover: Sequence[int]) -> MixtureSta
     )
 
 
-def _side_counts(state: MixtureState, x: int) -> tuple[np.ndarray, np.ndarray]:
-    inside = state.member[:, x]
-    n_j = np.where(inside, state.n[:, 0], state.n[:, 1])
-    k_j = np.where(inside, state.k[:, 0], state.k[:, 1])
-    return n_j, k_j
+# Clamp for mixture predictions: Laplace factors are interior, so the mixture is too
+_Q_MIN = float(np.nextafter(0.0, 1.0))
+_Q_MAX = float(np.nextafter(1.0, 0.0))
 
 
 def mixture_predict(state: MixtureState, x: int) -> float:
     """Posterior-weighted add-one rule: sum_i w_i (k_j + 1)/(n_j + 2) on x's side.
 
     The per-element factor is the exact ratio of consecutive Beta integrals, so
-    the sequential products telescope to the joint mixture probability.
+    the sequential products telescope to the joint mixture probability. The
+    weights are the marginals shifted by their maximum before exponentiating,
+    so they cannot all underflow.
     """
-    n_j, k_j = _side_counts(state, x)
-    w = np.exp(state.log_marginal - logsumexp(state.log_marginal))
-    q1 = float(w @ ((k_j + 1.0) / (n_j + 2.0)))
-    # Laplace factors are interior, so the mixture is too
-    return min(max(q1, np.nextafter(0.0, 1.0)), np.nextafter(1.0, 0.0))
+    side = state.side[x]
+    lm = state.log_marginal
+    w = np.exp(lm - lm.max())
+    q1 = float(w @ ((state.k.take(side) + 1.0) / (state.n.take(side) + 2.0)) / w.sum())
+    return min(max(q1, _Q_MIN), _Q_MAX)
+
+
+def _update_in_place(state: MixtureState, x: int, y: int) -> None:
+    """Account one observation in place: bump counts on x's side, shift log
+    marginals by the log Laplace factor of the realized label."""
+    side = state.side[x]
+    n_j = state.n.take(side)
+    k_j = state.k.take(side)
+    hits = k_j + 1.0 if y == 1 else n_j - k_j + 1.0
+    state.log_marginal += np.log(hits / (n_j + 2.0))
+    np.put(state.n, side, n_j + 1.0)
+    if y == 1:
+        np.put(state.k, side, k_j + 1.0)
 
 
 def mixture_update(state: MixtureState, x: int, y: int) -> MixtureState:
-    """Account one observation: bump counts on x's side, shift log marginals by
-    the log Laplace factor of the realized label."""
-    inside = state.member[:, x]
-    n_j, k_j = _side_counts(state, x)
-    if y == 1:
-        delta = np.log((k_j + 1.0) / (n_j + 2.0))
-    else:
-        delta = np.log((n_j - k_j + 1.0) / (n_j + 2.0))
-    rows = np.arange(state.size)
-    col = np.where(inside, 0, 1)
-    n = state.n.copy()
-    k = state.k.copy()
-    n[rows, col] += 1.0
-    k[rows, col] += float(y)
-    return MixtureState(state.cover, state.member, n, k, state.log_marginal + delta)
+    """The state after one more observation; `state` itself is left unchanged."""
+    out = state.copy()
+    _update_in_place(out, x, y)
+    return out
 
 
 def mixture_log_marginal_from_scratch(state: MixtureState) -> np.ndarray:
@@ -203,14 +216,11 @@ class TruncatedClassView:
 def _ftpl_predict_from_counts(cnt: np.ndarray, pos: np.ndarray, config: FtplConfig,
                               family: RegionFamily, universe: ContextUniverse,
                               rng: np.random.Generator, x_t: int) -> float:
+    # Poisson(n) hallucinated samples, uniform over (context, label) cells, split
+    # into independent Poisson(n / 2U) counts per cell: row 0 label 0, row 1 label 1
     u = universe.size
-    n_hal = int(rng.poisson(config.n))
-    if n_hal > 0:
-        hx = rng.integers(0, u, size=n_hal)
-        hy = rng.integers(0, 2, size=n_hal)
-        cnt = cnt + np.bincount(hx, minlength=u)
-        pos = pos + np.bincount(hx[hy == 1], minlength=u)
-    h, _ = mle_from_counts(cnt, pos, family)
+    hal = rng.poisson(config.n / (2.0 * u), size=(2, u))
+    h, _ = mle_from_counts(cnt + hal[0] + hal[1], pos + hal[1], family)
     q = (evaluate(family, h, x_t) + config.alpha) / (1.0 + 2.0 * config.alpha)
     lo, hi = truncation_range(config.alpha)
     if not lo <= q <= hi:
@@ -222,7 +232,8 @@ def ftpl_step(history_xs: Sequence[int], history_ys: Sequence[int], config: Ftpl
               family: RegionFamily, universe: ContextUniverse,
               rng: np.random.Generator, x_t: int) -> float:
     """One FTPL prediction: refit the oracle on history plus Poisson(n) fresh
-    hallucinated uniform samples, then truncate the fitted value at x_t."""
+    hallucinated samples uniform over (context, label), then truncate the fitted
+    value at x_t."""
     xs = np.asarray(history_xs, dtype=np.int64)
     ys = np.asarray(history_ys, dtype=np.int64)
     cnt, pos = examples_to_counts((xs, ys), universe.size)
@@ -284,7 +295,7 @@ class MixtureLearner:
         return mixture_predict(self.state, x)
 
     def update(self, x: int, y: int) -> None:
-        self.state = mixture_update(self.state, x, y)
+        _update_in_place(self.state, x, y)
 
 
 class FtplLearner:

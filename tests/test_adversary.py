@@ -6,7 +6,7 @@ import pytest
 from smoothpa import (ContextUniverse, Hypothesis, SmoothnessError, UniformLearner,
                       run_game, validate_smooth)
 from smoothpa.adversary import (AdversaryPolicy, FixedSequenceLabelRule,
-                                GreedyLabelRule, SmoothDistribution,
+                                GreedyLabelRule, SmoothDistribution, SubsetUniform,
                                 adversary_from_spec, greedy_label, min_support_size,
                                 realizable_label, subset_smooth_adversary)
 from smoothpa.core import GameHistory
@@ -66,6 +66,63 @@ def test_subset_adversary_rejects_small_set():
     adv.reset(ContextUniverse(4), np.random.default_rng(0))
     with pytest.raises(SmoothnessError):
         adv.context_distribution(GameHistory(1))
+
+
+def test_subset_sample_matches_dense_choice():
+    # the direct draw must consume the generator exactly as rng.choice over
+    # the dense pmf does, and land on the same context
+    rng = np.random.default_rng(0)
+    for trial in range(300):
+        u = int(rng.integers(1, 300))
+        k = int(rng.integers(1, u + 1))
+        subset = rng.choice(u, size=k, replace=False)        # unsorted
+        if trial % 3 == 0:
+            subset = np.sort(subset)
+        dist = SubsetUniform(u, subset.tolist(), k / u)
+        pmf = np.zeros(u)
+        pmf[subset] = 1.0 / k
+        assert np.array_equal(dist.pmf, pmf)
+        seed = int(rng.integers(2 ** 32))
+        direct, dense = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(100):
+            assert dist.sample(direct) == int(dense.choice(u, p=pmf))
+        assert direct.random() == dense.random()
+
+
+def test_smooth_distribution_sample_matches_choice():
+    rng = np.random.default_rng(1)
+    raw = rng.random(20)
+    dist = SmoothDistribution(0.5 / 20 + 0.5 * raw / raw.sum(), 0.5)
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    assert [dist.sample(a) for _ in range(500)] == \
+        [int(b.choice(20, p=dist.pmf)) for _ in range(500)]
+
+
+@pytest.mark.parametrize("subset, bad", [([-1, 0, 1, 2], "-1"), ([0, 1, 2, 8], "8"),
+                                         ([3, 1, 3, 5], "3"), ([[0, 1], [2, 3]], "shape")])
+def test_subset_uniform_rejects_bad_ids(subset, bad):
+    with pytest.raises(SmoothnessError, match=bad):
+        SubsetUniform(8, subset, 0.5)
+
+
+def test_static_rule_with_bad_id_fails_the_run():
+    # an id of -1 once indexed the dense pmf from the end and drew context 7
+    adv = subset_smooth_adversary(0.5, rule="static", subset=[-1, 0, 1, 2])
+    with pytest.raises(SmoothnessError, match="-1"):
+        run_game(UniformLearner(), adv, ContextUniverse(8), 4, seed=0)
+
+
+@pytest.mark.parametrize("ids, message", [
+    ([-1, 0, 1, 2], r"adversary\.set\[0\]: context id -1 outside \[0, 8\)"),
+    ([0, 1, 8, 2], r"adversary\.set\[2\]: context id 8 outside \[0, 8\)"),
+    ([0, 5, 1, 5], r"adversary\.set\[3\]: context id 5 repeated"),
+    ([0, 1.5], r"adversary\.set\[1\]: 1\.5 is not an integer"),
+    ("0,1", r"adversary\.set: must be a list"),
+])
+def test_adversary_from_spec_rejects_bad_static_set(ids, message):
+    spec = {"rule": "static", "set": ids, "label": "greedy"}
+    with pytest.raises(ConfigError, match=message):
+        adversary_from_spec(spec, sigma=0.5, family=RegionFamily.threshold_grid(8))
 
 
 class RecordingPolicy(AdversaryPolicy):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -51,6 +52,13 @@ def test_parse_config_field_paths():
         parse_config(base_config(T=0))
     with pytest.raises(ConfigError, match="learner"):
         parse_config(base_config(learner="uniform"))
+    static = {"context": "subset_uniform", "rule": "static", "label": "greedy"}
+    with pytest.raises(ConfigError, match=r"adversary\.set\[1\]: context id 8 outside"):
+        parse_config(base_config(adversary=dict(static, set=[0, 8, 1, 2])))
+    with pytest.raises(ConfigError, match=r"adversary\.set\[0\]: context id -1 outside"):
+        parse_config(base_config(adversary=dict(static, set=[-1, 0, 1, 2])))
+    with pytest.raises(ConfigError, match=r"adversary\.set\[2\]: context id 1 repeated"):
+        parse_config(base_config(adversary=dict(static, set=[0, 1, 1, 2])))
 
 
 def test_run_uniform_vs_greedy_regret_is_t_ln2(tmp_path):
@@ -180,6 +188,47 @@ def test_fit_scaling_recovers_power_law():
     assert lo <= 0.8 <= hi or abs(lo - 0.8) < 0.01
 
 
+def per_resample_bootstrap(summary, n_boot=200, seed=0):
+    """Bootstrap slopes drawn and fitted one resample at a time, one cell at a time."""
+    groups = {}
+    for cell in summary["cells"]:
+        key = json.dumps({"learner": cell["learner"], "sigma": cell["sigma"]}, sort_keys=True)
+        groups.setdefault(key, []).append(cell)
+    rng = np.random.default_rng(seed)
+    out = []
+    for _, group in sorted(groups.items()):
+        group = sorted(group, key=lambda c: c["T"])
+        lnt = np.log(np.array([c["T"] for c in group], dtype=float))
+        boot_ll, boot_lt = [], []
+        for _ in range(n_boot):
+            means = []
+            for c in group:
+                vals = np.asarray(c["final_regrets"])
+                means.append(vals[rng.integers(0, len(vals), len(vals))].mean())
+            means = np.asarray(means)
+            boot_ll.append(float(np.polyfit(lnt, np.log(np.maximum(means, 1e-9)), 1)[0]))
+            boot_lt.append(float(np.polyfit(lnt, means, 1)[0]))
+        out.append({"loglog_ci": [float(np.percentile(boot_ll, q)) for q in (2.5, 97.5)],
+                    "lnT_ci": [float(np.percentile(boot_lt, q)) for q in (2.5, 97.5)]})
+    return out
+
+
+@pytest.mark.parametrize("n_t", [4, 6, 8, 11])
+def test_fit_scaling_bootstrap_equals_per_resample_loop(n_t):
+    rng = np.random.default_rng(n_t)
+    for trial in range(6):
+        cells = []
+        for sigma in (0.1, 0.3):
+            for i in range(n_t):
+                reps = int(rng.integers(1, 25)) if trial % 2 else 10
+                vals = (rng.random(reps) * 50.0 - (5.0 if trial % 3 == 0 else 0.0)).tolist()
+                cells.append({"learner": {"x": {}}, "sigma": sigma, "T": 2 ** (i + 3),
+                              "final_regrets": vals, "mean_final_regret": float(np.mean(vals))})
+        got = fit_scaling({"cells": cells}, seed=trial)["groups"]
+        want = per_resample_bootstrap({"cells": cells}, seed=trial)
+        assert [{k: g[k] for k in ("loglog_ci", "lnT_ci")} for g in got] == want
+
+
 def test_fit_scaling_needs_four_points():
     summary = synthetic_summary({8: 1.0, 16: 2.0, 32: 3.0})
     with pytest.raises(ConfigError, match="4 sweep points"):
@@ -245,3 +294,68 @@ def test_cli_numerical_assertion_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(path), "--output-dir", str(out)]) == 3
     capsys.readouterr()
+
+
+# sha256 of every artifact of two static-set, realizable-label sweeps with the
+# uniform and KT learners. Their randomness is the context draws and the label
+# coins alone, so these bytes stay fixed across changes to the game loop.
+STATIC_SWEEPS = {
+    "explicit": ({
+        "universe": 16,
+        "family": {"kind": "explicit", "size": 16,
+                   "regions": [[0, 1, 2, 3], [2, 5, 7, 11, 13], [8, 9, 10, 11, 12, 13, 14, 15],
+                               [1, 3, 5, 7, 9]]},
+        "adversary": {"context": "subset_uniform", "rule": "static",
+                      "set": [14, 3, 9, 0, 7, 12, 5, 10], "label": "realizable",
+                      "f_star": {"region_index": 1, "theta0": 0.8, "theta1": 0.3}},
+        "repetitions": 3, "base_seed": 31,
+        "sweep": {"learner": [{"uniform": {}}, {"kt": {"beta": 0.5}}],
+                  "T": [16, 40, 100, 300], "sigma": [0.25, 0.5]},
+    }, {
+        "records_cell000.csv": "9297025fdf7617802259e3fe279e3921da33c9ef24a28b7e65e4866e0634bea1",
+        "records_cell001.csv": "05f5ba405686b19885b06f867c4b3ff47368b679dcd8673d22a2fce13b074acb",
+        "records_cell002.csv": "64d1dd89dec4ff6a517370236f9ad0d512c707fe6e1dfc8855c2f177263b5dd4",
+        "records_cell003.csv": "731cfc287e2b217c3f1d20e4da170018409c28d785c9f97cc4927956b2ebd4a4",
+        "records_cell004.csv": "12ebb99bfbb6d4bf902f209abbd2a920d88d1893725e027981433897817277d1",
+        "records_cell005.csv": "08241fae8b85f1915bda00597f154c3c71e3084337688417f2f3f34abb5f53e3",
+        "records_cell006.csv": "1ddfdaab8f418da174bfa3bd5e7df731ace848a5cb821ed17761701aab69a602",
+        "records_cell007.csv": "d867b94d55b4a3b3eb31723f86299ddae5fc73f085b82c6e5403415f3240c40e",
+        "records_cell008.csv": "654c4801156000b321e2faa0e4acbeadca2f1830fb8884a06c8a62f1889ae282",
+        "records_cell009.csv": "2c36a0342d82e837657dc455760cf45a61898b34c795036f1f177d9cf0d648eb",
+        "records_cell010.csv": "135ec53c7205c1c45411294dfa0b87324ae5e8cfa0c9515cef460a12ad11a615",
+        "records_cell011.csv": "6e5f8061c835ab2a53bf6360d9e60d21dd630d07f6fb76eec365a55b9708cf47",
+        "records_cell012.csv": "37c51f7d47e964bc0ddd93ff7d8a9237c8d057130f66ee3330c3615cd3e87622",
+        "records_cell013.csv": "d180fad8280eedbb7421f3efeff04f0ef746af7e6a6dc2e2bee44f467261d3f9",
+        "records_cell014.csv": "7a4daef07510192c1cbc7380e09ae0db2ffeaf242977b249e82da57ef3ea2625",
+        "records_cell015.csv": "3f7ffc87ae68ea3dd70081971ba9714ff3004a8579e4d5f8b04d0965e84f4354",
+        "summary.json": "c97b7246cdc109ee5006016ad0d764d9115b9b1ffbfffaaad99b5dc0173e00be",
+    }),
+    "grid": ({
+        "universe": 32,
+        "family": {"kind": "threshold_grid", "size": 32},
+        "adversary": {"context": "subset_uniform", "rule": "static", "label": "realizable",
+                      "f_star": {"region_index": 20, "theta0": 0.1, "theta1": 0.9}},
+        "repetitions": 3, "base_seed": 5,
+        "sweep": {"learner": [{"uniform": {}}, {"kt": {"beta": 1.0}}],
+                  "T": [64, 500], "sigma": [0.3, 1.0]},
+    }, {
+        "records_cell000.csv": "d0c1ae61cf676a927e18fa73adc923c068c3ba63473ad5714fd455701d113ec8",
+        "records_cell001.csv": "c30752e4bbbb30563749f498cf6368863fc1909730a4d611e80860413919b719",
+        "records_cell002.csv": "9d45ecb01f8ccb4bca60dfd3f8bdbbdfc0e8cf39d66bcd1af7133c82c6954d05",
+        "records_cell003.csv": "13789139c90cc70959c3229dc7d2a1a8905baa2b258c385c9b14b8bb9b258d5a",
+        "records_cell004.csv": "dc8ae9dfadbd5e8fdbf31142efbbc4f2745fadc747129973a6d131f6b28bb57a",
+        "records_cell005.csv": "07b01d96e2beb3931fe4945a5029e4d3fad2bc831927a43d7f5a7cb620a0440b",
+        "records_cell006.csv": "7014408e745fd66cdf27a90b1b3d684d13d48beb978b33c2c5866d316ce8bfd2",
+        "records_cell007.csv": "66e891218eaf50fd12b8a619d960257bdeaa8710a0a347281b3b9a6ecfb4c1a6",
+        "summary.json": "6b6433cab92e7ea99b27e04d80b0391aefbbf7e48b921cd981175f5b05b78c8d",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATIC_SWEEPS))
+def test_static_realizable_sweep_artifacts_are_pinned(tmp_path, name):
+    cfg, digests = STATIC_SWEEPS[name]
+    run(cfg, output_dir=tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir())}
+    assert got == digests

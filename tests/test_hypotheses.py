@@ -8,7 +8,8 @@ from smoothpa import Example, Hypothesis, mle_oracle, offline_best_loss
 from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import (ComparatorTracker, RegionCounts, RegionFamily,
                                  count_regions, evaluate, examples_to_counts,
-                                 mle_from_counts, region_losses_from_counts)
+                                 mle_from_counts, prefix_best_losses,
+                                 region_losses_from_counts)
 
 LN2 = math.log(2.0)
 
@@ -132,6 +133,24 @@ def test_offline_best_loss_monotone_in_prefix():
         assert cur >= prev - 1e-12
         assert tracker.update(int(xs[t]), int(ys[t])) == pytest.approx(cur, abs=1e-9)
         prev = cur
+
+
+@pytest.mark.parametrize("family", [
+    RegionFamily.threshold_grid(64),
+    RegionFamily.explicit(256, [np.flatnonzero(row).tolist() for row in
+                                np.random.default_rng(8).random((128, 256))
+                                < np.random.default_rng(9).uniform(0.05, 0.95, (128, 1))]),
+], ids=["grid64", "explicit128x256"])
+def test_prefix_best_losses_equal_tracker_bitwise(family):
+    # T = 8192 spans many row blocks on both families
+    rng = np.random.default_rng(12)
+    u = family.universe.size
+    xs = rng.integers(0, u, size=8192)
+    ys = (rng.random(8192) < np.where(xs < u // 3, 0.8, 0.3)).astype(np.int64)
+    tracker = ComparatorTracker(family)
+    want = np.array([tracker.update(int(x), int(y)) for x, y in zip(xs, ys)])
+    assert np.array_equal(prefix_best_losses(xs, ys, family), want)
+    assert np.array_equal(prefix_best_losses(xs[:1], ys[:1], family), want[:1])
 
 
 def test_threshold_fast_path_equals_generic_scan():

@@ -4,7 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate
+from scipy import integrate, stats
+from scipy.special import logsumexp
+
+import smoothpa.learners as learners_mod
 
 from smoothpa import ContextUniverse
 from smoothpa.errors import ConfigError
@@ -200,6 +203,68 @@ def test_mixture_no_context_case_is_add_one_rule():
         k += y
 
 
+def logsumexp_mixture_predict(state, x):
+    """The posterior-weighted add-one rule with weights normalized by logsumexp."""
+    inside = state.member[:, x]
+    n_j = np.where(inside, state.n[:, 0], state.n[:, 1])
+    k_j = np.where(inside, state.k[:, 0], state.k[:, 1])
+    w = np.exp(state.log_marginal - logsumexp(state.log_marginal))
+    return float(w @ ((k_j + 1.0) / (n_j + 2.0)))
+
+
+def test_mixture_predict_matches_logsumexp_oracle():
+    rng = np.random.default_rng(6)
+    fam = RegionFamily.threshold_grid(32)
+    spreads = []
+    for trial in range(200):
+        st_ = init_mixture_state(fam, epsilon_cover(fam, 1e-9))
+        for _ in range(int(rng.integers(0, 60))):
+            st_ = mixture_update(st_, int(rng.integers(32)), int(rng.integers(2)))
+        if trial % 2:
+            # marginals far apart and far below 0: exp of the raw values underflows
+            st_.log_marginal = rng.uniform(-2000.0, -600.0, size=st_.size)
+        spreads.append(np.ptp(st_.log_marginal))
+        for x in range(32):
+            assert abs(mixture_predict(st_, x) - logsumexp_mixture_predict(st_, x)) <= 1e-12
+    assert max(spreads) > 700.0
+
+
+def test_mixture_prefix_tree_leaves_equal_closed_form():
+    # Every leaf of the label tree, reached by branching both labels off the
+    # same parent state, must carry log q(y_1:t || x_1:t) of its own sequence.
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        u = int(rng.integers(2, 6))
+        regions = [np.flatnonzero(rng.random(u) < 0.5).tolist() for _ in range(4)]
+        fam = RegionFamily.explicit(u, regions)
+        cover = np.arange(len(regions))
+        t = int(rng.integers(3, 8))
+        xs = rng.integers(0, u, size=t)
+        leaves = {}
+        stack = [((), init_mixture_state(fam, cover), 0.0)]
+        while stack:
+            ys, state, logq = stack.pop()
+            if len(ys) == t:
+                leaves[ys] = logq
+                continue
+            x = int(xs[len(ys)])
+            q1 = mixture_predict(state, x)
+            for y in (0, 1):
+                stack.append((ys + (y,), mixture_update(state, x, y),
+                              logq + math.log(q1 if y == 1 else 1.0 - q1)))
+        assert len(leaves) == 2 ** t
+        for ys, logq in leaves.items():
+            y_arr = np.asarray(ys)
+            marginals = []
+            for region in fam.bitmaps[cover]:
+                inside = region[xs]
+                marginals.append(sum(
+                    laplace_integral_log(int(y_arr[side].sum()), int(side.sum()))
+                    for side in (inside, ~inside)))
+            closed = float(logsumexp(marginals)) - math.log(len(cover))
+            assert abs(logq - closed) <= 1e-10, ys
+
+
 def test_mixture_learner_wraps_state():
     fam = RegionFamily.threshold_grid(8)
     lr = MixtureLearner(fam, eps=0.3)
@@ -267,6 +332,51 @@ def test_truncated_view_range():
     lo, hi = truncation_range(0.25)
     assert view.predict(fam, 0) == lo
     assert view.predict(fam, 3) == hi
+
+
+def bincount_hallucinations(rng, n, u):
+    """(label, context) counts of Poisson(n) uniform samples, counted one by one."""
+    m = int(rng.poisson(n))
+    hx = rng.integers(0, u, size=m)
+    hy = rng.integers(0, 2, size=m)
+    return np.stack([np.bincount(hx[hy == 0], minlength=u),
+                     np.bincount(hx[hy == 1], minlength=u)])
+
+
+def test_ftpl_hallucinated_counts_follow_the_bincount_law(monkeypatch):
+    # With no history the oracle sees only the hallucinated counts; by Poisson
+    # splitting each (label, context) cell is an independent Poisson(n / 2U).
+    u, n, draws = 4, 24.0, 4000
+    seen = []
+    oracle = learners_mod.mle_from_counts
+
+    def spy(cnt, pos, family):
+        seen.append(np.stack([cnt - pos, pos]))
+        return oracle(cnt, pos, family)
+
+    monkeypatch.setattr(learners_mod, "mle_from_counts", spy)
+    lr = FtplLearner(FtplConfig(n=n, alpha=0.1), RegionFamily.threshold_grid(u))
+    lr.reset(ContextUniverse(u), np.random.default_rng(11))
+    for _ in range(draws):
+        lr.predict(0)
+    new = np.array(seen).astype(np.int64)
+    old = np.array([bincount_hallucinations(np.random.default_rng([12, i]), n, u)
+                    for i in range(draws)])
+    assert new.shape == old.shape == (draws, 2, u)
+
+    lam = n / (2 * u)
+    top = 8                                    # bins 0..7 and a tail bin
+    expected = np.append(stats.poisson.pmf(np.arange(top), lam), stats.poisson.sf(top - 1, lam))
+    for counts in (new, old):
+        hist = np.bincount(np.minimum(counts.ravel(), top), minlength=top + 1)
+        assert stats.chisquare(hist, expected * hist.sum()).pvalue > 1e-3
+        totals = counts.sum(axis=(1, 2))       # Poisson(n) overall
+        assert abs(totals.mean() - n) < 4 * math.sqrt(n / draws)
+    for cell in np.ndindex(2, u):              # cell by cell, old against new
+        table = np.stack([np.bincount(np.minimum(c[(slice(None),) + cell], top),
+                                      minlength=top + 1) for c in (new, old)])
+        table = table[:, table.sum(axis=0) > 0]
+        assert stats.chi2_contingency(table).pvalue > 1e-3, cell
 
 
 def test_ftpl_config_validation():
