@@ -12,10 +12,9 @@ from .adversary import (AdversaryPolicy, SmoothDistribution, SubsetUniform,
                         subset_smooth_adversary, validate_smooth)
 from .coupling import CouplingOutcome, block_coupling, rejection_couple
 from .learners import (FtplConfig, FtplLearner, KtLearner, MixtureLearner,
-                       MixtureState, TruncatedClassView, UniformLearner,
-                       epsilon_cover, ftpl_step, init_mixture_state, kt_predict,
-                       laplace_integral_log, learner_from_spec, mixture_predict,
-                       mixture_update)
+                       MixtureState, UniformLearner, epsilon_cover,
+                       init_mixture_state, kt_predict, laplace_integral_log,
+                       learner_from_spec, mixture_predict, mixture_update)
 from .diagnostics import (BoundInputs, ChiSquareReport, RademacherEstimate,
                           chi_square_bruteforce, chi_square_closed_form,
                           chi_square_report, nml_value, rademacher_estimate,

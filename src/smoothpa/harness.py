@@ -46,13 +46,22 @@ class ExperimentConfig:
                 for s in self.sigmas]
 
 
+def _cast(value, name: str, cast):
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: {value!r} is not a valid {cast.__name__}") from None
+
+
 def _as_list(value, name: str, cast):
+    if value is None:
+        raise ConfigError(f"{name}: missing")
     if isinstance(value, (list, tuple)):
-        out = [cast(v) for v in value]
+        out = [_cast(v, name, cast) for v in value]
         if not out:
             raise ConfigError(f"{name}: empty list")
         return out
-    return [cast(value)]
+    return [_cast(value, name, cast)]
 
 
 def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
@@ -72,12 +81,15 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
             raise ConfigError(f"{key}: missing")
         return obj[key]
 
-    universe = int(need("universe"))
+    universe = _cast(need("universe"), "universe", int)
     if universe < 1:
         raise ConfigError(f"universe: {universe} must be >= 1")
     family = need("family")
     if not isinstance(family, dict):
         raise ConfigError("family: must be an object")
+    family_size = RegionFamily.from_spec(family).universe.size
+    if family_size != universe:
+        raise ConfigError(f"family.size: {family_size} differs from universe {universe}")
     adversary = need("adversary")
     if not isinstance(adversary, dict):
         raise ConfigError("adversary: must be an object")
@@ -99,10 +111,10 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     sigmas = _as_list(sweep.get("sigma", obj.get("sigma")), "sigma", float)
     if any(not 0.0 < s <= 1.0 for s in sigmas):
         raise ConfigError("sigma: values must be in (0, 1]")
-    repetitions = int(obj.get("repetitions", 1))
+    repetitions = _cast(obj.get("repetitions", 1), "repetitions", int)
     if repetitions < 1:
         raise ConfigError(f"repetitions: {repetitions} must be >= 1")
-    base_seed = int(obj.get("base_seed", 0))
+    base_seed = _cast(obj.get("base_seed", 0), "base_seed", int)
     output_dir = obj.get("output_dir")
     return ExperimentConfig(universe, family, adversary, learners, horizons,
                             sigmas, repetitions, base_seed, output_dir)

@@ -162,41 +162,37 @@ def _split_losses(n0, k0, total_n, total_k):
     return _nll(n0, k0) + _nll(total_n - n0, total_k - k0)
 
 
-def region_losses_from_counts(cnt: np.ndarray, pos: np.ndarray, family: RegionFamily,
-                              force_generic: bool = False) -> np.ndarray:
-    """Per-region minimized log-loss. Threshold grids use one prefix-sum pass
-    unless force_generic asks for the bitmap scan (the two must agree)."""
-    if family.kind == THRESHOLD_GRID and not force_generic:
-        n0 = np.cumsum(cnt)
-        k0 = np.cumsum(pos)
-    else:
-        bm = family.bitmaps
-        n0 = bm @ cnt
-        k0 = bm @ pos
-    return _split_losses(n0, k0, cnt.sum(), pos.sum())
+def region_counts(values: np.ndarray, family: RegionFamily) -> np.ndarray:
+    """Per-region sums of per-context values along the last axis: entry a sums
+    the contexts inside region a. Threshold grids take one prefix-sum pass,
+    explicit families the bitmap product; integer counts come out exact."""
+    if family.kind == THRESHOLD_GRID:
+        return np.cumsum(values, axis=-1)
+    return values @ family.bitmaps.T
 
 
-def mle_from_counts(cnt: np.ndarray, pos: np.ndarray,
-                    family: RegionFamily) -> tuple[Hypothesis, float]:
-    """Loss-minimizing hypothesis from per-context count arrays, plus its loss.
+def mle_from_region_counts(n0: np.ndarray, k0: np.ndarray, total_n: float,
+                           total_k: float) -> tuple[Hypothesis, float]:
+    """Loss-minimizing hypothesis from per-region inside counts (n0 samples, k0
+    positive labels) and the totals, plus its loss.
 
     Per region the optimal theta_j is the empirical frequency k_j/n_j (1/2 when
     the side is empty); ties between regions break to the lowest index.
     """
-    losses = region_losses_from_counts(cnt, pos, family)
-    idx = int(np.argmin(losses))
-    if family.kind == THRESHOLD_GRID:
-        n0 = float(cnt[: idx + 1].sum())
-        k0 = float(pos[: idx + 1].sum())
-    else:
-        row = family.bitmaps[idx]
-        n0 = float(cnt[row].sum())
-        k0 = float(pos[row].sum())
-    n1 = float(cnt.sum() - n0)
-    k1 = float(pos.sum() - k0)
-    theta0 = k0 / n0 if n0 > 0 else 0.5
-    theta1 = k1 / n1 if n1 > 0 else 0.5
+    losses = _split_losses(n0, k0, total_n, total_k)
+    idx = int(losses.argmin())
+    n_in, k_in = float(n0[idx]), float(k0[idx])
+    n_out, k_out = float(total_n - n_in), float(total_k - k_in)
+    theta0 = k_in / n_in if n_in > 0 else 0.5
+    theta1 = k_out / n_out if n_out > 0 else 0.5
     return Hypothesis(idx, theta0, theta1), float(losses[idx])
+
+
+def mle_from_counts(cnt: np.ndarray, pos: np.ndarray,
+                    family: RegionFamily) -> tuple[Hypothesis, float]:
+    """Loss-minimizing hypothesis from per-context count arrays, plus its loss."""
+    return mle_from_region_counts(region_counts(cnt, family), region_counts(pos, family),
+                                  cnt.sum(), pos.sum())
 
 
 def mle_oracle(data, family: RegionFamily) -> Hypothesis:
@@ -211,10 +207,10 @@ def offline_best_loss(data, family: RegionFamily) -> float:
     return mle_from_counts(cnt, pos, family)[1]
 
 
-# Temporary memory one block of prefix_best_losses may use; the block's row count
-# follows from it and the number of regions. Larger blocks run no faster and
-# only raise peak memory.
-_PREFIX_BLOCK_BYTES = 1 << 18
+# Temporary memory one block of rounds may use, in prefix_best_losses and in the
+# FTPL learner's hallucination draws; a block's row count follows from it and
+# the sizes of the family. Larger blocks run no faster and only raise peak memory.
+_BLOCK_BYTES = 1 << 18
 
 
 def prefix_best_losses(xs: np.ndarray, ys: np.ndarray, family: RegionFamily) -> np.ndarray:
@@ -230,7 +226,7 @@ def prefix_best_losses(xs: np.ndarray, ys: np.ndarray, family: RegionFamily) -> 
     ys = np.asarray(ys, dtype=np.float64)
     member = np.ascontiguousarray(family.bitmaps.T, dtype=np.float64)   # (U, regions)
     # the two count blocks plus about ten per-region temporaries in the losses
-    rows = max(1, _PREFIX_BLOCK_BYTES // (8 * 12 * member.shape[1]))
+    rows = max(1, _BLOCK_BYTES // (8 * 12 * member.shape[1]))
     out = np.empty(len(xs))
     n0_carry = np.zeros(member.shape[1])
     k0_carry = np.zeros(member.shape[1])
@@ -263,4 +259,4 @@ class ComparatorTracker:
         """Account for one more example and return the best loss on the prefix so far."""
         self.cnt[x] += 1
         self.pos[x] += y
-        return float(region_losses_from_counts(self.cnt, self.pos, self.family).min())
+        return mle_from_counts(self.cnt, self.pos, self.family)[1]

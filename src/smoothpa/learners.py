@@ -19,8 +19,8 @@ from scipy.special import gammaln, logsumexp
 
 from .core import ContextUniverse
 from .errors import ConfigError, NumericalAssertionError
-from .hypotheses import (RegionFamily, Hypothesis, THRESHOLD_GRID, evaluate,
-                         examples_to_counts, mle_from_counts)
+from .hypotheses import (_BLOCK_BYTES, RegionFamily, THRESHOLD_GRID, evaluate,
+                         mle_from_region_counts, region_counts)
 
 
 def laplace_integral_log(k: int, n: int) -> float:
@@ -191,53 +191,15 @@ class FtplConfig:
     alpha: float
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ConfigError(f"ftpl.n: {self.n} must be >= 0")
+        if not 0.0 <= self.n < math.inf:
+            raise ConfigError(f"learner.ftpl.n: {self.n} must be finite and >= 0")
         if not 0.0 < self.alpha < 0.5:
-            raise ConfigError(f"ftpl.alpha: {self.alpha} outside (0, 1/2)")
+            raise ConfigError(f"learner.ftpl.alpha: {self.alpha} outside (0, 1/2)")
 
 
 def truncation_range(alpha: float) -> tuple[float, float]:
     """Closed range of predictions emitted through the (f + alpha)/(1 + 2 alpha) map."""
     return alpha / (1.0 + 2.0 * alpha), (1.0 + alpha) / (1.0 + 2.0 * alpha)
-
-
-@dataclass(frozen=True)
-class TruncatedClassView:
-    """A hypothesis seen through the truncation map, keeping predictions interior."""
-
-    alpha: float
-    hypothesis: Hypothesis
-
-    def predict(self, family: RegionFamily, x: int) -> float:
-        return (evaluate(family, self.hypothesis, x) + self.alpha) / (1.0 + 2.0 * self.alpha)
-
-
-def _ftpl_predict_from_counts(cnt: np.ndarray, pos: np.ndarray, config: FtplConfig,
-                              family: RegionFamily, universe: ContextUniverse,
-                              rng: np.random.Generator, x_t: int) -> float:
-    # Poisson(n) hallucinated samples, uniform over (context, label) cells, split
-    # into independent Poisson(n / 2U) counts per cell: row 0 label 0, row 1 label 1
-    u = universe.size
-    hal = rng.poisson(config.n / (2.0 * u), size=(2, u))
-    h, _ = mle_from_counts(cnt + hal[0] + hal[1], pos + hal[1], family)
-    q = (evaluate(family, h, x_t) + config.alpha) / (1.0 + 2.0 * config.alpha)
-    lo, hi = truncation_range(config.alpha)
-    if not lo <= q <= hi:
-        raise NumericalAssertionError(f"FTPL prediction {q} escaped [{lo}, {hi}]")
-    return q
-
-
-def ftpl_step(history_xs: Sequence[int], history_ys: Sequence[int], config: FtplConfig,
-              family: RegionFamily, universe: ContextUniverse,
-              rng: np.random.Generator, x_t: int) -> float:
-    """One FTPL prediction: refit the oracle on history plus Poisson(n) fresh
-    hallucinated samples uniform over (context, label), then truncate the fitted
-    value at x_t."""
-    xs = np.asarray(history_xs, dtype=np.int64)
-    ys = np.asarray(history_ys, dtype=np.int64)
-    cnt, pos = examples_to_counts((xs, ys), universe.size)
-    return _ftpl_predict_from_counts(cnt, pos, config, family, universe, rng, x_t)
 
 
 class UniformLearner:
@@ -299,32 +261,89 @@ class MixtureLearner:
 
 
 class FtplLearner:
-    """Follow-the-perturbed-leader over the MLE oracle with truncated output."""
+    """Follow-the-perturbed-leader over the MLE oracle with truncated output.
+
+    Each prediction refits the oracle on the history plus fresh hallucinated
+    samples: Poisson(n) of them uniform over (context, label), drawn as
+    independent Poisson(n / 2U) counts per cell (Poisson splitting). The
+    learner keeps its history as per-region inside counts, and draws the
+    hallucinations for a block of rounds at once, which takes the same values
+    from its generator as one draw per round. Blocks double in size up to the
+    shared byte budget, so short games draw little ahead.
+    """
 
     def __init__(self, config: FtplConfig, family: RegionFamily):
         self.config = config
         self.family = family
         self.name = f"ftpl(n={config.n:g},alpha={config.alpha:g})"
+        self._lo, self._hi = truncation_range(config.alpha)
+        self._member = np.ascontiguousarray(family.bitmaps.T)     # (U, regions)
 
     def reset(self, universe: ContextUniverse, rng: np.random.Generator) -> None:
-        self.universe = universe
+        u, m = universe.size, len(self.family)
+        if u != self.family.universe.size:
+            raise ConfigError(f"learner.ftpl: family size {self.family.universe.size} "
+                              f"differs from universe {u}")
         self.rng = rng
-        u = universe.size
-        self._cnt = np.zeros(u)
-        self._pos = np.zeros(u)
+        self._n0 = np.zeros(m)
+        self._k0 = np.zeros(m)
+        self._n = 0.0
+        self._k = 0.0
+        # per row of a block: the draw as integers and as floats (2U each), the
+        # per-context totals (U) and the per-region counts (2m)
+        self._max_rows = max(1, _BLOCK_BYTES // (8 * (5 * u + 2 * m)))
+        self._hal_n0 = self._hal_k0 = np.zeros((0, m))
+        self._hal_n = self._hal_k = []
+        self._row = 0
+
+    def _draw_block(self) -> None:
+        u = self._member.shape[0]
+        rows = min(2 * len(self._hal_n0) or 1, self._max_rows)
+        hal = self.rng.poisson(self.config.n / (2.0 * u), size=(rows, 2, u)).astype(np.float64)
+        pos = hal[:, 1]
+        seen = hal[:, 0] + pos
+        self._hal_n0 = region_counts(seen, self.family)
+        self._hal_k0 = region_counts(pos, self.family)
+        self._hal_n = seen.sum(axis=1).tolist()
+        self._hal_k = pos.sum(axis=1).tolist()
 
     def predict(self, x: int) -> float:
-        return _ftpl_predict_from_counts(self._cnt, self._pos, self.config,
-                                         self.family, self.universe, self.rng, x)
+        i = self._row
+        if i == len(self._hal_n):
+            self._draw_block()
+            i = 0
+        self._row = i + 1
+        h, _ = mle_from_region_counts(self._n0 + self._hal_n0[i], self._k0 + self._hal_k0[i],
+                                      self._n + self._hal_n[i], self._k + self._hal_k[i])
+        q = (evaluate(self.family, h, x) + self.config.alpha) / (1.0 + 2.0 * self.config.alpha)
+        if not self._lo <= q <= self._hi:
+            raise NumericalAssertionError(
+                f"FTPL prediction {q} escaped [{self._lo}, {self._hi}]")
+        return q
 
     def update(self, x: int, y: int) -> None:
-        self._cnt[x] += 1.0
-        self._pos[x] += y
+        col = self._member[x]
+        self._n0 += col
+        self._n += 1.0
+        if y:
+            self._k0 += col
+            self._k += 1.0
 
 
 def default_ftpl_tuning(T: int, sigma: float) -> tuple[float, float]:
     """Rate/truncation pair n = round(T^{4/5} / sqrt(sigma)), alpha = 1/T."""
     return float(round(T ** 0.8 / math.sqrt(sigma))), 1.0 / T
+
+
+def _number(params: dict, key: str, default: float, path: str) -> float:
+    """params[key] as a float; `default` when it is absent or null."""
+    value = params.get(key)
+    if value is None:
+        return default
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}.{key}: {value!r} is not a number") from None
 
 
 def learner_from_spec(spec: dict, family: RegionFamily, universe: ContextUniverse,
@@ -340,18 +359,19 @@ def learner_from_spec(spec: dict, family: RegionFamily, universe: ContextUnivers
     kind, params = next(iter(spec.items()))
     if not isinstance(params, dict):
         raise ConfigError(f"learner.{kind}: parameters must be an object")
+    path = f"learner.{kind}"
     if kind == "uniform":
         return UniformLearner()
     if kind == "kt":
-        return KtLearner(float(params.get("beta", 0.5)))
+        return KtLearner(_number(params, "beta", 0.5, path))
     if kind == "vc_mixture":
-        eps = params.get("eps")
-        if eps is None:
-            eps = sigma / float(T) ** 2
-        return MixtureLearner(family, float(eps))
+        return MixtureLearner(family, _number(params, "eps", sigma / float(T) ** 2, path))
     if kind == "ftpl":
         n_def, alpha_def = default_ftpl_tuning(T, sigma)
-        n = float(params.get("n", n_def))
-        alpha = float(params.get("alpha", alpha_def))
+        n = _number(params, "n", n_def, path)
+        alpha = _number(params, "alpha", alpha_def, path)
+        if params.get("alpha") is None and not 0.0 < alpha < 0.5:
+            raise ConfigError(f"learner.ftpl.alpha: the default 1/T = {alpha:g} at T = {T} "
+                              f"is outside (0, 1/2); set alpha explicitly")
         return FtplLearner(FtplConfig(n, alpha), family)
     raise ConfigError(f"learner: unknown kind {kind!r}")

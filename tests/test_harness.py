@@ -59,6 +59,25 @@ def test_parse_config_field_paths():
         parse_config(base_config(adversary=dict(static, set=[-1, 0, 1, 2])))
     with pytest.raises(ConfigError, match=r"adversary\.set\[2\]: context id 1 repeated"):
         parse_config(base_config(adversary=dict(static, set=[0, 1, 1, 2])))
+    for universe in (4, 16):        # the family is an 8-point grid
+        with pytest.raises(ConfigError, match=f"family.size: 8 differs from universe {universe}"):
+            parse_config(base_config(universe=universe))
+    explicit = {"kind": "explicit", "size": 6, "regions": [[0, 1], [2]]}
+    with pytest.raises(ConfigError, match="family.size: 6 differs from universe 8"):
+        parse_config(base_config(family=explicit))
+    for key in ("T", "sigma"):
+        cfg = base_config()
+        cfg.pop(key)
+        with pytest.raises(ConfigError, match=f"^{key}: missing"):
+            parse_config(cfg)
+    with pytest.raises(ConfigError, match="universe: 'abc' is not a valid int"):
+        parse_config(base_config(universe="abc"))
+    with pytest.raises(ConfigError, match=r"T: \[16\] is not a valid int"):
+        parse_config(base_config(T=[[16]]))
+    with pytest.raises(ConfigError, match="sigma: 'x' is not a valid float"):
+        parse_config(base_config(sigma="x"))
+    with pytest.raises(ConfigError, match="repetitions: None is not a valid int"):
+        parse_config(base_config(repetitions=None))
 
 
 def test_run_uniform_vs_greedy_regret_is_t_ln2(tmp_path):
@@ -355,6 +374,64 @@ STATIC_SWEEPS = {
 @pytest.mark.parametrize("name", sorted(STATIC_SWEEPS))
 def test_static_realizable_sweep_artifacts_are_pinned(tmp_path, name):
     cfg, digests = STATIC_SWEEPS[name]
+    run(cfg, output_dir=tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir())}
+    assert got == digests
+
+
+# sha256 of every artifact of two FTPL sweeps against the adaptive greedy
+# adversary, default tuning and n = 0 and n = 3000 among them. The learner's
+# hallucinations come from its own generator, so any exact rewrite of the FTPL
+# round leaves these bytes fixed.
+FTPL_SWEEPS = {
+    "explicit": ({
+        "universe": 16,
+        "family": {"kind": "explicit", "size": 16,
+                   "regions": [[0, 1, 2, 3], [2, 5, 7, 11, 13], [8, 9, 10, 11, 12, 13, 14, 15],
+                               [1, 3, 5, 7, 9]]},
+        "adversary": {"context": "subset_uniform", "rule": "adaptive", "label": "greedy"},
+        "repetitions": 2, "base_seed": 23,
+        "sweep": {"learner": [{"ftpl": {}}, {"ftpl": {"n": 0, "alpha": 0.05}},
+                              {"ftpl": {"n": 3000, "alpha": 0.01}}],
+                  "T": [16, 100, 400], "sigma": [0.5]},
+    }, {
+        "records_cell000.csv": "3009e21b2f6b2de819922e1888b41c29867f6368155a3636a723fe92242d07c4",
+        "records_cell001.csv": "417f4041f5117d9f2e8b4d64472a92f0c7ac03c968be3882b99f29ab64cf9769",
+        "records_cell002.csv": "da85eeb954254be9fbc69959f3b9365a7194cdcb8eb64aa209084b939e3d6859",
+        "records_cell003.csv": "a2dff8a3b0610ea1ffdf24607afa134ba8e1f799a562e03a2f4a3334cf006e86",
+        "records_cell004.csv": "00efd8700fb3a42394c05ff70b856c065a2f05bda477ae40bfcf96b6f33b7d3e",
+        "records_cell005.csv": "f7e230dab10edd15187ec3658b068c0d5bfa8f7d6c70f6014294bbf5f8ca71fa",
+        "records_cell006.csv": "07c1ac719efeffeeaec968319e5b5cfa837d675503c899483fd049aed7d55999",
+        "records_cell007.csv": "e4c5fdb8f637d4930ebc5f154f9eb867847fda331ce0305b9dbd63d4523d1ca4",
+        "records_cell008.csv": "0a99d8da96770de917f1866066b0bd540ebcb94fb0610b61880afd5cb4ff9f7e",
+        "summary.json": "e5f1a3f04f79c02f02df7ee91fc4edc307c81c1acf7a521358ac6757aa404f54",
+    }),
+    "grid": ({
+        "universe": 32, "family": {"kind": "threshold_grid", "size": 32},
+        "adversary": {"context": "subset_uniform", "rule": "adaptive", "label": "greedy"},
+        "repetitions": 2, "base_seed": 17,
+        "sweep": {"learner": [{"ftpl": {}}, {"ftpl": {"n": 0, "alpha": 0.05}},
+                              {"ftpl": {"n": 3000, "alpha": 0.01}}],
+                  "T": [16, 100, 400], "sigma": [0.25]},
+    }, {
+        "records_cell000.csv": "e79231567db9084e92a920bd953d3e88acab6e70dbd2965efcb8988cc31e58ed",
+        "records_cell001.csv": "10509cdfcca3033cee4b959a1052b8d4ec6faed4880fbf2b219f741081371c3c",
+        "records_cell002.csv": "694617ba8c76cb44de894af575ae2b1c9847af3818f3817321cdb0ec7b221e56",
+        "records_cell003.csv": "554059d835333ea031d4455365e511a1b67bbd006d04b04f71aedd319f517c89",
+        "records_cell004.csv": "44865d428880f3a22c30e800cd76f1978b9bd5b7a88d5cb72bfffd463b7c4943",
+        "records_cell005.csv": "590ed5495086aa564075cf3fe47670efe95b0a9e39340606600a47096c105b95",
+        "records_cell006.csv": "dd5bc90466fb692af756a9dbd877aad1b54c7e31b1a16a58d03a5617ded0439a",
+        "records_cell007.csv": "a392727c4bea9fdd2651c4980062838d4a346c16a404ca90fa4a92914e380fbf",
+        "records_cell008.csv": "312096216fd02878ca245660445a39d45a11b9405e26904f7692773ee6272bc9",
+        "summary.json": "1be24a03571bd48e25382ea5b8dd9736076d534834fd306313a952aaec2d0fa3",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FTPL_SWEEPS))
+def test_ftpl_sweep_artifacts_are_pinned(tmp_path, name):
+    cfg, digests = FTPL_SWEEPS[name]
     run(cfg, output_dir=tmp_path)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(tmp_path.iterdir())}

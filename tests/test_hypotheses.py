@@ -8,8 +8,7 @@ from smoothpa import Example, Hypothesis, mle_oracle, offline_best_loss
 from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import (ComparatorTracker, RegionCounts, RegionFamily,
                                  count_regions, evaluate, examples_to_counts,
-                                 mle_from_counts, prefix_best_losses,
-                                 region_losses_from_counts)
+                                 mle_from_counts, prefix_best_losses, region_counts)
 
 LN2 = math.log(2.0)
 
@@ -158,15 +157,14 @@ def test_threshold_fast_path_equals_generic_scan():
     for _ in range(10):
         u = int(rng.integers(2, 40))
         fam = RegionFamily.threshold_grid(u)
+        same = RegionFamily.explicit(u, [range(a + 1) for a in range(u)])
         xs = rng.integers(0, u, size=int(rng.integers(1, 60)))
         ys = rng.integers(0, 2, size=len(xs))
         cnt, pos = examples_to_counts((xs, ys), u)
-        fast = region_losses_from_counts(cnt, pos, fam)
-        slow = region_losses_from_counts(cnt, pos, fam, force_generic=True)
-        assert np.allclose(fast, slow, atol=1e-9)
-        assert int(np.argmin(fast)) == int(np.argmin(slow))
-        h, loss = mle_from_counts(cnt, pos, fam)
-        assert loss == pytest.approx(float(fast.min()), abs=1e-9)
+        for values in (cnt, pos):       # prefix sums against the bitmap product
+            assert np.array_equal(region_counts(values, fam), fam.bitmaps @ values)
+            assert np.array_equal(region_counts(values, fam), region_counts(values, same))
+        assert mle_from_counts(cnt, pos, fam) == mle_from_counts(cnt, pos, same)
 
 
 def test_family_json_roundtrip():

@@ -10,11 +10,10 @@ from scipy.special import logsumexp
 import smoothpa.learners as learners_mod
 
 from smoothpa import ContextUniverse
-from smoothpa.errors import ConfigError
-from smoothpa.hypotheses import RegionFamily
+from smoothpa.errors import ConfigError, NumericalAssertionError
+from smoothpa.hypotheses import RegionFamily, evaluate, mle_from_counts
 from smoothpa.learners import (FtplConfig, FtplLearner, KtLearner, MixtureLearner,
-                               TruncatedClassView, UniformLearner, epsilon_cover,
-                               ftpl_step, init_mixture_state, kt_predict,
+                               UniformLearner, epsilon_cover, init_mixture_state, kt_predict,
                                laplace_integral_log, learner_from_spec,
                                mixture_log_marginal_from_scratch, mixture_predict,
                                mixture_update, region_distance, truncation_range)
@@ -276,39 +275,97 @@ def test_mixture_learner_wraps_state():
 
 # ---------------------------------------------------------------- ftpl
 
+def reference_ftpl_predict(cnt, pos, config, family, rng, x):
+    """One FTPL prediction the direct way: draw this round's (2, U) hallucinated
+    counts, refit the oracle on the per-context counts, truncate at x."""
+    u = family.universe.size
+    hal = rng.poisson(config.n / (2.0 * u), size=(2, u))
+    h, _ = mle_from_counts(cnt + hal[0] + hal[1], pos + hal[1], family)
+    q = (evaluate(family, h, x) + config.alpha) / (1.0 + 2.0 * config.alpha)
+    lo, hi = truncation_range(config.alpha)
+    if not lo <= q <= hi:
+        raise NumericalAssertionError(f"FTPL prediction {q} escaped [{lo}, {hi}]")
+    return q
+
+
+def ftpl_after(cfg, fam, seed, xs, ys):
+    """An FTPL learner with generator seed `seed` that has seen (xs, ys)."""
+    lr = FtplLearner(cfg, fam)
+    lr.reset(ContextUniverse(fam.universe.size), np.random.default_rng(seed))
+    for x, y in zip(xs, ys):
+        lr.update(x, y)
+    return lr
+
+
 def test_ftpl_truncation_map_value():
     # oracle fit pinned at 0 by an all-zero history, no hallucination
     cfg = FtplConfig(n=0.0, alpha=0.01)
-    fam = RegionFamily.threshold_grid(8)
-    uni = ContextUniverse(8)
-    rng = np.random.default_rng(0)
-    q = ftpl_step([0, 0, 0], [0, 0, 0], cfg, fam, uni, rng, 0)
+    q = ftpl_after(cfg, RegionFamily.threshold_grid(8), 0, [0, 0, 0], [0, 0, 0]).predict(0)
     assert q == pytest.approx(0.01 / 1.02, abs=1e-15)
 
 
 def test_ftpl_zero_rate_is_follow_the_leader():
     cfg = FtplConfig(n=0.0, alpha=0.1)
     fam = RegionFamily.threshold_grid(4)
-    uni = ContextUniverse(4)
-    qs = {ftpl_step([1, 1], [1, 1], cfg, fam, uni, np.random.default_rng(s), 1)
-          for s in range(5)}
+    qs = {ftpl_after(cfg, fam, s, [1, 1], [1, 1]).predict(1) for s in range(5)}
     assert qs == {(1.0 + 0.1) / 1.2}  # no randomness left: theta = 1 on the fit side
 
 
 def test_ftpl_seeded_reproducibility_and_step_equivalence():
     cfg = FtplConfig(n=12.0, alpha=0.05)
     fam = RegionFamily.threshold_grid(16)
-    uni = ContextUniverse(16)
     xs, ys = [3, 7, 7, 1], [1, 0, 1, 1]
-    a = ftpl_step(xs, ys, cfg, fam, uni, np.random.default_rng(99), 5)
-    b = ftpl_step(xs, ys, cfg, fam, uni, np.random.default_rng(99), 5)
-    assert a == b
+    a = [ftpl_after(cfg, fam, 99, xs, ys).predict(5) for _ in range(2)]
+    assert a[0] == a[1]
 
+    cnt = np.bincount(xs, minlength=16).astype(float)
+    pos = np.bincount(xs, weights=ys, minlength=16)
+    assert a[0] == reference_ftpl_predict(cnt, pos, cfg, fam, np.random.default_rng(99), 5)
+
+
+class PoissonRecorder:
+    """Generator stand-in that records the shape of every Poisson draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def poisson(self, lam, size):
+        self.sizes.append(size)
+        return self.rng.poisson(lam, size)
+
+
+FTPL_FAMILIES = {
+    # name: (family, rounds); the rounds reach past the blocks' doubling phase
+    # and through at least three boundaries between full-size blocks
+    "grid4": (RegionFamily.threshold_grid(4), 6000),
+    "grid64": (RegionFamily.threshold_grid(64), 600),
+    "explicit": (RegionFamily.explicit(24, [np.flatnonzero(row) for row in
+                                           np.random.default_rng(5).random((40, 24)) < 0.4]),
+                 1200),
+}
+
+
+@pytest.mark.parametrize("n", [0.0, 12.0, 3000.0])
+@pytest.mark.parametrize("name", sorted(FTPL_FAMILIES))
+def test_ftpl_learner_equals_per_round_reference(name, n):
+    fam, rounds = FTPL_FAMILIES[name]
+    u = fam.universe.size
+    cfg = FtplConfig(n=n, alpha=0.01)
+    recorder = PoissonRecorder(31)
     lr = FtplLearner(cfg, fam)
-    lr.reset(uni, np.random.default_rng(99))
-    for x, y in zip(xs, ys):
+    lr.reset(ContextUniverse(u), recorder)
+    ref_rng = np.random.default_rng(31)
+    data = np.random.default_rng(32)
+    cnt, pos = np.zeros(u), np.zeros(u)
+    for _ in range(rounds):
+        x = int(data.integers(u))
+        y = int(data.random() < (0.2 if x < u // 2 else 0.7))
+        assert lr.predict(x) == reference_ftpl_predict(cnt, pos, cfg, fam, ref_rng, x)
         lr.update(x, y)
-    assert lr.predict(5) == a
+        cnt[x] += 1
+        pos[x] += y
+    assert len(recorder.sizes) >= 5 and len(set(recorder.sizes[-4:])) == 1, recorder.sizes
 
 
 def test_ftpl_predictions_stay_in_truncation_range():
@@ -326,12 +383,13 @@ def test_ftpl_predictions_stay_in_truncation_range():
 
 
 def test_truncated_view_range():
-    fam = RegionFamily.threshold_grid(4)
-    from smoothpa.hypotheses import Hypothesis
-    view = TruncatedClassView(0.25, Hypothesis(1, 0.0, 1.0))
+    # a zero-loss fit with theta0 = 0 on region {0} and theta1 = 1 outside it
+    # lands exactly on the two ends of the truncation range
+    cfg = FtplConfig(n=0.0, alpha=0.25)
+    lr = ftpl_after(cfg, RegionFamily.threshold_grid(4), 0, [0, 3], [0, 1])
     lo, hi = truncation_range(0.25)
-    assert view.predict(fam, 0) == lo
-    assert view.predict(fam, 3) == hi
+    assert lr.predict(0) == lo
+    assert lr.predict(3) == hi
 
 
 def bincount_hallucinations(rng, n, u):
@@ -346,15 +404,19 @@ def bincount_hallucinations(rng, n, u):
 def test_ftpl_hallucinated_counts_follow_the_bincount_law(monkeypatch):
     # With no history the oracle sees only the hallucinated counts; by Poisson
     # splitting each (label, context) cell is an independent Poisson(n / 2U).
+    # On a grid the per-region inside counts are prefix sums over contexts, so
+    # their differences give back the per-context counts.
     u, n, draws = 4, 24.0, 4000
     seen = []
-    oracle = learners_mod.mle_from_counts
+    oracle = learners_mod.mle_from_region_counts
 
-    def spy(cnt, pos, family):
+    def spy(n0, k0, total_n, total_k):
+        cnt, pos = np.diff(n0, prepend=0.0), np.diff(k0, prepend=0.0)
+        assert (n0[-1], k0[-1]) == (total_n, total_k)
         seen.append(np.stack([cnt - pos, pos]))
-        return oracle(cnt, pos, family)
+        return oracle(n0, k0, total_n, total_k)
 
-    monkeypatch.setattr(learners_mod, "mle_from_counts", spy)
+    monkeypatch.setattr(learners_mod, "mle_from_region_counts", spy)
     lr = FtplLearner(FtplConfig(n=n, alpha=0.1), RegionFamily.threshold_grid(u))
     lr.reset(ContextUniverse(u), np.random.default_rng(11))
     for _ in range(draws):
@@ -386,6 +448,18 @@ def test_ftpl_config_validation():
         FtplConfig(n=1.0, alpha=0.5)
     with pytest.raises(ConfigError):
         FtplConfig(n=1.0, alpha=0.0)
+    with pytest.raises(ConfigError, match=r"learner\.ftpl\.n"):
+        FtplConfig(n=math.inf, alpha=0.1)
+    with pytest.raises(ConfigError, match=r"learner\.ftpl\.n"):
+        FtplConfig(n=math.nan, alpha=0.1)
+
+
+@pytest.mark.parametrize("universe", [4, 16])
+def test_ftpl_reset_rejects_universe_mismatch(universe):
+    lr = FtplLearner(FtplConfig(n=4.0, alpha=0.1), RegionFamily.threshold_grid(8))
+    with pytest.raises(ConfigError, match=f"learner.ftpl: family size 8 differs from "
+                                          f"universe {universe}"):
+        lr.reset(ContextUniverse(universe), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- specs
@@ -414,3 +488,16 @@ def test_learner_from_spec_errors():
         learner_from_spec({"uniform": {}, "kt": {}}, fam, uni, 16, 0.5)
     with pytest.raises(ConfigError):
         learner_from_spec({"uniform": 3}, fam, uni, 16, 0.5)
+    for t in (1, 2):    # the default alpha = 1/T leaves (0, 1/2)
+        with pytest.raises(ConfigError, match=rf"learner\.ftpl\.alpha: the default 1/T .* T = {t}"):
+            learner_from_spec({"ftpl": {}}, fam, uni, t, 0.5)
+    assert learner_from_spec({"ftpl": {"alpha": 0.1}}, fam, uni, 2, 0.5).config.alpha == 0.1
+    with pytest.raises(ConfigError, match=r"learner\.ftpl\.alpha: 0\.5 outside"):
+        learner_from_spec({"ftpl": {"alpha": 0.5}}, fam, uni, 16, 0.5)
+    for key, value in (("n", "abc"), ("n", [3]), ("alpha", "x"), ("alpha", {})):
+        with pytest.raises(ConfigError, match=rf"learner\.ftpl\.{key}: .* is not a number"):
+            learner_from_spec({"ftpl": {key: value}}, fam, uni, 16, 0.5)
+    with pytest.raises(ConfigError, match=r"learner\.kt\.beta: 'b' is not a number"):
+        learner_from_spec({"kt": {"beta": "b"}}, fam, uni, 16, 0.5)
+    with pytest.raises(ConfigError, match=r"learner\.vc_mixture\.eps: \[\] is not a number"):
+        learner_from_spec({"vc_mixture": {"eps": []}}, fam, uni, 16, 0.5)
