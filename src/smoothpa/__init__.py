@@ -1,19 +1,17 @@
 """Sequential probability assignment under log-loss against smooth adaptive
 adversaries: learners, oracles, couplings, diagnostics, and a sweep harness."""
 
-from .core import (ContextUniverse, Example, GameHistory, GameTrace, RegretRecord,
-                   log_loss, play_game, regret_against, run_game)
+from .core import ContextUniverse, Example, GameHistory, GameTrace, log_loss, run_game
 from .errors import (ConfigError, InfiniteLossError, NumericalAssertionError,
                      SmoothnessError)
-from .hypotheses import (Hypothesis, RegionCounts, RegionFamily, count_regions,
-                         evaluate, mle_oracle, offline_best_loss)
+from .hypotheses import Hypothesis, RegionFamily, evaluate, mle_oracle, offline_best_loss
 from .adversary import (AdversaryPolicy, SmoothDistribution, SubsetUniform,
                         adversary_from_spec, greedy_label, realizable_label,
                         subset_smooth_adversary, validate_smooth)
 from .coupling import CouplingOutcome, block_coupling, rejection_couple
 from .learners import (FtplConfig, FtplLearner, KtLearner, MixtureLearner,
                        MixtureState, UniformLearner, epsilon_cover,
-                       init_mixture_state, kt_predict, laplace_integral_log,
+                       init_mixture_state, laplace_integral_log,
                        learner_from_spec, mixture_predict, mixture_update)
 from .diagnostics import (BoundInputs, ChiSquareReport, RademacherEstimate,
                           chi_square_bruteforce, chi_square_closed_form,

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import ContextUniverse, GameHistory
-from .errors import ConfigError, SmoothnessError
+from .errors import ConfigError, SmoothnessError, parse_field
 from .hypotheses import Hypothesis, RegionFamily, evaluate
 
 SUM_TOL = 1e-12
@@ -245,9 +245,9 @@ class FixedSequenceLabelRule:
     tag = "fixed_sequence"
 
     def __init__(self, labels: Sequence[int]):
-        self.labels = [int(v) for v in labels]
-        if any(v not in (0, 1) for v in self.labels):
+        if any(v not in (0, 1) for v in labels):
             raise ConfigError("adversary.labels: entries must be 0 or 1")
+        self.labels = [int(v) for v in labels]
 
     def reset(self, universe, rng, family=None):
         pass
@@ -313,6 +313,25 @@ def subset_smooth_adversary(sigma: float, target_set_rule=None, label_rule=None,
     return AdversaryPolicy(target_set_rule, label_rule, sigma)
 
 
+def _f_star(fs, family: Optional[RegionFamily]) -> Hypothesis:
+    """The realizable labels' hypothesis from its spec; its region must be one
+    of the family's (when the family is known) and its thetas in [0, 1]."""
+    if not isinstance(fs, dict):
+        raise ConfigError("adversary.f_star: required for realizable labels")
+    thetas = []
+    for key in ("theta0", "theta1"):
+        if fs.get(key) is None:
+            raise ConfigError(f"adversary.f_star.{key}: missing")
+        theta = parse_field(fs[key], f"adversary.f_star.{key}", float)
+        if not 0.0 <= theta <= 1.0:
+            raise ConfigError(f"adversary.f_star.{key}: {theta} outside [0, 1]")
+        thetas.append(theta)
+    idx = parse_field(fs.get("region_index", 0), "adversary.f_star.region_index", int)
+    if family is not None and not 0 <= idx < len(family):
+        raise ConfigError(f"adversary.f_star.region_index: {idx} outside [0, {len(family)})")
+    return Hypothesis(idx, *thetas)
+
+
 def adversary_from_spec(spec: dict, sigma: Optional[float] = None,
                         family: Optional[RegionFamily] = None) -> AdversaryPolicy:
     """Build a policy from the JSON adversary spec.
@@ -336,14 +355,10 @@ def adversary_from_spec(spec: dict, sigma: Optional[float] = None,
     if label_kind == "greedy":
         label_rule = GreedyLabelRule()
     elif label_kind == "realizable":
-        fs = spec.get("f_star")
-        if not isinstance(fs, dict):
-            raise ConfigError("adversary.f_star: required for realizable labels")
-        label_rule = RealizableLabelRule(Hypothesis(
-            int(fs.get("region_index", 0)), float(fs["theta0"]), float(fs["theta1"])))
+        label_rule = RealizableLabelRule(_f_star(spec.get("f_star"), family))
     elif label_kind == "fixed_sequence":
-        if "labels" not in spec:
-            raise ConfigError("adversary.labels: required for fixed_sequence")
+        if not isinstance(spec.get("labels"), list):
+            raise ConfigError("adversary.labels: required for fixed_sequence, a list of 0/1")
         label_rule = FixedSequenceLabelRule(spec["labels"])
     else:
         raise ConfigError(f"adversary.label: unknown kind {label_kind!r}")

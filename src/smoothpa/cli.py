@@ -28,6 +28,14 @@ def _cmd_run(args) -> dict:
 
 
 def _cmd_chi2(args) -> dict:
+    if not 0.0 < args.sigma <= 1.0:
+        raise ConfigError(f"--sigma: {args.sigma:g} outside (0, 1]")
+    if not args.n > 0.0:
+        raise ConfigError(f"--n: {args.n:g} must be positive")
+    if args.universe < 1:
+        raise ConfigError(f"--universe: {args.universe} must be >= 1")
+    if not 0.0 < args.cutoff < 1.0:
+        raise ConfigError(f"--cutoff: {args.cutoff:g} outside (0, 1)")
     u = args.universe
     support = list(range(min_support_size(args.sigma, u)))
     target = SmoothDistribution.uniform_on(u, support, args.sigma)
@@ -68,6 +76,8 @@ def _cmd_nml(args) -> dict:
 
 
 def _cmd_cover(args) -> dict:
+    if not args.eps > 0.0:
+        raise ConfigError(f"--eps: {args.eps:g} must be positive")
     family = RegionFamily.from_json(Path(args.family).read_text())
     idx = epsilon_cover(family, args.eps)
     return {"cover": [int(i) for i in idx], "size": len(idx)}

@@ -27,29 +27,10 @@ class ContextUniverse:
         if self.size < 1:
             raise ValueError("universe size must be >= 1")
 
-    @property
-    def base_pmf(self) -> np.ndarray:
-        return np.full(self.size, 1.0 / self.size)
-
 
 class Example(NamedTuple):
     x: int
     y: int
-
-
-@dataclass(frozen=True)
-class RegretRecord:
-    """One round of bookkeeping. Cumulative fields are prefix sums of per-round values."""
-
-    run_id: str
-    seed: int
-    t: int
-    learner_loss: float
-    cum_learner_loss: float
-    cum_comparator_loss: float
-    cum_regret: float
-    learner: str = ""
-    adversary: str = ""
 
 
 def log_loss(q1: float, y: int) -> float:
@@ -104,12 +85,22 @@ class GameHistory:
 
 @dataclass
 class GameTrace:
-    """Full outcome of one trajectory: per-round records plus the realized sequence."""
+    """One trajectory as columns, row t - 1 holding round t: the context, the
+    label, the prediction, the learner's loss and the comparator, the offline
+    best-in-class loss on the first t examples (zero until the harness fills it)."""
 
-    records: list[RegretRecord]
+    run_id: str
+    seed: int
     xs: np.ndarray
     ys: np.ndarray
     qs: np.ndarray
+    losses: np.ndarray
+    comparator: np.ndarray
+
+    @property
+    def cum_losses(self) -> np.ndarray:
+        """The learner's cumulative loss after each round, summed in round order."""
+        return np.cumsum(self.losses)
 
 
 def run_game(learner, adversary, universe: ContextUniverse, T: int, seed: int,
@@ -120,7 +111,7 @@ def run_game(learner, adversary, universe: ContextUniverse, T: int, seed: int,
     with `sample(rng) -> int`) given the history, a context is drawn from it,
     the learner predicts, the adversary picks the label after seeing the
     prediction, and the loss is recorded.
-    Comparator columns are left at zero; the harness fills them offline.
+    The comparator column is left at zero; the harness fills it offline.
 
     All randomness (context draws, learner perturbations, label coin flips)
     derives from `seed`, so a repeated call is bit-identical.
@@ -134,52 +125,29 @@ def run_game(learner, adversary, universe: ContextUniverse, T: int, seed: int,
     adversary.reset(universe, np.random.default_rng(adv_ss))
 
     history = GameHistory(T)
-    records: list[RegretRecord] = []
-    cum = 0.0
-    for t in range(1, T + 1):
+    losses = np.empty(T)
+    for t in range(T):
         dist = adversary.context_distribution(history)
         x = int(dist.sample(ctx_rng))
         q = float(learner.predict(x))
         y = int(adversary.label(history, x, q))
-        loss = log_loss(q, y)
+        losses[t] = log_loss(q, y)
         learner.update(x, y)
         adversary.observe(x, q, y)
         history.append(x, q, y)
-        cum += loss
-        records.append(RegretRecord(
-            run_id=run_id, seed=seed, t=t,
-            learner_loss=loss, cum_learner_loss=cum,
-            cum_comparator_loss=0.0, cum_regret=cum,
-            learner=getattr(learner, "name", ""), adversary=getattr(adversary, "name", ""),
-        ))
-    return GameTrace(records, history.xs.copy(), history.ys.copy(), history.qs.copy())
+    return GameTrace(run_id, seed, history.xs, history.ys, history.qs, losses, np.zeros(T))
 
 
-def play_game(learner, adversary, universe: ContextUniverse, T: int, seed: int,
-              run_id: str = "game") -> list[RegretRecord]:
-    """Convenience wrapper around run_game returning only the per-round records."""
-    return run_game(learner, adversary, universe, T, seed, run_id=run_id).records
-
-
-def regret_against(records: Sequence[RegretRecord], comparator_loss: float) -> float:
-    """Total learner loss minus the comparator loss on the same realized sequence.
-
-    May be negative on a realization.
-    """
-    return sum(r.learner_loss for r in records) - comparator_loss
-
-
-def format_records_csv(records: Sequence[RegretRecord]) -> str:
-    """Render records in the canonical CSV schema, losses at 12 significant digits."""
+def format_records_csv(traces: Sequence[GameTrace]) -> str:
+    """Render trajectories in the canonical CSV schema, header first, then one
+    row per round in trajectory order; losses at 12 significant digits and
+    cum_regret = cum_learner_loss - cum_comparator_loss."""
     lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.run_id},{r.seed},{r.t},{r.learner_loss:.12g},{r.cum_learner_loss:.12g},"
-            f"{r.cum_comparator_loss:.12g},{r.cum_regret:.12g}"
-        )
+    for tr in traces:
+        cum = tr.cum_losses
+        head = f"{tr.run_id},{tr.seed},"
+        for t, (loss, c, comp, regret) in enumerate(zip(
+                tr.losses.tolist(), cum.tolist(), tr.comparator.tolist(),
+                (cum - tr.comparator).tolist()), start=1):
+            lines.append(f"{head}{t},{loss:.12g},{c:.12g},{comp:.12g},{regret:.12g}")
     return "\n".join(lines) + "\n"
-
-
-def write_records_csv(records: Sequence[RegretRecord], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_records_csv(records))

@@ -56,11 +56,6 @@ def block_coupling(num_blocks: int, m: int, target: SmoothDistribution,
     return [rejection_couple(m, target, rng) for _ in range(num_blocks)]
 
 
-def failure_count(outcomes: list[CouplingOutcome]) -> int:
-    """Failed blocks; in expectation at most num_blocks * (1 - sigma)^m."""
-    return sum(1 for o in outcomes if not o.success)
-
-
 def rejection_couple_batch(trials: int, m: int, target: SmoothDistribution,
                            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized scans for Monte Carlo checks.

@@ -8,6 +8,14 @@ class ConfigError(ValueError):
     """Malformed experiment configuration. Message carries the offending field path."""
 
 
+def parse_field(value, name: str, cast):
+    """cast(value); a value it rejects raises ConfigError naming the field."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: {value!r} is not a valid {cast.__name__}") from None
+
+
 class NumericalAssertionError(AssertionError):
     """A runtime numerical guarantee was violated (smoothness, truncation range, ...)."""
 

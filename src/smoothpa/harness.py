@@ -10,21 +10,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from .adversary import adversary_from_spec, check_static_set
-from .core import CSV_HEADER, ContextUniverse, RegretRecord, format_records_csv, run_game
-from .errors import ConfigError
+from .adversary import adversary_from_spec
+from .core import ContextUniverse, GameTrace, format_records_csv, run_game
+from .errors import ConfigError, parse_field
 from .hypotheses import RegionFamily, prefix_best_losses
-from .learners import learner_from_spec
-
-THREADS_ENV = "SMOOTHPA_THREADS"
+from .learners import learner_factory, learner_from_spec
 
 
 @dataclass
@@ -46,22 +42,15 @@ class ExperimentConfig:
                 for s in self.sigmas]
 
 
-def _cast(value, name: str, cast):
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name}: {value!r} is not a valid {cast.__name__}") from None
-
-
 def _as_list(value, name: str, cast):
     if value is None:
         raise ConfigError(f"{name}: missing")
     if isinstance(value, (list, tuple)):
-        out = [_cast(v, name, cast) for v in value]
+        out = [parse_field(v, name, cast) for v in value]
         if not out:
             raise ConfigError(f"{name}: empty list")
         return out
-    return [_cast(value, name, cast)]
+    return [parse_field(value, name, cast)]
 
 
 def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
@@ -81,19 +70,13 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
             raise ConfigError(f"{key}: missing")
         return obj[key]
 
-    universe = _cast(need("universe"), "universe", int)
+    universe = parse_field(need("universe"), "universe", int)
     if universe < 1:
         raise ConfigError(f"universe: {universe} must be >= 1")
     family = need("family")
-    if not isinstance(family, dict):
-        raise ConfigError("family: must be an object")
-    family_size = RegionFamily.from_spec(family).universe.size
-    if family_size != universe:
-        raise ConfigError(f"family.size: {family_size} differs from universe {universe}")
     adversary = need("adversary")
     if not isinstance(adversary, dict):
         raise ConfigError("adversary: must be an object")
-    check_static_set(adversary.get("set"), universe)
 
     sweep = obj.get("sweep", {})
     if not isinstance(sweep, dict):
@@ -111,13 +94,30 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     sigmas = _as_list(sweep.get("sigma", obj.get("sigma")), "sigma", float)
     if any(not 0.0 < s <= 1.0 for s in sigmas):
         raise ConfigError("sigma: values must be in (0, 1]")
-    repetitions = _cast(obj.get("repetitions", 1), "repetitions", int)
+    repetitions = parse_field(obj.get("repetitions", 1), "repetitions", int)
     if repetitions < 1:
         raise ConfigError(f"repetitions: {repetitions} must be >= 1")
-    base_seed = _cast(obj.get("base_seed", 0), "base_seed", int)
+    base_seed = parse_field(obj.get("base_seed", 0), "base_seed", int)
     output_dir = obj.get("output_dir")
-    return ExperimentConfig(universe, family, adversary, learners, horizons,
-                            sigmas, repetitions, base_seed, output_dir)
+    cfg = ExperimentConfig(universe, family, adversary, learners, horizons,
+                           sigmas, repetitions, base_seed, output_dir)
+    _checked_family(cfg)
+    return cfg
+
+
+def _checked_family(cfg: ExperimentConfig) -> RegionFamily:
+    """The config's region family, once it is known to have `universe` contexts
+    and the adversary spec and every cell's learner spec are well formed."""
+    if not isinstance(cfg.family, dict):
+        raise ConfigError("family: must be an object")
+    family = RegionFamily.from_spec(cfg.family)
+    if family.universe.size != cfg.universe:
+        raise ConfigError(f"family.size: {family.universe.size} differs from "
+                          f"universe {cfg.universe}")
+    adversary_from_spec(cfg.adversary, sigma=cfg.sigmas[0], family=family)
+    for ls, t, s in cfg.cells:
+        learner_factory(ls, t, s)
+    return family
 
 
 def derive_seed(base_seed: int, cell_key, rep: int) -> int:
@@ -126,13 +126,6 @@ def derive_seed(base_seed: int, cell_key, rep: int) -> int:
                          separators=(",", ":")).encode()
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-@dataclass
-class CellResult:
-    records: list[RegretRecord]
-    final_regret: float
-    final_loss: float
 
 
 @dataclass
@@ -149,7 +142,7 @@ class SweepSummary:
 
 
 def _run_one(config: ExperimentConfig, family: RegionFamily, cell_idx: int,
-             learner_spec: dict, t: int, sigma: float, rep: int) -> CellResult:
+             learner_spec: dict, t: int, sigma: float, rep: int) -> GameTrace:
     universe = ContextUniverse(config.universe)
     learner = learner_from_spec(learner_spec, family, universe, t, sigma)
     adversary = adversary_from_spec(config.adversary, sigma=sigma, family=family)
@@ -157,83 +150,44 @@ def _run_one(config: ExperimentConfig, family: RegionFamily, cell_idx: int,
     seed = derive_seed(config.base_seed, cell_key, rep)
     run_id = f"c{cell_idx:03d}r{rep:03d}"
     trace = run_game(learner, adversary, universe, t, seed, run_id=run_id)
-
-    comparator = prefix_best_losses(trace.xs, trace.ys, family).tolist()
-    enriched = []
-    for rec, comp in zip(trace.records, comparator):
-        enriched.append(RegretRecord(
-            run_id=rec.run_id, seed=rec.seed, t=rec.t,
-            learner_loss=rec.learner_loss, cum_learner_loss=rec.cum_learner_loss,
-            cum_comparator_loss=comp, cum_regret=rec.cum_learner_loss - comp,
-            learner=rec.learner, adversary=rec.adversary,
-        ))
-    last = enriched[-1]
-    return CellResult(enriched, last.cum_regret, last.cum_learner_loss)
-
-
-def _max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV}: not an integer: {raw!r}") from None
+    trace.comparator = prefix_best_losses(trace.xs, trace.ys, family)
+    return trace
 
 
 def run(config: Union[dict, str, Path, ExperimentConfig],
         output_dir: Optional[Union[str, Path]] = None) -> SweepSummary:
     """Execute the sweep; write one records CSV per cell plus summary.json.
 
-    Outputs are byte-identical across runs of the same config. Trajectories may
-    execute on a thread pool (capped by SMOOTHPA_THREADS) but results merge in
-    cell order; an interrupt still leaves complete, parseable CSV prefixes.
+    Trajectories run one after another in cell order, so outputs are
+    byte-identical across runs of the same config. A cell's CSV is written once
+    its repetitions finish; a failure still writes the repetitions of its cell
+    that finished, so an interrupt leaves complete, parseable CSV prefixes.
     """
     cfg = config if isinstance(config, ExperimentConfig) else parse_config(config)
+    family = _checked_family(cfg)
     out = Path(output_dir or cfg.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
 
-    cells = cfg.cells
     summary_cells: list[dict] = []
-
-    def flush_cell(ci: int, results: list[CellResult]) -> None:
-        lines = []
-        for res in results:
-            lines.extend(format_records_csv(res.records).splitlines(keepends=True)[1:])
-        path = out / f"records_cell{ci:03d}.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            fh.writelines(lines)
-            fh.flush()
-
-    family = RegionFamily.from_spec(cfg.family)
-    pool = ThreadPoolExecutor(max_workers=_max_workers())
-    try:
-        futures = {}
-        for ci, (ls, t, s) in enumerate(cells):
+    for ci, (ls, t, s) in enumerate(cfg.cells):
+        traces: list[GameTrace] = []
+        try:
             for rep in range(cfg.repetitions):
-                futures[(ci, rep)] = pool.submit(_run_one, cfg, family, ci, ls, t, s, rep)
-        for ci, (ls, t, s) in enumerate(cells):
-            done: list[CellResult] = []
-            try:
-                for rep in range(cfg.repetitions):
-                    done.append(futures[(ci, rep)].result())
-            except BaseException:
-                if done:
-                    flush_cell(ci, done)
-                raise
-            flush_cell(ci, done)
-            regrets = np.array([r.final_regret for r in done])
-            summary_cells.append({
-                "cell": ci, "learner": ls, "T": t, "sigma": s,
-                "final_regrets": [float(v) for v in regrets],
-                "mean_final_regret": float(regrets.mean()),
-                "stddev_final_regret": float(regrets.std(ddof=1)) if len(regrets) > 1 else 0.0,
-                "mean_final_loss": float(np.mean([r.final_loss for r in done])),
-            })
-    except BaseException:
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    else:
-        pool.shutdown(wait=True)
+                traces.append(_run_one(cfg, family, ci, ls, t, s, rep))
+        finally:
+            if traces:
+                with open(out / f"records_cell{ci:03d}.csv", "w", encoding="utf-8",
+                          newline="\n") as fh:
+                    fh.write(format_records_csv(traces))
+        finals = [float(tr.cum_losses[-1]) for tr in traces]
+        regrets = np.array([f - tr.comparator[-1] for f, tr in zip(finals, traces)])
+        summary_cells.append({
+            "cell": ci, "learner": ls, "T": t, "sigma": s,
+            "final_regrets": [float(v) for v in regrets],
+            "mean_final_regret": float(regrets.mean()),
+            "stddev_final_regret": float(regrets.std(ddof=1)) if len(regrets) > 1 else 0.0,
+            "mean_final_loss": float(np.mean(finals)),
+        })
 
     summary = SweepSummary(
         config={"universe": cfg.universe, "family": cfg.family, "adversary": cfg.adversary,

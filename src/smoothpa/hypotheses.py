@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import xlogy
 
 from .core import ContextUniverse, Example
-from .errors import ConfigError
+from .errors import ConfigError, parse_field
 
 THRESHOLD_GRID = "threshold_grid"
 EXPLICIT = "explicit"
@@ -42,12 +42,13 @@ class RegionFamily:
     @classmethod
     def explicit(cls, size: int, regions: Sequence[Sequence[int]]) -> "RegionFamily":
         if len(regions) == 0:
-            raise ValueError("explicit family needs at least one region")
+            raise ConfigError("family.regions: must be a nonempty list of context id lists")
         bitmaps = np.zeros((len(regions), size), dtype=bool)
         for i, ids in enumerate(regions):
             ids = np.asarray(list(ids), dtype=np.int64)
             if ids.size and (ids.min() < 0 or ids.max() >= size):
-                raise ValueError(f"region {i} has context ids outside [0, {size})")
+                bad = ids.min() if ids.min() < 0 else ids.max()
+                raise ConfigError(f"family.regions[{i}]: context id {bad} outside [0, {size})")
             bitmaps[i, ids] = True
         return cls(ContextUniverse(size), EXPLICIT, bitmaps)
 
@@ -80,19 +81,37 @@ class RegionFamily:
 
     @classmethod
     def from_spec(cls, obj: dict) -> "RegionFamily":
+        """The family a JSON spec describes. A malformed spec raises ConfigError
+        naming the field, e.g. `family.regions[0]: context id 9 outside [0, 8)`.
+        An explicit family without a size covers its largest context id."""
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ConfigError("family.kind: missing")
         kind = obj["kind"]
         if kind == THRESHOLD_GRID:
-            if "size" not in obj:
-                raise ConfigError("family.size: missing")
-            return cls.threshold_grid(int(obj["size"]))
-        if kind == EXPLICIT:
-            if "regions" not in obj:
-                raise ConfigError("family.regions: missing")
-            size = int(obj.get("size") or (max((max(r) for r in obj["regions"] if r), default=0) + 1))
-            return cls.explicit(size, obj["regions"])
-        raise ConfigError(f"family.kind: unknown kind {kind!r}")
+            return cls.threshold_grid(_size(obj.get("size")))
+        if kind != EXPLICIT:
+            raise ConfigError(f"family.kind: unknown kind {kind!r}")
+        regions = obj.get("regions")
+        if not isinstance(regions, list):
+            raise ConfigError("family.regions: must be a nonempty list of context id lists")
+        for i, ids in enumerate(regions):
+            if not isinstance(ids, list) or not all(issubclass(t, (int, np.integer))
+                                                    and t is not bool for t in set(map(type, ids))):
+                raise ConfigError(f"family.regions[{i}]: must be a list of integer context ids")
+        if obj.get("size") is None:
+            size = max([1] + [max(r) + 1 for r in regions if r])
+        else:
+            size = _size(obj["size"])
+        return cls.explicit(size, regions)
+
+
+def _size(value) -> int:
+    if value is None:
+        raise ConfigError("family.size: missing")
+    size = parse_field(value, "family.size", int)
+    if size < 1:
+        raise ConfigError(f"family.size: {size} must be >= 1")
+    return size
 
 
 @dataclass(frozen=True)
@@ -100,15 +119,6 @@ class Hypothesis:
     region_index: int
     theta0: float
     theta1: float
-
-
-class RegionCounts(NamedTuple):
-    """Sample and positive-label counts inside (n0, k0) and outside (n1, k1) a region."""
-
-    n0: int
-    k0: int
-    n1: int
-    k1: int
 
 
 def evaluate(family: RegionFamily, h: Hypothesis, x: int) -> float:
@@ -120,19 +130,6 @@ def evaluate(family: RegionFamily, h: Hypothesis, x: int) -> float:
     else:
         inside = bool(family.bitmaps[h.region_index, x])
     return h.theta0 if inside else h.theta1
-
-
-def count_regions(region_bitmap: np.ndarray, data: Sequence[Example]) -> RegionCounts:
-    """Exact (n0, k0, n1, k1) counts of `data` split by membership in the region."""
-    n0 = k0 = n1 = k1 = 0
-    for x, y in data:
-        if region_bitmap[x]:
-            n0 += 1
-            k0 += y
-        else:
-            n1 += 1
-            k1 += y
-    return RegionCounts(n0, k0, n1, k1)
 
 
 def _nll(n, k):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -32,23 +32,6 @@ def laplace_integral_log(k: int, n: int) -> float:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     log_binom = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
     return float(-math.log(n + 1) - log_binom)
-
-
-def kt_predict(labels: Sequence[int], beta: float = 0.5) -> float:
-    """Add-beta sequential probability of the next label being 1.
-
-    beta = 1/2 is the KT estimator; beta = 1 the Laplace rule.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    s = float(sum(labels))
-    t = len(labels)
-    return (s + beta) / (t + 2.0 * beta)
-
-
-def region_distance(bm1: np.ndarray, bm2: np.ndarray) -> float:
-    """Disagreement probability under the uniform base measure (normalized Hamming)."""
-    return float(np.mean(bm1 != bm2))
 
 
 def epsilon_cover(family: RegionFamily, eps: float) -> np.ndarray:
@@ -171,15 +154,6 @@ def mixture_update(state: MixtureState, x: int, y: int) -> MixtureState:
     """The state after one more observation; `state` itself is left unchanged."""
     out = state.copy()
     _update_in_place(out, x, y)
-    return out
-
-
-def mixture_log_marginal_from_scratch(state: MixtureState) -> np.ndarray:
-    """Recompute each element's log marginal from its counts (oracle for tests)."""
-    out = np.empty(state.size)
-    for i in range(state.size):
-        out[i] = (laplace_integral_log(int(state.k[i, 0]), int(state.n[i, 0]))
-                  + laplace_integral_log(int(state.k[i, 1]), int(state.n[i, 1])))
     return out
 
 
@@ -346,13 +320,21 @@ def _number(params: dict, key: str, default: float, path: str) -> float:
         raise ConfigError(f"{path}.{key}: {value!r} is not a number") from None
 
 
-def learner_from_spec(spec: dict, family: RegionFamily, universe: ContextUniverse,
-                      T: int, sigma: float):
-    """Instantiate a learner from its JSON spec.
+def _positive(params: dict, key: str, default: float, path: str) -> float:
+    value = _number(params, key, default, path)
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{path}.{key}: {value:g} must be positive and finite")
+    return value
 
+
+def learner_factory(spec: dict, T: int, sigma: float) -> Callable[[RegionFamily], object]:
+    """Check a learner spec for one (T, sigma) cell and fill in its defaults.
+
+    Returns a function from the region family to a fresh learner. Specs are
     {"uniform": {}}, {"kt": {"beta": 0.5}}, {"vc_mixture": {"eps": ...}} with
     eps defaulting to sigma/T^2, or {"ftpl": {"n": ..., "alpha": ...}} with both
-    defaulting to the T^{4/5}-style tuning.
+    defaulting to the T^{4/5}-style tuning. A malformed spec raises ConfigError
+    naming the field, e.g. `learner.ftpl.n: 'abc' is not a number`.
     """
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError("learner: must be an object with exactly one kind key")
@@ -361,11 +343,13 @@ def learner_from_spec(spec: dict, family: RegionFamily, universe: ContextUnivers
         raise ConfigError(f"learner.{kind}: parameters must be an object")
     path = f"learner.{kind}"
     if kind == "uniform":
-        return UniformLearner()
+        return lambda family: UniformLearner()
     if kind == "kt":
-        return KtLearner(_number(params, "beta", 0.5, path))
+        beta = _positive(params, "beta", 0.5, path)
+        return lambda family: KtLearner(beta)
     if kind == "vc_mixture":
-        return MixtureLearner(family, _number(params, "eps", sigma / float(T) ** 2, path))
+        eps = _positive(params, "eps", sigma / float(T) ** 2, path)
+        return lambda family: MixtureLearner(family, eps)
     if kind == "ftpl":
         n_def, alpha_def = default_ftpl_tuning(T, sigma)
         n = _number(params, "n", n_def, path)
@@ -373,5 +357,12 @@ def learner_from_spec(spec: dict, family: RegionFamily, universe: ContextUnivers
         if params.get("alpha") is None and not 0.0 < alpha < 0.5:
             raise ConfigError(f"learner.ftpl.alpha: the default 1/T = {alpha:g} at T = {T} "
                               f"is outside (0, 1/2); set alpha explicitly")
-        return FtplLearner(FtplConfig(n, alpha), family)
+        config = FtplConfig(n, alpha)
+        return lambda family: FtplLearner(config, family)
     raise ConfigError(f"learner: unknown kind {kind!r}")
+
+
+def learner_from_spec(spec: dict, family: RegionFamily, universe: ContextUniverse,
+                      T: int, sigma: float):
+    """Instantiate a learner from its JSON spec (see `learner_factory`)."""
+    return learner_factory(spec, T, sigma)(family)

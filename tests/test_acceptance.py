@@ -280,7 +280,7 @@ def test_criterion_09_truncation_range():
         trace = run_game(learner, adv, uni, t, seed)
         lo, hi = truncation_range(alpha)
         assert np.all(trace.qs >= lo) and np.all(trace.qs <= hi)
-        losses = np.array([r.learner_loss for r in trace.records])
+        losses = trace.losses
         per_round_cap = math.log((1 + 2 * alpha) / alpha)
         assert np.all(losses <= per_round_cap + 1e-12)
         assert per_round_cap <= math.log(1 / alpha) + math.log(3.0) + 1e-12

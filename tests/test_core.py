@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smoothpa import (ContextUniverse, Example, InfiniteLossError, UniformLearner,
-                      log_loss, play_game, regret_against, run_game)
+                      log_loss, run_game)
 from smoothpa.adversary import subset_smooth_adversary
 from smoothpa.core import CSV_HEADER, format_records_csv
-from smoothpa.hypotheses import RegionFamily, offline_best_loss
+from smoothpa.hypotheses import RegionFamily, offline_best_loss, prefix_best_losses
 
 LN2 = math.log(2.0)
 
@@ -67,48 +68,67 @@ def test_log_loss_nonnegative_and_positive_when_interior(q, y):
     assert log_loss(q, y) > 0.0
 
 
+def csv_rows(text):
+    return [dict(zip(CSV_HEADER.split(","), line.split(","))) for line in text.splitlines()[1:]]
+
+
 def test_play_game_uniform_learner_all_ln2():
     u = ContextUniverse(8)
     adv = subset_smooth_adversary(0.5)
-    records = play_game(UniformLearner(), adv, u, 10, seed=7)
-    assert len(records) == 10
-    assert all(r.learner_loss == LN2 for r in records)
-    assert records[-1].cum_learner_loss == pytest.approx(10 * LN2)
+    trace = run_game(UniformLearner(), adv, u, 10, seed=7)
+    assert len(trace.losses) == len(trace.xs) == len(trace.comparator) == 10
+    assert np.all(trace.losses == LN2)
+    assert np.all(trace.qs == 0.5)
+    assert np.all(trace.comparator == 0.0)
+    assert trace.cum_losses[-1] == pytest.approx(10 * LN2)
 
 
 def test_play_game_seeded_determinism():
     u = ContextUniverse(16)
     make = lambda: subset_smooth_adversary(0.3, rule="adaptive")
-    a = play_game(UniformLearner(), make(), u, 50, seed=123)
-    b = play_game(UniformLearner(), make(), u, 50, seed=123)
-    assert a == b
-    c = play_game(UniformLearner(), make(), u, 50, seed=124)
-    assert c != a
+    a = run_game(UniformLearner(), make(), u, 50, seed=123)
+    b = run_game(UniformLearner(), make(), u, 50, seed=123)
+    columns = ("xs", "ys", "qs", "losses", "comparator")
+    assert a.seed == b.seed == 123
+    assert all(np.array_equal(getattr(a, c), getattr(b, c)) for c in columns)
+    c = run_game(UniformLearner(), make(), u, 50, seed=124)
+    assert not np.array_equal(c.xs, a.xs)
 
 
 def test_play_game_greedy_flips_confident_prediction():
     u = ContextUniverse(4)
     adv = subset_smooth_adversary(1.0)
-    records = play_game(ConstLearner(0.9), adv, u, 1, seed=0)
+    trace = run_game(ConstLearner(0.9), adv, u, 1, seed=0)
     # greedy picks the lower-probability label 0, loss -ln(0.1)
-    assert records[0].learner_loss == pytest.approx(2.3025850929940455, abs=1e-12)
+    assert trace.ys[0] == 0
+    assert trace.losses[0] == pytest.approx(2.3025850929940455, abs=1e-12)
 
 
 def test_regret_against_arithmetic():
-    recs = play_game(UniformLearner(), subset_smooth_adversary(1.0), ContextUniverse(2),
+    trace = run_game(UniformLearner(), subset_smooth_adversary(1.0), ContextUniverse(2),
                      10, seed=1)
-    total = sum(r.learner_loss for r in recs)
-    assert regret_against(recs, 7.5) == pytest.approx(total - 7.5)
-    assert regret_against(recs, total) == 0.0
+    total = trace.cum_losses[-1]
+    trace.comparator = np.full(10, 7.5)
+    last = csv_rows(format_records_csv([trace]))[-1]
+    assert float(last["cum_regret"]) == pytest.approx(total - 7.5)
+    trace.comparator = trace.cum_losses
+    assert {float(r["cum_regret"]) for r in csv_rows(format_records_csv([trace]))} == {0.0}
 
 
 def test_regret_bookkeeping_identity():
-    recs = play_game(ConstLearner(0.3), subset_smooth_adversary(0.5),
+    fam = RegionFamily.threshold_grid(8)
+    trace = run_game(ConstLearner(0.3), subset_smooth_adversary(0.5),
                      ContextUniverse(8), 25, seed=5)
-    comp = 3.21
-    total = sum(r.learner_loss for r in recs)
-    assert regret_against(recs, comp) == total - comp
-    assert total >= regret_against(recs, comp) + comp - 1e-12
+    # the cumulative column is the running sum in round order, bit for bit
+    assert trace.cum_losses.tolist() == list(itertools.accumulate(trace.losses.tolist()))
+    trace.comparator = prefix_best_losses(trace.xs, trace.ys, fam)
+    rows = csv_rows(format_records_csv([trace]))
+    assert [float(r["learner_loss"]) for r in rows] == [float(f"{v:.12g}") for v in trace.losses]
+    for r, cum, comp in zip(rows, trace.cum_losses, trace.comparator):
+        assert r["cum_learner_loss"] == f"{cum:.12g}"
+        assert r["cum_comparator_loss"] == f"{comp:.12g}"
+        assert r["cum_regret"] == f"{cum - comp:.12g}"
+    assert trace.cum_losses[-1] >= trace.comparator[-1] - 1e-12
 
 
 def test_regret_small_threshold_instance_vs_bruteforce_comparator():
@@ -132,19 +152,20 @@ def test_regret_small_threshold_instance_vs_bruteforce_comparator():
             return np.nanmin(ll)
 
         best = min(best, side_min(n0, k0) + side_min(n1, k1))
-    oracle_regret = sum(r.learner_loss for r in trace.records) - best
-    assert regret_against(trace.records, offline_best_loss(data, fam)) == pytest.approx(
+    oracle_regret = trace.cum_losses[-1] - best
+    assert trace.cum_losses[-1] - offline_best_loss(data, fam) == pytest.approx(
         oracle_regret, abs=2e-3)
 
 
 def test_csv_schema_and_significant_digits():
-    recs = play_game(UniformLearner(), subset_smooth_adversary(1.0), ContextUniverse(2),
-                     3, seed=9, run_id="r1")
-    text = format_records_csv(recs)
+    make = lambda run_id, seed: run_game(UniformLearner(), subset_smooth_adversary(1.0),
+                                         ContextUniverse(2), 3, seed=seed, run_id=run_id)
+    text = format_records_csv([make("r1", 9), make("r2", 10)])
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert lines[0] == "run_id,seed,t,learner_loss,cum_learner_loss,cum_comparator_loss,cum_regret"
     first = lines[1].split(",")
-    assert first[0] == "r1" and first[2] == "1"
+    assert first[0] == "r1" and first[1] == "9" and first[2] == "1"
     assert first[3] == f"{LN2:.12g}"
-    assert len(lines) == 4
+    assert len(lines) == 7  # one header, then each trajectory's rows in order
+    assert [line.split(",")[:3] for line in lines[3:5]] == [["r1", "9", "3"], ["r2", "10", "1"]]

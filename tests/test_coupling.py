@@ -3,8 +3,8 @@ import pytest
 from scipy import stats
 
 from smoothpa.adversary import SmoothDistribution
-from smoothpa.coupling import (CouplingOutcome, block_coupling, failure_count,
-                               rejection_couple, rejection_couple_batch)
+from smoothpa.coupling import (CouplingOutcome, block_coupling, rejection_couple,
+                               rejection_couple_batch)
 
 
 def skewed_smooth(u, sigma, seed=0):
@@ -32,7 +32,7 @@ def test_block_coupling_empty_and_sigma_one():
     rng = np.random.default_rng(1)
     assert block_coupling(0, 3, target, rng) == []
     outs = block_coupling(7, 3, target, rng)
-    assert failure_count(outs) == 0
+    assert all(o.success for o in outs)
     assert all(o.index == 0 for o in outs)
 
 
@@ -58,7 +58,7 @@ def test_all_blocks_success_probability():
     hits = 0
     for _ in range(trials):
         outs = block_coupling(blocks, m, target, rng)
-        hits += failure_count(outs) == 0
+        hits += all(o.success for o in outs)
     se = np.sqrt(expect * (1 - expect) / trials)
     assert abs(hits / trials - expect) < 4 * se + 1e-9
 

@@ -9,7 +9,7 @@ import pytest
 import smoothpa.harness as harness
 from smoothpa.cli import main as cli_main
 from smoothpa.errors import ConfigError
-from smoothpa.harness import derive_seed, fit_scaling, parse_config, run
+from smoothpa.harness import ExperimentConfig, derive_seed, fit_scaling, parse_config, run
 
 
 def base_config(**overrides):
@@ -78,6 +78,28 @@ def test_parse_config_field_paths():
         parse_config(base_config(sigma="x"))
     with pytest.raises(ConfigError, match="repetitions: None is not a valid int"):
         parse_config(base_config(repetitions=None))
+    realizable = {"context": "subset_uniform", "rule": "static", "label": "realizable"}
+    f_star = {"region_index": 2, "theta0": 0.2, "theta1": 0.7}
+    for fs, message in (
+            ({"region_index": 2, "theta1": 0.7}, r"adversary\.f_star\.theta0: missing"),
+            (dict(f_star, region_index=99), r"adversary\.f_star\.region_index: 99 outside \[0, 8\)"),
+            (dict(f_star, region_index=-1), r"adversary\.f_star\.region_index: -1 outside"),
+            (dict(f_star, region_index="a"), r"adversary\.f_star\.region_index: 'a' is not a"),
+            (dict(f_star, theta1=1.5), r"adversary\.f_star\.theta1: 1\.5 outside \[0, 1\]"),
+            (dict(f_star, theta0="x"), r"adversary\.f_star\.theta0: 'x' is not a valid float")):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            parse_config(base_config(adversary=dict(realizable, f_star=fs)))
+    explicit = {"kind": "explicit", "size": 8}
+    for regions, message in (([[0, 9]], r"family\.regions\[0\]: context id 9 outside \[0, 8\)"),
+                             ([[1], [-2]], r"family\.regions\[1\]: context id -2 outside"),
+                             ([[1], [2, "a"]], r"family\.regions\[1\]: must be a list of int"),
+                             ([], r"family\.regions: must be a nonempty list")):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            parse_config(base_config(family=dict(explicit, regions=regions)))
+    for size, message in (("abc", "family.size: 'abc' is not a valid int"),
+                          (None, "family.size: missing"), (0, "family.size: 0 must be >= 1")):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            parse_config(base_config(family={"kind": "threshold_grid", "size": size}))
 
 
 def test_run_uniform_vs_greedy_regret_is_t_ln2(tmp_path):
@@ -125,17 +147,33 @@ def test_run_cell_count_is_axis_product(tmp_path):
     assert len(list(tmp_path.glob("records_cell*.csv"))) == 6
 
 
-def test_run_respects_thread_env(tmp_path, monkeypatch):
-    cfg = base_config(sweep={"T": [8, 16]}, repetitions=2)
-    seq = run(cfg, output_dir=tmp_path / "seq")
-    monkeypatch.setenv("SMOOTHPA_THREADS", "4")
-    par = run(cfg, output_dir=tmp_path / "par")
-    assert seq.to_json() == par.to_json()
-    for name in ("records_cell000.csv", "records_cell001.csv"):
-        assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
-    monkeypatch.setenv("SMOOTHPA_THREADS", "zebra")
-    with pytest.raises(ConfigError, match="SMOOTHPA_THREADS"):
-        run(cfg, output_dir=tmp_path / "bad")
+def test_bad_learner_spec_fails_before_any_output(tmp_path):
+    cfg = base_config(learner=[{"uniform": {}}, {"ftpl": {"n": "abc"}}])
+    with pytest.raises(ConfigError, match=r"^learner\.ftpl\.n: 'abc' is not a number"):
+        parse_config(cfg)
+    with pytest.raises(ConfigError, match=r"^learner\.ftpl\.n: 'abc' is not a number"):
+        run(cfg, output_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    # every (learner, T, sigma) cell is checked: the default alpha = 1/T fails at T = 2
+    with pytest.raises(ConfigError, match=r"^learner\.ftpl\.alpha: the default 1/T"):
+        parse_config(base_config(learner={"ftpl": {}}, T=[16, 2]))
+
+
+@pytest.mark.parametrize("learner", [{"uniform": {}}, {"kt": {"beta": 0.5}}])
+def test_run_rejects_family_universe_mismatch(tmp_path, learner):
+    cfg = ExperimentConfig(universe=16, family={"kind": "threshold_grid", "size": 8},
+                           adversary={"rule": "static", "label": "greedy"},
+                           learners=[learner], horizons=[16], sigmas=[0.5],
+                           repetitions=1, base_seed=3)
+    with pytest.raises(ConfigError, match="^family.size: 8 differs from universe 16"):
+        run(cfg, output_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    # an ExperimentConfig skips parse_config, and its learner specs are checked all the same
+    cfg.universe = 8
+    cfg.learners = [learner, {"ftpl": {"n": "abc"}}]
+    with pytest.raises(ConfigError, match=r"^learner\.ftpl\.n: 'abc' is not a number"):
+        run(cfg, output_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 class ExplodingLearner:
@@ -304,6 +342,20 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["chi2", "--sigma", "2", "--n", "4", "--universe", "2"], "--sigma: 2 outside (0, 1]"),
+    (["chi2", "--sigma", "0", "--n", "4", "--universe", "2"], "--sigma: 0 outside (0, 1]"),
+    (["chi2", "--sigma", "0.5", "--n", "0", "--universe", "2"], "--n: 0 must be positive"),
+    (["chi2", "--sigma", "0.5", "--n", "4", "--universe", "0"], "--universe: 0 must be >= 1"),
+    (["chi2", "--sigma", "0.5", "--n", "4", "--universe", "2", "--cutoff", "2"],
+     "--cutoff: 2 outside (0, 1)"),
+    (["cover", "--family", "family.json", "--eps", "0"], "--eps: 0 must be positive"),
+])
+def test_cli_argument_errors_exit_2(capsys, argv, message):
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_cli_numerical_assertion_exit_code(tmp_path, capsys):
     cfg = base_config()
     cfg["adversary"] = {"context": "subset_uniform", "rule": "static",
@@ -432,6 +484,37 @@ FTPL_SWEEPS = {
 @pytest.mark.parametrize("name", sorted(FTPL_SWEEPS))
 def test_ftpl_sweep_artifacts_are_pinned(tmp_path, name):
     cfg, digests = FTPL_SWEEPS[name]
+    run(cfg, output_dir=tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir())}
+    assert got == digests
+
+
+# sha256 of every artifact of a vc_mixture sweep against the adaptive greedy
+# adversary on a 64-point grid: the default eps = sigma / T^2 covers the whole
+# grid, eps = 0.1 a sparse cover. The mixture draws no randomness, so any exact
+# rewrite of the game loop or of the CSV writer leaves these bytes fixed.
+MIXTURE_SWEEP = ({
+    "universe": 64, "family": {"kind": "threshold_grid", "size": 64},
+    "adversary": {"context": "subset_uniform", "rule": "adaptive", "label": "greedy"},
+    "repetitions": 2, "base_seed": 41,
+    "sweep": {"learner": [{"vc_mixture": {}}, {"vc_mixture": {"eps": 0.1}}],
+              "T": [40, 300], "sigma": [0.25, 0.5]},
+}, {
+    "records_cell000.csv": "4c51fa49e91e1ddb93cb1027bb2bc436049496ccb0253a06f7469b51d1880907",
+    "records_cell001.csv": "f2f3d3f6975b139289933f8e58fe0069d5baf9d389fc702f7d810466822d18f4",
+    "records_cell002.csv": "41a958a3c7e7ba4b23049c70f55b93503c056bb83df4ec87b93033ba15bd1e8a",
+    "records_cell003.csv": "44a1d52309610fa478476e85a5bd09accfeee176e201e9a8578cf41407c9d33e",
+    "records_cell004.csv": "d52da488422380f417cf1fd90d7b4d02bd8d51e90563e5f63640720d135c37e8",
+    "records_cell005.csv": "bbeafc221ff80769cfad0d41e2c9f17c87ede7ef161cd2d3fd779396c0b1d9f8",
+    "records_cell006.csv": "54b52562e7aa87e0b08aa472baa54233fa088bb9975e856305a92d77fa5893df",
+    "records_cell007.csv": "6a16c4befcee2fca08be481e36df29f243b4d495e39880a6988875e6122d6a0f",
+    "summary.json": "1b0acf53576dbca738ffdd9b4c79d3d8dc53ce354d60e47860545207ba0d7818",
+})
+
+
+def test_mixture_sweep_artifacts_are_pinned(tmp_path):
+    cfg, digests = MIXTURE_SWEEP
     run(cfg, output_dir=tmp_path)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(tmp_path.iterdir())}

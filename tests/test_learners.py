@@ -13,10 +13,9 @@ from smoothpa import ContextUniverse
 from smoothpa.errors import ConfigError, NumericalAssertionError
 from smoothpa.hypotheses import RegionFamily, evaluate, mle_from_counts
 from smoothpa.learners import (FtplConfig, FtplLearner, KtLearner, MixtureLearner,
-                               UniformLearner, epsilon_cover, init_mixture_state, kt_predict,
-                               laplace_integral_log, learner_from_spec,
-                               mixture_log_marginal_from_scratch, mixture_predict,
-                               mixture_update, region_distance, truncation_range)
+                               UniformLearner, epsilon_cover, init_mixture_state,
+                               laplace_integral_log, learner_from_spec, mixture_predict,
+                               mixture_update, truncation_range)
 
 # ---------------------------------------------------------------- laplace
 
@@ -47,16 +46,25 @@ def test_laplace_rejects_bad_counts():
 
 # ---------------------------------------------------------------- kt
 
+def kt_after(labels, beta=0.5):
+    """KtLearner's next prediction after streaming `labels` (contexts vary)."""
+    lr = KtLearner(beta)
+    lr.reset(ContextUniverse(4), np.random.default_rng(0))
+    for i, y in enumerate(labels):
+        lr.update(i % 4, y)
+    return lr.predict(0)
+
+
 def test_kt_examples():
-    assert kt_predict([]) == 0.5
-    assert kt_predict([1]) == 0.75
-    assert kt_predict([1, 1, 0]) == 0.625
-    assert kt_predict([1], beta=1.0) == pytest.approx(2 / 3)
+    assert kt_after([]) == 0.5
+    assert kt_after([1]) == 0.75
+    assert kt_after([1, 1, 0]) == 0.625
+    assert kt_after([1], beta=1.0) == pytest.approx(2 / 3)
 
 
 @given(st.lists(st.integers(0, 1), max_size=40))
 def test_kt_matches_exact_rational(labels):
-    got = kt_predict(labels)
+    got = kt_after(labels)
     want = Fraction(2 * sum(labels) + 1, 2 * (len(labels) + 1))
     assert got == float(want)
 
@@ -84,7 +92,7 @@ def test_cover_threshold_grid_100_eps_point1():
     cover = epsilon_cover(fam, 0.1)
     assert len(cover) <= 11
     bm = fam.bitmaps
-    worst = max(min(region_distance(bm[g], bm[c]) for c in cover) for g in range(100))
+    worst = max(min(np.mean(bm[g] != bm[c]) for c in cover) for g in range(100))
     assert worst <= 0.1
 
 
@@ -102,7 +110,7 @@ def test_cover_explicit_greedy_covers_everything():
         cover = epsilon_cover(fam, eps)
         bm = fam.bitmaps
         for g in range(len(fam)):
-            assert min(region_distance(bm[g], bm[c]) for c in cover) <= eps
+            assert min(np.mean(bm[g] != bm[c]) for c in cover) <= eps
 
 
 def test_cover_rejects_nonpositive_eps():
@@ -159,6 +167,13 @@ def test_mixture_counts_sum_to_rounds():
     for t in range(50):
         st_ = mixture_update(st_, int(rng.integers(10)), int(rng.integers(2)))
     assert np.all(st_.n.sum(axis=1) == 50)
+
+
+def mixture_log_marginal_from_scratch(state):
+    """Each element's log marginal recomputed from its counts."""
+    return np.array([laplace_integral_log(int(state.k[i, 0]), int(state.n[i, 0]))
+                     + laplace_integral_log(int(state.k[i, 1]), int(state.n[i, 1]))
+                     for i in range(state.size)])
 
 
 def test_mixture_incremental_marginals_match_recompute():
@@ -501,3 +516,7 @@ def test_learner_from_spec_errors():
         learner_from_spec({"kt": {"beta": "b"}}, fam, uni, 16, 0.5)
     with pytest.raises(ConfigError, match=r"learner\.vc_mixture\.eps: \[\] is not a number"):
         learner_from_spec({"vc_mixture": {"eps": []}}, fam, uni, 16, 0.5)
+    for kind, key, value in (("kt", "beta", 0), ("kt", "beta", math.nan),
+                             ("vc_mixture", "eps", -0.1), ("vc_mixture", "eps", math.inf)):
+        with pytest.raises(ConfigError, match=rf"learner\.{kind}\.{key}: .* must be positive"):
+            learner_from_spec({kind: {key: value}}, fam, uni, 16, 0.5)
