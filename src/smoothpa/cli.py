@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -59,15 +60,54 @@ def _load_json(path: str):
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number that converts to a finite float."""
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _class_hypotheses(entries, family: RegionFamily) -> list[Hypothesis]:
+    """The class file's hypotheses, each [region, theta0, theta1] with the region
+    one of the family's and both thetas numbers in [0, 1]."""
+    if not isinstance(entries, list):
+        raise ConfigError("hypotheses: must be a list of [region, theta0, theta1]")
+    hyps = []
+    for i, h in enumerate(entries):
+        if not isinstance(h, list) or len(h) != 3:
+            raise ConfigError(f"hypotheses[{i}]: must be [region, theta0, theta1]")
+        region, *thetas = h
+        if not _is_int(region) or not 0 <= region < len(family):
+            raise ConfigError(f"hypotheses[{i}]: region {region!r} is not an integer "
+                              f"in [0, {len(family)})")
+        for key, theta in zip(("theta0", "theta1"), thetas):
+            if not _is_number(theta) or not 0 <= theta <= 1:
+                raise ConfigError(f"hypotheses[{i}]: {key} {theta!r} is not a number "
+                                  f"in [0, 1]")
+        hyps.append(Hypothesis(region, float(thetas[0]), float(thetas[1])))
+    return hyps
+
+
 def _cmd_nml(args) -> dict:
     spec = _load_json(args.class_file)
     if not isinstance(spec, dict) or "family" not in spec or "hypotheses" not in spec:
         raise ConfigError("class file: needs 'family' and 'hypotheses'")
     family = RegionFamily.from_spec(spec["family"])
-    hyps = [Hypothesis(int(h[0]), float(h[1]), float(h[2])) for h in spec["hypotheses"]]
+    hyps = _class_hypotheses(spec["hypotheses"], family)
     contexts = _load_json(args.contexts)
     if not isinstance(contexts, list):
         raise ConfigError("contexts file: must be a JSON list of context ids")
+    u = family.universe.size
+    for i, x in enumerate(contexts):
+        if not _is_int(x) or not 0 <= x < u:
+            raise ConfigError(f"contexts[{i}]: {x!r} is not a context id in [0, {u})")
     try:
         value = nml_value(family, hyps, contexts)
     except ValueError as e:
@@ -83,8 +123,31 @@ def _cmd_cover(args) -> dict:
     return {"cover": [int(i) for i in idx], "size": len(idx)}
 
 
+def _check_summary(summary) -> None:
+    """A summary file's sweep cells must each carry the fields the fits read."""
+    if not isinstance(summary, dict) or not isinstance(summary.get("cells"), list):
+        raise ConfigError("summary.cells: must be a list of sweep cells")
+    for i, cell in enumerate(summary["cells"]):
+        where = f"summary.cells[{i}]"
+        if not isinstance(cell, dict):
+            raise ConfigError(f"{where}: must be an object")
+        for key in ("learner", "sigma", "T", "mean_final_regret", "final_regrets"):
+            if key not in cell:
+                raise ConfigError(f"{where}.{key}: missing")
+        if not (_is_int(cell["T"]) and _is_number(cell["T"])) or cell["T"] < 1:
+            raise ConfigError(f"{where}.T: {cell['T']!r} is not an integer >= 1")
+        if not _is_number(cell["mean_final_regret"]):
+            raise ConfigError(f"{where}.mean_final_regret: {cell['mean_final_regret']!r} "
+                              f"is not a finite number")
+        regrets = cell["final_regrets"]
+        if not isinstance(regrets, list) or not regrets or not all(map(_is_number, regrets)):
+            raise ConfigError(f"{where}.final_regrets: must be a nonempty list of "
+                              f"finite numbers")
+
+
 def _cmd_fit(args) -> dict:
     summary = _load_json(args.summary)
+    _check_summary(summary)
     return {"fits": fit_scaling(summary)}
 
 

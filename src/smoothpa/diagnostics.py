@@ -10,10 +10,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .adversary import SmoothDistribution
-from .hypotheses import Hypothesis, RegionFamily
+from .hypotheses import _BLOCK_BYTES, Hypothesis, RegionFamily
 
 LOG_ZERO = -1e300
 
@@ -88,14 +87,12 @@ def chi_square_bruteforce(target: SmoothDistribution, n_rate: float,
     for x in range(u):
         mix_ratio = mix_ratio + target.pmf[x] * axis_vec(u + x - 1, ratio)
 
-    chi_acc = 0.0
-    p_mass = 0.0
-    q_mass = 0.0
-    for c0 in range(k_sup):
-        p_grid = pm[c0] * p_rest
-        chi_acc += float(np.sum(p_grid * mix_ratio * mix_ratio))
-        p_mass += float(p_grid.sum())
-        q_mass += float(np.sum(p_grid * mix_ratio))
+    # axis 0 factors out of every sum: each is pm.sum() times its sum over the rest
+    p0 = float(pm.sum())
+    q_rest = p_rest * mix_ratio
+    chi_acc = p0 * float(np.sum(q_rest * mix_ratio))
+    p_mass = p0 * float(p_rest.sum())
+    q_mass = p0 * float(q_rest.sum())
     discarded = (1.0 - p_mass) + (1.0 - q_mass)
     return chi_acc - 1.0, discarded
 
@@ -212,6 +209,15 @@ def nml_value(family: RegionFamily, hypotheses: Sequence[Hypothesis],
     hence the exact fixed-horizon minimax regret against the finite class. The
     value is permutation invariant in the contexts; they are canonically sorted
     so the computed float is exactly invariant too.
+
+    Contexts whose membership across the hypotheses' regions is identical form
+    a class, and a hypothesis's likelihood depends on the labels only through
+    the count k_c of ones in each class c of size m_c. The sum over 2^t
+    sequences is therefore a sum over count vectors weighted by prod C(m_c, k_c),
+    split in the middle: each half of the classes gets a table of per-hypothesis
+    log-likelihoods plus log-binomial weights, and the maximum over hypotheses
+    of a pair of entries is filled in row blocks. The work is prod (m_c + 1)
+    times the hypothesis count, at most 2^t times it.
     """
     xs = np.sort(np.asarray(contexts, dtype=np.int64))
     t = xs.size
@@ -220,23 +226,46 @@ def nml_value(family: RegionFamily, hypotheses: Sequence[Hypothesis],
         raise ValueError(f"horizon {t} outside [1, {max_horizon}]")
     if n_hyp < 1 or n_hyp > max_hypotheses:
         raise ValueError(f"hypothesis count {n_hyp} outside [1, {max_hypotheses}]")
-    bm = family.bitmaps
-    p1 = np.empty((n_hyp, t))
-    for i, h in enumerate(hypotheses):
-        inside = bm[h.region_index, xs]
-        p1[i] = np.where(inside, h.theta0, h.theta1)
+    regions = np.array([h.region_index for h in hypotheses], dtype=np.int64)
+    classes, sizes = np.unique(family.bitmaps[regions][:, xs].T, axis=0,
+                               return_counts=True)          # (n_cls, n_hyp), (n_cls,)
+    theta0 = np.array([h.theta0 for h in hypotheses], dtype=np.float64)
+    theta1 = np.array([h.theta1 for h in hypotheses], dtype=np.float64)
+    p1 = np.where(classes, theta0, theta1)
+    # LOG_ZERO stays finite so that a zero count times it is 0, not nan
     l1 = np.where(p1 > 0.0, np.log(np.maximum(p1, 1e-320)), LOG_ZERO)
     l0 = np.where(p1 < 1.0, np.log(np.maximum(1.0 - p1, 1e-320)), LOG_ZERO)
-    diff = l1 - l0                         # (n_hyp, t)
-    base = l0.sum(axis=1)                  # (n_hyp,)
 
-    total = 2 ** t
-    chunk = max(1, min(65536, int(2e7 / max(n_hyp, 1))))
-    maxima = np.empty(total)
-    powers = np.arange(t, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = ((idx[:, None] >> powers[None, :]) & 1).astype(np.float64)
-        scores = bits @ diff.T + base[None, :]
-        maxima[start:start + len(idx)] = scores.max(axis=1)
-    return float(logsumexp(maxima))
+    # split the classes where the running product of (m_c + 1) is nearest to
+    # the square root of the whole product
+    log_cells = np.cumsum(np.log(sizes + 1.0))
+    split = int(np.argmin(np.abs(log_cells - log_cells[-1] / 2.0))) + 1
+    tables = []
+    for half in (slice(0, split), slice(split, None)):
+        table = np.zeros((n_hyp, 1))
+        for m, a1, a0 in zip(sizes[half], l1[half], l0[half]):
+            k = np.arange(m + 1)
+            weight = np.log([math.comb(int(m), int(j)) for j in k])
+            scores = k[None, :] * a1[:, None] + (m - k)[None, :] * a0[:, None] + weight
+            table = (table[:, :, None] + scores[:, None, :]).reshape(n_hyp, -1)
+        tables.append(table)
+    cols, rows = tables                                     # (n_hyp, N_a), (n_hyp, N_b)
+
+    # the largest pair sum is the largest over hypotheses of the two row maxima
+    shift = float(np.max(cols.max(axis=1) + rows.max(axis=1)))
+    n_a, n_b = cols.shape[1], rows.shape[1]
+    block = max(1, _BLOCK_BYTES // (8 * n_a))
+    best = np.empty((min(block, n_b), n_a))
+    pair = np.empty_like(best)
+    total = 0.0
+    for start in range(0, n_b, block):
+        r = rows[:, start:start + block]
+        out, tmp = best[:r.shape[1]], pair[:r.shape[1]]
+        np.add.outer(r[0], cols[0], out=out)
+        for h in range(1, n_hyp):
+            np.add.outer(r[h], cols[h], out=tmp)
+            np.maximum(out, tmp, out=out)
+        out -= shift
+        np.exp(out, out=out)
+        total += float(out.sum())
+    return shift + math.log(total)

@@ -12,7 +12,7 @@ def parse_field(value, name: str, cast):
     """cast(value); a value it rejects raises ConfigError naming the field."""
     try:
         return cast(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name}: {value!r} is not a valid {cast.__name__}") from None
 
 

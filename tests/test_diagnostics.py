@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from smoothpa.adversary import SmoothDistribution
 from smoothpa.diagnostics import (BoundInputs, chi_square_bruteforce,
@@ -70,6 +72,50 @@ def test_chi2_bruteforce_rejects_oversize():
     d = SmoothDistribution.uniform(16, sigma=1.0)
     with pytest.raises(ValueError):
         chi_square_bruteforce(d, 8.0, 1e-12)
+
+
+def chi_square_per_c0(target, n_rate, tail_cutoff=1e-12):
+    """Reference: the same enumeration with one full pass over the other axes per
+    count c0 on the constant axis (x=0, y=0)."""
+    u = len(target.pmf)
+    lam = n_rate / (2.0 * u)
+    pm = [math.exp(-lam)]
+    while pm[-1] > tail_cutoff and len(pm) < 500:
+        pm.append(pm[-1] * lam / len(pm))
+    while len(pm) > 1 and pm[-1] <= tail_cutoff:
+        pm.pop()
+    pm = np.asarray(pm)
+    k_sup, rest_axes = len(pm), 2 * u - 1
+
+    def axis_vec(pos, vec):
+        s = [1] * rest_axes
+        s[pos] = k_sup
+        return vec.reshape(s)
+
+    p_rest = np.ones((k_sup,) * rest_axes)
+    for a in range(rest_axes):
+        p_rest = p_rest * axis_vec(a, pm)
+    ratio = np.zeros(k_sup)
+    ratio[1:] = pm[:-1] / pm[1:]
+    mix_ratio = np.zeros(p_rest.shape)
+    for x in range(u):
+        mix_ratio = mix_ratio + target.pmf[x] * axis_vec(u + x - 1, ratio)
+    chi_acc = p_mass = q_mass = 0.0
+    for c0 in range(k_sup):
+        p_grid = pm[c0] * p_rest
+        chi_acc += float(np.sum(p_grid * mix_ratio * mix_ratio))
+        p_mass += float(p_grid.sum())
+        q_mass += float(np.sum(p_grid * mix_ratio))
+    return chi_acc - 1.0, (1.0 - p_mass) + (1.0 - q_mass)
+
+
+@pytest.mark.parametrize("u, n_rate", [(1, 3.0), (2, 8.0), (3, 4.0), (3, 6.0)])
+def test_chi2_bruteforce_folds_constant_axis(u, n_rate):
+    d = make_smooth(u, 0.5, np.random.default_rng(u * 10 + int(n_rate)))
+    value, discarded = chi_square_bruteforce(d, n_rate)
+    ref_value, ref_discarded = chi_square_per_c0(d, n_rate)
+    assert value == pytest.approx(ref_value, abs=1e-14)
+    assert discarded == pytest.approx(ref_discarded, abs=1e-14)
 
 
 def test_chi2_report_shape():
@@ -197,3 +243,78 @@ def test_nml_rejects_oversize():
         nml_value(fam, h, [0] * 23)
     with pytest.raises(ValueError):
         nml_value(fam, h * 10_001, [0, 1])
+
+
+def nml_oracle(family, hypotheses, contexts):
+    """ln sum_y max_h prod_t p_h(y_t | x_t), one label sequence at a time."""
+    bm = family.bitmaps
+    total = 0.0
+    for ys in itertools.product((0, 1), repeat=len(contexts)):
+        best = 0.0
+        for h in hypotheses:
+            p = 1.0
+            for x, y in zip(contexts, ys):
+                q = h.theta0 if bm[h.region_index, x] else h.theta1
+                p *= q if y else 1.0 - q
+            best = max(best, p)
+        total += best
+    return math.log(total)
+
+
+def nml_enumerated(family, hypotheses, contexts):
+    """Reference for theta in (0, 1): every one of the 2^t label sequences scored
+    as base + bits @ (l1 - l0), in chunks."""
+    xs = np.sort(np.asarray(contexts, dtype=np.int64))
+    t = xs.size
+    p1 = np.array([np.where(family.bitmaps[h.region_index, xs], h.theta0, h.theta1)
+                   for h in hypotheses])
+    l1, l0 = np.log(p1), np.log1p(-p1)
+    diff, base = l1 - l0, l0.sum(axis=1)
+    maxima = np.empty(2 ** t)
+    powers = np.arange(t, dtype=np.int64)
+    for start in range(0, 2 ** t, 65536):
+        idx = np.arange(start, min(start + 65536, 2 ** t), dtype=np.int64)
+        bits = ((idx[:, None] >> powers[None, :]) & 1).astype(np.float64)
+        maxima[start:start + len(idx)] = (bits @ diff.T + base[None, :]).max(axis=1)
+    return float(logsumexp(maxima))
+
+
+def test_nml_deterministic_theta_single_hypothesis_is_zero():
+    fam = RegionFamily.threshold_grid(4)
+    assert nml_value(fam, [Hypothesis(1, 1.0, 0.5)], [0, 3]) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_nml_matches_product_oracle():
+    rng = np.random.default_rng(2303)
+
+    def theta():
+        return float(rng.choice([0.0, 0.5, 1.0])) if rng.random() < 0.5 else float(rng.random())
+
+    for _ in range(320):
+        u = int(rng.integers(1, 6))
+        if rng.random() < 0.5:
+            fam = RegionFamily.threshold_grid(u)
+        else:
+            fam = RegionFamily.explicit(u, [np.flatnonzero(rng.random(u) < 0.5).tolist()
+                                            for _ in range(int(rng.integers(1, 5)))])
+        hyps = [Hypothesis(int(rng.integers(len(fam))), theta(), theta())
+                for _ in range(int(rng.integers(1, 5)))]
+        xs = rng.integers(0, u, size=int(rng.integers(1, 8))).tolist()
+        assert nml_value(fam, hyps, xs) == pytest.approx(nml_oracle(fam, hyps, xs),
+                                                         rel=0, abs=1e-12)
+
+
+def test_nml_matches_full_enumeration_at_horizon_20():
+    rng = np.random.default_rng(20)
+    fam = RegionFamily.threshold_grid(64)
+    hyps = [Hypothesis(int(rng.integers(64)), float(rng.uniform(0.01, 0.99)),
+                       float(rng.uniform(0.01, 0.99))) for _ in range(32)]
+    xs = rng.integers(0, 64, size=20)
+    assert nml_value(fam, hyps, xs) == pytest.approx(nml_enumerated(fam, hyps, xs), rel=1e-12)
+    # every context in its own class: plain meet in the middle over 2^10 x 2^10
+    xs = np.arange(0, 64, 3)[:20]
+    hyps = [Hypothesis(int(a), float(rng.uniform(0.01, 0.99)), float(rng.uniform(0.01, 0.99)))
+            for a in range(1, 64, 3)]
+    member = fam.bitmaps[[h.region_index for h in hyps]][:, xs].T
+    assert len(np.unique(member, axis=0)) == 20
+    assert nml_value(fam, hyps, xs) == pytest.approx(nml_enumerated(fam, hyps, xs), rel=1e-12)

@@ -356,6 +356,47 @@ def test_cli_argument_errors_exit_2(capsys, argv, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+GRID4_CLASS = {"family": {"kind": "threshold_grid", "size": 4},
+               "hypotheses": [[1, 0.2, 0.7]]}
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["nml", "--class", "c.json", "--contexts", "x.json"],
+     {"c.json": dict(GRID4_CLASS, hypotheses=[[1]]), "x.json": [0, 3]},
+     "hypotheses[0]: must be [region, theta0, theta1]"),
+    (["nml", "--class", "c.json", "--contexts", "x.json"],
+     {"c.json": dict(GRID4_CLASS, hypotheses=[[1, 0.2, 0.7], [9, 0.5, 0.5]]), "x.json": [0, 3]},
+     "hypotheses[1]: region 9 is not an integer in [0, 4)"),
+    (["nml", "--class", "c.json", "--contexts", "x.json"],
+     {"c.json": dict(GRID4_CLASS, hypotheses=[[1, "a", 0.5]]), "x.json": [0, 3]},
+     "hypotheses[0]: theta0 'a' is not a number in [0, 1]"),
+    (["nml", "--class", "c.json", "--contexts", "x.json"],
+     {"c.json": dict(GRID4_CLASS, hypotheses=[[1, 0.5, 1.5]]), "x.json": [0, 3]},
+     "hypotheses[0]: theta1 1.5 is not a number in [0, 1]"),
+    (["nml", "--class", "c.json", "--contexts", "x.json"],
+     {"c.json": GRID4_CLASS, "x.json": [0, -1]},
+     "contexts[1]: -1 is not a context id in [0, 4)"),
+    (["nml", "--class", "c.json", "--contexts", "x.json"],
+     {"c.json": GRID4_CLASS, "x.json": [0, 9]},
+     "contexts[1]: 9 is not a context id in [0, 4)"),
+    (["fit", "--summary", "s.json"], {"s.json": {}},
+     "summary.cells: must be a list of sweep cells"),
+    (["fit", "--summary", "s.json"], {"s.json": [1, 2]},
+     "summary.cells: must be a list of sweep cells"),
+    (["fit", "--summary", "s.json"], {"s.json": {"cells": [{"T": 8}]}},
+     "summary.cells[0].learner: missing"),
+    (["cover", "--family", "f.json", "--eps", "0.3"],
+     {"f.json": {"kind": "threshold_grid", "size": math.inf}},
+     "family.size: inf is not a valid int"),
+])
+def test_cli_file_errors_exit_2(tmp_path, capsys, argv, files, message):
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_cli_numerical_assertion_exit_code(tmp_path, capsys):
     cfg = base_config()
     cfg["adversary"] = {"context": "subset_uniform", "rule": "static",
