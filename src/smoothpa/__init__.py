@@ -8,7 +8,7 @@ from .hypotheses import Hypothesis, RegionFamily, evaluate, mle_oracle, offline_
 from .adversary import (AdversaryPolicy, SmoothDistribution, SubsetUniform,
                         adversary_from_spec, greedy_label, realizable_label,
                         subset_smooth_adversary, validate_smooth)
-from .coupling import CouplingOutcome, block_coupling, rejection_couple
+from .coupling import rejection_couple_batch
 from .learners import (FtplConfig, FtplLearner, KtLearner, MixtureLearner,
                        MixtureState, UniformLearner, epsilon_cover,
                        init_mixture_state, laplace_integral_log,

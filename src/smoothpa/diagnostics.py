@@ -128,7 +128,6 @@ def rademacher_estimate(family: RegionFamily, alpha: float, sample_size: int,
     if mc_rounds < 1:
         raise ValueError("mc_rounds must be >= 1")
     u = family.universe.size
-    bm = family.bitmaps.astype(np.float64)
     t = sample_size
 
     candidates = [np.tile(np.arange(u), (t + u - 1) // u)[:t]]
@@ -139,12 +138,12 @@ def rademacher_estimate(family: RegionFamily, alpha: float, sample_size: int,
 
     best = RademacherEstimate(-np.inf, 0.0)
     for xs in candidates:
-        onehot = np.zeros((t, u))
-        onehot[np.arange(t), xs] = 1.0
-        sign_sums = eps @ onehot                      # per-context signed counts
-        s_in = sign_sums @ bm.T
+        s_in = eps @ family.contains(xs).astype(np.float64)     # signed counts per region
         s_out = totals[:, None] - s_in
-        sup_raw = np.max(np.maximum(s_in, 0.0) + np.maximum(s_out, 0.0), axis=1)
+        np.maximum(s_in, 0.0, out=s_in)
+        np.maximum(s_out, 0.0, out=s_out)
+        s_in += s_out
+        sup_raw = s_in.max(axis=1)
         sup = (sup_raw + alpha * totals) / ((1.0 + 2.0 * alpha) * t)
         mean = float(sup.mean())
         if mean > best.mean:
@@ -227,7 +226,7 @@ def nml_value(family: RegionFamily, hypotheses: Sequence[Hypothesis],
     if n_hyp < 1 or n_hyp > max_hypotheses:
         raise ValueError(f"hypothesis count {n_hyp} outside [1, {max_hypotheses}]")
     regions = np.array([h.region_index for h in hypotheses], dtype=np.int64)
-    classes, sizes = np.unique(family.bitmaps[regions][:, xs].T, axis=0,
+    classes, sizes = np.unique(family.contains(xs, regions), axis=0,
                                return_counts=True)          # (n_cls, n_hyp), (n_cls,)
     theta0 = np.array([h.theta0 for h in hypotheses], dtype=np.float64)
     theta1 = np.array([h.theta1 for h in hypotheses], dtype=np.float64)

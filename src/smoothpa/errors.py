@@ -9,8 +9,12 @@ class ConfigError(ValueError):
 
 
 def parse_field(value, name: str, cast):
-    """cast(value); a value it rejects raises ConfigError naming the field."""
+    """cast(value); a bool, a non-integral number for an int cast, or a value
+    the cast rejects raises ConfigError naming the field."""
     try:
+        if isinstance(value, bool) or (cast is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError
         return cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name}: {value!r} is not a valid {cast.__name__}") from None

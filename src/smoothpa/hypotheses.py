@@ -25,15 +25,19 @@ class RegionFamily:
     """Finite list of candidate regions over a finite universe.
 
     kind is "threshold_grid" (region a is {x : x <= a}, one per grid point,
-    totally ordered by inclusion) or "explicit" (arbitrary subsets stored as
-    membership bitmaps).
+    totally ordered by inclusion) or "explicit" (arbitrary subsets). Outside
+    this module membership is read only through `contains`: a grid compares
+    contexts with thresholds, so it stores no matrix; an explicit family
+    gathers rows of its stored (U, regions) boolean matrix, context-major so
+    that one context's memberships are one contiguous row.
     """
 
     def __init__(self, universe: ContextUniverse, kind: str,
-                 bitmaps: Optional[np.ndarray] = None):
+                 member: Optional[np.ndarray] = None):
         self.universe = universe
         self.kind = kind
-        self._bitmaps = bitmaps
+        self._member = member
+        self._grid = np.arange(universe.size) if member is None else None
 
     @classmethod
     def threshold_grid(cls, size: int) -> "RegionFamily":
@@ -43,32 +47,37 @@ class RegionFamily:
     def explicit(cls, size: int, regions: Sequence[Sequence[int]]) -> "RegionFamily":
         if len(regions) == 0:
             raise ConfigError("family.regions: must be a nonempty list of context id lists")
-        bitmaps = np.zeros((len(regions), size), dtype=bool)
+        member = np.zeros((size, len(regions)), dtype=bool)
         for i, ids in enumerate(regions):
             ids = np.asarray(list(ids), dtype=np.int64)
             if ids.size and (ids.min() < 0 or ids.max() >= size):
                 bad = ids.min() if ids.min() < 0 else ids.max()
                 raise ConfigError(f"family.regions[{i}]: context id {bad} outside [0, {size})")
-            bitmaps[i, ids] = True
-        return cls(ContextUniverse(size), EXPLICIT, bitmaps)
+            member[ids, i] = True
+        return cls(ContextUniverse(size), EXPLICIT, member)
 
     def __len__(self) -> int:
         if self.kind == THRESHOLD_GRID:
             return self.universe.size
-        return self._bitmaps.shape[0]
+        return self._member.shape[1]
 
-    @property
-    def bitmaps(self) -> np.ndarray:
-        """(num_regions, U) boolean membership matrix; built lazily for grids."""
-        if self._bitmaps is None:
-            u = self.universe.size
-            self._bitmaps = np.arange(u)[None, :] <= np.arange(u)[:, None]
-        return self._bitmaps
+    def contains(self, xs, regions=None) -> np.ndarray:
+        """Boolean membership of shape xs.shape + (len(regions),): entry [..., j]
+        is whether context xs[...] lies in region regions[j]. regions None
+        means every region of the family, in order."""
+        xs = np.asarray(xs)
+        if self.kind == THRESHOLD_GRID:
+            # one context, as in a learner's update, compares without a new axis
+            return ((xs[..., None] if xs.ndim else xs)
+                    <= (self._grid if regions is None else np.asarray(regions)))
+        if regions is None:
+            return self._member[xs]
+        return self._member[xs[..., None], regions]
 
     def to_json(self) -> str:
         if self.kind == THRESHOLD_GRID:
             return json.dumps({"kind": THRESHOLD_GRID, "size": self.universe.size})
-        regions = [sorted(int(x) for x in np.flatnonzero(row)) for row in self.bitmaps]
+        regions = [np.flatnonzero(col).tolist() for col in self._member.T]
         return json.dumps({"kind": EXPLICIT, "size": self.universe.size, "regions": regions})
 
     @classmethod
@@ -128,7 +137,7 @@ def evaluate(family: RegionFamily, h: Hypothesis, x: int) -> float:
     if family.kind == THRESHOLD_GRID:
         inside = x <= h.region_index
     else:
-        inside = bool(family.bitmaps[h.region_index, x])
+        inside = bool(family._member[x, h.region_index])
     return h.theta0 if inside else h.theta1
 
 
@@ -162,10 +171,11 @@ def _split_losses(n0, k0, total_n, total_k):
 def region_counts(values: np.ndarray, family: RegionFamily) -> np.ndarray:
     """Per-region sums of per-context values along the last axis: entry a sums
     the contexts inside region a. Threshold grids take one prefix-sum pass,
-    explicit families the bitmap product; integer counts come out exact."""
+    explicit families the product with the membership matrix; integer counts
+    come out exact."""
     if family.kind == THRESHOLD_GRID:
         return np.cumsum(values, axis=-1)
-    return values @ family.bitmaps.T
+    return values @ family._member
 
 
 def mle_from_region_counts(n0: np.ndarray, k0: np.ndarray, total_n: float,
@@ -221,18 +231,18 @@ def prefix_best_losses(xs: np.ndarray, ys: np.ndarray, family: RegionFamily) -> 
     """
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.float64)
-    member = np.ascontiguousarray(family.bitmaps.T, dtype=np.float64)   # (U, regions)
+    m = len(family)
     # the two count blocks plus about ten per-region temporaries in the losses
-    rows = max(1, _BLOCK_BYTES // (8 * 12 * member.shape[1]))
+    rows = max(1, _BLOCK_BYTES // (8 * 12 * m))
     out = np.empty(len(xs))
-    n0_carry = np.zeros(member.shape[1])
-    k0_carry = np.zeros(member.shape[1])
+    n0_carry = np.zeros(m)
+    k0_carry = np.zeros(m)
     total_k = np.cumsum(ys)
     for start in range(0, len(xs), rows):
         stop = min(start + rows, len(xs))
-        n0 = member[xs[start:stop]]
-        k0 = n0 * ys[start:stop, None]
-        np.cumsum(n0, axis=0, out=n0)
+        inside = family.contains(xs[start:stop])
+        n0 = np.cumsum(inside, axis=0, dtype=np.float64)
+        k0 = inside * ys[start:stop, None]
         np.cumsum(k0, axis=0, out=k0)
         n0 += n0_carry
         k0 += k0_carry

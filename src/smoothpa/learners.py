@@ -53,12 +53,11 @@ def epsilon_cover(family: RegionFamily, eps: float) -> np.ndarray:
         if idx[-1] != u - 1:
             idx.append(u - 1)
         return np.asarray(idx, dtype=np.int64)
-    bm = family.bitmaps.astype(np.float64)
+    member = family.contains(np.arange(u))          # (U, regions)
     centers = [0]
 
     def dist_to(c):
-        row = bm[c]
-        return np.mean(np.abs(bm - row[None, :]), axis=1)
+        return np.mean(member != member[:, c, None], axis=0)
     nearest = dist_to(0)
     while nearest.max() > eps:
         j = int(np.argmax(nearest))
@@ -73,8 +72,8 @@ class MixtureState:
 
     Per element i: counts n[i, j], k[i, j] on side j (0 inside, 1 outside) and
     the log marginal ln[B(k0, n0) * B(k1, n1)] of the labels seen so far.
-    side[x, i] is the flat index 2i + j into n and k of element i's side
-    holding context x.
+    member[x, i] is whether context x lies in element i's region, and side[x, i]
+    is the flat index 2i + j into n and k of element i's side holding x.
     """
 
     cover: np.ndarray
@@ -85,7 +84,7 @@ class MixtureState:
     side: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.side = np.ascontiguousarray(np.arange(0, 2 * self.size, 2) + ~self.member.T)
+        self.side = np.arange(0, 2 * self.size, 2) + ~self.member
 
     @property
     def size(self) -> int:
@@ -106,7 +105,7 @@ def init_mixture_state(family: RegionFamily, cover: Sequence[int]) -> MixtureSta
     cover = np.asarray(cover, dtype=np.int64)
     if cover.size == 0:
         raise ValueError("cover must be nonempty")
-    member = family.bitmaps[cover]
+    member = family.contains(np.arange(family.universe.size), cover)
     m = cover.size
     return MixtureState(
         cover=cover,
@@ -251,7 +250,6 @@ class FtplLearner:
         self.family = family
         self.name = f"ftpl(n={config.n:g},alpha={config.alpha:g})"
         self._lo, self._hi = truncation_range(config.alpha)
-        self._member = np.ascontiguousarray(family.bitmaps.T)     # (U, regions)
 
     def reset(self, universe: ContextUniverse, rng: np.random.Generator) -> None:
         u, m = universe.size, len(self.family)
@@ -271,7 +269,7 @@ class FtplLearner:
         self._row = 0
 
     def _draw_block(self) -> None:
-        u = self._member.shape[0]
+        u = self.family.universe.size
         rows = min(2 * len(self._hal_n0) or 1, self._max_rows)
         hal = self.rng.poisson(self.config.n / (2.0 * u), size=(rows, 2, u)).astype(np.float64)
         pos = hal[:, 1]
@@ -296,7 +294,7 @@ class FtplLearner:
         return q
 
     def update(self, x: int, y: int) -> None:
-        col = self._member[x]
+        col = self.family.contains(x)
         self._n0 += col
         self._n += 1.0
         if y:

@@ -20,7 +20,7 @@ from smoothpa.learners import (FtplConfig, FtplLearner, epsilon_cover,
                                init_mixture_state, laplace_integral_log,
                                mixture_predict, mixture_update, truncation_range)
 
-from test_hypotheses import brute_force_best_loss
+from test_hypotheses import brute_force_best_loss, region_bitmaps
 
 
 def criterion(num, name, budget_s):
@@ -146,7 +146,7 @@ def test_criterion_05_coupling():
 def _sequence_log_likelihoods(family, hypotheses, xs):
     """Per-sequence best in-class log-likelihood, sequences indexed by label bits."""
     t = len(xs)
-    bm = family.bitmaps
+    bm = region_bitmaps(family)
     p1 = np.empty((len(hypotheses), t))
     for i, h in enumerate(hypotheses):
         p1[i] = np.where(bm[h.region_index, np.asarray(xs)], h.theta0, h.theta1)

@@ -3,8 +3,7 @@ import pytest
 from scipy import stats
 
 from smoothpa.adversary import SmoothDistribution
-from smoothpa.coupling import (CouplingOutcome, block_coupling, rejection_couple,
-                               rejection_couple_batch)
+from smoothpa.coupling import rejection_couple_batch
 
 
 def skewed_smooth(u, sigma, seed=0):
@@ -21,30 +20,24 @@ def skewed_smooth(u, sigma, seed=0):
 def test_sigma_one_accepts_first_sample():
     target = SmoothDistribution.uniform(8, sigma=1.0)
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        out = rejection_couple(5, target, rng)
-        assert out.success and out.index == 0
-        assert len(out.samples) == 5
+    success, index, samples = rejection_couple_batch(20, 5, target, rng)
+    assert success.all() and (index == 0).all()
+    assert samples.shape == (20, 5)
 
 
 def test_block_coupling_empty_and_sigma_one():
     target = SmoothDistribution.uniform(4, sigma=1.0)
     rng = np.random.default_rng(1)
-    assert block_coupling(0, 3, target, rng) == []
-    outs = block_coupling(7, 3, target, rng)
-    assert all(o.success for o in outs)
-    assert all(o.index == 0 for o in outs)
-
-
-def test_outcome_invariant():
-    with pytest.raises(ValueError):
-        CouplingOutcome(True, 5, np.zeros(3, dtype=np.int64))
+    success, index, samples = rejection_couple_batch(0, 3, target, rng)
+    assert success.shape == index.shape == (0,) and samples.shape == (0, 3)
+    success, index, _ = rejection_couple_batch(7, 3, target, rng)
+    assert success.all() and (index == 0).all()
 
 
 def test_scalar_failure_rate_sanity():
     target = SmoothDistribution.uniform_on(4, [0, 1], 0.5)
     rng = np.random.default_rng(2)
-    fails = sum(not rejection_couple(1, target, rng).success for _ in range(4000))
+    fails = int(np.sum(~rejection_couple_batch(4000, 1, target, rng)[0]))
     # m=1: failure probability exactly 1 - sigma = 0.5; 4 sigma_mc ~ 0.032
     assert abs(fails / 4000 - 0.5) < 0.035
 
@@ -55,10 +48,8 @@ def test_all_blocks_success_probability():
     rng = np.random.default_rng(4)
     p_block = 1.0 - (1.0 - sigma) ** m
     expect = p_block ** blocks
-    hits = 0
-    for _ in range(trials):
-        outs = block_coupling(blocks, m, target, rng)
-        hits += all(o.success for o in outs)
+    success = rejection_couple_batch(trials * blocks, m, target, rng)[0]
+    hits = int(success.reshape(trials, blocks).all(axis=1).sum())
     se = np.sqrt(expect * (1 - expect) / trials)
     assert abs(hits / trials - expect) < 4 * se + 1e-9
 
@@ -91,5 +82,6 @@ def test_unchosen_last_position_stays_uniform():
 
 def test_rejects_invalid_block_size():
     target = SmoothDistribution.uniform(4, sigma=1.0)
-    with pytest.raises(ValueError):
-        rejection_couple(0, target, np.random.default_rng(0))
+    for trials in (0, 3):
+        with pytest.raises(ValueError, match="block size m must be >= 1"):
+            rejection_couple_batch(trials, 0, target, np.random.default_rng(0))

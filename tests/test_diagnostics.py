@@ -12,6 +12,8 @@ from smoothpa.diagnostics import (BoundInputs, chi_square_bruteforce,
                                   nml_value, rademacher_estimate, theorem_bound)
 from smoothpa.hypotheses import Hypothesis, RegionFamily
 
+from test_hypotheses import region_bitmaps
+
 
 def make_smooth(u, sigma, rng):
     raw = rng.random(u)
@@ -247,7 +249,7 @@ def test_nml_rejects_oversize():
 
 def nml_oracle(family, hypotheses, contexts):
     """ln sum_y max_h prod_t p_h(y_t | x_t), one label sequence at a time."""
-    bm = family.bitmaps
+    bm = region_bitmaps(family)
     total = 0.0
     for ys in itertools.product((0, 1), repeat=len(contexts)):
         best = 0.0
@@ -266,7 +268,8 @@ def nml_enumerated(family, hypotheses, contexts):
     as base + bits @ (l1 - l0), in chunks."""
     xs = np.sort(np.asarray(contexts, dtype=np.int64))
     t = xs.size
-    p1 = np.array([np.where(family.bitmaps[h.region_index, xs], h.theta0, h.theta1)
+    bm = region_bitmaps(family)
+    p1 = np.array([np.where(bm[h.region_index, xs], h.theta0, h.theta1)
                    for h in hypotheses])
     l1, l0 = np.log(p1), np.log1p(-p1)
     diff, base = l1 - l0, l0.sum(axis=1)
@@ -315,6 +318,6 @@ def test_nml_matches_full_enumeration_at_horizon_20():
     xs = np.arange(0, 64, 3)[:20]
     hyps = [Hypothesis(int(a), float(rng.uniform(0.01, 0.99)), float(rng.uniform(0.01, 0.99)))
             for a in range(1, 64, 3)]
-    member = fam.bitmaps[[h.region_index for h in hyps]][:, xs].T
+    member = region_bitmaps(fam)[[h.region_index for h in hyps]][:, xs].T
     assert len(np.unique(member, axis=0)) == 20
     assert nml_value(fam, hyps, xs) == pytest.approx(nml_enumerated(fam, hyps, xs), rel=1e-12)

@@ -100,6 +100,12 @@ def test_parse_config_field_paths():
                           (None, "family.size: missing"), (0, "family.size: 0 must be >= 1")):
         with pytest.raises(ConfigError, match=f"^{message}"):
             parse_config(base_config(family={"kind": "threshold_grid", "size": size}))
+    for key, value, message in (("T", 4.7, "T: 4.7 is not a valid int"),
+                                ("T", True, "T: True is not a valid int"),
+                                ("repetitions", 2.9, "repetitions: 2.9 is not a valid int"),
+                                ("sigma", True, "sigma: True is not a valid float")):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(base_config(**{key: value}))
 
 
 def test_run_uniform_vs_greedy_regret_is_t_ln2(tmp_path):
@@ -388,6 +394,9 @@ GRID4_CLASS = {"family": {"kind": "threshold_grid", "size": 4},
     (["cover", "--family", "f.json", "--eps", "0.3"],
      {"f.json": {"kind": "threshold_grid", "size": math.inf}},
      "family.size: inf is not a valid int"),
+    (["cover", "--family", "f.json", "--eps", "0.3"],
+     {"f.json": {"kind": "threshold_grid", "size": 2.5}},
+     "family.size: 2.5 is not a valid int"),
 ])
 def test_cli_file_errors_exit_2(tmp_path, capsys, argv, files, message):
     for name, obj in files.items():

@@ -1,16 +1,29 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from smoothpa import Example, Hypothesis, mle_oracle, offline_best_loss
+from smoothpa import ContextUniverse, Example, Hypothesis, mle_oracle, offline_best_loss
+from smoothpa.diagnostics import nml_value, rademacher_estimate
 from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import (ComparatorTracker, RegionFamily, evaluate,
                                  examples_to_counts, mle_from_counts, prefix_best_losses,
                                  region_counts)
+from smoothpa.learners import FtplConfig, FtplLearner
 
 LN2 = math.log(2.0)
+
+
+def region_bitmaps(family):
+    """Dense (regions, U) membership oracle, row a the indicator of region a,
+    built from the family's JSON spec with one Python comparison per cell."""
+    spec = json.loads(family.to_json())
+    u = spec["size"]
+    if spec["kind"] == "threshold_grid":
+        return np.array([[x <= a for x in range(u)] for a in range(u)], dtype=bool)
+    return np.array([[x in ids for x in range(u)] for ids in spec["regions"]], dtype=bool)
 
 
 def brute_force_best_loss(xs, ys, family, step=1e-3):
@@ -32,7 +45,7 @@ def brute_force_best_loss(xs, ys, family, step=1e-3):
         return -np.max(ll)
 
     best = np.inf
-    for bm in family.bitmaps:
+    for bm in region_bitmaps(family):
         inside = bm[xs]
         n0, k0 = int(inside.sum()), int(ys[inside].sum())
         n1, k1 = len(xs) - n0, int(ys.sum()) - k0
@@ -53,6 +66,69 @@ def test_evaluate_threshold_membership():
     assert evaluate(fam, Hypothesis(5, 0.3, 0.6), 6) == 0.6
     with pytest.raises(ValueError):
         evaluate(fam, Hypothesis(5, 0.3, 0.6), 10)
+
+
+@pytest.mark.parametrize("family", [
+    RegionFamily.threshold_grid(1),
+    RegionFamily.threshold_grid(9),
+    RegionFamily.explicit(7, [[0, 1], [], [2, 3, 4, 5, 6], [6], list(range(7))]),
+    RegionFamily.explicit(1, [[0], []]),
+], ids=["grid1", "grid9", "explicit5x7", "explicit2x1"])
+def test_contains_matches_dense_oracle(family):
+    bm = region_bitmaps(family)                  # (regions, U)
+    m, u = bm.shape
+    assert len(family) == m
+    for x in range(u):
+        for scalar in (x, np.int64(x)):
+            got = family.contains(scalar)
+            assert got.dtype == bool and got.shape == (m,)
+            assert np.array_equal(got, bm[:, x])
+    rng = np.random.default_rng(u * 31 + m)
+    xs = rng.integers(0, u, size=17)
+    xs[-3:] = xs[0]                              # repeated contexts
+    assert np.array_equal(family.contains(xs), bm[:, xs].T)
+    assert np.array_equal(family.contains(xs.reshape(1, 17)), bm[:, xs].T[None])
+    assert family.contains(np.zeros(0, dtype=np.int64)).shape == (0, m)
+    subsets = [[0], [m - 1, 0, m - 1], rng.integers(0, m, size=6)]
+    for regions in subsets:
+        want = bm[np.asarray(regions)][:, xs].T
+        assert np.array_equal(family.contains(xs, regions), want)
+        assert np.array_equal(family.contains(xs.tolist(), np.asarray(regions)), want)
+        assert np.array_equal(family.contains(int(xs[0]), regions), want[0])
+
+
+def test_grid_paths_hold_no_universe_squared_matrix():
+    # each call touches T or t contexts of a 4096-point grid; a dense U x U
+    # membership matrix would be 16 MB as bool and 134 MB as float64
+    u = 4096
+    rng = np.random.default_rng(4096)
+    xs = rng.integers(0, u, size=64)
+    ys = rng.integers(0, 2, size=64)
+
+    def ftpl():
+        learner = FtplLearner(FtplConfig(100.0, 0.01), RegionFamily.threshold_grid(u))
+        learner.reset(ContextUniverse(u), np.random.default_rng(0))
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            learner.predict(x)
+            learner.update(x, y)
+
+    calls = {
+        "ftpl": ftpl,
+        "prefix_best_losses": lambda: prefix_best_losses(xs, ys, RegionFamily.threshold_grid(u)),
+        "nml_value": lambda: nml_value(RegionFamily.threshold_grid(u),
+                                       [Hypothesis(10, 0.2, 0.7), Hypothesis(3000, 0.6, 0.1)],
+                                       xs[:4]),
+        "rademacher_estimate": lambda: rademacher_estimate(
+            RegionFamily.threshold_grid(u), 0.05, 64, 50, np.random.default_rng(1)),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, (name, peak)
 
 
 def inside_outside_counts(bitmap, data):
@@ -170,7 +246,7 @@ def test_threshold_fast_path_equals_generic_scan():
         ys = rng.integers(0, 2, size=len(xs))
         cnt, pos = examples_to_counts((xs, ys), u)
         for values in (cnt, pos):       # prefix sums against the bitmap product
-            assert np.array_equal(region_counts(values, fam), fam.bitmaps @ values)
+            assert np.array_equal(region_counts(values, fam), region_bitmaps(fam) @ values)
             assert np.array_equal(region_counts(values, fam), region_counts(values, same))
         assert mle_from_counts(cnt, pos, fam) == mle_from_counts(cnt, pos, same)
 
@@ -184,7 +260,7 @@ def test_family_json_roundtrip():
 
     fam2 = RegionFamily.explicit(5, [[0, 2], [1, 3, 4]])
     back2 = RegionFamily.from_json(fam2.to_json())
-    assert np.array_equal(back2.bitmaps, fam2.bitmaps)
+    assert np.array_equal(back2.contains(np.arange(5)), fam2.contains(np.arange(5)))
     obj2 = json.loads(fam2.to_json())
     assert obj2["kind"] == "explicit" and obj2["regions"] == [[0, 2], [1, 3, 4]]
 

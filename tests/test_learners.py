@@ -17,6 +17,8 @@ from smoothpa.learners import (FtplConfig, FtplLearner, KtLearner, MixtureLearne
                                laplace_integral_log, learner_from_spec, mixture_predict,
                                mixture_update, truncation_range)
 
+from test_hypotheses import region_bitmaps
+
 # ---------------------------------------------------------------- laplace
 
 def quad_beta(k, n):
@@ -91,7 +93,7 @@ def test_cover_threshold_grid_100_eps_point1():
     fam = RegionFamily.threshold_grid(100)
     cover = epsilon_cover(fam, 0.1)
     assert len(cover) <= 11
-    bm = fam.bitmaps
+    bm = region_bitmaps(fam)
     worst = max(min(np.mean(bm[g] != bm[c]) for c in cover) for g in range(100))
     assert worst <= 0.1
 
@@ -108,7 +110,7 @@ def test_cover_explicit_greedy_covers_everything():
     fam = RegionFamily.explicit(20, regions)
     for eps in (0.3, 0.15):
         cover = epsilon_cover(fam, eps)
-        bm = fam.bitmaps
+        bm = region_bitmaps(fam)
         for g in range(len(fam)):
             assert min(np.mean(bm[g] != bm[c]) for c in cover) <= eps
 
@@ -219,7 +221,7 @@ def test_mixture_no_context_case_is_add_one_rule():
 
 def logsumexp_mixture_predict(state, x):
     """The posterior-weighted add-one rule with weights normalized by logsumexp."""
-    inside = state.member[:, x]
+    inside = state.member[x]
     n_j = np.where(inside, state.n[:, 0], state.n[:, 1])
     k_j = np.where(inside, state.k[:, 0], state.k[:, 1])
     w = np.exp(state.log_marginal - logsumexp(state.log_marginal))
@@ -270,7 +272,7 @@ def test_mixture_prefix_tree_leaves_equal_closed_form():
         for ys, logq in leaves.items():
             y_arr = np.asarray(ys)
             marginals = []
-            for region in fam.bitmaps[cover]:
+            for region in region_bitmaps(fam)[cover]:
                 inside = region[xs]
                 marginals.append(sum(
                     laplace_integral_log(int(y_arr[side].sum()), int(side.sum()))
