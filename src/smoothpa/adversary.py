@@ -79,8 +79,9 @@ class SmoothDistribution:
 
 
 def min_support_size(sigma: float, size: int) -> int:
-    """Smallest subset size ceil(sigma*U) on which a uniform pmf is sigma-smooth."""
-    return int(math.ceil(sigma * size - 1e-12))
+    """Smallest subset size ceil(sigma*U) on which a uniform pmf is sigma-smooth;
+    at least one, however small sigma * U is."""
+    return max(1, int(math.ceil(sigma * size - 1e-12)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -214,7 +215,7 @@ class AdaptiveExtremenessRule:
 class GreedyLabelRule:
     tag = "greedy"
 
-    def reset(self, universe, rng, family=None):
+    def reset(self, universe, rng):
         pass
 
     def label(self, history: GameHistory, x: int, q: float) -> int:
@@ -226,17 +227,15 @@ class RealizableLabelRule:
 
     tag = "realizable"
 
-    def __init__(self, f_star: Hypothesis):
+    def __init__(self, f_star: Hypothesis, family: RegionFamily):
         self.f_star = f_star
+        self.family = family
 
-    def reset(self, universe, rng, family=None):
-        if family is None:
-            raise ConfigError("adversary.label: realizable rule needs a hypothesis family")
+    def reset(self, universe, rng):
         self._rng = rng
-        self._family = family
 
     def label(self, history: GameHistory, x: int, q: float) -> int:
-        return realizable_label(self._family, self.f_star, x, self._rng)
+        return realizable_label(self.family, self.f_star, x, self._rng)
 
 
 class FixedSequenceLabelRule:
@@ -245,11 +244,11 @@ class FixedSequenceLabelRule:
     tag = "fixed_sequence"
 
     def __init__(self, labels: Sequence[int]):
-        if any(v not in (0, 1) for v in labels):
+        if any(isinstance(v, bool) or v not in (0, 1) for v in labels):
             raise ConfigError("adversary.labels: entries must be 0 or 1")
         self.labels = [int(v) for v in labels]
 
-    def reset(self, universe, rng, family=None):
+    def reset(self, universe, rng):
         pass
 
     def label(self, history: GameHistory, x: int, q: float) -> int:
@@ -273,12 +272,11 @@ class AdversaryPolicy:
         self.label_rule = label_rule
         self.sigma = sigma
         self.name = name or f"subset_uniform[{context_rule.tag}]+{label_rule.tag}"
-        self.family: Optional[RegionFamily] = None
 
     def reset(self, universe: ContextUniverse, rng: np.random.Generator) -> None:
         self.universe = universe
         self.context_rule.reset(universe, self.sigma)
-        self.label_rule.reset(universe, rng, family=self.family)
+        self.label_rule.reset(universe, rng)
 
     def context_distribution(self, history: GameHistory) -> SubsetUniform:
         return SubsetUniform(self.universe.size, self.context_rule.target_set(history),
@@ -313,9 +311,9 @@ def subset_smooth_adversary(sigma: float, target_set_rule=None, label_rule=None,
     return AdversaryPolicy(target_set_rule, label_rule, sigma)
 
 
-def _f_star(fs, family: Optional[RegionFamily]) -> Hypothesis:
+def _f_star(fs, family: RegionFamily) -> Hypothesis:
     """The realizable labels' hypothesis from its spec; its region must be one
-    of the family's (when the family is known) and its thetas in [0, 1]."""
+    of the family's and its thetas in [0, 1]."""
     if not isinstance(fs, dict):
         raise ConfigError("adversary.f_star: required for realizable labels")
     thetas = []
@@ -327,7 +325,7 @@ def _f_star(fs, family: Optional[RegionFamily]) -> Hypothesis:
             raise ConfigError(f"adversary.f_star.{key}: {theta} outside [0, 1]")
         thetas.append(theta)
     idx = parse_field(fs.get("region_index", 0), "adversary.f_star.region_index", int)
-    if family is not None and not 0 <= idx < len(family):
+    if not 0 <= idx < len(family):
         raise ConfigError(f"adversary.f_star.region_index: {idx} outside [0, {len(family)})")
     return Hypothesis(idx, *thetas)
 
@@ -355,7 +353,9 @@ def adversary_from_spec(spec: dict, sigma: Optional[float] = None,
     if label_kind == "greedy":
         label_rule = GreedyLabelRule()
     elif label_kind == "realizable":
-        label_rule = RealizableLabelRule(_f_star(spec.get("f_star"), family))
+        if family is None:
+            raise ConfigError("adversary.label: realizable rule needs a hypothesis family")
+        label_rule = RealizableLabelRule(_f_star(spec.get("f_star"), family), family)
     elif label_kind == "fixed_sequence":
         if not isinstance(spec.get("labels"), list):
             raise ConfigError("adversary.labels: required for fixed_sequence, a list of 0/1")
@@ -363,7 +363,5 @@ def adversary_from_spec(spec: dict, sigma: Optional[float] = None,
     else:
         raise ConfigError(f"adversary.label: unknown kind {label_kind!r}")
 
-    policy = subset_smooth_adversary(float(sig), label_rule=label_rule, rule=rule,
-                                     subset=spec.get("set"))
-    policy.family = family
-    return policy
+    return subset_smooth_adversary(float(sig), label_rule=label_rule, rule=rule,
+                                   subset=spec.get("set"))

@@ -11,11 +11,10 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 
 from .adversary import SmoothDistribution, min_support_size
 from .diagnostics import chi_square_bruteforce, chi_square_closed_form, nml_value
-from .errors import ConfigError, NumericalAssertionError
+from .errors import ConfigError, NumericalAssertionError, load_json
 from .harness import fit_scaling, parse_config, run
 from .hypotheses import Hypothesis, RegionFamily
 from .learners import epsilon_cover
@@ -49,15 +48,6 @@ def _cmd_chi2(args) -> dict:
             pass  # enumeration infeasible at this size; report closed form only
     return {"chi2": {"closed": closed, "brute": brute, "bound": bound,
                      "discarded": discarded}}
-
-
-def _load_json(path: str):
-    try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"file not found: {path}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON ({e})") from None
 
 
 def _is_int(value) -> bool:
@@ -96,12 +86,12 @@ def _class_hypotheses(entries, family: RegionFamily) -> list[Hypothesis]:
 
 
 def _cmd_nml(args) -> dict:
-    spec = _load_json(args.class_file)
+    spec = load_json(args.class_file, "class file")
     if not isinstance(spec, dict) or "family" not in spec or "hypotheses" not in spec:
         raise ConfigError("class file: needs 'family' and 'hypotheses'")
     family = RegionFamily.from_spec(spec["family"])
     hyps = _class_hypotheses(spec["hypotheses"], family)
-    contexts = _load_json(args.contexts)
+    contexts = load_json(args.contexts, "contexts file")
     if not isinstance(contexts, list):
         raise ConfigError("contexts file: must be a JSON list of context ids")
     u = family.universe.size
@@ -118,7 +108,7 @@ def _cmd_nml(args) -> dict:
 def _cmd_cover(args) -> dict:
     if not args.eps > 0.0:
         raise ConfigError(f"--eps: {args.eps:g} must be positive")
-    family = RegionFamily.from_json(Path(args.family).read_text())
+    family = RegionFamily.from_spec(load_json(args.family, "family"))
     idx = epsilon_cover(family, args.eps)
     return {"cover": [int(i) for i in idx], "size": len(idx)}
 
@@ -146,7 +136,7 @@ def _check_summary(summary) -> None:
 
 
 def _cmd_fit(args) -> dict:
-    summary = _load_json(args.summary)
+    summary = load_json(args.summary, "summary")
     _check_summary(summary)
     return {"fits": fit_scaling(summary)}
 
@@ -191,9 +181,6 @@ def main(argv=None) -> int:
     try:
         report = args.func(args)
     except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except NumericalAssertionError as e:

@@ -9,37 +9,46 @@ independently and byte-identically.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .adversary import adversary_from_spec
-from .core import ContextUniverse, GameTrace, format_records_csv, run_game
-from .errors import ConfigError, parse_field
+from .adversary import AdversaryPolicy, adversary_from_spec
+from .core import GameTrace, format_records_csv, run_game
+from .errors import ConfigError, load_json, parse_field
 from .hypotheses import RegionFamily, prefix_best_losses
-from .learners import learner_factory, learner_from_spec
+from .learners import learner_from_spec
+
+
+class Cell(NamedTuple):
+    """One sweep cell: its learner spec, horizon and smoothness, and the learner
+    and adversary that every repetition of the cell plays. `run_game` resets
+    both with fresh generators, and `reset` clears all of their state, so no
+    repetition sees the one before."""
+
+    learner_spec: dict
+    T: int
+    sigma: float
+    learner: object
+    adversary: AdversaryPolicy
 
 
 @dataclass
 class ExperimentConfig:
-    universe: int
-    family: dict
-    adversary: dict
-    learners: list[dict]
-    horizons: list[int]
-    sigmas: list[float]
+    """A checked sweep: the region family, the cells in deterministic order
+    (learner-major, then T, then sigma), and `echo`, the config as
+    summary.json records it."""
+
+    family: RegionFamily
+    cells: list[Cell]
     repetitions: int
     base_seed: int
+    echo: dict
     output_dir: Optional[str] = None
-
-    @property
-    def cells(self) -> list[tuple[dict, int, float]]:
-        """Sweep cells in deterministic order: learner-major, then T, then sigma."""
-        return [(ls, t, s) for ls in self.learners for t in self.horizons
-                for s in self.sigmas]
 
 
 def _as_list(value, name: str, cast):
@@ -54,14 +63,11 @@ def _as_list(value, name: str, cast):
 
 
 def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
-    """Validate a config document; error messages carry the offending field path."""
+    """Check a config document (or the JSON file at a path) and build its sweep:
+    the region family, whose size must equal `universe`, and per cell one
+    learner and one adversary. Error messages carry the offending field path."""
     if isinstance(obj, (str, Path)):
-        try:
-            obj = json.loads(Path(obj).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config: file not found: {obj}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config: invalid JSON ({e})") from None
+        obj = load_json(obj, "config")
     if not isinstance(obj, dict):
         raise ConfigError("config: must be a JSON object")
 
@@ -73,9 +79,9 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     universe = parse_field(need("universe"), "universe", int)
     if universe < 1:
         raise ConfigError(f"universe: {universe} must be >= 1")
-    family = need("family")
-    adversary = need("adversary")
-    if not isinstance(adversary, dict):
+    family_spec = need("family")
+    adversary_spec = need("adversary")
+    if not isinstance(adversary_spec, dict):
         raise ConfigError("adversary: must be an object")
 
     sweep = obj.get("sweep", {})
@@ -99,25 +105,22 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
         raise ConfigError(f"repetitions: {repetitions} must be >= 1")
     base_seed = parse_field(obj.get("base_seed", 0), "base_seed", int)
     output_dir = obj.get("output_dir")
-    cfg = ExperimentConfig(universe, family, adversary, learners, horizons,
-                           sigmas, repetitions, base_seed, output_dir)
-    _checked_family(cfg)
-    return cfg
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir: {output_dir!r} is not a string or null")
 
-
-def _checked_family(cfg: ExperimentConfig) -> RegionFamily:
-    """The config's region family, once it is known to have `universe` contexts
-    and the adversary spec and every cell's learner spec are well formed."""
-    if not isinstance(cfg.family, dict):
+    if not isinstance(family_spec, dict):
         raise ConfigError("family: must be an object")
-    family = RegionFamily.from_spec(cfg.family)
-    if family.universe.size != cfg.universe:
+    family = RegionFamily.from_spec(family_spec)
+    if family.universe.size != universe:
         raise ConfigError(f"family.size: {family.universe.size} differs from "
-                          f"universe {cfg.universe}")
-    adversary_from_spec(cfg.adversary, sigma=cfg.sigmas[0], family=family)
-    for ls, t, s in cfg.cells:
-        learner_factory(ls, t, s)
-    return family
+                          f"universe {universe}")
+    cells = [Cell(ls, t, s, learner_from_spec(ls, family, t, s),
+                  adversary_from_spec(adversary_spec, sigma=s, family=family))
+             for ls, t, s in itertools.product(learners, horizons, sigmas)]
+    echo = {"universe": universe, "family": family_spec, "adversary": adversary_spec,
+            "learner": learners, "T": horizons, "sigma": sigmas,
+            "repetitions": repetitions, "base_seed": base_seed}
+    return ExperimentConfig(family, cells, repetitions, base_seed, echo, output_dir)
 
 
 def derive_seed(base_seed: int, cell_key, rep: int) -> int:
@@ -141,19 +144,6 @@ class SweepSummary:
                            "fits": self.fits}, sort_keys=True, indent=2)
 
 
-def _run_one(config: ExperimentConfig, family: RegionFamily, cell_idx: int,
-             learner_spec: dict, t: int, sigma: float, rep: int) -> GameTrace:
-    universe = ContextUniverse(config.universe)
-    learner = learner_from_spec(learner_spec, family, universe, t, sigma)
-    adversary = adversary_from_spec(config.adversary, sigma=sigma, family=family)
-    cell_key = {"learner": learner_spec, "T": t, "sigma": sigma}
-    seed = derive_seed(config.base_seed, cell_key, rep)
-    run_id = f"c{cell_idx:03d}r{rep:03d}"
-    trace = run_game(learner, adversary, universe, t, seed, run_id=run_id)
-    trace.comparator = prefix_best_losses(trace.xs, trace.ys, family)
-    return trace
-
-
 def run(config: Union[dict, str, Path, ExperimentConfig],
         output_dir: Optional[Union[str, Path]] = None) -> SweepSummary:
     """Execute the sweep; write one records CSV per cell plus summary.json.
@@ -164,16 +154,20 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
     that finished, so an interrupt leaves complete, parseable CSV prefixes.
     """
     cfg = config if isinstance(config, ExperimentConfig) else parse_config(config)
-    family = _checked_family(cfg)
     out = Path(output_dir or cfg.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
 
     summary_cells: list[dict] = []
-    for ci, (ls, t, s) in enumerate(cfg.cells):
+    for ci, cell in enumerate(cfg.cells):
+        cell_key = {"learner": cell.learner_spec, "T": cell.T, "sigma": cell.sigma}
         traces: list[GameTrace] = []
         try:
             for rep in range(cfg.repetitions):
-                traces.append(_run_one(cfg, family, ci, ls, t, s, rep))
+                trace = run_game(cell.learner, cell.adversary, cfg.family.universe, cell.T,
+                                 derive_seed(cfg.base_seed, cell_key, rep),
+                                 run_id=f"c{ci:03d}r{rep:03d}")
+                trace.comparator = prefix_best_losses(trace.xs, trace.ys, cfg.family)
+                traces.append(trace)
         finally:
             if traces:
                 with open(out / f"records_cell{ci:03d}.csv", "w", encoding="utf-8",
@@ -182,19 +176,14 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
         finals = [float(tr.cum_losses[-1]) for tr in traces]
         regrets = np.array([f - tr.comparator[-1] for f, tr in zip(finals, traces)])
         summary_cells.append({
-            "cell": ci, "learner": ls, "T": t, "sigma": s,
+            "cell": ci, "learner": cell.learner_spec, "T": cell.T, "sigma": cell.sigma,
             "final_regrets": [float(v) for v in regrets],
             "mean_final_regret": float(regrets.mean()),
             "stddev_final_regret": float(regrets.std(ddof=1)) if len(regrets) > 1 else 0.0,
             "mean_final_loss": float(np.mean(finals)),
         })
 
-    summary = SweepSummary(
-        config={"universe": cfg.universe, "family": cfg.family, "adversary": cfg.adversary,
-                "learner": cfg.learners, "T": cfg.horizons, "sigma": cfg.sigmas,
-                "repetitions": cfg.repetitions, "base_seed": cfg.base_seed},
-        cells=summary_cells,
-    )
+    summary = SweepSummary(config=cfg.echo, cells=summary_cells)
     try:
         summary.fits = fit_scaling(summary)
     except ConfigError:

@@ -49,11 +49,11 @@ class RegionFamily:
             raise ConfigError("family.regions: must be a nonempty list of context id lists")
         member = np.zeros((size, len(regions)), dtype=bool)
         for i, ids in enumerate(regions):
-            ids = np.asarray(list(ids), dtype=np.int64)
-            if ids.size and (ids.min() < 0 or ids.max() >= size):
-                bad = ids.min() if ids.min() < 0 else ids.max()
+            ids = list(ids)     # range-checked as Python ints: the cast would overflow
+            if ids and (min(ids) < 0 or max(ids) >= size):
+                bad = min(ids) if min(ids) < 0 else max(ids)
                 raise ConfigError(f"family.regions[{i}]: context id {bad} outside [0, {size})")
-            member[ids, i] = True
+            member[np.asarray(ids, dtype=np.int64), i] = True
         return cls(ContextUniverse(size), EXPLICIT, member)
 
     def __len__(self) -> int:
@@ -79,14 +79,6 @@ class RegionFamily:
             return json.dumps({"kind": THRESHOLD_GRID, "size": self.universe.size})
         regions = [np.flatnonzero(col).tolist() for col in self._member.T]
         return json.dumps({"kind": EXPLICIT, "size": self.universe.size, "regions": regions})
-
-    @classmethod
-    def from_json(cls, text: str) -> "RegionFamily":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"family: invalid JSON ({e})") from None
-        return cls.from_spec(obj)
 
     @classmethod
     def from_spec(cls, obj: dict) -> "RegionFamily":

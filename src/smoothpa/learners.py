@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -156,6 +156,11 @@ def mixture_update(state: MixtureState, x: int, y: int) -> MixtureState:
     return out
 
 
+# Largest hallucination rate: the per-cell Poisson rate n / 2U stays far below
+# the largest rate numpy's Poisson sampler accepts (about 9.2e18).
+_N_MAX = 1e18
+
+
 @dataclass(frozen=True)
 class FtplConfig:
     """FTPL knobs: Poisson rate of hallucinated samples and truncation level."""
@@ -164,8 +169,8 @@ class FtplConfig:
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 <= self.n < math.inf:
-            raise ConfigError(f"learner.ftpl.n: {self.n} must be finite and >= 0")
+        if not 0.0 <= self.n <= _N_MAX:
+            raise ConfigError(f"learner.ftpl.n: {self.n:g} outside [0, {_N_MAX:g}]")
         if not 0.0 < self.alpha < 0.5:
             raise ConfigError(f"learner.ftpl.alpha: {self.alpha} outside (0, 1/2)")
 
@@ -313,8 +318,10 @@ def _number(params: dict, key: str, default: float, path: str) -> float:
     if value is None:
         return default
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}.{key}: {value!r} is not a number") from None
 
 
@@ -325,14 +332,14 @@ def _positive(params: dict, key: str, default: float, path: str) -> float:
     return value
 
 
-def learner_factory(spec: dict, T: int, sigma: float) -> Callable[[RegionFamily], object]:
-    """Check a learner spec for one (T, sigma) cell and fill in its defaults.
+def learner_from_spec(spec: dict, family: RegionFamily, T: int, sigma: float):
+    """The learner a JSON spec describes for one (T, sigma) cell, its defaults
+    filled in.
 
-    Returns a function from the region family to a fresh learner. Specs are
-    {"uniform": {}}, {"kt": {"beta": 0.5}}, {"vc_mixture": {"eps": ...}} with
-    eps defaulting to sigma/T^2, or {"ftpl": {"n": ..., "alpha": ...}} with both
-    defaulting to the T^{4/5}-style tuning. A malformed spec raises ConfigError
-    naming the field, e.g. `learner.ftpl.n: 'abc' is not a number`.
+    Specs are {"uniform": {}}, {"kt": {"beta": 0.5}}, {"vc_mixture": {"eps": ...}}
+    with eps defaulting to sigma/T^2, or {"ftpl": {"n": ..., "alpha": ...}} with
+    both defaulting to the T^{4/5}-style tuning. A malformed spec raises
+    ConfigError naming the field, e.g. `learner.ftpl.n: 'abc' is not a number`.
     """
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError("learner: must be an object with exactly one kind key")
@@ -341,13 +348,11 @@ def learner_factory(spec: dict, T: int, sigma: float) -> Callable[[RegionFamily]
         raise ConfigError(f"learner.{kind}: parameters must be an object")
     path = f"learner.{kind}"
     if kind == "uniform":
-        return lambda family: UniformLearner()
+        return UniformLearner()
     if kind == "kt":
-        beta = _positive(params, "beta", 0.5, path)
-        return lambda family: KtLearner(beta)
+        return KtLearner(_positive(params, "beta", 0.5, path))
     if kind == "vc_mixture":
-        eps = _positive(params, "eps", sigma / float(T) ** 2, path)
-        return lambda family: MixtureLearner(family, eps)
+        return MixtureLearner(family, _positive(params, "eps", sigma / float(T) ** 2, path))
     if kind == "ftpl":
         n_def, alpha_def = default_ftpl_tuning(T, sigma)
         n = _number(params, "n", n_def, path)
@@ -355,12 +360,5 @@ def learner_factory(spec: dict, T: int, sigma: float) -> Callable[[RegionFamily]
         if params.get("alpha") is None and not 0.0 < alpha < 0.5:
             raise ConfigError(f"learner.ftpl.alpha: the default 1/T = {alpha:g} at T = {T} "
                               f"is outside (0, 1/2); set alpha explicitly")
-        config = FtplConfig(n, alpha)
-        return lambda family: FtplLearner(config, family)
+        return FtplLearner(FtplConfig(n, alpha), family)
     raise ConfigError(f"learner: unknown kind {kind!r}")
-
-
-def learner_from_spec(spec: dict, family: RegionFamily, universe: ContextUniverse,
-                      T: int, sigma: float):
-    """Instantiate a learner from its JSON spec (see `learner_factory`)."""
-    return learner_factory(spec, T, sigma)(family)

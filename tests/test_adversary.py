@@ -38,6 +38,12 @@ def test_validate_smooth_minimal_support():
     pmf[:k] = 1.0 / k
     ok, _ = validate_smooth(pmf, sigma)
     assert ok
+    # however small sigma * U is, a target set holds at least one context
+    assert min_support_size(1e-300, 8) == 1
+    for rule in ("static", "adaptive"):
+        trace = run_game(UniformLearner(), subset_smooth_adversary(1e-300, rule=rule),
+                         ContextUniverse(8), 4, seed=0)
+        assert len(trace.xs) == 4
 
 
 def test_validate_smooth_rejects_bad_vectors():
@@ -209,10 +215,16 @@ def test_adversary_from_spec_errors():
         adversary_from_spec({"label": "greedy"})  # sigma missing
     with pytest.raises(ConfigError):
         adversary_from_spec({"label": "realizable"}, sigma=0.5)
+    realizable = {"label": "realizable", "f_star": {"theta0": 0.2, "theta1": 0.8}}
+    with pytest.raises(ConfigError, match="realizable rule needs a hypothesis family"):
+        adversary_from_spec(realizable, sigma=0.5)
     with pytest.raises(ConfigError):
         adversary_from_spec({"rule": "chaotic"}, sigma=0.5)
-    with pytest.raises(ConfigError):
-        FixedSequenceLabelRule([0, 2])
+    for labels in ([0, 2], [True, 0, 1], [0, False]):
+        with pytest.raises(ConfigError, match=r"^adversary\.labels: entries must be 0 or 1"):
+            FixedSequenceLabelRule(labels)
+        with pytest.raises(ConfigError, match=r"^adversary\.labels: entries must be 0 or 1"):
+            adversary_from_spec({"label": "fixed_sequence", "labels": labels}, sigma=0.5)
 
 
 def test_fixed_sequence_exhaustion():

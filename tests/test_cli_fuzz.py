@@ -25,11 +25,26 @@ SUMMARY = {"cells": [{"learner": {"uniform": {}}, "sigma": 0.5, "T": t,
                       "mean_final_regret": 0.7 * t, "final_regrets": [0.6 * t, 0.8 * t]}
                      for t in (8, 16, 32, 64)]}
 
+# a tiny sweep: every learner kind, a realizable adaptive adversary, one repetition
+RUN_CONFIG = {"universe": 6, "family": EXPLICIT,
+              "adversary": {"context": "subset_uniform", "rule": "adaptive",
+                            "label": "realizable",
+                            "f_star": {"region_index": 1, "theta0": 0.2, "theta1": 0.9}},
+              "repetitions": 1, "base_seed": 7,
+              "sweep": {"learner": [{"uniform": {}}, {"kt": {"beta": 0.5}},
+                                    {"vc_mixture": {"eps": 0.2}},
+                                    {"ftpl": {"n": 4, "alpha": 0.1}}],
+                        "T": [4, 8], "sigma": [0.5]}}
+
 KEYS = ["kind", "size", "regions", "family", "hypotheses", "cells", "learner", "sigma", "T",
-        "mean_final_regret", "final_regrets"]
+        "mean_final_regret", "final_regrets", "universe", "adversary", "rule", "label",
+        "f_star", "labels", "set", "repetitions", "sweep", "uniform", "kt", "vc_mixture",
+        "ftpl", "n", "alpha", "eps", "beta"]
 scalars = (st.none() | st.booleans() | st.integers(-3, 70)
            | st.floats(-2.0, 2.0) | st.sampled_from([float("nan"), float("inf"), -float("inf")])
-           | st.text(max_size=4) | st.sampled_from(KEYS + ["threshold_grid", "explicit"]))
+           | st.text(max_size=4)
+           | st.sampled_from(KEYS + ["threshold_grid", "explicit", "static", "adaptive",
+                                     "greedy", "realizable", "fixed_sequence"]))
 json_values = st.recursive(
     scalars,
     lambda inner: st.lists(inner, max_size=4)
@@ -88,6 +103,8 @@ FUZZ = settings(max_examples=40, deadline=None,
 
 
 def test_valid_files_exit_0():
+    with tempfile.TemporaryDirectory() as out:
+        assert run_cli("run", ["--output-dir", out], config=RUN_CONFIG) == 0
     assert run_cli("nml", [], **{"class": CLASS, "contexts": CONTEXTS}) == 0
     assert run_cli("nml", [], **{"class": EXPLICIT_CLASS, "contexts": CONTEXTS}) == 0
     assert run_cli("fit", [], summary=SUMMARY) == 0
@@ -110,3 +127,10 @@ def test_fit_summary_fuzz(summary):
 @given(file_input(EXPLICIT) | file_input(GRID))
 def test_cover_family_fuzz(family):
     assert run_cli("cover", ["--eps", "0.3"], family=family) in (0, 2, 3)
+
+
+@FUZZ
+@given(file_input(RUN_CONFIG))
+def test_run_config_fuzz(config):
+    with tempfile.TemporaryDirectory() as out:
+        assert run_cli("run", ["--output-dir", out], config=config) in (0, 2, 3)

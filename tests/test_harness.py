@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 import smoothpa.harness as harness
+from smoothpa.adversary import adversary_from_spec
 from smoothpa.cli import main as cli_main
+from smoothpa.core import run_game
 from smoothpa.errors import ConfigError
-from smoothpa.harness import ExperimentConfig, derive_seed, fit_scaling, parse_config, run
+from smoothpa.harness import derive_seed, fit_scaling, parse_config, run
+from smoothpa.hypotheses import RegionFamily
+from smoothpa.learners import learner_from_spec
 
 
 def base_config(**overrides):
@@ -91,6 +95,7 @@ def test_parse_config_field_paths():
             parse_config(base_config(adversary=dict(realizable, f_star=fs)))
     explicit = {"kind": "explicit", "size": 8}
     for regions, message in (([[0, 9]], r"family\.regions\[0\]: context id 9 outside \[0, 8\)"),
+                             ([[10 ** 20]], r"family\.regions\[0\]: context id 10+ outside"),
                              ([[1], [-2]], r"family\.regions\[1\]: context id -2 outside"),
                              ([[1], [2, "a"]], r"family\.regions\[1\]: must be a list of int"),
                              ([], r"family\.regions: must be a nonempty list")):
@@ -103,7 +108,10 @@ def test_parse_config_field_paths():
     for key, value, message in (("T", 4.7, "T: 4.7 is not a valid int"),
                                 ("T", True, "T: True is not a valid int"),
                                 ("repetitions", 2.9, "repetitions: 2.9 is not a valid int"),
-                                ("sigma", True, "sigma: True is not a valid float")):
+                                ("sigma", True, "sigma: True is not a valid float"),
+                                ("output_dir", 5, "output_dir: 5 is not a string or null"),
+                                ("output_dir", ["out"],
+                                 r"output_dir: \['out'\] is not a string or null")):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             parse_config(base_config(**{key: value}))
 
@@ -167,33 +175,78 @@ def test_bad_learner_spec_fails_before_any_output(tmp_path):
 
 @pytest.mark.parametrize("learner", [{"uniform": {}}, {"kt": {"beta": 0.5}}])
 def test_run_rejects_family_universe_mismatch(tmp_path, learner):
-    cfg = ExperimentConfig(universe=16, family={"kind": "threshold_grid", "size": 8},
-                           adversary={"rule": "static", "label": "greedy"},
-                           learners=[learner], horizons=[16], sigmas=[0.5],
-                           repetitions=1, base_seed=3)
+    cfg = base_config(universe=16, learner=learner, base_seed=3)
     with pytest.raises(ConfigError, match="^family.size: 8 differs from universe 16"):
         run(cfg, output_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
-    # an ExperimentConfig skips parse_config, and its learner specs are checked all the same
-    cfg.universe = 8
-    cfg.learners = [learner, {"ftpl": {"n": "abc"}}]
-    with pytest.raises(ConfigError, match=r"^learner\.ftpl\.n: 'abc' is not a number"):
-        run(cfg, output_dir=tmp_path)
-    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_builds_the_family_once_and_each_cell_once(tmp_path, monkeypatch):
+    counts = {"family": 0, "learner": 0, "adversary": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness.RegionFamily, "from_spec",
+                        counting("family", harness.RegionFamily.from_spec))
+    monkeypatch.setattr(harness, "learner_from_spec",
+                        counting("learner", harness.learner_from_spec))
+    monkeypatch.setattr(harness, "adversary_from_spec",
+                        counting("adversary", harness.adversary_from_spec))
+    cfg = base_config(sweep={"learner": [{"kt": {}}, {"vc_mixture": {}}, {"ftpl": {}}],
+                             "T": [8, 16], "sigma": [0.5, 1.0]}, repetitions=3)
+    summary = run(cfg, output_dir=tmp_path)
+    assert len(summary.cells) == 12
+    assert counts == {"family": 1, "learner": 12, "adversary": 12}
+
+
+REUSE_LABELS = {
+    "greedy": {"label": "greedy"},
+    "realizable": {"label": "realizable",
+                   "f_star": {"region_index": 3, "theta0": 0.2, "theta1": 0.9}},
+    "fixed_sequence": {"label": "fixed_sequence", "labels": [1, 0, 0, 1, 1, 1, 0, 1] * 3},
+}
+
+
+@pytest.mark.parametrize("rule", ["static", "adaptive"])
+@pytest.mark.parametrize("label", sorted(REUSE_LABELS))
+@pytest.mark.parametrize("learner", [{"uniform": {}}, {"kt": {}}, {"vc_mixture": {}},
+                                     {"ftpl": {"n": 8, "alpha": 0.1}}])
+def test_reused_learner_and_adversary_replay_a_fresh_game(learner, label, rule):
+    # run plays every repetition of a cell on the same two objects
+    family = RegionFamily.threshold_grid(8)
+    spec = dict(REUSE_LABELS[label], rule=rule)
+
+    def build():
+        return (learner_from_spec(learner, family, 24, 0.5),
+                adversary_from_spec(spec, sigma=0.5, family=family))
+    played = build()
+    run_game(*played, family.universe, 24, seed=1)
+    fresh = run_game(*build(), family.universe, 24, seed=2)
+    reused = run_game(*played, family.universe, 24, seed=2)
+    for column in ("xs", "ys", "qs", "losses"):
+        assert np.array_equal(getattr(reused, column), getattr(fresh, column)), column
 
 
 class ExplodingLearner:
+    """Fails `fail_at` rounds into its game number `fail_game`, counting from 1."""
+
     name = "exploding"
 
-    def __init__(self, fail_at):
+    def __init__(self, fail_game, fail_at):
+        self.fail_game = fail_game
         self.fail_at = fail_at
-        self.seen = 0
+        self.games = 0
 
     def reset(self, universe, rng):
-        pass
+        self.games += 1
+        self.seen = 0
 
     def predict(self, x):
-        if self.seen >= self.fail_at:
+        if self.games == self.fail_game and self.seen >= self.fail_at:
             raise RuntimeError("boom")
         return 0.5
 
@@ -204,10 +257,10 @@ class ExplodingLearner:
 def test_interrupted_run_leaves_parseable_partial_csv(tmp_path, monkeypatch):
     calls = {"n": 0}
 
-    def factory(spec, family, universe, t, sigma):
+    def factory(spec, family, t, sigma):
         calls["n"] += 1
-        # last trajectory of the second cell dies mid-game
-        return ExplodingLearner(fail_at=7 if calls["n"] == 4 else 10 ** 9)
+        # the second cell's learner dies mid-game in its second repetition
+        return ExplodingLearner(fail_game=2 if calls["n"] == 2 else 0, fail_at=7)
 
     monkeypatch.setattr(harness, "learner_from_spec", factory)
     cfg = base_config(T=10, repetitions=2, sweep={"sigma": [0.5, 1.0]})
@@ -362,6 +415,7 @@ def test_cli_argument_errors_exit_2(capsys, argv, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+DIRECTORY = object()    # a test input file that is a directory
 GRID4_CLASS = {"family": {"kind": "threshold_grid", "size": 4},
                "hypotheses": [[1, 0.2, 0.7]]}
 
@@ -397,13 +451,39 @@ GRID4_CLASS = {"family": {"kind": "threshold_grid", "size": 4},
     (["cover", "--family", "f.json", "--eps", "0.3"],
      {"f.json": {"kind": "threshold_grid", "size": 2.5}},
      "family.size: 2.5 is not a valid int"),
+    (["cover", "--family", "f.json", "--eps", "0.3"],
+     {"f.json": {"kind": "explicit", "size": 8, "regions": [[10 ** 20]]}},
+     f"family.regions[0]: context id {10 ** 20} outside [0, 8)"),
+    (["cover", "--family", "f.json", "--eps", "0.3"], {"f.json": b"{"},
+     "family: invalid JSON in {tmp}/f.json (Expecting property name enclosed in double "
+     "quotes: line 1 column 2 (char 1))"),
+    # a directory, and bytes that are not UTF-8
+    (["run", "--config", "d"], {"d": DIRECTORY}, "config: cannot read {tmp}/d: Is a directory"),
+    (["cover", "--family", "d", "--eps", "0.3"], {"d": DIRECTORY},
+     "family: cannot read {tmp}/d: Is a directory"),
+    (["fit", "--summary", "d"], {"d": DIRECTORY}, "summary: cannot read {tmp}/d: Is a directory"),
+    (["nml", "--class", "d", "--contexts", "x.json"], {"d": DIRECTORY, "x.json": [0]},
+     "class file: cannot read {tmp}/d: Is a directory"),
+    (["nml", "--class", "c.json", "--contexts", "d"], {"c.json": GRID4_CLASS, "d": DIRECTORY},
+     "contexts file: cannot read {tmp}/d: Is a directory"),
+    (["run", "--config", "b.json"], {"b.json": b"\xff\xfe{"},
+     "config: {tmp}/b.json is not UTF-8 text"),
+    (["cover", "--family", "b.json", "--eps", "0.3"], {"b.json": b"\xff\xfe{"},
+     "family: {tmp}/b.json is not UTF-8 text"),
+    (["fit", "--summary", "s.json"], {"s.json": b"[" * 10 ** 5 + b"]" * 10 ** 5},
+     "summary: {tmp}/s.json nests too deeply"),
 ])
 def test_cli_file_errors_exit_2(tmp_path, capsys, argv, files, message):
     for name, obj in files.items():
-        (tmp_path / name).write_text(json.dumps(obj))
+        if obj is DIRECTORY:
+            (tmp_path / name).mkdir()
+        elif isinstance(obj, bytes):
+            (tmp_path / name).write_bytes(obj)
+        else:
+            (tmp_path / name).write_text(json.dumps(obj))
     argv = [str(tmp_path / a) if a in files else a for a in argv]
     assert cli_main(argv) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert capsys.readouterr().err == f"config error: {message.format(tmp=tmp_path)}\n"
 
 
 def test_cli_numerical_assertion_exit_code(tmp_path, capsys):

@@ -253,13 +253,13 @@ def test_threshold_fast_path_equals_generic_scan():
 
 def test_family_json_roundtrip():
     fam = RegionFamily.threshold_grid(12)
-    back = RegionFamily.from_json(fam.to_json())
+    back = RegionFamily.from_spec(json.loads(fam.to_json()))
     assert back.kind == "threshold_grid" and back.universe.size == 12
     obj = json.loads(fam.to_json())
     assert obj == {"kind": "threshold_grid", "size": 12}
 
     fam2 = RegionFamily.explicit(5, [[0, 2], [1, 3, 4]])
-    back2 = RegionFamily.from_json(fam2.to_json())
+    back2 = RegionFamily.from_spec(json.loads(fam2.to_json()))
     assert np.array_equal(back2.contains(np.arange(5)), fam2.contains(np.arange(5)))
     obj2 = json.loads(fam2.to_json())
     assert obj2["kind"] == "explicit" and obj2["regions"] == [[0, 2], [1, 3, 4]]
@@ -267,8 +267,8 @@ def test_family_json_roundtrip():
 
 def test_family_json_errors():
     with pytest.raises(ConfigError):
-        RegionFamily.from_json("not json")
+        RegionFamily.from_spec("not an object")
     with pytest.raises(ConfigError):
-        RegionFamily.from_json(json.dumps({"kind": "mystery"}))
+        RegionFamily.from_spec({"kind": "mystery"})
     with pytest.raises(ConfigError):
-        RegionFamily.from_json(json.dumps({"kind": "threshold_grid"}))
+        RegionFamily.from_spec({"kind": "threshold_grid"})

@@ -469,6 +469,12 @@ def test_ftpl_config_validation():
         FtplConfig(n=math.inf, alpha=0.1)
     with pytest.raises(ConfigError, match=r"learner\.ftpl\.n"):
         FtplConfig(n=math.nan, alpha=0.1)
+    # a larger rate would overflow the Poisson draw of a one-context universe
+    with pytest.raises(ConfigError, match=r"^learner\.ftpl\.n: 1e\+30 outside \[0, 1e\+18\]"):
+        FtplConfig(n=1e30, alpha=0.1)
+    lr = FtplLearner(FtplConfig(n=1e18, alpha=0.1), RegionFamily.threshold_grid(1))
+    lr.reset(ContextUniverse(1), np.random.default_rng(0))
+    assert 0.0 < lr.predict(0) < 1.0
 
 
 @pytest.mark.parametrize("universe", [4, 16])
@@ -483,42 +489,44 @@ def test_ftpl_reset_rejects_universe_mismatch(universe):
 
 def test_learner_from_spec_kinds():
     fam = RegionFamily.threshold_grid(8)
-    uni = ContextUniverse(8)
-    assert isinstance(learner_from_spec({"uniform": {}}, fam, uni, 16, 0.5), UniformLearner)
-    kt = learner_from_spec({"kt": {"beta": 1.0}}, fam, uni, 16, 0.5)
+    assert isinstance(learner_from_spec({"uniform": {}}, fam, 16, 0.5), UniformLearner)
+    kt = learner_from_spec({"kt": {"beta": 1.0}}, fam, 16, 0.5)
     assert isinstance(kt, KtLearner) and kt.beta == 1.0
-    mix = learner_from_spec({"vc_mixture": {}}, fam, uni, 16, 0.5)
+    mix = learner_from_spec({"vc_mixture": {}}, fam, 16, 0.5)
     assert isinstance(mix, MixtureLearner) and mix.eps == pytest.approx(0.5 / 256)
-    ftpl = learner_from_spec({"ftpl": {"n": 4, "alpha": 0.25}}, fam, uni, 16, 0.5)
+    ftpl = learner_from_spec({"ftpl": {"n": 4, "alpha": 0.25}}, fam, 16, 0.5)
     assert isinstance(ftpl, FtplLearner) and ftpl.config.n == 4.0
-    auto = learner_from_spec({"ftpl": {}}, fam, uni, 1024, 0.25)
+    auto = learner_from_spec({"ftpl": {}}, fam, 1024, 0.25)
     assert auto.config.alpha == pytest.approx(1 / 1024)
     assert auto.config.n == pytest.approx(round(1024 ** 0.8 / math.sqrt(0.25)))
 
 
 def test_learner_from_spec_errors():
     fam = RegionFamily.threshold_grid(8)
-    uni = ContextUniverse(8)
     with pytest.raises(ConfigError):
-        learner_from_spec({"nn": {}}, fam, uni, 16, 0.5)
+        learner_from_spec({"nn": {}}, fam, 16, 0.5)
     with pytest.raises(ConfigError):
-        learner_from_spec({"uniform": {}, "kt": {}}, fam, uni, 16, 0.5)
+        learner_from_spec({"uniform": {}, "kt": {}}, fam, 16, 0.5)
     with pytest.raises(ConfigError):
-        learner_from_spec({"uniform": 3}, fam, uni, 16, 0.5)
+        learner_from_spec({"uniform": 3}, fam, 16, 0.5)
     for t in (1, 2):    # the default alpha = 1/T leaves (0, 1/2)
         with pytest.raises(ConfigError, match=rf"learner\.ftpl\.alpha: the default 1/T .* T = {t}"):
-            learner_from_spec({"ftpl": {}}, fam, uni, t, 0.5)
-    assert learner_from_spec({"ftpl": {"alpha": 0.1}}, fam, uni, 2, 0.5).config.alpha == 0.1
+            learner_from_spec({"ftpl": {}}, fam, t, 0.5)
+    assert learner_from_spec({"ftpl": {"alpha": 0.1}}, fam, 2, 0.5).config.alpha == 0.1
     with pytest.raises(ConfigError, match=r"learner\.ftpl\.alpha: 0\.5 outside"):
-        learner_from_spec({"ftpl": {"alpha": 0.5}}, fam, uni, 16, 0.5)
-    for key, value in (("n", "abc"), ("n", [3]), ("alpha", "x"), ("alpha", {})):
+        learner_from_spec({"ftpl": {"alpha": 0.5}}, fam, 16, 0.5)
+    for key, value in (("n", "abc"), ("n", [3]), ("n", True), ("n", 10 ** 400),
+                       ("alpha", "x"), ("alpha", {}), ("alpha", False)):
         with pytest.raises(ConfigError, match=rf"learner\.ftpl\.{key}: .* is not a number"):
-            learner_from_spec({"ftpl": {key: value}}, fam, uni, 16, 0.5)
+            learner_from_spec({"ftpl": {key: value}}, fam, 16, 0.5)
+    for kind, key in (("kt", "beta"), ("vc_mixture", "eps")):
+        with pytest.raises(ConfigError, match=rf"^learner\.{kind}\.{key}: True is not a number"):
+            learner_from_spec({kind: {key: True}}, fam, 16, 0.5)
     with pytest.raises(ConfigError, match=r"learner\.kt\.beta: 'b' is not a number"):
-        learner_from_spec({"kt": {"beta": "b"}}, fam, uni, 16, 0.5)
+        learner_from_spec({"kt": {"beta": "b"}}, fam, 16, 0.5)
     with pytest.raises(ConfigError, match=r"learner\.vc_mixture\.eps: \[\] is not a number"):
-        learner_from_spec({"vc_mixture": {"eps": []}}, fam, uni, 16, 0.5)
+        learner_from_spec({"vc_mixture": {"eps": []}}, fam, 16, 0.5)
     for kind, key, value in (("kt", "beta", 0), ("kt", "beta", math.nan),
                              ("vc_mixture", "eps", -0.1), ("vc_mixture", "eps", math.inf)):
         with pytest.raises(ConfigError, match=rf"learner\.{kind}\.{key}: .* must be positive"):
-            learner_from_spec({kind: {key: value}}, fam, uni, 16, 0.5)
+            learner_from_spec({kind: {key: value}}, fam, 16, 0.5)
