@@ -104,7 +104,7 @@ class SubsetUniform:
     """
 
     def __init__(self, size: int, subset: Sequence[int], sigma: float):
-        ids = np.asarray(subset, dtype=np.int64)
+        ids = np.array(subset, dtype=np.int64)      # a copy: the caller may reuse its array
         if ids.ndim != 1:
             raise SmoothnessError(f"target set must be a flat list of ids, got shape {ids.shape}")
         if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
@@ -122,6 +122,7 @@ class SubsetUniform:
         self.size = size
         self.ids = ids
         self.sigma = sigma
+        self._cdf = _uniform_cdf(ids.size)
 
     @functools.cached_property
     def pmf(self) -> np.ndarray:
@@ -131,7 +132,7 @@ class SubsetUniform:
 
     def sample(self, rng: np.random.Generator) -> int:
         """One context: the subset member where a uniform draw falls in the cdf."""
-        return int(self.ids[_uniform_cdf(self.ids.size).searchsorted(rng.random(), side="right")])
+        return int(self.ids[self._cdf.searchsorted(rng.random(), side="right")])
 
 
 def check_static_set(ids, universe: Optional[int]) -> None:
@@ -195,6 +196,14 @@ class AdaptiveExtremenessRule:
     Tracks the most recent prediction per context (1/2 before any visit) and
     proposes the ceil(sigma*U) contexts with the largest |q - 1/2|, a heuristic
     stress rule with no optimality claim. Ties break to the lowest context id.
+
+    One observation moves one key, so the set can change only if the observed
+    context is an outsider, or an insider whose key falls below the best
+    outsider's. The set, its membership mask and that best outsider are kept
+    between rounds, and the argsort reruns only after such an observation.
+    When every context is drawn from the set, the set stays the first
+    ceil(sigma*U) ids: an insider's key (|q - 1/2|, lower id first) always
+    beats an unvisited outsider's (0, id >= ceil(sigma*U)).
     """
 
     tag = "adaptive"
@@ -202,14 +211,34 @@ class AdaptiveExtremenessRule:
     def reset(self, universe: ContextUniverse, sigma: float) -> None:
         self._k = min_support_size(sigma, universe.size)
         self._last_q = np.full(universe.size, 0.5)
+        self._stale = True
 
     def observe(self, x: int, q: float, y: int) -> None:
         self._last_q[x] = q
+        if self._stale or self._best is None:
+            return
+        if not self._inside[x]:
+            self._stale = True
+            return
+        e = abs(float(q) - 0.5)
+        best_e, best = self._best
+        if e < best_e or (e == best_e and x > best):
+            self._stale = True
 
     def target_set(self, history: GameHistory) -> np.ndarray:
-        extremeness = np.abs(self._last_q - 0.5)
-        order = np.argsort(-extremeness, kind="stable")
-        return np.sort(order[: self._k])
+        if self._stale:
+            extremeness = np.abs(self._last_q - 0.5)
+            order = np.argsort(-extremeness, kind="stable")
+            self._set = np.sort(order[: self._k])
+            self._set.flags.writeable = False
+            self._inside = np.zeros(self._last_q.size, dtype=bool)
+            self._inside[self._set] = True
+            self._best = None       # (extremeness, id) of the best outsider, if any
+            if self._k < order.size:
+                best = int(order[self._k])
+                self._best = (float(extremeness[best]), best)
+            self._stale = False
+        return self._set
 
 
 class GreedyLabelRule:
@@ -277,10 +306,18 @@ class AdversaryPolicy:
         self.universe = universe
         self.context_rule.reset(universe, self.sigma)
         self.label_rule.reset(universe, rng)
+        self._dist = None
 
     def context_distribution(self, history: GameHistory) -> SubsetUniform:
-        return SubsetUniform(self.universe.size, self.context_rule.target_set(history),
-                             self.sigma)
+        """The uniform distribution on the rule's set. While the rule proposes
+        the ids it proposed last round (by content, so an array the rule changed
+        in place counts as new), the distribution checked then is reused."""
+        ids = np.asarray(self.context_rule.target_set(history), dtype=np.int64)
+        dist = self._dist
+        if dist is None or ids.shape != self._shape or ids.tobytes() != self._bytes:
+            dist = SubsetUniform(self.universe.size, ids, self.sigma)
+            self._dist, self._shape, self._bytes = dist, ids.shape, ids.tobytes()
+        return dist
 
     def label(self, history: GameHistory, x: int, q: float) -> int:
         return self.label_rule.label(history, x, q)

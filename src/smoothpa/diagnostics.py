@@ -32,7 +32,8 @@ def chi_square_closed_form(target: SmoothDistribution, n_rate: float) -> tuple[f
         raise ValueError("n_rate must be positive")
     u = len(target.pmf)
     value = float(2.0 * u / n_rate * np.sum(target.pmf ** 2))
-    bound = 2.0 / (target.sigma * n_rate)
+    scale = target.sigma * n_rate
+    bound = 2.0 / scale if scale > 0.0 else math.inf     # sigma * n can underflow to 0
     return value, bound
 
 

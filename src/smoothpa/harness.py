@@ -155,7 +155,10 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
     """
     cfg = config if isinstance(config, ExperimentConfig) else parse_config(config)
     out = Path(output_dir or cfg.output_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"output_dir: cannot create {out}: {e.strerror}") from None
 
     summary_cells: list[dict] = []
     for ci, cell in enumerate(cfg.cells):
@@ -192,11 +195,23 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
     return summary
 
 
-def _slopes(ts: np.ndarray, regrets: np.ndarray) -> tuple[float, float, float, float]:
-    lnt = np.log(ts)
-    loglog = np.polyfit(lnt, np.log(np.maximum(regrets, 1e-9)), 1)
-    linlog = np.polyfit(lnt, regrets, 1)
-    return float(loglog[0]), float(loglog[1]), float(linlog[0]), float(linlog[1])
+def _line_design(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """np.polyfit's degree-1 least-squares problem on ln T, built once: the
+    Vandermonde matrix with unit-norm columns, the column scale and rcond."""
+    lhs = np.vander(np.log(ts), 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    return lhs / scale, scale, len(ts) * np.finfo(float).eps
+
+
+def _line(design, y: np.ndarray) -> tuple[float, float]:
+    """(slope, intercept) of y against ln T, bit-identical to np.polyfit(ln T, y, 1)."""
+    lhs, scale, rcond = design
+    c = np.linalg.lstsq(lhs, y + 0.0, rcond)[0] / scale   # + 0.0 as polyfit: -0.0 -> 0.0
+    return float(c[0]), float(c[1])
+
+
+def _slopes(design, regrets: np.ndarray) -> tuple[float, float, float, float]:
+    return (*_line(design, np.log(np.maximum(regrets, 1e-9))), *_line(design, regrets))
 
 
 def fit_scaling(summary: Union[SweepSummary, dict], n_boot: int = 200,
@@ -222,10 +237,11 @@ def fit_scaling(summary: Union[SweepSummary, dict], n_boot: int = 200,
         if len(np.unique(ts)) < 4:
             continue
         means = np.array([c["mean_final_regret"] for c in group])
-        ll_b, ll_a, lt_b, lt_a = _slopes(ts, means)
+        design = _line_design(ts)
+        ll_b, ll_a, lt_b, lt_a = _slopes(design, means)
         # Resample indices for every (resample, cell, repetition) in one draw,
         # in that order; row b holds resample b's index vectors back to back.
-        # Each resample keeps its own fit: one polyfit over all of them rounds
+        # Each resample keeps its own fit: one solve over all of them rounds
         # differently once there are 8 or more horizons.
         vals = [np.asarray(c["final_regrets"]) for c in group]
         sizes = np.array([len(v) for v in vals])
@@ -233,7 +249,7 @@ def fit_scaling(summary: Union[SweepSummary, dict], n_boot: int = 200,
         ends = np.cumsum(sizes)
         resampled = np.stack([v[idx[:, end - len(v): end]].mean(axis=1)
                               for v, end in zip(vals, ends)], axis=1)
-        boot = [_slopes(ts, row) for row in resampled]
+        boot = [_slopes(design, row) for row in resampled]
         boot_ll = [b[0] for b in boot]
         boot_lt = [b[2] for b in boot]
         meta = json.loads(key)

@@ -37,7 +37,8 @@ class RegionFamily:
         self.universe = universe
         self.kind = kind
         self._member = member
-        self._grid = np.arange(universe.size) if member is None else None
+        self._grid = (_allocate(universe.size, lambda: np.arange(universe.size))
+                      if member is None else None)
 
     @classmethod
     def threshold_grid(cls, size: int) -> "RegionFamily":
@@ -47,7 +48,7 @@ class RegionFamily:
     def explicit(cls, size: int, regions: Sequence[Sequence[int]]) -> "RegionFamily":
         if len(regions) == 0:
             raise ConfigError("family.regions: must be a nonempty list of context id lists")
-        member = np.zeros((size, len(regions)), dtype=bool)
+        member = _allocate(size, lambda: np.zeros((size, len(regions)), dtype=bool))
         for i, ids in enumerate(regions):
             ids = list(ids)     # range-checked as Python ints: the cast would overflow
             if ids and (min(ids) < 0 or max(ids) >= size):
@@ -104,6 +105,19 @@ class RegionFamily:
         else:
             size = _size(obj["size"])
         return cls.explicit(size, regions)
+
+
+def _allocate(size: int, make) -> np.ndarray:
+    """make(), an array of `size` rows; numpy's refusal to allocate it ends as a
+    ConfigError. Near 2**63 np.arange returns an empty array instead of
+    refusing, so a short result counts as a refusal too."""
+    try:
+        arr = make()
+    except (ValueError, MemoryError):
+        arr = None
+    if arr is None or len(arr) != size:
+        raise ConfigError(f"family.size: {size} contexts are more than numpy can allocate")
+    return arr
 
 
 def _size(value) -> int:

@@ -5,10 +5,10 @@ import pytest
 
 from smoothpa import (ContextUniverse, Hypothesis, SmoothnessError, UniformLearner,
                       run_game, validate_smooth)
-from smoothpa.adversary import (AdversaryPolicy, FixedSequenceLabelRule,
-                                GreedyLabelRule, SmoothDistribution, SubsetUniform,
-                                adversary_from_spec, greedy_label, min_support_size,
-                                realizable_label, subset_smooth_adversary)
+from smoothpa.adversary import (AdaptiveExtremenessRule, AdversaryPolicy,
+                                FixedSequenceLabelRule, GreedyLabelRule, SmoothDistribution,
+                                SubsetUniform, adversary_from_spec, greedy_label,
+                                min_support_size, realizable_label, subset_smooth_adversary)
 from smoothpa.core import GameHistory
 from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import RegionFamily
@@ -129,6 +129,109 @@ def test_adversary_from_spec_rejects_bad_static_set(ids, message):
     spec = {"rule": "static", "set": ids, "label": "greedy"}
     with pytest.raises(ConfigError, match=message):
         adversary_from_spec(spec, sigma=0.5, family=RegionFamily.threshold_grid(8))
+
+
+def argsort_target_set(last_q, k):
+    """The adaptive rule's set recomputed from scratch: the k contexts with the
+    largest |q - 1/2|, ties to the lowest id, in ascending order."""
+    order = np.argsort(-np.abs(last_q - 0.5), kind="stable")
+    return np.sort(order[:k])
+
+
+def test_adaptive_rule_matches_argsort_on_random_observations():
+    # q values on a coarse grid so that keys tie; contexts drawn from the whole
+    # universe so that outsiders are observed and the set really changes
+    rng = np.random.default_rng(5)
+    changes = 0
+    for trial in range(300):
+        u = int(rng.integers(1, 24))
+        sigma = float(rng.choice([1e-9, 0.1, 0.3, 0.5, 0.9, 1.0]))
+        k = min_support_size(sigma, u)
+        rule = AdaptiveExtremenessRule()
+        rule.reset(ContextUniverse(u), sigma)
+        last_q = np.full(u, 0.5)
+        prev = rule.target_set(None)
+        assert np.array_equal(prev, np.arange(k))
+        for _ in range(60):
+            for _ in range(int(rng.integers(1, 3))):     # sometimes two observations a round
+                x = int(rng.integers(u))
+                q = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
+                rule.observe(x, q, 0)
+                last_q[x] = q
+            got = rule.target_set(None)
+            assert np.array_equal(got, argsort_target_set(last_q, k))
+            changes += not np.array_equal(got, prev)
+            prev = got
+    assert changes > 100
+
+
+def test_adaptive_rule_set_fixed_when_drawn_from_itself():
+    rule = AdaptiveExtremenessRule()
+    rule.reset(ContextUniverse(32), 0.25)
+    rng = np.random.default_rng(0)
+    first = rule.target_set(None)
+    for _ in range(500):
+        x = int(rng.choice(rule.target_set(None)))
+        rule.observe(x, float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0])), 0)
+        assert rule.target_set(None) is first
+    assert np.array_equal(first, np.arange(8))
+
+
+class ListRule:
+    """A custom rule returning a set the test can replace or change in place."""
+
+    tag = "list"
+
+    def __init__(self, ids):
+        self.ids = ids
+
+    def reset(self, universe, sigma):
+        pass
+
+    def observe(self, x, q, y):
+        pass
+
+    def target_set(self, history):
+        return self.ids
+
+
+def test_policy_reuses_distribution_only_for_the_same_ids():
+    rule = ListRule(np.array([0, 2, 4, 6]))
+    adv = subset_smooth_adversary(0.5, target_set_rule=rule)
+    adv.reset(ContextUniverse(8), np.random.default_rng(0))
+    first = adv.context_distribution(None)
+    assert adv.context_distribution(None) is first
+    rule.ids = np.array([0, 2, 4, 6])                   # a new array, the same ids
+    assert adv.context_distribution(None) is first
+    rule.ids = np.array([1, 3, 5, 7])                   # a new set
+    second = adv.context_distribution(None)
+    assert second is not first and np.array_equal(second.ids, [1, 3, 5, 7])
+    rule.ids[0] = 0                                     # the same array, changed in place
+    third = adv.context_distribution(None)
+    assert third is not second and np.array_equal(third.ids, [0, 3, 5, 7])
+    assert np.array_equal(second.ids, [1, 3, 5, 7])     # the checked copy is untouched
+    adv.reset(ContextUniverse(8), np.random.default_rng(0))
+    assert adv.context_distribution(None) is not third  # a new trajectory checks afresh
+
+
+def test_policy_rechecks_a_set_changed_in_place():
+    ids = np.array([0, 2, 4, 6])
+    adv = subset_smooth_adversary(0.5, target_set_rule=ListRule(ids))
+    adv.reset(ContextUniverse(8), np.random.default_rng(0))
+    adv.context_distribution(None)
+    ids[0] = 2                                          # a repeated id
+    with pytest.raises(SmoothnessError, match="repeats context id 2"):
+        adv.context_distribution(None)
+    ids[0] = 0
+    adv.context_distribution(None)
+    ids.shape = (2, 2)                                  # the same bytes, another shape
+    with pytest.raises(SmoothnessError, match="shape"):
+        adv.context_distribution(None)
+    ids.shape = (4,)
+    adv.context_distribution(None)
+    ids.resize(3, refcheck=False)                       # below ceil(0.5 * 8) = 4
+    with pytest.raises(SmoothnessError, match="size 3 below minimum 4"):
+        adv.context_distribution(None)
 
 
 class RecordingPolicy(AdversaryPolicy):

@@ -1,5 +1,6 @@
-"""Fuzz the file inputs of the CLI: arbitrary JSON values and near misses of
-valid files must end in exit code 0, 2 or 3, never in an escaped exception.
+"""Fuzz the CLI: arbitrary JSON values and near misses of valid input files, and
+near misses of valid argument lists, must end in exit code 0, 2 or 3, never in
+an escaped exception.
 
 Numbers are drawn from small ranges (plus nan and the infinities): a family of
 a million contexts is a valid input whose cost is real work, not a malformed one.
@@ -9,6 +10,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -134,3 +136,80 @@ def test_cover_family_fuzz(family):
 def test_run_config_fuzz(config):
     with tempfile.TemporaryDirectory() as out:
         assert run_cli("run", ["--output-dir", out], config=config) in (0, 2, 3)
+
+
+# Valid argument lists for every subcommand, over the files that `ARGV_FILES`
+# writes. Paths are relative to the temporary directory the fuzz runs in, so a
+# drawn token used as an output directory stays inside it.
+VALID_ARGV = [
+    ["run", "--config", "config.json", "--output-dir", "out"],
+    ["chi2", "--sigma", "0.5", "--n", "4", "--universe", "2", "--cutoff", "1e-6"],
+    ["chi2", "--sigma", "0.25", "--n", "2", "--universe", "1", "--no-brute"],
+    ["nml", "--class", "class.json", "--contexts", "contexts.json"],
+    ["cover", "--family", "family.json", "--eps", "0.3"],
+    ["fit", "--summary", "summary.json"],
+]
+ARGV_FILES = {"config.json": RUN_CONFIG, "class.json": CLASS, "contexts.json": CONTEXTS,
+              "family.json": EXPLICIT, "summary.json": SUMMARY}
+# --universe stays at most 2: chi2's enumeration at larger universes is real work
+VALUES = ["-1", "0", "0.5", "1", "2", "1e-300", "1e300", "nan", "inf", "-inf", "abc", "",
+          *ARGV_FILES, "missing.json", "a_dir", "a_file", "a_file/out", "out"]
+TOKENS = sorted({t for argv in VALID_ARGV for t in argv if t.startswith("-")}) + [
+    "run", "chi2", "nml", "cover", "fit", "--help", "-x", "--sigma=0.5", *VALUES]
+
+
+@st.composite
+def near_miss_argv(draw):
+    """A valid argument list with one or two edits: mostly a flag's value
+    swapped for another value, otherwise any token replaced, removed or inserted."""
+    argv = list(draw(st.sampled_from(VALID_ARGV)))
+    for _ in range(draw(st.integers(1, 2))):
+        values = [i for i in range(1, len(argv)) if argv[i - 1].startswith("--")
+                  and not argv[i].startswith("--")]
+        edit = draw(st.sampled_from(["value", "value", "value", "replace", "remove", "insert"]))
+        if edit == "value" and values:
+            argv[draw(st.sampled_from(values))] = draw(st.sampled_from(VALUES))
+            continue
+        i = draw(st.integers(0, len(argv)))
+        if edit == "insert" or i == len(argv):
+            argv.insert(i, draw(st.sampled_from(TOKENS)))
+        elif edit == "replace":
+            argv[i] = draw(st.sampled_from(TOKENS))
+        else:
+            del argv[i]
+    return argv
+
+
+def run_argv(argv) -> tuple[int, str]:
+    """cli.main on argv inside a fresh directory holding the valid input files;
+    returns the exit code, argparse's SystemExit counted as one, and stderr."""
+    err = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, obj in ARGV_FILES.items():
+            (Path(tmp) / name).write_text(json.dumps(obj))
+        (Path(tmp) / "a_dir").mkdir()
+        (Path(tmp) / "a_file").write_text("")
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = cli_main(argv)
+                except SystemExit as e:     # argparse: 2 on a usage error, 0 after --help
+                    code = e.code
+        finally:
+            os.chdir(cwd)
+    return code, err.getvalue()
+
+
+def test_valid_argv_exit_0():
+    for argv in VALID_ARGV:
+        assert run_argv(argv) == (0, "")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(near_miss_argv())
+def test_cli_argv_fuzz(argv):
+    code, err = run_argv(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err

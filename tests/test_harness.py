@@ -343,6 +343,14 @@ def test_fit_scaling_bootstrap_equals_per_resample_loop(n_t):
         got = fit_scaling({"cells": cells}, seed=trial)["groups"]
         want = per_resample_bootstrap({"cells": cells}, seed=trial)
         assert [{k: g[k] for k in ("loglog_ci", "lnT_ci")} for g in got] == want
+        # the point fits, bit for bit against np.polyfit
+        for g in got:
+            lnt, means = np.log(np.array(g["T"], dtype=float)), np.array(g["mean_regret"])
+            for name, y in (("loglog", np.log(np.maximum(means, 1e-9))), ("lnT", means)):
+                slope, intercept = np.polyfit(lnt, y, 1)
+                assert (np.float64(g[f"{name}_slope"]).tobytes(),
+                        np.float64(g[f"{name}_intercept"]).tobytes()) == \
+                    (slope.tobytes(), intercept.tobytes())
 
 
 def test_fit_scaling_needs_four_points():
@@ -365,6 +373,12 @@ def test_cli_run_and_fit(tmp_path, capsys):
     assert cli_main(["fit", "--summary", str(out / "summary.json")]) == 0
     fits = json.loads(capsys.readouterr().out)
     assert fits["fits"]["groups"][0]["lnT_slope"] >= 0.0
+
+
+def test_cli_chi2_bound_when_sigma_times_n_underflows(capsys):
+    assert cli_main(["chi2", "--sigma", "1e-300", "--n", "1e-300", "--universe", "1",
+                     "--no-brute"]) == 0
+    assert json.loads(capsys.readouterr().out)["chi2"]["bound"] == math.inf
 
 
 def test_cli_chi2_report(capsys):
@@ -472,6 +486,27 @@ GRID4_CLASS = {"family": {"kind": "threshold_grid", "size": 4},
      "family: {tmp}/b.json is not UTF-8 text"),
     (["fit", "--summary", "s.json"], {"s.json": b"[" * 10 ** 5 + b"]" * 10 ** 5},
      "summary: {tmp}/s.json nests too deeply"),
+    # family sizes numpy refuses before allocating anything (>= 2**63)
+    (["cover", "--family", "f.json", "--eps", "0.3"],
+     {"f.json": {"kind": "explicit", "regions": [[10 ** 20]]}},
+     f"family.size: {10 ** 20 + 1} contexts are more than numpy can allocate"),
+    (["cover", "--family", "f.json", "--eps", "0.3"],
+     {"f.json": {"kind": "threshold_grid", "size": 10 ** 20}},
+     f"family.size: {10 ** 20} contexts are more than numpy can allocate"),
+    (["cover", "--family", "f.json", "--eps", "0.3"],
+     {"f.json": {"kind": "threshold_grid", "size": 2 ** 63}},
+     f"family.size: {2 ** 63} contexts are more than numpy can allocate"),
+    (["run", "--config", "c.json"],
+     {"c.json": dict(base_config(), universe=10 ** 20 + 1,
+                     family={"kind": "explicit", "regions": [[10 ** 20]]})},
+     f"family.size: {10 ** 20 + 1} contexts are more than numpy can allocate"),
+    (["run", "--config", "c.json"],
+     {"c.json": dict(base_config(), universe=10 ** 20,
+                     family={"kind": "threshold_grid", "size": 10 ** 20})},
+     f"family.size: {10 ** 20} contexts are more than numpy can allocate"),
+    # an output directory that names an existing file, from the flag or the config
+    (["run", "--config", "c.json", "--output-dir", "f"], {"c.json": base_config(), "f": b""},
+     "output_dir: cannot create {tmp}/f: File exists"),
 ])
 def test_cli_file_errors_exit_2(tmp_path, capsys, argv, files, message):
     for name, obj in files.items():
@@ -484,6 +519,22 @@ def test_cli_file_errors_exit_2(tmp_path, capsys, argv, files, message):
     argv = [str(tmp_path / a) if a in files else a for a in argv]
     assert cli_main(argv) == 2
     assert capsys.readouterr().err == f"config error: {message.format(tmp=tmp_path)}\n"
+
+
+def test_output_dir_in_config_naming_a_file_exits_2_before_play(tmp_path, capsys):
+    # this sweep's first round raises SmoothnessError (exit 3) once it plays
+    cfg = base_config(adversary={"context": "subset_uniform", "rule": "static",
+                                 "set": [0], "label": "greedy"})
+    (tmp_path / "f").write_bytes(b"")
+    for out in ("f", "f/out"):
+        cfg["output_dir"] = str(tmp_path / out)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["run", "--config", str(path)]) == 2
+        reason = "File exists" if out == "f" else "Not a directory"
+        assert capsys.readouterr().err == \
+            f"config error: output_dir: cannot create {tmp_path / out}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "f"]
 
 
 def test_cli_numerical_assertion_exit_code(tmp_path, capsys):
