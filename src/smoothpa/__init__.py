@@ -1,13 +1,12 @@
 """Sequential probability assignment under log-loss against smooth adaptive
 adversaries: learners, oracles, couplings, diagnostics, and a sweep harness."""
 
-from .core import ContextUniverse, Example, GameHistory, GameTrace, log_loss, run_game
+from .core import ContextUniverse, GameTrace, log_loss, run_game
 from .errors import (ConfigError, InfiniteLossError, NumericalAssertionError,
                      SmoothnessError)
 from .hypotheses import Hypothesis, RegionFamily, evaluate, mle_oracle, offline_best_loss
 from .adversary import (AdversaryPolicy, SmoothDistribution, SubsetUniform,
-                        adversary_from_spec, greedy_label, realizable_label,
-                        subset_smooth_adversary, validate_smooth)
+                        adversary_from_spec, subset_smooth_adversary, validate_smooth)
 from .coupling import rejection_couple_batch
 from .learners import (FtplConfig, FtplLearner, KtLearner, MixtureLearner,
                        MixtureState, UniformLearner, epsilon_cover,

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ContextUniverse, GameHistory
+from .core import ContextUniverse
 from .errors import ConfigError, SmoothnessError, parse_field
 from .hypotheses import Hypothesis, RegionFamily, evaluate
 
@@ -154,24 +154,8 @@ def check_static_set(ids, universe: Optional[int]) -> None:
         seen.add(v)
 
 
-def greedy_label(q1: float) -> int:
-    """Per-round loss-maximizing label: the side the learner considers less likely.
-
-    Ties at q1 = 1/2 resolve to 0 for determinism.
-    """
-    return 0 if q1 >= 0.5 else 1
-
-
-def realizable_label(family: RegionFamily, f_star: Hypothesis, x: int,
-                     rng: np.random.Generator) -> int:
-    """Draw y ~ Bernoulli(f*(x))."""
-    return int(rng.random() < evaluate(family, f_star, x))
-
-
 class StaticSubsetRule:
     """Context rule: uniform on a fixed subset of the universe."""
-
-    tag = "static"
 
     def __init__(self, subset: Optional[Sequence[int]] = None):
         self.subset = None if subset is None else np.asarray(subset, dtype=np.int64)
@@ -186,7 +170,7 @@ class StaticSubsetRule:
     def observe(self, x: int, q: float, y: int) -> None:
         pass
 
-    def target_set(self, history: GameHistory) -> np.ndarray:
+    def target_set(self) -> np.ndarray:
         return self._set
 
 
@@ -206,8 +190,6 @@ class AdaptiveExtremenessRule:
     beats an unvisited outsider's (0, id >= ceil(sigma*U)).
     """
 
-    tag = "adaptive"
-
     def reset(self, universe: ContextUniverse, sigma: float) -> None:
         self._k = min_support_size(sigma, universe.size)
         self._last_q = np.full(universe.size, 0.5)
@@ -225,7 +207,7 @@ class AdaptiveExtremenessRule:
         if e < best_e or (e == best_e and x > best):
             self._stale = True
 
-    def target_set(self, history: GameHistory) -> np.ndarray:
+    def target_set(self) -> np.ndarray:
         if self._stale:
             extremeness = np.abs(self._last_q - 0.5)
             order = np.argsort(-extremeness, kind="stable")
@@ -242,19 +224,18 @@ class AdaptiveExtremenessRule:
 
 
 class GreedyLabelRule:
-    tag = "greedy"
+    """Per-round loss-maximizing label: the side the learner considers less
+    likely. Ties at q = 1/2 resolve to 0 for determinism."""
 
     def reset(self, universe, rng):
         pass
 
-    def label(self, history: GameHistory, x: int, q: float) -> int:
-        return greedy_label(q)
+    def label(self, x: int, q: float) -> int:
+        return 0 if q >= 0.5 else 1
 
 
 class RealizableLabelRule:
     """Labels drawn from a fixed hypothesis: y ~ Bernoulli(f*(x))."""
-
-    tag = "realizable"
 
     def __init__(self, f_star: Hypothesis, family: RegionFamily):
         self.f_star = f_star
@@ -263,14 +244,13 @@ class RealizableLabelRule:
     def reset(self, universe, rng):
         self._rng = rng
 
-    def label(self, history: GameHistory, x: int, q: float) -> int:
-        return realizable_label(self.family, self.f_star, x, self._rng)
+    def label(self, x: int, q: float) -> int:
+        return int(self._rng.random() < evaluate(self.family, self.f_star, x))
 
 
 class FixedSequenceLabelRule:
-    """Labels replayed from a fixed list; raises if the game outruns it."""
-
-    tag = "fixed_sequence"
+    """Labels replayed from a fixed list, one per round since `reset`; raises
+    if the game outruns it."""
 
     def __init__(self, labels: Sequence[int]):
         if any(isinstance(v, bool) or v not in (0, 1) for v in labels):
@@ -278,13 +258,13 @@ class FixedSequenceLabelRule:
         self.labels = [int(v) for v in labels]
 
     def reset(self, universe, rng):
-        pass
+        self._t = 0
 
-    def label(self, history: GameHistory, x: int, q: float) -> int:
-        t = len(history)
-        if t >= len(self.labels):
+    def label(self, x: int, q: float) -> int:
+        if self._t >= len(self.labels):
             raise ConfigError(f"adversary.labels: exhausted after {len(self.labels)} rounds")
-        return self.labels[t]
+        self._t += 1
+        return self.labels[self._t - 1]
 
 
 class AdversaryPolicy:
@@ -294,13 +274,12 @@ class AdversaryPolicy:
     violation anywhere in a run surfaces as SmoothnessError.
     """
 
-    def __init__(self, context_rule, label_rule, sigma: float, name: str = ""):
+    def __init__(self, context_rule, label_rule, sigma: float):
         if not 0.0 < sigma <= 1.0:
             raise ConfigError(f"adversary.sigma: {sigma} outside (0, 1]")
         self.context_rule = context_rule
         self.label_rule = label_rule
         self.sigma = sigma
-        self.name = name or f"subset_uniform[{context_rule.tag}]+{label_rule.tag}"
 
     def reset(self, universe: ContextUniverse, rng: np.random.Generator) -> None:
         self.universe = universe
@@ -308,19 +287,19 @@ class AdversaryPolicy:
         self.label_rule.reset(universe, rng)
         self._dist = None
 
-    def context_distribution(self, history: GameHistory) -> SubsetUniform:
+    def context_distribution(self) -> SubsetUniform:
         """The uniform distribution on the rule's set. While the rule proposes
         the ids it proposed last round (by content, so an array the rule changed
         in place counts as new), the distribution checked then is reused."""
-        ids = np.asarray(self.context_rule.target_set(history), dtype=np.int64)
+        ids = np.asarray(self.context_rule.target_set(), dtype=np.int64)
         dist = self._dist
         if dist is None or ids.shape != self._shape or ids.tobytes() != self._bytes:
             dist = SubsetUniform(self.universe.size, ids, self.sigma)
             self._dist, self._shape, self._bytes = dist, ids.shape, ids.tobytes()
         return dist
 
-    def label(self, history: GameHistory, x: int, q: float) -> int:
-        return self.label_rule.label(history, x, q)
+    def label(self, x: int, q: float) -> int:
+        return self.label_rule.label(x, q)
 
     def observe(self, x: int, q: float, y: int) -> None:
         self.context_rule.observe(x, q, y)
@@ -329,10 +308,11 @@ class AdversaryPolicy:
 def subset_smooth_adversary(sigma: float, target_set_rule=None, label_rule=None,
                             rule: str = "static",
                             subset: Optional[Sequence[int]] = None) -> AdversaryPolicy:
-    """Maximally concentrated smooth adversary: uniform on a history-dependent subset.
+    """Maximally concentrated smooth adversary: uniform on a subset chosen from the past.
 
-    target_set_rule may be any object with reset/observe/target_set; otherwise
-    `rule` selects the built-in static or adaptive rule. Sets smaller than
+    target_set_rule may be any object with reset/observe/target_set; it sees
+    the past only through observe(x, q, y). Otherwise `rule` selects the
+    built-in static or adaptive rule. Sets smaller than
     ceil(sigma*U), with repeated ids or with ids outside the universe are
     rejected at emission time.
     """
@@ -374,6 +354,7 @@ def adversary_from_spec(spec: dict, sigma: Optional[float] = None,
     Context side: {"context": "subset_uniform", "sigma": 0.1, "rule": "static|adaptive"}.
     Label side: {"label": "greedy" | "realizable" | "fixed_sequence", ...}.
     An explicit `sigma` argument (e.g. a sweep cell value) overrides the spec's.
+    Given the family, a static `set` smaller than ceil(sigma * U) is rejected here.
     """
     if not isinstance(spec, dict):
         raise ConfigError("adversary: must be an object")
@@ -384,7 +365,8 @@ def adversary_from_spec(spec: dict, sigma: Optional[float] = None,
     if sig is None:
         raise ConfigError("adversary.sigma: missing")
     rule = spec.get("rule", "static")
-    check_static_set(spec.get("set"), None if family is None else family.universe.size)
+    subset = spec.get("set")
+    check_static_set(subset, None if family is None else family.universe.size)
 
     label_kind = spec.get("label", "greedy")
     if label_kind == "greedy":
@@ -400,5 +382,11 @@ def adversary_from_spec(spec: dict, sigma: Optional[float] = None,
     else:
         raise ConfigError(f"adversary.label: unknown kind {label_kind!r}")
 
-    return subset_smooth_adversary(float(sig), label_rule=label_rule, rule=rule,
-                                   subset=spec.get("set"))
+    policy = subset_smooth_adversary(float(sig), label_rule=label_rule, rule=rule,
+                                     subset=subset)
+    if rule == "static" and subset is not None and family is not None:
+        k = min_support_size(policy.sigma, family.universe.size)
+        if len(subset) < k:
+            raise ConfigError(f"adversary.set: {len(subset)} contexts, fewer than "
+                              f"ceil(sigma * U) = {k} at sigma = {policy.sigma:g}")
+    return policy

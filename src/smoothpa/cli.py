@@ -2,7 +2,7 @@
 
 Subcommands: run (sweep from a JSON config), chi2, nml, cover, fit. Diagnostic
 subcommands emit JSON reports on stdout. Exit codes: 0 success, 2 config error,
-3 numerical-assertion failure.
+3 numerical failure (a failed numerical assertion or an infinite log-loss).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 
 from .adversary import SmoothDistribution, min_support_size
 from .diagnostics import chi_square_bruteforce, chi_square_closed_form, nml_value
-from .errors import ConfigError, NumericalAssertionError, load_json
+from .errors import ConfigError, InfiniteLossError, NumericalAssertionError, load_json
 from .harness import fit_scaling, parse_config, run
 from .hypotheses import Hypothesis, RegionFamily
 from .learners import epsilon_cover
@@ -183,8 +183,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except NumericalAssertionError as e:
-        print(f"numerical assertion failed: {e}", file=sys.stderr)
+    except (NumericalAssertionError, InfiniteLossError) as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0

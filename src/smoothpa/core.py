@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,11 +28,6 @@ class ContextUniverse:
             raise ValueError("universe size must be >= 1")
 
 
-class Example(NamedTuple):
-    x: int
-    y: int
-
-
 def log_loss(q1: float, y: int) -> float:
     """Log-loss -ln q(y) of predicting q1 = q(1) when label y is realized.
 
@@ -47,40 +42,6 @@ def log_loss(q1: float, y: int) -> float:
     if p == 0.0:
         raise InfiniteLossError(f"deterministic prediction q1={q1} contradicted by y={y}")
     return -math.log(p)
-
-
-class GameHistory:
-    """Append-only record of one trajectory: contexts, learner predictions, labels.
-
-    Adversary rules receive this object; index t counts completed rounds.
-    """
-
-    def __init__(self, capacity: int):
-        self.t = 0
-        self._xs = np.empty(capacity, dtype=np.int64)
-        self._qs = np.empty(capacity, dtype=np.float64)
-        self._ys = np.empty(capacity, dtype=np.int64)
-
-    def append(self, x: int, q: float, y: int) -> None:
-        self._xs[self.t] = x
-        self._qs[self.t] = q
-        self._ys[self.t] = y
-        self.t += 1
-
-    @property
-    def xs(self) -> np.ndarray:
-        return self._xs[: self.t]
-
-    @property
-    def qs(self) -> np.ndarray:
-        return self._qs[: self.t]
-
-    @property
-    def ys(self) -> np.ndarray:
-        return self._ys[: self.t]
-
-    def __len__(self) -> int:
-        return self.t
 
 
 @dataclass
@@ -108,9 +69,10 @@ def run_game(learner, adversary, universe: ContextUniverse, T: int, seed: int,
     """Play one seeded trajectory of the assignment game.
 
     Per round: the adversary emits a smooth context distribution (any object
-    with `sample(rng) -> int`) given the history, a context is drawn from it,
-    the learner predicts, the adversary picks the label after seeing the
-    prediction, and the loss is recorded.
+    with `sample(rng) -> int`), a context x is drawn from it, the learner
+    predicts q, the adversary picks the label y after seeing the prediction,
+    the loss is recorded, and both players observe the round. The adversary
+    learns the past only through `observe(x, q, y)`.
     The comparator column is left at zero; the harness fills it offline.
 
     All randomness (context draws, learner perturbations, label coin flips)
@@ -124,18 +86,19 @@ def run_game(learner, adversary, universe: ContextUniverse, T: int, seed: int,
     learner.reset(universe, np.random.default_rng(learner_ss))
     adversary.reset(universe, np.random.default_rng(adv_ss))
 
-    history = GameHistory(T)
+    xs = np.empty(T, dtype=np.int64)
+    ys = np.empty(T, dtype=np.int64)
+    qs = np.empty(T)
     losses = np.empty(T)
     for t in range(T):
-        dist = adversary.context_distribution(history)
-        x = int(dist.sample(ctx_rng))
+        x = int(adversary.context_distribution().sample(ctx_rng))
         q = float(learner.predict(x))
-        y = int(adversary.label(history, x, q))
+        y = int(adversary.label(x, q))
         losses[t] = log_loss(q, y)
         learner.update(x, y)
         adversary.observe(x, q, y)
-        history.append(x, q, y)
-    return GameTrace(run_id, seed, history.xs, history.ys, history.qs, losses, np.zeros(T))
+        xs[t], ys[t], qs[t] = x, y, q
+    return GameTrace(run_id, seed, xs, ys, qs, losses, np.zeros(T))
 
 
 def format_records_csv(traces: Sequence[GameTrace]) -> str:

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package, and the readers of outside input
 that raise it.
 
-The CLI maps these onto exit codes: ConfigError -> 2, NumericalAssertionError -> 3.
+The CLI maps these onto exit codes: ConfigError -> 2, NumericalAssertionError and
+InfiniteLossError -> 3.
 """
 
 import json

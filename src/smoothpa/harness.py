@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
@@ -65,7 +66,8 @@ def _as_list(value, name: str, cast):
 def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     """Check a config document (or the JSON file at a path) and build its sweep:
     the region family, whose size must equal `universe`, and per cell one
-    learner and one adversary. Error messages carry the offending field path."""
+    learner and one adversary. Fixed-sequence labels must cover the longest
+    horizon. Error messages carry the offending field path."""
     if isinstance(obj, (str, Path)):
         obj = load_json(obj, "config")
     if not isinstance(obj, dict):
@@ -103,6 +105,9 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     repetitions = parse_field(obj.get("repetitions", 1), "repetitions", int)
     if repetitions < 1:
         raise ConfigError(f"repetitions: {repetitions} must be >= 1")
+    for name, n in (("T", max(horizons)), ("repetitions", repetitions)):
+        if n > sys.maxsize:     # e.g. 1e308: no array holds that many rounds or regrets
+            raise ConfigError(f"{name}: above {sys.maxsize}, the most numpy can index")
     base_seed = parse_field(obj.get("base_seed", 0), "base_seed", int)
     output_dir = obj.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -117,6 +122,10 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     cells = [Cell(ls, t, s, learner_from_spec(ls, family, t, s),
                   adversary_from_spec(adversary_spec, sigma=s, family=family))
              for ls, t, s in itertools.product(learners, horizons, sigmas)]
+    labels = adversary_spec.get("labels")
+    if adversary_spec.get("label") == "fixed_sequence" and len(labels) < max(horizons):
+        raise ConfigError(f"adversary.labels: {len(labels)} labels, fewer than "
+                          f"T = {max(horizons)}")
     echo = {"universe": universe, "family": family_spec, "adversary": adversary_spec,
             "learner": learners, "T": horizons, "sigma": sigmas,
             "repetitions": repetitions, "base_seed": base_seed}

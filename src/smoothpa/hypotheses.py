@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import xlogy
 
-from .core import ContextUniverse, Example
+from .core import ContextUniverse
 from .errors import ConfigError, parse_field
 
 THRESHOLD_GRID = "threshold_grid"
@@ -152,18 +152,10 @@ def _nll(n, k):
     return xlogy(n, n) - xlogy(k, k) - xlogy(n - k, n - k)
 
 
-def examples_to_counts(data: Sequence[Example] | tuple[np.ndarray, np.ndarray],
-                       size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-context totals (cnt) and positive-label totals (pos) from an example multiset.
-
-    Accepts a list of examples or an (xs, ys) pair of arrays.
-    """
-    if (isinstance(data, tuple) and len(data) == 2
-            and isinstance(data[0], (np.ndarray, list))):
-        xs, ys = np.asarray(data[0], dtype=np.int64), np.asarray(data[1], dtype=np.int64)
-    else:
-        xs = np.fromiter((e[0] for e in data), dtype=np.int64, count=len(data))
-        ys = np.fromiter((e[1] for e in data), dtype=np.int64, count=len(data))
+def examples_to_counts(xs, ys, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-context totals (cnt) and positive-label totals (pos) of the examples
+    (xs[i], ys[i])."""
+    xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
     cnt = np.bincount(xs, minlength=size).astype(np.float64)
     pos = np.bincount(xs[ys == 1], minlength=size).astype(np.float64)
     return cnt, pos
@@ -208,16 +200,15 @@ def mle_from_counts(cnt: np.ndarray, pos: np.ndarray,
                                   cnt.sum(), pos.sum())
 
 
-def mle_oracle(data, family: RegionFamily) -> Hypothesis:
-    """Empirical-loss minimizer over (region, theta0, theta1). Empty data allowed."""
-    cnt, pos = examples_to_counts(data, family.universe.size)
-    return mle_from_counts(cnt, pos, family)[0]
+def mle_oracle(xs, ys, family: RegionFamily) -> Hypothesis:
+    """Empirical-loss minimizer over (region, theta0, theta1) on the examples
+    (xs[i], ys[i]); empty columns are allowed."""
+    return mle_from_counts(*examples_to_counts(xs, ys, family.universe.size), family)[0]
 
 
-def offline_best_loss(data, family: RegionFamily) -> float:
-    """Cumulative log-loss of the best fixed hypothesis on the full sequence."""
-    cnt, pos = examples_to_counts(data, family.universe.size)
-    return mle_from_counts(cnt, pos, family)[1]
+def offline_best_loss(xs, ys, family: RegionFamily) -> float:
+    """Cumulative log-loss of the best fixed hypothesis on the examples (xs[i], ys[i])."""
+    return mle_from_counts(*examples_to_counts(xs, ys, family.universe.size), family)[1]
 
 
 # Temporary memory one block of rounds may use, in prefix_best_losses and in the

@@ -183,8 +183,6 @@ def truncation_range(alpha: float) -> tuple[float, float]:
 class UniformLearner:
     """Baseline assigning 1/2 always; per-round loss is exactly ln 2."""
 
-    name = "uniform"
-
     def reset(self, universe: ContextUniverse, rng: np.random.Generator) -> None:
         pass
 
@@ -202,7 +200,6 @@ class KtLearner:
         if beta <= 0:
             raise ConfigError(f"kt.beta: {beta} must be positive")
         self.beta = beta
-        self.name = f"kt(beta={beta:g})"
 
     def reset(self, universe: ContextUniverse, rng: np.random.Generator) -> None:
         self._ones = 0
@@ -223,7 +220,6 @@ class MixtureLearner:
         self.family = family
         self.eps = eps
         self.cover = epsilon_cover(family, eps)
-        self.name = f"vc_mixture(eps={eps:g})"
         self.state: Optional[MixtureState] = None
 
     def reset(self, universe: ContextUniverse, rng: np.random.Generator) -> None:
@@ -253,7 +249,6 @@ class FtplLearner:
     def __init__(self, config: FtplConfig, family: RegionFamily):
         self.config = config
         self.family = family
-        self.name = f"ftpl(n={config.n:g},alpha={config.alpha:g})"
         self._lo, self._hi = truncation_range(config.alpha)
 
     def reset(self, universe: ContextUniverse, rng: np.random.Generator) -> None:

@@ -6,10 +6,9 @@ import pytest
 from smoothpa import (ContextUniverse, Hypothesis, SmoothnessError, UniformLearner,
                       run_game, validate_smooth)
 from smoothpa.adversary import (AdaptiveExtremenessRule, AdversaryPolicy,
-                                FixedSequenceLabelRule, GreedyLabelRule, SmoothDistribution,
-                                SubsetUniform, adversary_from_spec, greedy_label,
-                                min_support_size, realizable_label, subset_smooth_adversary)
-from smoothpa.core import GameHistory
+                                FixedSequenceLabelRule, GreedyLabelRule, RealizableLabelRule,
+                                SmoothDistribution, SubsetUniform, adversary_from_spec,
+                                min_support_size, subset_smooth_adversary)
 from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import RegionFamily
 from smoothpa.learners import MixtureLearner
@@ -55,14 +54,14 @@ def test_validate_smooth_rejects_bad_vectors():
 def test_subset_adversary_sigma_one_is_uniform():
     adv = subset_smooth_adversary(1.0)
     adv.reset(ContextUniverse(16), np.random.default_rng(0))
-    dist = adv.context_distribution(GameHistory(1))
+    dist = adv.context_distribution()
     assert np.allclose(dist.pmf, 1 / 16)
 
 
 def test_subset_adversary_static_quarter():
     adv = subset_smooth_adversary(0.25, rule="static", subset=[1, 5, 9, 13])
     adv.reset(ContextUniverse(16), np.random.default_rng(0))
-    dist = adv.context_distribution(GameHistory(1))
+    dist = adv.context_distribution()
     assert dist.pmf[1] == 0.25 and dist.pmf[0] == 0.0
     assert validate_smooth(dist.pmf, 0.25)[0]
 
@@ -71,7 +70,7 @@ def test_subset_adversary_rejects_small_set():
     adv = subset_smooth_adversary(0.5, rule="static", subset=[0])
     adv.reset(ContextUniverse(4), np.random.default_rng(0))
     with pytest.raises(SmoothnessError):
-        adv.context_distribution(GameHistory(1))
+        adv.context_distribution()
 
 
 def test_subset_sample_matches_dense_choice():
@@ -124,6 +123,7 @@ def test_static_rule_with_bad_id_fails_the_run():
     ([0, 5, 1, 5], r"adversary\.set\[3\]: context id 5 repeated"),
     ([0, 1.5], r"adversary\.set\[1\]: 1\.5 is not an integer"),
     ("0,1", r"adversary\.set: must be a list"),
+    ([0, 1, 2], r"adversary\.set: 3 contexts, fewer than ceil\(sigma \* U\) = 4 at sigma = 0\.5"),
 ])
 def test_adversary_from_spec_rejects_bad_static_set(ids, message):
     spec = {"rule": "static", "set": ids, "label": "greedy"}
@@ -150,7 +150,7 @@ def test_adaptive_rule_matches_argsort_on_random_observations():
         rule = AdaptiveExtremenessRule()
         rule.reset(ContextUniverse(u), sigma)
         last_q = np.full(u, 0.5)
-        prev = rule.target_set(None)
+        prev = rule.target_set()
         assert np.array_equal(prev, np.arange(k))
         for _ in range(60):
             for _ in range(int(rng.integers(1, 3))):     # sometimes two observations a round
@@ -158,7 +158,7 @@ def test_adaptive_rule_matches_argsort_on_random_observations():
                 q = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
                 rule.observe(x, q, 0)
                 last_q[x] = q
-            got = rule.target_set(None)
+            got = rule.target_set()
             assert np.array_equal(got, argsort_target_set(last_q, k))
             changes += not np.array_equal(got, prev)
             prev = got
@@ -169,18 +169,16 @@ def test_adaptive_rule_set_fixed_when_drawn_from_itself():
     rule = AdaptiveExtremenessRule()
     rule.reset(ContextUniverse(32), 0.25)
     rng = np.random.default_rng(0)
-    first = rule.target_set(None)
+    first = rule.target_set()
     for _ in range(500):
-        x = int(rng.choice(rule.target_set(None)))
+        x = int(rng.choice(rule.target_set()))
         rule.observe(x, float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0])), 0)
-        assert rule.target_set(None) is first
+        assert rule.target_set() is first
     assert np.array_equal(first, np.arange(8))
 
 
 class ListRule:
     """A custom rule returning a set the test can replace or change in place."""
-
-    tag = "list"
 
     def __init__(self, ids):
         self.ids = ids
@@ -191,7 +189,7 @@ class ListRule:
     def observe(self, x, q, y):
         pass
 
-    def target_set(self, history):
+    def target_set(self):
         return self.ids
 
 
@@ -199,50 +197,50 @@ def test_policy_reuses_distribution_only_for_the_same_ids():
     rule = ListRule(np.array([0, 2, 4, 6]))
     adv = subset_smooth_adversary(0.5, target_set_rule=rule)
     adv.reset(ContextUniverse(8), np.random.default_rng(0))
-    first = adv.context_distribution(None)
-    assert adv.context_distribution(None) is first
+    first = adv.context_distribution()
+    assert adv.context_distribution() is first
     rule.ids = np.array([0, 2, 4, 6])                   # a new array, the same ids
-    assert adv.context_distribution(None) is first
+    assert adv.context_distribution() is first
     rule.ids = np.array([1, 3, 5, 7])                   # a new set
-    second = adv.context_distribution(None)
+    second = adv.context_distribution()
     assert second is not first and np.array_equal(second.ids, [1, 3, 5, 7])
     rule.ids[0] = 0                                     # the same array, changed in place
-    third = adv.context_distribution(None)
+    third = adv.context_distribution()
     assert third is not second and np.array_equal(third.ids, [0, 3, 5, 7])
     assert np.array_equal(second.ids, [1, 3, 5, 7])     # the checked copy is untouched
     adv.reset(ContextUniverse(8), np.random.default_rng(0))
-    assert adv.context_distribution(None) is not third  # a new trajectory checks afresh
+    assert adv.context_distribution() is not third  # a new trajectory checks afresh
 
 
 def test_policy_rechecks_a_set_changed_in_place():
     ids = np.array([0, 2, 4, 6])
     adv = subset_smooth_adversary(0.5, target_set_rule=ListRule(ids))
     adv.reset(ContextUniverse(8), np.random.default_rng(0))
-    adv.context_distribution(None)
+    adv.context_distribution()
     ids[0] = 2                                          # a repeated id
     with pytest.raises(SmoothnessError, match="repeats context id 2"):
-        adv.context_distribution(None)
+        adv.context_distribution()
     ids[0] = 0
-    adv.context_distribution(None)
+    adv.context_distribution()
     ids.shape = (2, 2)                                  # the same bytes, another shape
     with pytest.raises(SmoothnessError, match="shape"):
-        adv.context_distribution(None)
+        adv.context_distribution()
     ids.shape = (4,)
-    adv.context_distribution(None)
+    adv.context_distribution()
     ids.resize(3, refcheck=False)                       # below ceil(0.5 * 8) = 4
     with pytest.raises(SmoothnessError, match="size 3 below minimum 4"):
-        adv.context_distribution(None)
+        adv.context_distribution()
 
 
 class RecordingPolicy(AdversaryPolicy):
     """Wrapper capturing every emitted distribution for invariant checks."""
 
     def __init__(self, inner):
-        super().__init__(inner.context_rule, inner.label_rule, inner.sigma, inner.name)
+        super().__init__(inner.context_rule, inner.label_rule, inner.sigma)
         self.emitted = []
 
-    def context_distribution(self, history):
-        dist = super().context_distribution(history)
+    def context_distribution(self):
+        dist = super().context_distribution()
         self.emitted.append(dist.pmf.copy())
         return dist
 
@@ -269,26 +267,30 @@ def test_sigma_one_contexts_close_to_uniform_tv():
 
 
 def test_greedy_label_cases():
-    assert greedy_label(0.9) == 0
-    assert greedy_label(0.1) == 1
-    assert greedy_label(0.5) == 0  # tie resolves to 0; either label loses ln 2
+    rule = GreedyLabelRule()
+    assert rule.label(0, 0.9) == 0
+    assert rule.label(0, 0.1) == 1
+    assert rule.label(0, 0.5) == 0  # tie resolves to 0; either label loses ln 2
+
+
+def realizable_rule(family, f_star, seed):
+    rule = RealizableLabelRule(f_star, family)
+    rule.reset(family.universe, np.random.default_rng(seed))
+    return rule
 
 
 def test_realizable_label_deterministic_endpoints():
     fam = RegionFamily.explicit(4, [[0, 1]])
-    rng = np.random.default_rng(0)
-    ones = Hypothesis(0, 1.0, 1.0)
-    zeros = Hypothesis(0, 0.0, 0.0)
-    assert all(realizable_label(fam, ones, 0, rng) == 1 for _ in range(50))
-    assert all(realizable_label(fam, zeros, 3, rng) == 0 for _ in range(50))
+    ones = realizable_rule(fam, Hypothesis(0, 1.0, 1.0), 0)
+    zeros = realizable_rule(fam, Hypothesis(0, 0.0, 0.0), 0)
+    assert all(ones.label(0, 0.5) == 1 for _ in range(50))
+    assert all(zeros.label(3, 0.5) == 0 for _ in range(50))
 
 
 def test_realizable_label_bernoulli_mean():
     fam = RegionFamily.explicit(2, [[0]])
-    f = Hypothesis(0, 0.3, 0.3)
-    rng = np.random.default_rng(123)
-    draws = np.fromiter((realizable_label(fam, f, 0, rng) for _ in range(100_000)),
-                        dtype=np.int64)
+    rule = realizable_rule(fam, Hypothesis(0, 0.3, 0.3), 123)
+    draws = np.fromiter((rule.label(0, 0.5) for _ in range(100_000)), dtype=np.int64)
     # binomial concentration: 3 sigma ~ 0.0044, spec tolerance 0.01
     assert abs(draws.mean() - 0.3) < 0.01
 
@@ -305,10 +307,10 @@ def test_adversary_from_spec_variants():
 
     adv3 = adversary_from_spec({"label": "fixed_sequence", "labels": [0, 1, 1]}, sigma=1.0)
     adv3.reset(ContextUniverse(2), np.random.default_rng(0))
-    hist = GameHistory(3)
-    assert adv3.label(hist, 0, 0.5) == 0
-    hist.append(0, 0.5, 0)
-    assert adv3.label(hist, 0, 0.5) == 1
+    assert adv3.label(0, 0.5) == 0
+    assert adv3.label(0, 0.5) == 1
+    adv3.reset(ContextUniverse(2), np.random.default_rng(0))    # a new game replays from the start
+    assert adv3.label(0, 0.5) == 0
 
 
 def test_adversary_from_spec_errors():
@@ -332,7 +334,7 @@ def test_adversary_from_spec_errors():
 
 def test_fixed_sequence_exhaustion():
     rule = FixedSequenceLabelRule([1])
-    hist = GameHistory(2)
-    hist.append(0, 0.5, 1)
-    with pytest.raises(ConfigError):
-        rule.label(hist, 0, 0.5)
+    rule.reset(ContextUniverse(2), None)
+    assert rule.label(0, 0.5) == 1
+    with pytest.raises(ConfigError, match="exhausted after 1 rounds"):
+        rule.label(0, 0.5)

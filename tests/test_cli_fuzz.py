@@ -2,8 +2,9 @@
 near misses of valid argument lists, must end in exit code 0, 2 or 3, never in
 an escaped exception.
 
-Numbers are drawn from small ranges (plus nan and the infinities): a family of
-a million contexts is a valid input whose cost is real work, not a malformed one.
+Numbers are drawn from small ranges, plus nan, the infinities and boundary
+floats (the smallest subnormal, a tiny normal and a huge finite value): a family
+of a million contexts is a valid input whose cost is real work, not a malformed one.
 """
 
 import contextlib
@@ -42,8 +43,10 @@ KEYS = ["kind", "size", "regions", "family", "hypotheses", "cells", "learner", "
         "mean_final_regret", "final_regrets", "universe", "adversary", "rule", "label",
         "f_star", "labels", "set", "repetitions", "sweep", "uniform", "kt", "vc_mixture",
         "ftpl", "n", "alpha", "eps", "beta"]
+# the special numbers both the file and the argv fuzzers draw
+SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), 5e-324, 1e-300, 1e308]
 scalars = (st.none() | st.booleans() | st.integers(-3, 70)
-           | st.floats(-2.0, 2.0) | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+           | st.floats(-2.0, 2.0) | st.sampled_from(SPECIAL_FLOATS)
            | st.text(max_size=4)
            | st.sampled_from(KEYS + ["threshold_grid", "explicit", "static", "adaptive",
                                      "greedy", "realizable", "fixed_sequence"]))
@@ -152,7 +155,7 @@ VALID_ARGV = [
 ARGV_FILES = {"config.json": RUN_CONFIG, "class.json": CLASS, "contexts.json": CONTEXTS,
               "family.json": EXPLICIT, "summary.json": SUMMARY}
 # --universe stays at most 2: chi2's enumeration at larger universes is real work
-VALUES = ["-1", "0", "0.5", "1", "2", "1e-300", "1e300", "nan", "inf", "-inf", "abc", "",
+VALUES = ["-1", "0", "0.5", "1", "2", "1e300", *map(repr, SPECIAL_FLOATS), "abc", "",
           *ARGV_FILES, "missing.json", "a_dir", "a_file", "a_file/out", "out"]
 TOKENS = sorted({t for argv in VALID_ARGV for t in argv if t.startswith("-")}) + [
     "run", "chi2", "nml", "cover", "fit", "--help", "-x", "--sigma=0.5", *VALUES]

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from smoothpa import (ContextUniverse, Example, InfiniteLossError, UniformLearner,
+from smoothpa import (AdversaryPolicy, ContextUniverse, InfiniteLossError, UniformLearner,
                       log_loss, run_game)
-from smoothpa.adversary import subset_smooth_adversary
+from smoothpa.adversary import FixedSequenceLabelRule, subset_smooth_adversary
 from smoothpa.core import CSV_HEADER, format_records_csv
 from smoothpa.hypotheses import RegionFamily, offline_best_loss, prefix_best_losses
 
@@ -16,8 +16,6 @@ LN2 = math.log(2.0)
 
 class ConstLearner:
     """Test helper: always predicts the same probability."""
-
-    name = "const"
 
     def __init__(self, q):
         self.q = q
@@ -136,7 +134,6 @@ def test_regret_small_threshold_instance_vs_bruteforce_comparator():
     fam = RegionFamily.threshold_grid(6)
     adv = subset_smooth_adversary(0.5)
     trace = run_game(ConstLearner(0.7), adv, u, 3, seed=11)
-    data = [Example(int(x), int(y)) for x, y in zip(trace.xs, trace.ys)]
     # brute force over thresholds x a theta-grid of step 1e-4, both sides
     grid = np.linspace(0.0, 1.0, 10001)
     best = np.inf
@@ -153,7 +150,7 @@ def test_regret_small_threshold_instance_vs_bruteforce_comparator():
 
         best = min(best, side_min(n0, k0) + side_min(n1, k1))
     oracle_regret = trace.cum_losses[-1] - best
-    assert trace.cum_losses[-1] - offline_best_loss(data, fam) == pytest.approx(
+    assert trace.cum_losses[-1] - offline_best_loss(trace.xs, trace.ys, fam) == pytest.approx(
         oracle_regret, abs=2e-3)
 
 
@@ -169,3 +166,74 @@ def test_csv_schema_and_significant_digits():
     assert first[3] == f"{LN2:.12g}"
     assert len(lines) == 7  # one header, then each trajectory's rows in order
     assert [line.split(",")[:3] for line in lines[3:5]] == [["r1", "9", "3"], ["r2", "10", "1"]]
+
+
+class RecordingLearner:
+    """Predicts from a fixed list of probabilities and logs every call."""
+
+    def __init__(self, log, qs):
+        self.log = log
+        self.qs = qs
+
+    def reset(self, universe, rng):
+        self.t = 0
+
+    def predict(self, x):
+        q = self.qs[self.t % len(self.qs)]
+        self.log.append(("predict", x, q))
+        return q
+
+    def update(self, x, y):
+        self.t += 1
+        self.log.append(("update", x, y))
+
+
+class RecordingPolicy(AdversaryPolicy):
+    """An adversary that logs every call it and its distributions receive."""
+
+    def __init__(self, log, sigma, labels):
+        super().__init__(subset_smooth_adversary(sigma, rule="adaptive").context_rule,
+                         FixedSequenceLabelRule(labels), sigma)
+        self.log = log
+
+    def context_distribution(self, *args):
+        self.log.append(("context_distribution", *args))
+        dist = super().context_distribution()
+        log = self.log
+
+        class Logged:
+            def sample(self, rng):
+                x = dist.sample(rng)
+                log.append(("sample", rng, x))
+                return x
+        return Logged()
+
+    def label(self, *args):
+        y = super().label(*args)
+        self.log.append(("label", *args, y))
+        return y
+
+    def observe(self, *args):
+        self.log.append(("observe", *args))
+        super().observe(*args)
+
+
+def test_run_game_round_protocol():
+    log = []
+    labels = [1, 0, 0, 1, 1, 0, 1]
+    learner = RecordingLearner(log, [0.5, 0.9, 0.2])
+    trace = run_game(learner, RecordingPolicy(log, 0.5, labels), ContextUniverse(8),
+                     len(labels), seed=3)
+    assert len(log) == 6 * len(labels)
+    rng = log[1][1]
+    assert isinstance(rng, np.random.Generator)
+    for t, (x, y, q) in enumerate(zip(trace.xs.tolist(), trace.ys.tolist(),
+                                      trace.qs.tolist())):
+        # each round: the distribution with no arguments, one draw from it on
+        # the game's context generator, then the prediction, the label, and
+        # both players' updates
+        assert log[6 * t: 6 * t + 6] == [
+            ("context_distribution",), ("sample", rng, x), ("predict", x, q),
+            ("label", x, q, y), ("update", x, y), ("observe", x, q, y)]
+        assert y == labels[t] and q == learner.qs[t % 3]
+    assert trace.losses.tolist() == [log_loss(q, y) for q, y in zip(trace.qs, trace.ys)]

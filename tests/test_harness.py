@@ -2,12 +2,13 @@ import csv
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import smoothpa.harness as harness
-from smoothpa.adversary import adversary_from_spec
+from smoothpa.adversary import adversary_from_spec, subset_smooth_adversary
 from smoothpa.cli import main as cli_main
 from smoothpa.core import run_game
 from smoothpa.errors import ConfigError
@@ -109,6 +110,11 @@ def test_parse_config_field_paths():
                                 ("T", True, "T: True is not a valid int"),
                                 ("repetitions", 2.9, "repetitions: 2.9 is not a valid int"),
                                 ("sigma", True, "sigma: True is not a valid float"),
+                                # integral, but more rounds than numpy can index
+                                ("T", [16, 1e308], f"T: above {sys.maxsize}, the most numpy "
+                                                   f"can index"),
+                                ("repetitions", 1e308, f"repetitions: above {sys.maxsize}, "
+                                                       f"the most numpy can index"),
                                 ("output_dir", 5, "output_dir: 5 is not a string or null"),
                                 ("output_dir", ["out"],
                                  r"output_dir: \['out'\] is not a string or null")):
@@ -173,6 +179,23 @@ def test_bad_learner_spec_fails_before_any_output(tmp_path):
         parse_config(base_config(learner={"ftpl": {}}, T=[16, 2]))
 
 
+@pytest.mark.parametrize("overrides, message", [
+    # the set is large enough at sigma 0.25, too small at 0.75 on 4 contexts
+    ({"adversary": {"rule": "static", "set": [0, 1], "label": "greedy"},
+      "sigma": [0.25, 0.75]},
+     r"^adversary\.set: 2 contexts, fewer than ceil\(sigma \* U\) = 3 at sigma = 0\.75$"),
+    ({"adversary": {"label": "fixed_sequence", "labels": [0, 1, 1, 0, 1]}, "T": [4, 10]},
+     r"^adversary\.labels: 5 labels, fewer than T = 10$"),
+])
+def test_bad_adversary_spec_fails_before_any_output(tmp_path, overrides, message):
+    cfg = base_config(universe=4, family={"kind": "threshold_grid", "size": 4}, **overrides)
+    with pytest.raises(ConfigError, match=message):
+        parse_config(cfg)
+    with pytest.raises(ConfigError, match=message):
+        run(cfg, output_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("learner", [{"uniform": {}}, {"kt": {"beta": 0.5}}])
 def test_run_rejects_family_universe_mismatch(tmp_path, learner):
     cfg = base_config(universe=16, learner=learner, base_seed=3)
@@ -233,8 +256,6 @@ def test_reused_learner_and_adversary_replay_a_fresh_game(learner, label, rule):
 
 class ExplodingLearner:
     """Fails `fail_at` rounds into its game number `fail_game`, counting from 1."""
-
-    name = "exploding"
 
     def __init__(self, fail_game, fail_at):
         self.fail_game = fail_game
@@ -521,10 +542,14 @@ def test_cli_file_errors_exit_2(tmp_path, capsys, argv, files, message):
     assert capsys.readouterr().err == f"config error: {message.format(tmp=tmp_path)}\n"
 
 
+# KT with beta = 5e-324 predicts 5e-324 / 2 = 0.0 in round 3, which label 1 contradicts
+INFINITE_LOSS = base_config(learner={"kt": {"beta": 5e-324}}, T=4,
+                            adversary={"label": "fixed_sequence", "labels": [0, 0, 1, 1]})
+
+
 def test_output_dir_in_config_naming_a_file_exits_2_before_play(tmp_path, capsys):
-    # this sweep's first round raises SmoothnessError (exit 3) once it plays
-    cfg = base_config(adversary={"context": "subset_uniform", "rule": "static",
-                                 "set": [0], "label": "greedy"})
+    # this sweep's third round raises InfiniteLossError (exit 3) once it plays
+    cfg = dict(INFINITE_LOSS)
     (tmp_path / "f").write_bytes(b"")
     for out in ("f", "f/out"):
         cfg["output_dir"] = str(tmp_path / out)
@@ -537,15 +562,21 @@ def test_output_dir_in_config_naming_a_file_exits_2_before_play(tmp_path, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "f"]
 
 
-def test_cli_numerical_assertion_exit_code(tmp_path, capsys):
-    cfg = base_config()
-    cfg["adversary"] = {"context": "subset_uniform", "rule": "static",
-                        "set": [0], "label": "greedy"}
+def test_cli_numerical_assertion_exit_code(tmp_path, monkeypatch, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    assert cli_main(["run", "--config", str(path), "--output-dir", str(out)]) == 3
-    capsys.readouterr()
+    argv = ["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]
+    path.write_text(json.dumps(INFINITE_LOSS))
+    assert cli_main(argv) == 3
+    assert capsys.readouterr().err == \
+        "numerical failure: deterministic prediction q1=0.0 contradicted by y=1\n"
+    # a static set below ceil(sigma * U) = 4 fails the smoothness check in the
+    # first round; parse_config rejects one in a config, so the set goes in here
+    monkeypatch.setattr(harness, "adversary_from_spec",
+                        lambda spec, sigma, family: subset_smooth_adversary(sigma, subset=[0]))
+    path.write_text(json.dumps(base_config()))
+    assert cli_main(argv) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: target set of size 1 below minimum 4")
 
 
 # sha256 of every artifact of two static-set, realizable-label sweeps with the

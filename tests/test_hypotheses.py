@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smoothpa import ContextUniverse, Example, Hypothesis, mle_oracle, offline_best_loss
+from smoothpa import ContextUniverse, Hypothesis, mle_oracle, offline_best_loss
 from smoothpa.diagnostics import nml_value, rademacher_estimate
 from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import (ComparatorTracker, RegionFamily, evaluate,
@@ -131,37 +131,35 @@ def test_grid_paths_hold_no_universe_squared_matrix():
         assert peak < 8 << 20, (name, peak)
 
 
-def inside_outside_counts(bitmap, data):
+def inside_outside_counts(bitmap, xs, ys):
     """(n0, k0, n1, k1) for one region through examples_to_counts and region_counts."""
     fam = RegionFamily.explicit(len(bitmap), [np.flatnonzero(bitmap).tolist()])
-    cnt, pos = examples_to_counts(data, len(bitmap))
+    cnt, pos = examples_to_counts(xs, ys, len(bitmap))
     n0, k0 = region_counts(cnt, fam)[0], region_counts(pos, fam)[0]
     return n0, k0, cnt.sum() - n0, pos.sum() - k0
 
 
 def test_count_regions_empty_and_full():
     full = np.ones(8, dtype=bool)
-    assert inside_outside_counts(full, []) == (0, 0, 0, 0)
-    data = [Example(3, 1), Example(3, 1), Example(3, 0)]
-    assert inside_outside_counts(full, data) == (3, 2, 0, 0)
+    assert inside_outside_counts(full, [], []) == (0, 0, 0, 0)
+    assert inside_outside_counts(full, [3, 3, 3], [1, 1, 0]) == (3, 2, 0, 0)
 
 
 def test_count_regions_random_vs_recount():
     rng = np.random.default_rng(0)
     bm = rng.random(12) < 0.5
-    data = [Example(int(rng.integers(12)), int(rng.integers(2))) for _ in range(20)]
-    got = inside_outside_counts(bm, data)
-    n0 = sum(1 for e in data if bm[e.x])
-    k0 = sum(1 for e in data if bm[e.x] and e.y == 1)
-    n1 = sum(1 for e in data if not bm[e.x])
-    k1 = sum(1 for e in data if not bm[e.x] and e.y == 1)
+    data = [(int(rng.integers(12)), int(rng.integers(2))) for _ in range(20)]
+    got = inside_outside_counts(bm, *zip(*data))
+    n0 = sum(1 for x, y in data if bm[x])
+    k0 = sum(1 for x, y in data if bm[x] and y == 1)
+    n1 = sum(1 for x, y in data if not bm[x])
+    k1 = sum(1 for x, y in data if not bm[x] and y == 1)
     assert got == (n0, k0, n1, k1)
 
 
 def test_mle_single_region_family_defaults():
     fam = RegionFamily.explicit(5, [range(5)])
-    data = [Example(1, 1), Example(2, 1), Example(3, 0)]
-    h = mle_oracle(data, fam)
+    h = mle_oracle([1, 2, 3], [1, 1, 0], fam)
     assert h.region_index == 0
     assert h.theta0 == pytest.approx(2.0 / 3.0)
     assert h.theta1 == 0.5  # empty outside defaults to 1/2
@@ -169,7 +167,7 @@ def test_mle_single_region_family_defaults():
 
 def test_mle_empty_data_tiebreak():
     fam = RegionFamily.threshold_grid(6)
-    assert mle_oracle([], fam) == Hypothesis(0, 0.5, 0.5)
+    assert mle_oracle([], [], fam) == Hypothesis(0, 0.5, 0.5)
 
 
 def test_mle_matches_bruteforce_grid_fine():
@@ -177,8 +175,7 @@ def test_mle_matches_bruteforce_grid_fine():
     fam = RegionFamily.threshold_grid(8)
     xs = rng.integers(0, 8, size=15)
     ys = rng.integers(0, 2, size=15)
-    data = list(zip(xs.tolist(), ys.tolist()))
-    got = offline_best_loss(data, fam)
+    got = offline_best_loss(xs, ys, fam)
     oracle = brute_force_best_loss(xs, ys, fam, step=1e-4)
     assert got <= oracle + 1e-3
     assert got == pytest.approx(oracle, abs=1e-3)
@@ -192,16 +189,20 @@ def test_mle_loss_below_theta_grid_everywhere():
         n = int(rng.integers(0, 21))
         xs = rng.integers(0, u, size=n)
         ys = rng.integers(0, 2, size=n)
-        got = offline_best_loss(list(zip(xs.tolist(), ys.tolist())), fam)
+        got = offline_best_loss(xs, ys, fam)
         assert got <= brute_force_best_loss(xs, ys, fam, step=1e-3) + 1e-3
 
 
 def test_offline_best_loss_examples():
     fam = RegionFamily.threshold_grid(4)
-    all_ones = [Example(i % 4, 1) for i in range(6)]
-    assert offline_best_loss(all_ones, fam) == pytest.approx(0.0, abs=1e-12)
+    xs = [i % 4 for i in range(6)]
+    assert offline_best_loss(xs, [1] * 6, fam) == pytest.approx(0.0, abs=1e-12)
     single = RegionFamily.explicit(4, [range(4)])
-    assert offline_best_loss([Example(2, 1), Example(2, 0)], single) == pytest.approx(2 * LN2)
+    assert offline_best_loss([2, 2], [1, 0], single) == pytest.approx(2 * LN2)
+    # the examples (0, 1) and (0, 0): one context with both labels costs ln 2
+    # each in any region; contexts 0 and 1 both labelled 0 cost nothing
+    assert offline_best_loss([0, 0], [1, 0], fam) == pytest.approx(2 * LN2, abs=1e-12)
+    assert offline_best_loss([0, 1], [0, 0], fam) == 0.0
 
 
 def test_offline_best_loss_monotone_in_prefix():
@@ -212,7 +213,7 @@ def test_offline_best_loss_monotone_in_prefix():
     prev = 0.0
     tracker = ComparatorTracker(fam)
     for t in range(40):
-        cur = offline_best_loss(list(zip(xs[: t + 1].tolist(), ys[: t + 1].tolist())), fam)
+        cur = offline_best_loss(xs[: t + 1], ys[: t + 1], fam)
         assert cur >= prev - 1e-12
         assert tracker.update(int(xs[t]), int(ys[t])) == pytest.approx(cur, abs=1e-9)
         prev = cur
@@ -244,7 +245,7 @@ def test_threshold_fast_path_equals_generic_scan():
         same = RegionFamily.explicit(u, [range(a + 1) for a in range(u)])
         xs = rng.integers(0, u, size=int(rng.integers(1, 60)))
         ys = rng.integers(0, 2, size=len(xs))
-        cnt, pos = examples_to_counts((xs, ys), u)
+        cnt, pos = examples_to_counts(xs, ys, u)
         for values in (cnt, pos):       # prefix sums against the bitmap product
             assert np.array_equal(region_counts(values, fam), region_bitmaps(fam) @ values)
             assert np.array_equal(region_counts(values, fam), region_counts(values, same))
