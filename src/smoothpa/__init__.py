@@ -1,7 +1,7 @@
 """Sequential probability assignment under log-loss against smooth adaptive
 adversaries: learners, oracles, couplings, diagnostics, and a sweep harness."""
 
-from .core import ContextUniverse, GameTrace, log_loss, run_game
+from .core import GameTrace, log_loss, run_game
 from .errors import (ConfigError, InfiniteLossError, NumericalAssertionError,
                      SmoothnessError)
 from .hypotheses import Hypothesis, RegionFamily, evaluate, mle_oracle, offline_best_loss
@@ -9,12 +9,10 @@ from .adversary import (AdversaryPolicy, SmoothDistribution, SubsetUniform,
                         adversary_from_spec, subset_smooth_adversary, validate_smooth)
 from .coupling import rejection_couple_batch
 from .learners import (FtplConfig, FtplLearner, KtLearner, MixtureLearner,
-                       MixtureState, UniformLearner, epsilon_cover,
-                       init_mixture_state, laplace_integral_log,
-                       learner_from_spec, mixture_predict, mixture_update)
-from .diagnostics import (BoundInputs, ChiSquareReport, RademacherEstimate,
-                          chi_square_bruteforce, chi_square_closed_form,
-                          chi_square_report, nml_value, rademacher_estimate,
+                       UniformLearner, epsilon_cover, laplace_integral_log,
+                       learner_from_spec)
+from .diagnostics import (BoundInputs, RademacherEstimate, chi_square_bruteforce,
+                          chi_square_closed_form, nml_value, rademacher_estimate,
                           theorem_bound)
 from .harness import (ExperimentConfig, SweepSummary, derive_seed, fit_scaling,
                       parse_config, run)

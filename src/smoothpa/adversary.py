@@ -14,8 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ContextUniverse
-from .errors import ConfigError, SmoothnessError, parse_field
+from .errors import ConfigError, SmoothnessError, check_keys, parse_field
 from .hypotheses import Hypothesis, RegionFamily, evaluate
 
 SUM_TOL = 1e-12
@@ -135,9 +134,9 @@ class SubsetUniform:
         return int(self.ids[self._cdf.searchsorted(rng.random(), side="right")])
 
 
-def check_static_set(ids, universe: Optional[int]) -> None:
+def check_static_set(ids, size: int) -> None:
     """Reject a configured static target set with a bad entry: not an integer,
-    outside [0, universe) (when the universe is known), or repeated."""
+    outside [0, size), or repeated."""
     if ids is None:
         return
     if not isinstance(ids, (list, tuple)):
@@ -146,9 +145,8 @@ def check_static_set(ids, universe: Optional[int]) -> None:
     for i, v in enumerate(ids):
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ConfigError(f"adversary.set[{i}]: {v!r} is not an integer context id")
-        if v < 0 or (universe is not None and v >= universe):
-            where = f"[0, {universe})" if universe is not None else "the universe"
-            raise ConfigError(f"adversary.set[{i}]: context id {v} outside {where}")
+        if not 0 <= v < size:
+            raise ConfigError(f"adversary.set[{i}]: context id {v} outside [0, {size})")
         if v in seen:
             raise ConfigError(f"adversary.set[{i}]: context id {v} repeated")
         seen.add(v)
@@ -160,10 +158,9 @@ class StaticSubsetRule:
     def __init__(self, subset: Optional[Sequence[int]] = None):
         self.subset = None if subset is None else np.asarray(subset, dtype=np.int64)
 
-    def reset(self, universe: ContextUniverse, sigma: float) -> None:
-        k = min_support_size(sigma, universe.size)
+    def reset(self, size: int, sigma: float) -> None:
         if self.subset is None:
-            self._set = np.arange(k)
+            self._set = np.arange(min_support_size(sigma, size))
         else:
             self._set = self.subset
 
@@ -190,9 +187,9 @@ class AdaptiveExtremenessRule:
     beats an unvisited outsider's (0, id >= ceil(sigma*U)).
     """
 
-    def reset(self, universe: ContextUniverse, sigma: float) -> None:
-        self._k = min_support_size(sigma, universe.size)
-        self._last_q = np.full(universe.size, 0.5)
+    def reset(self, size: int, sigma: float) -> None:
+        self._k = min_support_size(sigma, size)
+        self._last_q = np.full(size, 0.5)
         self._stale = True
 
     def observe(self, x: int, q: float, y: int) -> None:
@@ -227,7 +224,7 @@ class GreedyLabelRule:
     """Per-round loss-maximizing label: the side the learner considers less
     likely. Ties at q = 1/2 resolve to 0 for determinism."""
 
-    def reset(self, universe, rng):
+    def reset(self, rng):
         pass
 
     def label(self, x: int, q: float) -> int:
@@ -241,7 +238,7 @@ class RealizableLabelRule:
         self.f_star = f_star
         self.family = family
 
-    def reset(self, universe, rng):
+    def reset(self, rng):
         self._rng = rng
 
     def label(self, x: int, q: float) -> int:
@@ -257,7 +254,7 @@ class FixedSequenceLabelRule:
             raise ConfigError("adversary.labels: entries must be 0 or 1")
         self.labels = [int(v) for v in labels]
 
-    def reset(self, universe, rng):
+    def reset(self, rng):
         self._t = 0
 
     def label(self, x: int, q: float) -> int:
@@ -268,23 +265,24 @@ class FixedSequenceLabelRule:
 
 
 class AdversaryPolicy:
-    """Adaptive context rule plus label rule, owning per-trajectory RNG.
+    """Adaptive context rule plus label rule over the contexts {0, ..., size-1},
+    owning per-trajectory RNG.
 
     Every emitted distribution is validated sigma-smooth on construction, so a
     violation anywhere in a run surfaces as SmoothnessError.
     """
 
-    def __init__(self, context_rule, label_rule, sigma: float):
+    def __init__(self, context_rule, label_rule, sigma: float, size: int):
         if not 0.0 < sigma <= 1.0:
             raise ConfigError(f"adversary.sigma: {sigma} outside (0, 1]")
         self.context_rule = context_rule
         self.label_rule = label_rule
         self.sigma = sigma
+        self.size = size
 
-    def reset(self, universe: ContextUniverse, rng: np.random.Generator) -> None:
-        self.universe = universe
-        self.context_rule.reset(universe, self.sigma)
-        self.label_rule.reset(universe, rng)
+    def reset(self, rng: np.random.Generator) -> None:
+        self.context_rule.reset(self.size, self.sigma)
+        self.label_rule.reset(rng)
         self._dist = None
 
     def context_distribution(self) -> SubsetUniform:
@@ -294,7 +292,7 @@ class AdversaryPolicy:
         ids = np.asarray(self.context_rule.target_set(), dtype=np.int64)
         dist = self._dist
         if dist is None or ids.shape != self._shape or ids.tobytes() != self._bytes:
-            dist = SubsetUniform(self.universe.size, ids, self.sigma)
+            dist = SubsetUniform(self.size, ids, self.sigma)
             self._dist, self._shape, self._bytes = dist, ids.shape, ids.tobytes()
         return dist
 
@@ -305,10 +303,11 @@ class AdversaryPolicy:
         self.context_rule.observe(x, q, y)
 
 
-def subset_smooth_adversary(sigma: float, target_set_rule=None, label_rule=None,
+def subset_smooth_adversary(sigma: float, size: int, target_set_rule=None, label_rule=None,
                             rule: str = "static",
                             subset: Optional[Sequence[int]] = None) -> AdversaryPolicy:
-    """Maximally concentrated smooth adversary: uniform on a subset chosen from the past.
+    """Maximally concentrated smooth adversary over the contexts {0, ..., size-1}:
+    uniform on a subset chosen from the past.
 
     target_set_rule may be any object with reset/observe/target_set; it sees
     the past only through observe(x, q, y). Otherwise `rule` selects the
@@ -325,7 +324,7 @@ def subset_smooth_adversary(sigma: float, target_set_rule=None, label_rule=None,
             raise ConfigError(f"adversary.rule: unknown rule {rule!r}")
     if label_rule is None:
         label_rule = GreedyLabelRule()
-    return AdversaryPolicy(target_set_rule, label_rule, sigma)
+    return AdversaryPolicy(target_set_rule, label_rule, sigma, size)
 
 
 def _f_star(fs, family: RegionFamily) -> Hypothesis:
@@ -333,6 +332,7 @@ def _f_star(fs, family: RegionFamily) -> Hypothesis:
     of the family's and its thetas in [0, 1]."""
     if not isinstance(fs, dict):
         raise ConfigError("adversary.f_star: required for realizable labels")
+    check_keys(fs, "adversary.f_star", ("region_index", "theta0", "theta1"))
     thetas = []
     for key in ("theta0", "theta1"):
         if fs.get(key) is None:
@@ -347,14 +347,20 @@ def _f_star(fs, family: RegionFamily) -> Hypothesis:
     return Hypothesis(idx, *thetas)
 
 
-def adversary_from_spec(spec: dict, sigma: Optional[float] = None,
-                        family: Optional[RegionFamily] = None) -> AdversaryPolicy:
-    """Build a policy from the JSON adversary spec.
+# The keys besides the context side's that each label kind reads
+_LABEL_KEYS = {"greedy": (), "realizable": ("f_star",), "fixed_sequence": ("labels",)}
+
+
+def adversary_from_spec(spec: dict, family: RegionFamily,
+                        sigma: Optional[float] = None) -> AdversaryPolicy:
+    """Build a policy over the family's contexts from the JSON adversary spec.
 
     Context side: {"context": "subset_uniform", "sigma": 0.1, "rule": "static|adaptive"}.
     Label side: {"label": "greedy" | "realizable" | "fixed_sequence", ...}.
-    An explicit `sigma` argument (e.g. a sweep cell value) overrides the spec's.
-    Given the family, a static `set` smaller than ceil(sigma * U) is rejected here.
+    An explicit `sigma` argument (e.g. a sweep cell value) replaces the spec's,
+    which is then an unknown key, as is a `set` under the adaptive rule, an
+    `f_star` under non-realizable labels and `labels` under non-fixed ones.
+    A static `set` smaller than ceil(sigma * U) is rejected here.
     """
     if not isinstance(spec, dict):
         raise ConfigError("adversary: must be an object")
@@ -365,15 +371,13 @@ def adversary_from_spec(spec: dict, sigma: Optional[float] = None,
     if sig is None:
         raise ConfigError("adversary.sigma: missing")
     rule = spec.get("rule", "static")
-    subset = spec.get("set")
-    check_static_set(subset, None if family is None else family.universe.size)
+    subset = spec.get("set") if rule == "static" else None
+    check_static_set(subset, family.size)
 
     label_kind = spec.get("label", "greedy")
     if label_kind == "greedy":
         label_rule = GreedyLabelRule()
     elif label_kind == "realizable":
-        if family is None:
-            raise ConfigError("adversary.label: realizable rule needs a hypothesis family")
         label_rule = RealizableLabelRule(_f_star(spec.get("f_star"), family), family)
     elif label_kind == "fixed_sequence":
         if not isinstance(spec.get("labels"), list):
@@ -382,11 +386,14 @@ def adversary_from_spec(spec: dict, sigma: Optional[float] = None,
     else:
         raise ConfigError(f"adversary.label: unknown kind {label_kind!r}")
 
-    policy = subset_smooth_adversary(float(sig), label_rule=label_rule, rule=rule,
-                                     subset=subset)
-    if rule == "static" and subset is not None and family is not None:
-        k = min_support_size(policy.sigma, family.universe.size)
+    policy = subset_smooth_adversary(float(sig), family.size, label_rule=label_rule,
+                                     rule=rule, subset=subset)
+    if subset is not None:
+        k = min_support_size(policy.sigma, family.size)
         if len(subset) < k:
             raise ConfigError(f"adversary.set: {len(subset)} contexts, fewer than "
                               f"ceil(sigma * U) = {k} at sigma = {policy.sigma:g}")
+    known = ["context", "rule", "label", *_LABEL_KEYS[label_kind]]
+    known += (["sigma"] if sigma is None else []) + (["set"] if rule == "static" else [])
+    check_keys(spec, "adversary", known)
     return policy

@@ -94,7 +94,7 @@ def _cmd_nml(args) -> dict:
     contexts = load_json(args.contexts, "contexts file")
     if not isinstance(contexts, list):
         raise ConfigError("contexts file: must be a JSON list of context ids")
-    u = family.universe.size
+    u = family.size
     for i, x in enumerate(contexts):
         if not _is_int(x) or not 0 <= x < u:
             raise ConfigError(f"contexts[{i}]: {x!r} is not a context id in [0, {u})")

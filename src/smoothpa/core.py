@@ -1,4 +1,4 @@
-"""Game-level primitives: context universe, log-loss, interaction loop, regret accounting.
+"""Game-level primitives: log-loss, the interaction loop, regret accounting.
 
 Losses are in nats throughout. A prediction is a plain float q1 in [0, 1], the
 probability assigned to label 1.
@@ -12,20 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfiniteLossError
+from .errors import InfiniteLossError, allocate
 
 CSV_HEADER = "run_id,seed,t,learner_loss,cum_learner_loss,cum_comparator_loss,cum_regret"
-
-
-@dataclass(frozen=True)
-class ContextUniverse:
-    """Finite context space {0, ..., size-1} carrying the uniform base measure."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("universe size must be >= 1")
 
 
 def log_loss(q1: float, y: int) -> float:
@@ -64,8 +53,7 @@ class GameTrace:
         return np.cumsum(self.losses)
 
 
-def run_game(learner, adversary, universe: ContextUniverse, T: int, seed: int,
-             run_id: str = "game") -> GameTrace:
+def run_game(learner, adversary, T: int, seed: int, run_id: str = "game") -> GameTrace:
     """Play one seeded trajectory of the assignment game.
 
     Per round: the adversary emits a smooth context distribution (any object
@@ -83,13 +71,12 @@ def run_game(learner, adversary, universe: ContextUniverse, T: int, seed: int,
     ss = np.random.SeedSequence(seed)
     ctx_ss, learner_ss, adv_ss = ss.spawn(3)
     ctx_rng = np.random.default_rng(ctx_ss)
-    learner.reset(universe, np.random.default_rng(learner_ss))
-    adversary.reset(universe, np.random.default_rng(adv_ss))
+    learner.reset(np.random.default_rng(learner_ss))
+    adversary.reset(np.random.default_rng(adv_ss))
 
-    xs = np.empty(T, dtype=np.int64)
-    ys = np.empty(T, dtype=np.int64)
-    qs = np.empty(T)
-    losses = np.empty(T)
+    xs, ys, qs, losses, comparator = [
+        allocate(T, "T", "rounds", lambda: np.zeros(T, dtype))
+        for dtype in (np.int64, np.int64, np.float64, np.float64, np.float64)]
     for t in range(T):
         x = int(adversary.context_distribution().sample(ctx_rng))
         q = float(learner.predict(x))
@@ -98,7 +85,7 @@ def run_game(learner, adversary, universe: ContextUniverse, T: int, seed: int,
         learner.update(x, y)
         adversary.observe(x, q, y)
         xs[t], ys[t], qs[t] = x, y, q
-    return GameTrace(run_id, seed, xs, ys, qs, losses, np.zeros(T))
+    return GameTrace(run_id, seed, xs, ys, qs, losses, comparator)
 
 
 def format_records_csv(traces: Sequence[GameTrace]) -> str:

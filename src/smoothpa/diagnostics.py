@@ -17,14 +17,6 @@ from .hypotheses import _BLOCK_BYTES, Hypothesis, RegionFamily
 LOG_ZERO = -1e300
 
 
-@dataclass(frozen=True)
-class ChiSquareReport:
-    closed_form: float
-    bound: float
-    brute_force: Optional[float] = None
-    discarded: float = 0.0
-
-
 def chi_square_closed_form(target: SmoothDistribution, n_rate: float) -> tuple[float, float]:
     """Collision form (2U/n) * sum_x D(x)^2 of the one-step chi-square divergence,
     together with its smoothness bound 2/(sigma*n)."""
@@ -98,15 +90,6 @@ def chi_square_bruteforce(target: SmoothDistribution, n_rate: float,
     return chi_acc - 1.0, discarded
 
 
-def chi_square_report(target: SmoothDistribution, n_rate: float,
-                      tail_cutoff: float = 1e-12, brute: bool = True) -> ChiSquareReport:
-    closed, bound = chi_square_closed_form(target, n_rate)
-    if not brute:
-        return ChiSquareReport(closed, bound)
-    bf, discarded = chi_square_bruteforce(target, n_rate, tail_cutoff)
-    return ChiSquareReport(closed, bound, bf, discarded)
-
-
 @dataclass(frozen=True)
 class RademacherEstimate:
     mean: float
@@ -128,7 +111,7 @@ def rademacher_estimate(family: RegionFamily, alpha: float, sample_size: int,
         raise ValueError("sample_size must be >= 1")
     if mc_rounds < 1:
         raise ValueError("mc_rounds must be >= 1")
-    u = family.universe.size
+    u = family.size
     t = sample_size
 
     candidates = [np.tile(np.arange(u), (t + u - 1) // u)[:t]]

@@ -24,6 +24,29 @@ def parse_field(value, name: str, cast):
         raise ConfigError(f"{name}: {value!r} is not a valid {cast.__name__}") from None
 
 
+def check_keys(obj: dict, path: str, known) -> None:
+    """Reject a key of `obj` that its reader does not read, as ConfigError
+    naming its path, e.g. `learner.kt.betta: unknown key`; `path` is the
+    object's own path, empty at the top level of a config."""
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
+
+
+def allocate(size: int, name: str, unit: str, make):
+    """make(), an array of `size` rows; numpy's refusal to allocate it raises
+    ConfigError naming the field, e.g. `T: 4611686018427387904 rounds are more
+    than numpy can allocate`. Near 2**63 np.arange returns an empty array
+    instead of refusing, so a short result counts as a refusal too."""
+    try:
+        arr = make()
+    except (ValueError, MemoryError):
+        arr = None
+    if arr is None or len(arr) != size:
+        raise ConfigError(f"{name}: {size} {unit} are more than numpy can allocate")
+    return arr
+
+
 def load_json(path, name: str):
     """The JSON document in the UTF-8 file at `path`. A file that is missing,
     unreadable (a directory, say), not UTF-8, not JSON or nested deeper than

@@ -20,7 +20,7 @@ import numpy as np
 
 from .adversary import AdversaryPolicy, adversary_from_spec
 from .core import GameTrace, format_records_csv, run_game
-from .errors import ConfigError, load_json, parse_field
+from .errors import ConfigError, check_keys, load_json, parse_field
 from .hypotheses import RegionFamily, prefix_best_losses
 from .learners import learner_from_spec
 
@@ -63,6 +63,13 @@ def _as_list(value, name: str, cast):
     return [parse_field(value, name, cast)]
 
 
+# The keys a config reads at its top level, and those `sweep` may set instead;
+# a swept key set in both places takes its value from `sweep`
+_TOP_LEVEL = ("universe", "family", "adversary", "sweep", "repetitions", "base_seed",
+              "output_dir")
+_SWEPT = ("learner", "T", "sigma")
+
+
 def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     """Check a config document (or the JSON file at a path) and build its sweep:
     the region family, whose size must equal `universe`, and per cell one
@@ -89,6 +96,8 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     sweep = obj.get("sweep", {})
     if not isinstance(sweep, dict):
         raise ConfigError("sweep: must be an object")
+    check_keys(sweep, "sweep", _SWEPT)
+    check_keys(obj, "", _TOP_LEVEL + _SWEPT)
     learners = sweep.get("learner", obj.get("learner"))
     if learners is None:
         raise ConfigError("learner: missing")
@@ -116,11 +125,10 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     if not isinstance(family_spec, dict):
         raise ConfigError("family: must be an object")
     family = RegionFamily.from_spec(family_spec)
-    if family.universe.size != universe:
-        raise ConfigError(f"family.size: {family.universe.size} differs from "
-                          f"universe {universe}")
+    if family.size != universe:
+        raise ConfigError(f"family.size: {family.size} differs from universe {universe}")
     cells = [Cell(ls, t, s, learner_from_spec(ls, family, t, s),
-                  adversary_from_spec(adversary_spec, sigma=s, family=family))
+                  adversary_from_spec(adversary_spec, family, sigma=s))
              for ls, t, s in itertools.product(learners, horizons, sigmas)]
     labels = adversary_spec.get("labels")
     if adversary_spec.get("label") == "fixed_sequence" and len(labels) < max(horizons):
@@ -175,7 +183,7 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
         traces: list[GameTrace] = []
         try:
             for rep in range(cfg.repetitions):
-                trace = run_game(cell.learner, cell.adversary, cfg.family.universe, cell.T,
+                trace = run_game(cell.learner, cell.adversary, cell.T,
                                  derive_seed(cfg.base_seed, cell_key, rep),
                                  run_id=f"c{ci:03d}r{rep:03d}")
                 trace.comparator = prefix_best_losses(trace.xs, trace.ys, cfg.family)

@@ -14,15 +14,15 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import xlogy
 
-from .core import ContextUniverse
-from .errors import ConfigError, parse_field
+from .errors import ConfigError, allocate, check_keys, parse_field
 
 THRESHOLD_GRID = "threshold_grid"
 EXPLICIT = "explicit"
 
 
 class RegionFamily:
-    """Finite list of candidate regions over a finite universe.
+    """Finite list of candidate regions over the contexts {0, ..., size-1},
+    which carry the uniform base measure.
 
     kind is "threshold_grid" (region a is {x : x <= a}, one per grid point,
     totally ordered by inclusion) or "explicit" (arbitrary subsets). Outside
@@ -32,34 +32,36 @@ class RegionFamily:
     that one context's memberships are one contiguous row.
     """
 
-    def __init__(self, universe: ContextUniverse, kind: str,
-                 member: Optional[np.ndarray] = None):
-        self.universe = universe
+    def __init__(self, size: int, kind: str, member: Optional[np.ndarray] = None):
+        if size < 1:
+            raise ValueError("family size must be >= 1")
+        self.size = size
         self.kind = kind
         self._member = member
-        self._grid = (_allocate(universe.size, lambda: np.arange(universe.size))
+        self._grid = (allocate(size, "family.size", "contexts", lambda: np.arange(size))
                       if member is None else None)
 
     @classmethod
     def threshold_grid(cls, size: int) -> "RegionFamily":
-        return cls(ContextUniverse(size), THRESHOLD_GRID)
+        return cls(size, THRESHOLD_GRID)
 
     @classmethod
     def explicit(cls, size: int, regions: Sequence[Sequence[int]]) -> "RegionFamily":
         if len(regions) == 0:
             raise ConfigError("family.regions: must be a nonempty list of context id lists")
-        member = _allocate(size, lambda: np.zeros((size, len(regions)), dtype=bool))
+        member = allocate(size, "family.size", "contexts",
+                          lambda: np.zeros((size, len(regions)), dtype=bool))
         for i, ids in enumerate(regions):
             ids = list(ids)     # range-checked as Python ints: the cast would overflow
             if ids and (min(ids) < 0 or max(ids) >= size):
                 bad = min(ids) if min(ids) < 0 else max(ids)
                 raise ConfigError(f"family.regions[{i}]: context id {bad} outside [0, {size})")
             member[np.asarray(ids, dtype=np.int64), i] = True
-        return cls(ContextUniverse(size), EXPLICIT, member)
+        return cls(size, EXPLICIT, member)
 
     def __len__(self) -> int:
         if self.kind == THRESHOLD_GRID:
-            return self.universe.size
+            return self.size
         return self._member.shape[1]
 
     def contains(self, xs, regions=None) -> np.ndarray:
@@ -77,9 +79,9 @@ class RegionFamily:
 
     def to_json(self) -> str:
         if self.kind == THRESHOLD_GRID:
-            return json.dumps({"kind": THRESHOLD_GRID, "size": self.universe.size})
+            return json.dumps({"kind": THRESHOLD_GRID, "size": self.size})
         regions = [np.flatnonzero(col).tolist() for col in self._member.T]
-        return json.dumps({"kind": EXPLICIT, "size": self.universe.size, "regions": regions})
+        return json.dumps({"kind": EXPLICIT, "size": self.size, "regions": regions})
 
     @classmethod
     def from_spec(cls, obj: dict) -> "RegionFamily":
@@ -90,9 +92,11 @@ class RegionFamily:
             raise ConfigError("family.kind: missing")
         kind = obj["kind"]
         if kind == THRESHOLD_GRID:
+            check_keys(obj, "family", ("kind", "size"))
             return cls.threshold_grid(_size(obj.get("size")))
         if kind != EXPLICIT:
             raise ConfigError(f"family.kind: unknown kind {kind!r}")
+        check_keys(obj, "family", ("kind", "size", "regions"))
         regions = obj.get("regions")
         if not isinstance(regions, list):
             raise ConfigError("family.regions: must be a nonempty list of context id lists")
@@ -105,19 +109,6 @@ class RegionFamily:
         else:
             size = _size(obj["size"])
         return cls.explicit(size, regions)
-
-
-def _allocate(size: int, make) -> np.ndarray:
-    """make(), an array of `size` rows; numpy's refusal to allocate it ends as a
-    ConfigError. Near 2**63 np.arange returns an empty array instead of
-    refusing, so a short result counts as a refusal too."""
-    try:
-        arr = make()
-    except (ValueError, MemoryError):
-        arr = None
-    if arr is None or len(arr) != size:
-        raise ConfigError(f"family.size: {size} contexts are more than numpy can allocate")
-    return arr
 
 
 def _size(value) -> int:
@@ -138,7 +129,7 @@ class Hypothesis:
 
 def evaluate(family: RegionFamily, h: Hypothesis, x: int) -> float:
     """Predicted probability of label 1 at context x: theta0 inside A, theta1 outside."""
-    if not 0 <= x < family.universe.size:
+    if not 0 <= x < family.size:
         raise ValueError(f"context {x} outside universe")
     if family.kind == THRESHOLD_GRID:
         inside = x <= h.region_index
@@ -203,12 +194,12 @@ def mle_from_counts(cnt: np.ndarray, pos: np.ndarray,
 def mle_oracle(xs, ys, family: RegionFamily) -> Hypothesis:
     """Empirical-loss minimizer over (region, theta0, theta1) on the examples
     (xs[i], ys[i]); empty columns are allowed."""
-    return mle_from_counts(*examples_to_counts(xs, ys, family.universe.size), family)[0]
+    return mle_from_counts(*examples_to_counts(xs, ys, family.size), family)[0]
 
 
 def offline_best_loss(xs, ys, family: RegionFamily) -> float:
     """Cumulative log-loss of the best fixed hypothesis on the examples (xs[i], ys[i])."""
-    return mle_from_counts(*examples_to_counts(xs, ys, family.universe.size), family)[1]
+    return mle_from_counts(*examples_to_counts(xs, ys, family.size), family)[1]
 
 
 # Temporary memory one block of rounds may use, in prefix_best_losses and in the
@@ -255,9 +246,8 @@ class ComparatorTracker:
 
     def __init__(self, family: RegionFamily):
         self.family = family
-        u = family.universe.size
-        self.cnt = np.zeros(u)
-        self.pos = np.zeros(u)
+        self.cnt = np.zeros(family.size)
+        self.pos = np.zeros(family.size)
 
     def update(self, x: int, y: int) -> float:
         """Account for one more example and return the best loss on the prefix so far."""

@@ -11,14 +11,12 @@ the add-one Laplace rule per region side, reweighted by the region marginals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
-from .core import ContextUniverse
-from .errors import ConfigError, NumericalAssertionError
+from .errors import ConfigError, NumericalAssertionError, check_keys
 from .hypotheses import (_BLOCK_BYTES, RegionFamily, THRESHOLD_GRID, evaluate,
                          mle_from_region_counts, region_counts)
 
@@ -46,7 +44,7 @@ def epsilon_cover(family: RegionFamily, eps: float) -> np.ndarray:
     m = len(family)
     if eps >= 1.0 or m == 1:
         return np.array([0], dtype=np.int64)
-    u = family.universe.size
+    u = family.size
     if family.kind == THRESHOLD_GRID:
         stride = max(1, int(math.ceil(eps * u)))
         idx = list(range(0, u, stride))
@@ -66,94 +64,9 @@ def epsilon_cover(family: RegionFamily, eps: float) -> np.ndarray:
     return np.sort(np.asarray(centers, dtype=np.int64))
 
 
-@dataclass
-class MixtureState:
-    """Sufficient statistics of the uniform mixture over cover regions.
-
-    Per element i: counts n[i, j], k[i, j] on side j (0 inside, 1 outside) and
-    the log marginal ln[B(k0, n0) * B(k1, n1)] of the labels seen so far.
-    member[x, i] is whether context x lies in element i's region, and side[x, i]
-    is the flat index 2i + j into n and k of element i's side holding x.
-    """
-
-    cover: np.ndarray
-    member: np.ndarray
-    n: np.ndarray
-    k: np.ndarray
-    log_marginal: np.ndarray
-    side: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.side = np.arange(0, 2 * self.size, 2) + ~self.member
-
-    @property
-    def size(self) -> int:
-        return len(self.cover)
-
-    @property
-    def log_normalizer(self) -> float:
-        """ln q(y_1:t || x_1:t): log-sum-exp of element marginals minus ln m."""
-        return float(logsumexp(self.log_marginal) - math.log(self.size))
-
-    def copy(self) -> "MixtureState":
-        """Independent counts and marginals; cover and membership are shared."""
-        return MixtureState(self.cover, self.member, self.n.copy(), self.k.copy(),
-                            self.log_marginal.copy())
-
-
-def init_mixture_state(family: RegionFamily, cover: Sequence[int]) -> MixtureState:
-    cover = np.asarray(cover, dtype=np.int64)
-    if cover.size == 0:
-        raise ValueError("cover must be nonempty")
-    member = family.contains(np.arange(family.universe.size), cover)
-    m = cover.size
-    return MixtureState(
-        cover=cover,
-        member=member,
-        n=np.zeros((m, 2)),
-        k=np.zeros((m, 2)),
-        log_marginal=np.zeros(m),
-    )
-
-
 # Clamp for mixture predictions: Laplace factors are interior, so the mixture is too
 _Q_MIN = float(np.nextafter(0.0, 1.0))
 _Q_MAX = float(np.nextafter(1.0, 0.0))
-
-
-def mixture_predict(state: MixtureState, x: int) -> float:
-    """Posterior-weighted add-one rule: sum_i w_i (k_j + 1)/(n_j + 2) on x's side.
-
-    The per-element factor is the exact ratio of consecutive Beta integrals, so
-    the sequential products telescope to the joint mixture probability. The
-    weights are the marginals shifted by their maximum before exponentiating,
-    so they cannot all underflow.
-    """
-    side = state.side[x]
-    lm = state.log_marginal
-    w = np.exp(lm - lm.max())
-    q1 = float(w @ ((state.k.take(side) + 1.0) / (state.n.take(side) + 2.0)) / w.sum())
-    return min(max(q1, _Q_MIN), _Q_MAX)
-
-
-def _update_in_place(state: MixtureState, x: int, y: int) -> None:
-    """Account one observation in place: bump counts on x's side, shift log
-    marginals by the log Laplace factor of the realized label."""
-    side = state.side[x]
-    n_j = state.n.take(side)
-    k_j = state.k.take(side)
-    hits = k_j + 1.0 if y == 1 else n_j - k_j + 1.0
-    state.log_marginal += np.log(hits / (n_j + 2.0))
-    np.put(state.n, side, n_j + 1.0)
-    if y == 1:
-        np.put(state.k, side, k_j + 1.0)
-
-
-def mixture_update(state: MixtureState, x: int, y: int) -> MixtureState:
-    """The state after one more observation; `state` itself is left unchanged."""
-    out = state.copy()
-    _update_in_place(out, x, y)
-    return out
 
 
 # Largest hallucination rate: the per-cell Poisson rate n / 2U stays far below
@@ -183,7 +96,7 @@ def truncation_range(alpha: float) -> tuple[float, float]:
 class UniformLearner:
     """Baseline assigning 1/2 always; per-round loss is exactly ln 2."""
 
-    def reset(self, universe: ContextUniverse, rng: np.random.Generator) -> None:
+    def reset(self, rng: np.random.Generator) -> None:
         pass
 
     def predict(self, x: int) -> float:
@@ -201,7 +114,7 @@ class KtLearner:
             raise ConfigError(f"kt.beta: {beta} must be positive")
         self.beta = beta
 
-    def reset(self, universe: ContextUniverse, rng: np.random.Generator) -> None:
+    def reset(self, rng: np.random.Generator) -> None:
         self._ones = 0
         self._rounds = 0
 
@@ -214,24 +127,51 @@ class KtLearner:
 
 
 class MixtureLearner:
-    """Uniform Bayes mixture over an epsilon-cover of the region family."""
+    """Uniform Bayes mixture over a cover of the region family, such as the
+    regions `epsilon_cover` picks.
 
-    def __init__(self, family: RegionFamily, eps: float):
-        self.family = family
-        self.eps = eps
-        self.cover = epsilon_cover(family, eps)
-        self.state: Optional[MixtureState] = None
+    Per cover element i it keeps counts n[i, j], k[i, j] on side j (0 inside,
+    1 outside) and the log marginal ln[B(k0, n0) * B(k1, n1)] of the labels
+    seen so far. side[x, i] is the flat index 2i + j into n and k of element
+    i's side holding context x.
+    """
 
-    def reset(self, universe: ContextUniverse, rng: np.random.Generator) -> None:
-        if universe.size != self.family.universe.size:
-            raise ConfigError("learner.vc_mixture: family universe mismatch")
-        self.state = init_mixture_state(self.family, self.cover)
+    def __init__(self, family: RegionFamily, cover):
+        self.cover = np.asarray(cover, dtype=np.int64)
+        member = family.contains(np.arange(family.size), self.cover)
+        self.side = np.arange(0, 2 * self.cover.size, 2) + ~member
+
+    def reset(self, rng: np.random.Generator) -> None:
+        m = self.cover.size
+        self.n = np.zeros((m, 2))
+        self.k = np.zeros((m, 2))
+        self.log_marginal = np.zeros(m)
 
     def predict(self, x: int) -> float:
-        return mixture_predict(self.state, x)
+        """Posterior-weighted add-one rule: sum_i w_i (k_j + 1)/(n_j + 2) on x's side.
+
+        The per-element factor is the exact ratio of consecutive Beta integrals, so
+        the sequential products telescope to the joint mixture probability. The
+        weights are the marginals shifted by their maximum before exponentiating,
+        so they cannot all underflow.
+        """
+        side = self.side[x]
+        lm = self.log_marginal
+        w = np.exp(lm - lm.max())
+        q1 = float(w @ ((self.k.take(side) + 1.0) / (self.n.take(side) + 2.0)) / w.sum())
+        return min(max(q1, _Q_MIN), _Q_MAX)
 
     def update(self, x: int, y: int) -> None:
-        _update_in_place(self.state, x, y)
+        """Bump the counts on x's side and shift the log marginals by the log
+        Laplace factor of the realized label."""
+        side = self.side[x]
+        n_j = self.n.take(side)
+        k_j = self.k.take(side)
+        hits = k_j + 1.0 if y == 1 else n_j - k_j + 1.0
+        self.log_marginal += np.log(hits / (n_j + 2.0))
+        np.put(self.n, side, n_j + 1.0)
+        if y == 1:
+            np.put(self.k, side, k_j + 1.0)
 
 
 class FtplLearner:
@@ -251,11 +191,8 @@ class FtplLearner:
         self.family = family
         self._lo, self._hi = truncation_range(config.alpha)
 
-    def reset(self, universe: ContextUniverse, rng: np.random.Generator) -> None:
-        u, m = universe.size, len(self.family)
-        if u != self.family.universe.size:
-            raise ConfigError(f"learner.ftpl: family size {self.family.universe.size} "
-                              f"differs from universe {u}")
+    def reset(self, rng: np.random.Generator) -> None:
+        u, m = self.family.size, len(self.family)
         self.rng = rng
         self._n0 = np.zeros(m)
         self._k0 = np.zeros(m)
@@ -269,7 +206,7 @@ class FtplLearner:
         self._row = 0
 
     def _draw_block(self) -> None:
-        u = self.family.universe.size
+        u = self.family.size
         rows = min(2 * len(self._hal_n0) or 1, self._max_rows)
         hal = self.rng.poisson(self.config.n / (2.0 * u), size=(rows, 2, u)).astype(np.float64)
         pos = hal[:, 1]
@@ -327,6 +264,10 @@ def _positive(params: dict, key: str, default: float, path: str) -> float:
     return value
 
 
+# The parameters each learner kind reads
+_PARAMS = {"uniform": (), "kt": ("beta",), "vc_mixture": ("eps",), "ftpl": ("n", "alpha")}
+
+
 def learner_from_spec(spec: dict, family: RegionFamily, T: int, sigma: float):
     """The learner a JSON spec describes for one (T, sigma) cell, its defaults
     filled in.
@@ -341,19 +282,21 @@ def learner_from_spec(spec: dict, family: RegionFamily, T: int, sigma: float):
     kind, params = next(iter(spec.items()))
     if not isinstance(params, dict):
         raise ConfigError(f"learner.{kind}: parameters must be an object")
+    if kind not in _PARAMS:
+        raise ConfigError(f"learner: unknown kind {kind!r}")
     path = f"learner.{kind}"
+    check_keys(params, path, _PARAMS[kind])
     if kind == "uniform":
         return UniformLearner()
     if kind == "kt":
         return KtLearner(_positive(params, "beta", 0.5, path))
     if kind == "vc_mixture":
-        return MixtureLearner(family, _positive(params, "eps", sigma / float(T) ** 2, path))
-    if kind == "ftpl":
-        n_def, alpha_def = default_ftpl_tuning(T, sigma)
-        n = _number(params, "n", n_def, path)
-        alpha = _number(params, "alpha", alpha_def, path)
-        if params.get("alpha") is None and not 0.0 < alpha < 0.5:
-            raise ConfigError(f"learner.ftpl.alpha: the default 1/T = {alpha:g} at T = {T} "
-                              f"is outside (0, 1/2); set alpha explicitly")
-        return FtplLearner(FtplConfig(n, alpha), family)
-    raise ConfigError(f"learner: unknown kind {kind!r}")
+        eps = _positive(params, "eps", sigma / float(T) ** 2, path)
+        return MixtureLearner(family, epsilon_cover(family, eps))
+    n_def, alpha_def = default_ftpl_tuning(T, sigma)
+    n = _number(params, "n", n_def, path)
+    alpha = _number(params, "alpha", alpha_def, path)
+    if params.get("alpha") is None and not 0.0 < alpha < 0.5:
+        raise ConfigError(f"learner.ftpl.alpha: the default 1/T = {alpha:g} at T = {T} "
+                          f"is outside (0, 1/2); set alpha explicitly")
+    return FtplLearner(FtplConfig(n, alpha), family)

@@ -2,23 +2,24 @@
 its runtime and asserting the stated tolerance and budget. Run with -s to watch.
 """
 
+import copy
 import functools
 import math
 import time
 
 import numpy as np
 from scipy import integrate
+from scipy.special import logsumexp
 
-from smoothpa import ContextUniverse, Hypothesis, run_game
+from smoothpa import Hypothesis, run_game
 from smoothpa.adversary import SmoothDistribution, adversary_from_spec
 from smoothpa.coupling import rejection_couple_batch
 from smoothpa.diagnostics import (chi_square_bruteforce, chi_square_closed_form,
                                   nml_value)
 from smoothpa.harness import run
 from smoothpa.hypotheses import RegionFamily, mle_from_counts, examples_to_counts
-from smoothpa.learners import (FtplConfig, FtplLearner, epsilon_cover,
-                               init_mixture_state, laplace_integral_log,
-                               mixture_predict, mixture_update, truncation_range)
+from smoothpa.learners import (FtplConfig, FtplLearner, MixtureLearner, epsilon_cover,
+                               laplace_integral_log, truncation_range)
 
 from test_hypotheses import brute_force_best_loss, region_bitmaps
 
@@ -54,18 +55,20 @@ def test_criterion_01_laplace_integral():
 @criterion(2, "mixture chain rule over 100 trajectories", 10.0)
 def test_criterion_02_mixture_chain_rule():
     fam = RegionFamily.threshold_grid(64)
-    cover = epsilon_cover(fam, 1e-9)       # full cover at this scale
+    learner = MixtureLearner(fam, epsilon_cover(fam, 1e-9))     # full cover at this scale
     rng = np.random.default_rng(2)
     for _ in range(100):
-        state = init_mixture_state(fam, cover)
+        learner.reset(rng)
         log_prod = 0.0
         for _ in range(200):
             x = int(rng.integers(64))
             y = int(rng.integers(2))
-            q1 = mixture_predict(state, x)
+            q1 = learner.predict(x)
             log_prod += math.log(q1 if y == 1 else 1.0 - q1)
-            state = mixture_update(state, x, y)
-        assert abs(log_prod - state.log_normalizer) <= 1e-10
+            learner.update(x, y)
+        # ln q(y_1:T || x_1:T): log-sum-exp of the element marginals minus ln m
+        log_norm = logsumexp(learner.log_marginal) - math.log(learner.cover.size)
+        assert abs(log_prod - log_norm) <= 1e-10
 
 
 @criterion(3, "MLE oracle within 1e-3 of exhaustive grid on 500 instances", 30.0)
@@ -162,18 +165,21 @@ def _mixture_joint_log_probs(family, cover, xs):
     """Learner log-probability of every label sequence via a prefix-tree walk."""
     t = len(xs)
     out = np.empty(2 ** t)
-    stack = [(0, 0, init_mixture_state(family, cover), 0.0)]
+    root = MixtureLearner(family, cover)
+    root.reset(None)
+    stack = [(0, 0, root, 0.0)]
     while stack:
-        depth, prefix, state, logq = stack.pop()
+        depth, prefix, learner, logq = stack.pop()
         if depth == t:
             out[prefix] = logq
             continue
         x = int(xs[depth])
-        q1 = mixture_predict(state, x)
+        q1 = learner.predict(x)
         for y in (0, 1):
+            child = copy.deepcopy(learner)
+            child.update(x, y)
             child_logq = logq + math.log(q1 if y == 1 else 1.0 - q1)
-            stack.append((depth + 1, prefix | (y << depth),
-                          mixture_update(state, x, y), child_logq))
+            stack.append((depth + 1, prefix | (y << depth), child, child_logq))
     return out
 
 
@@ -270,14 +276,12 @@ def test_criterion_09_truncation_range():
     # the prediction path also carries a hard in-loop range assertion, armed
     # during every FTPL run in this suite; here traces are checked explicitly
     fam = RegionFamily.threshold_grid(64)
-    uni = ContextUniverse(64)
     for t, sigma, seed in ((256, 0.05, 1), (512, 0.2, 2), (1024, 0.5, 3)):
         alpha = 1.0 / t
         n = round(t ** 0.8 / math.sqrt(sigma))
         learner = FtplLearner(FtplConfig(float(n), alpha), fam)
-        adv = adversary_from_spec({"rule": "adaptive", "label": "greedy"},
-                                  sigma=sigma, family=fam)
-        trace = run_game(learner, adv, uni, t, seed)
+        adv = adversary_from_spec({"rule": "adaptive", "label": "greedy"}, fam, sigma=sigma)
+        trace = run_game(learner, adv, t, seed)
         lo, hi = truncation_range(alpha)
         assert np.all(trace.qs >= lo) and np.all(trace.qs <= hi)
         losses = trace.losses

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from smoothpa import (ContextUniverse, Hypothesis, SmoothnessError, UniformLearner,
-                      run_game, validate_smooth)
+from smoothpa import Hypothesis, SmoothnessError, UniformLearner, run_game, validate_smooth
 from smoothpa.adversary import (AdaptiveExtremenessRule, AdversaryPolicy,
                                 FixedSequenceLabelRule, GreedyLabelRule, RealizableLabelRule,
                                 SmoothDistribution, SubsetUniform, adversary_from_spec,
                                 min_support_size, subset_smooth_adversary)
 from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import RegionFamily
-from smoothpa.learners import MixtureLearner
+from smoothpa.learners import MixtureLearner, epsilon_cover
 
 
 def test_validate_smooth_uniform_passes():
@@ -40,8 +39,8 @@ def test_validate_smooth_minimal_support():
     # however small sigma * U is, a target set holds at least one context
     assert min_support_size(1e-300, 8) == 1
     for rule in ("static", "adaptive"):
-        trace = run_game(UniformLearner(), subset_smooth_adversary(1e-300, rule=rule),
-                         ContextUniverse(8), 4, seed=0)
+        trace = run_game(UniformLearner(), subset_smooth_adversary(1e-300, 8, rule=rule),
+                         4, seed=0)
         assert len(trace.xs) == 4
 
 
@@ -52,23 +51,23 @@ def test_validate_smooth_rejects_bad_vectors():
 
 
 def test_subset_adversary_sigma_one_is_uniform():
-    adv = subset_smooth_adversary(1.0)
-    adv.reset(ContextUniverse(16), np.random.default_rng(0))
+    adv = subset_smooth_adversary(1.0, 16)
+    adv.reset(np.random.default_rng(0))
     dist = adv.context_distribution()
     assert np.allclose(dist.pmf, 1 / 16)
 
 
 def test_subset_adversary_static_quarter():
-    adv = subset_smooth_adversary(0.25, rule="static", subset=[1, 5, 9, 13])
-    adv.reset(ContextUniverse(16), np.random.default_rng(0))
+    adv = subset_smooth_adversary(0.25, 16, rule="static", subset=[1, 5, 9, 13])
+    adv.reset(np.random.default_rng(0))
     dist = adv.context_distribution()
     assert dist.pmf[1] == 0.25 and dist.pmf[0] == 0.0
     assert validate_smooth(dist.pmf, 0.25)[0]
 
 
 def test_subset_adversary_rejects_small_set():
-    adv = subset_smooth_adversary(0.5, rule="static", subset=[0])
-    adv.reset(ContextUniverse(4), np.random.default_rng(0))
+    adv = subset_smooth_adversary(0.5, 4, rule="static", subset=[0])
+    adv.reset(np.random.default_rng(0))
     with pytest.raises(SmoothnessError):
         adv.context_distribution()
 
@@ -112,9 +111,9 @@ def test_subset_uniform_rejects_bad_ids(subset, bad):
 
 def test_static_rule_with_bad_id_fails_the_run():
     # an id of -1 once indexed the dense pmf from the end and drew context 7
-    adv = subset_smooth_adversary(0.5, rule="static", subset=[-1, 0, 1, 2])
+    adv = subset_smooth_adversary(0.5, 8, rule="static", subset=[-1, 0, 1, 2])
     with pytest.raises(SmoothnessError, match="-1"):
-        run_game(UniformLearner(), adv, ContextUniverse(8), 4, seed=0)
+        run_game(UniformLearner(), adv, 4, seed=0)
 
 
 @pytest.mark.parametrize("ids, message", [
@@ -128,7 +127,7 @@ def test_static_rule_with_bad_id_fails_the_run():
 def test_adversary_from_spec_rejects_bad_static_set(ids, message):
     spec = {"rule": "static", "set": ids, "label": "greedy"}
     with pytest.raises(ConfigError, match=message):
-        adversary_from_spec(spec, sigma=0.5, family=RegionFamily.threshold_grid(8))
+        adversary_from_spec(spec, RegionFamily.threshold_grid(8), sigma=0.5)
 
 
 def argsort_target_set(last_q, k):
@@ -148,7 +147,7 @@ def test_adaptive_rule_matches_argsort_on_random_observations():
         sigma = float(rng.choice([1e-9, 0.1, 0.3, 0.5, 0.9, 1.0]))
         k = min_support_size(sigma, u)
         rule = AdaptiveExtremenessRule()
-        rule.reset(ContextUniverse(u), sigma)
+        rule.reset(u, sigma)
         last_q = np.full(u, 0.5)
         prev = rule.target_set()
         assert np.array_equal(prev, np.arange(k))
@@ -167,7 +166,7 @@ def test_adaptive_rule_matches_argsort_on_random_observations():
 
 def test_adaptive_rule_set_fixed_when_drawn_from_itself():
     rule = AdaptiveExtremenessRule()
-    rule.reset(ContextUniverse(32), 0.25)
+    rule.reset(32, 0.25)
     rng = np.random.default_rng(0)
     first = rule.target_set()
     for _ in range(500):
@@ -183,7 +182,7 @@ class ListRule:
     def __init__(self, ids):
         self.ids = ids
 
-    def reset(self, universe, sigma):
+    def reset(self, size, sigma):
         pass
 
     def observe(self, x, q, y):
@@ -195,8 +194,8 @@ class ListRule:
 
 def test_policy_reuses_distribution_only_for_the_same_ids():
     rule = ListRule(np.array([0, 2, 4, 6]))
-    adv = subset_smooth_adversary(0.5, target_set_rule=rule)
-    adv.reset(ContextUniverse(8), np.random.default_rng(0))
+    adv = subset_smooth_adversary(0.5, 8, target_set_rule=rule)
+    adv.reset(np.random.default_rng(0))
     first = adv.context_distribution()
     assert adv.context_distribution() is first
     rule.ids = np.array([0, 2, 4, 6])                   # a new array, the same ids
@@ -208,14 +207,14 @@ def test_policy_reuses_distribution_only_for_the_same_ids():
     third = adv.context_distribution()
     assert third is not second and np.array_equal(third.ids, [0, 3, 5, 7])
     assert np.array_equal(second.ids, [1, 3, 5, 7])     # the checked copy is untouched
-    adv.reset(ContextUniverse(8), np.random.default_rng(0))
+    adv.reset(np.random.default_rng(0))
     assert adv.context_distribution() is not third  # a new trajectory checks afresh
 
 
 def test_policy_rechecks_a_set_changed_in_place():
     ids = np.array([0, 2, 4, 6])
-    adv = subset_smooth_adversary(0.5, target_set_rule=ListRule(ids))
-    adv.reset(ContextUniverse(8), np.random.default_rng(0))
+    adv = subset_smooth_adversary(0.5, 8, target_set_rule=ListRule(ids))
+    adv.reset(np.random.default_rng(0))
     adv.context_distribution()
     ids[0] = 2                                          # a repeated id
     with pytest.raises(SmoothnessError, match="repeats context id 2"):
@@ -236,7 +235,7 @@ class RecordingPolicy(AdversaryPolicy):
     """Wrapper capturing every emitted distribution for invariant checks."""
 
     def __init__(self, inner):
-        super().__init__(inner.context_rule, inner.label_rule, inner.sigma)
+        super().__init__(inner.context_rule, inner.label_rule, inner.sigma, inner.size)
         self.emitted = []
 
     def context_distribution(self):
@@ -246,11 +245,10 @@ class RecordingPolicy(AdversaryPolicy):
 
 
 def test_adaptive_rule_emits_valid_distributions_for_1000_rounds():
-    u = ContextUniverse(16)
     fam = RegionFamily.threshold_grid(16)
-    adv = RecordingPolicy(subset_smooth_adversary(0.3, rule="adaptive"))
-    learner = MixtureLearner(fam, eps=0.1)
-    run_game(learner, adv, u, 1000, seed=21)
+    adv = RecordingPolicy(subset_smooth_adversary(0.3, 16, rule="adaptive"))
+    learner = MixtureLearner(fam, epsilon_cover(fam, 0.1))
+    run_game(learner, adv, 1000, seed=21)
     assert len(adv.emitted) == 1000
     for pmf in adv.emitted:
         ok, idx = validate_smooth(pmf, 0.3)
@@ -258,9 +256,8 @@ def test_adaptive_rule_emits_valid_distributions_for_1000_rounds():
 
 
 def test_sigma_one_contexts_close_to_uniform_tv():
-    u = ContextUniverse(16)
-    adv = subset_smooth_adversary(1.0)
-    trace = run_game(UniformLearner(), adv, u, 100_000, seed=3)
+    adv = subset_smooth_adversary(1.0, 16)
+    trace = run_game(UniformLearner(), adv, 100_000, seed=3)
     counts = np.bincount(trace.xs, minlength=16) / len(trace.xs)
     tv = 0.5 * np.abs(counts - 1 / 16).sum()
     assert tv < 0.02
@@ -275,7 +272,7 @@ def test_greedy_label_cases():
 
 def realizable_rule(family, f_star, seed):
     rule = RealizableLabelRule(f_star, family)
-    rule.reset(family.universe, np.random.default_rng(seed))
+    rule.reset(np.random.default_rng(seed))
     return rule
 
 
@@ -297,44 +294,47 @@ def test_realizable_label_bernoulli_mean():
 
 def test_adversary_from_spec_variants():
     spec = {"context": "subset_uniform", "sigma": 0.1, "rule": "static", "label": "greedy"}
-    adv = adversary_from_spec(spec)
-    assert adv.sigma == 0.1 and isinstance(adv.label_rule, GreedyLabelRule)
+    adv = adversary_from_spec(spec, RegionFamily.threshold_grid(16))
+    assert adv.sigma == 0.1 and adv.size == 16 and isinstance(adv.label_rule, GreedyLabelRule)
 
     adv2 = adversary_from_spec({"rule": "adaptive", "label": "realizable",
                                 "f_star": {"region_index": 1, "theta0": 0.2, "theta1": 0.8}},
-                               sigma=0.5, family=RegionFamily.threshold_grid(4))
+                               RegionFamily.threshold_grid(4), sigma=0.5)
     assert adv2.sigma == 0.5
 
-    adv3 = adversary_from_spec({"label": "fixed_sequence", "labels": [0, 1, 1]}, sigma=1.0)
-    adv3.reset(ContextUniverse(2), np.random.default_rng(0))
+    adv3 = adversary_from_spec({"label": "fixed_sequence", "labels": [0, 1, 1]},
+                               RegionFamily.threshold_grid(2), sigma=1.0)
+    adv3.reset(np.random.default_rng(0))
     assert adv3.label(0, 0.5) == 0
     assert adv3.label(0, 0.5) == 1
-    adv3.reset(ContextUniverse(2), np.random.default_rng(0))    # a new game replays from the start
+    adv3.reset(np.random.default_rng(0))    # a new game replays from the start
     assert adv3.label(0, 0.5) == 0
 
 
 def test_adversary_from_spec_errors():
+    fam = RegionFamily.threshold_grid(4)
     with pytest.raises(ConfigError):
-        adversary_from_spec({"context": "gaussian"}, sigma=0.5)
+        adversary_from_spec({"context": "gaussian"}, fam, sigma=0.5)
     with pytest.raises(ConfigError):
-        adversary_from_spec({"label": "greedy"})  # sigma missing
+        adversary_from_spec({"label": "greedy"}, fam)  # sigma missing
     with pytest.raises(ConfigError):
-        adversary_from_spec({"label": "realizable"}, sigma=0.5)
-    realizable = {"label": "realizable", "f_star": {"theta0": 0.2, "theta1": 0.8}}
-    with pytest.raises(ConfigError, match="realizable rule needs a hypothesis family"):
-        adversary_from_spec(realizable, sigma=0.5)
+        adversary_from_spec({"label": "realizable"}, fam, sigma=0.5)
+    realizable = {"label": "realizable",
+                  "f_star": {"region_index": 4, "theta0": 0.2, "theta1": 0.8}}
+    with pytest.raises(ConfigError, match=r"^adversary\.f_star\.region_index: 4 outside"):
+        adversary_from_spec(realizable, fam, sigma=0.5)
     with pytest.raises(ConfigError):
-        adversary_from_spec({"rule": "chaotic"}, sigma=0.5)
+        adversary_from_spec({"rule": "chaotic"}, fam, sigma=0.5)
     for labels in ([0, 2], [True, 0, 1], [0, False]):
         with pytest.raises(ConfigError, match=r"^adversary\.labels: entries must be 0 or 1"):
             FixedSequenceLabelRule(labels)
         with pytest.raises(ConfigError, match=r"^adversary\.labels: entries must be 0 or 1"):
-            adversary_from_spec({"label": "fixed_sequence", "labels": labels}, sigma=0.5)
+            adversary_from_spec({"label": "fixed_sequence", "labels": labels}, fam, sigma=0.5)
 
 
 def test_fixed_sequence_exhaustion():
     rule = FixedSequenceLabelRule([1])
-    rule.reset(ContextUniverse(2), None)
+    rule.reset(None)
     assert rule.label(0, 0.5) == 1
     with pytest.raises(ConfigError, match="exhausted after 1 rounds"):
         rule.label(0, 0.5)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from smoothpa import (AdversaryPolicy, ContextUniverse, InfiniteLossError, UniformLearner,
-                      log_loss, run_game)
+from smoothpa import AdversaryPolicy, InfiniteLossError, UniformLearner, log_loss, run_game
 from smoothpa.adversary import FixedSequenceLabelRule, subset_smooth_adversary
 from smoothpa.core import CSV_HEADER, format_records_csv
 from smoothpa.hypotheses import RegionFamily, offline_best_loss, prefix_best_losses
@@ -20,7 +19,7 @@ class ConstLearner:
     def __init__(self, q):
         self.q = q
 
-    def reset(self, universe, rng):
+    def reset(self, rng):
         pass
 
     def predict(self, x):
@@ -71,9 +70,8 @@ def csv_rows(text):
 
 
 def test_play_game_uniform_learner_all_ln2():
-    u = ContextUniverse(8)
-    adv = subset_smooth_adversary(0.5)
-    trace = run_game(UniformLearner(), adv, u, 10, seed=7)
+    adv = subset_smooth_adversary(0.5, 8)
+    trace = run_game(UniformLearner(), adv, 10, seed=7)
     assert len(trace.losses) == len(trace.xs) == len(trace.comparator) == 10
     assert np.all(trace.losses == LN2)
     assert np.all(trace.qs == 0.5)
@@ -82,29 +80,26 @@ def test_play_game_uniform_learner_all_ln2():
 
 
 def test_play_game_seeded_determinism():
-    u = ContextUniverse(16)
-    make = lambda: subset_smooth_adversary(0.3, rule="adaptive")
-    a = run_game(UniformLearner(), make(), u, 50, seed=123)
-    b = run_game(UniformLearner(), make(), u, 50, seed=123)
+    make = lambda: subset_smooth_adversary(0.3, 16, rule="adaptive")
+    a = run_game(UniformLearner(), make(), 50, seed=123)
+    b = run_game(UniformLearner(), make(), 50, seed=123)
     columns = ("xs", "ys", "qs", "losses", "comparator")
     assert a.seed == b.seed == 123
     assert all(np.array_equal(getattr(a, c), getattr(b, c)) for c in columns)
-    c = run_game(UniformLearner(), make(), u, 50, seed=124)
+    c = run_game(UniformLearner(), make(), 50, seed=124)
     assert not np.array_equal(c.xs, a.xs)
 
 
 def test_play_game_greedy_flips_confident_prediction():
-    u = ContextUniverse(4)
-    adv = subset_smooth_adversary(1.0)
-    trace = run_game(ConstLearner(0.9), adv, u, 1, seed=0)
+    adv = subset_smooth_adversary(1.0, 4)
+    trace = run_game(ConstLearner(0.9), adv, 1, seed=0)
     # greedy picks the lower-probability label 0, loss -ln(0.1)
     assert trace.ys[0] == 0
     assert trace.losses[0] == pytest.approx(2.3025850929940455, abs=1e-12)
 
 
 def test_regret_against_arithmetic():
-    trace = run_game(UniformLearner(), subset_smooth_adversary(1.0), ContextUniverse(2),
-                     10, seed=1)
+    trace = run_game(UniformLearner(), subset_smooth_adversary(1.0, 2), 10, seed=1)
     total = trace.cum_losses[-1]
     trace.comparator = np.full(10, 7.5)
     last = csv_rows(format_records_csv([trace]))[-1]
@@ -115,8 +110,7 @@ def test_regret_against_arithmetic():
 
 def test_regret_bookkeeping_identity():
     fam = RegionFamily.threshold_grid(8)
-    trace = run_game(ConstLearner(0.3), subset_smooth_adversary(0.5),
-                     ContextUniverse(8), 25, seed=5)
+    trace = run_game(ConstLearner(0.3), subset_smooth_adversary(0.5, 8), 25, seed=5)
     # the cumulative column is the running sum in round order, bit for bit
     assert trace.cum_losses.tolist() == list(itertools.accumulate(trace.losses.tolist()))
     trace.comparator = prefix_best_losses(trace.xs, trace.ys, fam)
@@ -130,10 +124,9 @@ def test_regret_bookkeeping_identity():
 
 
 def test_regret_small_threshold_instance_vs_bruteforce_comparator():
-    u = ContextUniverse(6)
     fam = RegionFamily.threshold_grid(6)
-    adv = subset_smooth_adversary(0.5)
-    trace = run_game(ConstLearner(0.7), adv, u, 3, seed=11)
+    adv = subset_smooth_adversary(0.5, 6)
+    trace = run_game(ConstLearner(0.7), adv, 3, seed=11)
     # brute force over thresholds x a theta-grid of step 1e-4, both sides
     grid = np.linspace(0.0, 1.0, 10001)
     best = np.inf
@@ -155,8 +148,8 @@ def test_regret_small_threshold_instance_vs_bruteforce_comparator():
 
 
 def test_csv_schema_and_significant_digits():
-    make = lambda run_id, seed: run_game(UniformLearner(), subset_smooth_adversary(1.0),
-                                         ContextUniverse(2), 3, seed=seed, run_id=run_id)
+    make = lambda run_id, seed: run_game(UniformLearner(), subset_smooth_adversary(1.0, 2),
+                                         3, seed=seed, run_id=run_id)
     text = format_records_csv([make("r1", 9), make("r2", 10)])
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -175,7 +168,7 @@ class RecordingLearner:
         self.log = log
         self.qs = qs
 
-    def reset(self, universe, rng):
+    def reset(self, rng):
         self.t = 0
 
     def predict(self, x):
@@ -192,8 +185,8 @@ class RecordingPolicy(AdversaryPolicy):
     """An adversary that logs every call it and its distributions receive."""
 
     def __init__(self, log, sigma, labels):
-        super().__init__(subset_smooth_adversary(sigma, rule="adaptive").context_rule,
-                         FixedSequenceLabelRule(labels), sigma)
+        super().__init__(subset_smooth_adversary(sigma, 8, rule="adaptive").context_rule,
+                         FixedSequenceLabelRule(labels), sigma, 8)
         self.log = log
 
     def context_distribution(self, *args):
@@ -222,8 +215,7 @@ def test_run_game_round_protocol():
     log = []
     labels = [1, 0, 0, 1, 1, 0, 1]
     learner = RecordingLearner(log, [0.5, 0.9, 0.2])
-    trace = run_game(learner, RecordingPolicy(log, 0.5, labels), ContextUniverse(8),
-                     len(labels), seed=3)
+    trace = run_game(learner, RecordingPolicy(log, 0.5, labels), len(labels), seed=3)
     assert len(log) == 6 * len(labels)
     rng = log[1][1]
     assert isinstance(rng, np.random.Generator)

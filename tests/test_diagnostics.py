@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from smoothpa.adversary import SmoothDistribution
+from smoothpa.cli import main as cli_main
 from smoothpa.diagnostics import (BoundInputs, chi_square_bruteforce,
-                                  chi_square_closed_form, chi_square_report,
-                                  nml_value, rademacher_estimate, theorem_bound)
+                                  chi_square_closed_form, nml_value,
+                                  rademacher_estimate, theorem_bound)
 from smoothpa.hypotheses import Hypothesis, RegionFamily
 
 from test_hypotheses import region_bitmaps
@@ -120,11 +122,12 @@ def test_chi2_bruteforce_folds_constant_axis(u, n_rate):
     assert discarded == pytest.approx(ref_discarded, abs=1e-14)
 
 
-def test_chi2_report_shape():
-    d = SmoothDistribution.uniform(2, sigma=1.0)
-    rep = chi_square_report(d, 4.0)
-    assert rep.brute_force is not None
-    assert rep.closed_form <= rep.bound + 1e-12
+def test_chi2_report_shape(capsys):
+    assert cli_main(["chi2", "--sigma", "1", "--n", "4", "--universe", "2"]) == 0
+    rep = json.loads(capsys.readouterr().out)["chi2"]
+    assert set(rep) == {"closed", "brute", "bound", "discarded"}
+    assert rep["brute"] is not None
+    assert rep["closed"] <= rep["bound"] + 1e-12
 
 
 # ---------------------------------------------------------------- rademacher

@@ -120,6 +120,29 @@ def test_parse_config_field_paths():
                                  r"output_dir: \['out'\] is not a string or null")):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             parse_config(base_config(**{key: value}))
+    # a key that nothing reads, at every level, ends with its path
+    adaptive = {"context": "subset_uniform", "rule": "adaptive", "label": "greedy"}
+    grid = {"kind": "threshold_grid", "size": 8}
+    for overrides, message in (
+            ({"repetition": 20}, "repetition: unknown key"),
+            ({"sweep": {"T": [16], "sigmas": [0.5]}}, "sweep.sigmas: unknown key"),
+            ({"learner": {"kt": {"betta": 2}}}, "learner.kt.betta: unknown key"),
+            ({"learner": {"ftpl": {"N": 100}}}, "learner.ftpl.N: unknown key"),
+            ({"learner": {"uniform": {"beta": 0.5}}}, "learner.uniform.beta: unknown key"),
+            ({"sweep": {"learner": [{"uniform": {}}, {"vc_mixture": {"epsilon": 0.1}}]}},
+             "learner.vc_mixture.epsilon: unknown key"),
+            ({"family": dict(grid, regions=[[0]])}, "family.regions: unknown key"),
+            ({"family": {"kind": "explicit", "regions": [[0], [7]], "universe": 8}},
+             "family.universe: unknown key"),
+            ({"adversary": dict(adaptive, set=[5, 6, 7])}, r"adversary\.set: unknown key"),
+            ({"adversary": dict(static, sigma=0.1)}, r"adversary\.sigma: unknown key"),
+            ({"adversary": dict(static, labels=[0, 1])}, r"adversary\.labels: unknown key"),
+            ({"adversary": dict(static, f_star=f_star)}, r"adversary\.f_star: unknown key"),
+            ({"adversary": dict(static, lable="realizable")}, r"adversary\.lable: unknown key"),
+            ({"adversary": dict(realizable, f_star=dict(f_star, theta2=0.5))},
+             r"adversary\.f_star\.theta2: unknown key")):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(base_config(**overrides))
 
 
 def test_run_uniform_vs_greedy_regret_is_t_ln2(tmp_path):
@@ -245,11 +268,11 @@ def test_reused_learner_and_adversary_replay_a_fresh_game(learner, label, rule):
 
     def build():
         return (learner_from_spec(learner, family, 24, 0.5),
-                adversary_from_spec(spec, sigma=0.5, family=family))
+                adversary_from_spec(spec, family, sigma=0.5))
     played = build()
-    run_game(*played, family.universe, 24, seed=1)
-    fresh = run_game(*build(), family.universe, 24, seed=2)
-    reused = run_game(*played, family.universe, 24, seed=2)
+    run_game(*played, 24, seed=1)
+    fresh = run_game(*build(), 24, seed=2)
+    reused = run_game(*played, 24, seed=2)
     for column in ("xs", "ys", "qs", "losses"):
         assert np.array_equal(getattr(reused, column), getattr(fresh, column)), column
 
@@ -262,7 +285,7 @@ class ExplodingLearner:
         self.fail_at = fail_at
         self.games = 0
 
-    def reset(self, universe, rng):
+    def reset(self, rng):
         self.games += 1
         self.seen = 0
 
@@ -528,6 +551,10 @@ GRID4_CLASS = {"family": {"kind": "threshold_grid", "size": 4},
     # an output directory that names an existing file, from the flag or the config
     (["run", "--config", "c.json", "--output-dir", "f"], {"c.json": base_config(), "f": b""},
      "output_dir: cannot create {tmp}/f: File exists"),
+    # more rounds than numpy can allocate, refused whatever the memory limits
+    (["run", "--config", "c.json", "--output-dir", "out"],
+     {"c.json": base_config(T=2 ** 62), "out": DIRECTORY},
+     f"T: {2 ** 62} rounds are more than numpy can allocate"),
 ])
 def test_cli_file_errors_exit_2(tmp_path, capsys, argv, files, message):
     for name, obj in files.items():
@@ -572,7 +599,8 @@ def test_cli_numerical_assertion_exit_code(tmp_path, monkeypatch, capsys):
     # a static set below ceil(sigma * U) = 4 fails the smoothness check in the
     # first round; parse_config rejects one in a config, so the set goes in here
     monkeypatch.setattr(harness, "adversary_from_spec",
-                        lambda spec, sigma, family: subset_smooth_adversary(sigma, subset=[0]))
+                        lambda spec, family, sigma: subset_smooth_adversary(sigma, family.size,
+                                                                            subset=[0]))
     path.write_text(json.dumps(base_config()))
     assert cli_main(argv) == 3
     assert capsys.readouterr().err.startswith(
@@ -727,6 +755,46 @@ MIXTURE_SWEEP = ({
 
 def test_mixture_sweep_artifacts_are_pinned(tmp_path):
     cfg, digests = MIXTURE_SWEEP
+    run(cfg, output_dir=tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir())}
+    assert got == digests
+
+
+# sha256 of every artifact of a vc_mixture sweep on the 16-context explicit
+# family above, computed before the mixture's bookkeeping moved into
+# MixtureLearner. The default eps and eps = 0.3 keep all four regions through
+# the greedy cover, eps = 0.45 keeps regions 0 and 2, so the cover, the
+# membership gather and the side map of an explicit family are all pinned.
+EXPLICIT_MIXTURE_SWEEP = ({
+    "universe": 16,
+    "family": {"kind": "explicit", "size": 16,
+               "regions": [[0, 1, 2, 3], [2, 5, 7, 11, 13], [8, 9, 10, 11, 12, 13, 14, 15],
+                           [1, 3, 5, 7, 9]]},
+    "adversary": {"context": "subset_uniform", "rule": "adaptive", "label": "greedy"},
+    "repetitions": 2, "base_seed": 43,
+    "sweep": {"learner": [{"vc_mixture": {}}, {"vc_mixture": {"eps": 0.3}},
+                          {"vc_mixture": {"eps": 0.45}}],
+              "T": [40, 300], "sigma": [0.25, 0.5]},
+}, {
+    "records_cell000.csv": "c57e392b9a9f0dc06a426c0e1559369814757f047cfc4e822f660c9fe5dc92ec",
+    "records_cell001.csv": "c71cfd0548417624de7b702fc9503a0f2bfbf96a737328370e3c5bfb4675ad8b",
+    "records_cell002.csv": "b992cd3fa5024ec4a9a40cb48da04933bd5dd8c9801aa36a413fb83f26001709",
+    "records_cell003.csv": "225ca8eabc34a12574f0e3868d64f0b275b3abe770d0297324d2b20579f9fe4a",
+    "records_cell004.csv": "dce86746eece3cbe94e35a687a983e382c95389cfd67c686e7e1c70ca2fa16ba",
+    "records_cell005.csv": "81af80d211fa0a71b6c519beca12a2a1f831e466b3a31985266d7aefb9897dc4",
+    "records_cell006.csv": "00f0b205d4c906f8762bd527317cec3d81c5d9292e7d7c5c36eaec378461b006",
+    "records_cell007.csv": "39b5ed5773cc202e275538bda36e32860e9c8aaac62f949ed937af5a1f0a4cd5",
+    "records_cell008.csv": "743f2c55ca0832bdec71b15b4963fe63f8fd1c3d0ef1c6693e42367742a5df62",
+    "records_cell009.csv": "d455edce4c43e4d0101413a59437647aaaf4fdc45f32feed1e1b5facf5bde255",
+    "records_cell010.csv": "4345bc6274412a76f798bb28d96e778938730dd2bdf2b087f6b8f4f6c023129b",
+    "records_cell011.csv": "81d8e0bb57f841e1fda478a227a9e4f5ae2d679205142e4ead193ee37a3e520c",
+    "summary.json": "98bfa56b8a3c11886c80a830d83a14eb831aee371469f3d4bca0a00559c83fdb",
+})
+
+
+def test_explicit_mixture_sweep_artifacts_are_pinned(tmp_path):
+    cfg, digests = EXPLICIT_MIXTURE_SWEEP
     run(cfg, output_dir=tmp_path)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(tmp_path.iterdir())}

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smoothpa import ContextUniverse, Hypothesis, mle_oracle, offline_best_loss
+from smoothpa import Hypothesis, mle_oracle, offline_best_loss
 from smoothpa.diagnostics import nml_value, rademacher_estimate
 from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import (ComparatorTracker, RegionFamily, evaluate,
@@ -107,7 +107,7 @@ def test_grid_paths_hold_no_universe_squared_matrix():
 
     def ftpl():
         learner = FtplLearner(FtplConfig(100.0, 0.01), RegionFamily.threshold_grid(u))
-        learner.reset(ContextUniverse(u), np.random.default_rng(0))
+        learner.reset(np.random.default_rng(0))
         for x, y in zip(xs.tolist(), ys.tolist()):
             learner.predict(x)
             learner.update(x, y)
@@ -228,7 +228,7 @@ def test_offline_best_loss_monotone_in_prefix():
 def test_prefix_best_losses_equal_tracker_bitwise(family):
     # T = 8192 spans many row blocks on both families
     rng = np.random.default_rng(12)
-    u = family.universe.size
+    u = family.size
     xs = rng.integers(0, u, size=8192)
     ys = (rng.random(8192) < np.where(xs < u // 3, 0.8, 0.3)).astype(np.int64)
     tracker = ComparatorTracker(family)
@@ -255,7 +255,7 @@ def test_threshold_fast_path_equals_generic_scan():
 def test_family_json_roundtrip():
     fam = RegionFamily.threshold_grid(12)
     back = RegionFamily.from_spec(json.loads(fam.to_json()))
-    assert back.kind == "threshold_grid" and back.universe.size == 12
+    assert back.kind == "threshold_grid" and back.size == 12
     obj = json.loads(fam.to_json())
     assert obj == {"kind": "threshold_grid", "size": 12}
 

@@ -1,3 +1,4 @@
+import copy
 import math
 from fractions import Fraction
 
@@ -9,13 +10,11 @@ from scipy.special import logsumexp
 
 import smoothpa.learners as learners_mod
 
-from smoothpa import ContextUniverse
 from smoothpa.errors import ConfigError, NumericalAssertionError
 from smoothpa.hypotheses import RegionFamily, evaluate, mle_from_counts
 from smoothpa.learners import (FtplConfig, FtplLearner, KtLearner, MixtureLearner,
-                               UniformLearner, epsilon_cover, init_mixture_state,
-                               laplace_integral_log, learner_from_spec, mixture_predict,
-                               mixture_update, truncation_range)
+                               UniformLearner, epsilon_cover, laplace_integral_log,
+                               learner_from_spec, truncation_range)
 
 from test_hypotheses import region_bitmaps
 
@@ -51,7 +50,7 @@ def test_laplace_rejects_bad_counts():
 def kt_after(labels, beta=0.5):
     """KtLearner's next prediction after streaming `labels` (contexts vary)."""
     lr = KtLearner(beta)
-    lr.reset(ContextUniverse(4), np.random.default_rng(0))
+    lr.reset(np.random.default_rng(0))
     for i, y in enumerate(labels):
         lr.update(i % 4, y)
     return lr.predict(0)
@@ -73,7 +72,7 @@ def test_kt_matches_exact_rational(labels):
 
 def test_kt_learner_streams():
     lr = KtLearner(0.5)
-    lr.reset(ContextUniverse(4), np.random.default_rng(0))
+    lr.reset(np.random.default_rng(0))
     assert lr.predict(0) == 0.5
     lr.update(0, 1)
     assert lr.predict(3) == 0.75
@@ -122,132 +121,146 @@ def test_cover_rejects_nonpositive_eps():
 
 # ---------------------------------------------------------------- mixture
 
+def mixture(fam, cover):
+    """A MixtureLearner over `cover`, reset for a new game."""
+    lr = MixtureLearner(fam, cover)
+    lr.reset(np.random.default_rng(0))
+    return lr
+
+
+def log_normalizer(lr):
+    """ln q(y_1:t || x_1:t): log-sum-exp of the element marginals minus ln m."""
+    return float(logsumexp(lr.log_marginal) - math.log(lr.cover.size))
+
+
 def test_mixture_empty_history_is_half():
     fam = RegionFamily.threshold_grid(8)
-    st_ = init_mixture_state(fam, [3])
-    assert mixture_predict(st_, 0) == 0.5
+    assert mixture(fam, [3]).predict(0) == 0.5
 
 
 def test_mixture_one_positive_same_side():
     fam = RegionFamily.threshold_grid(8)
-    st_ = init_mixture_state(fam, [3])
-    st_ = mixture_update(st_, 1, 1)   # x=1 inside region {x <= 3}
-    assert mixture_predict(st_, 2) == pytest.approx(2 / 3, abs=1e-15)
-    assert mixture_predict(st_, 6) == 0.5  # other side untouched
+    lr = mixture(fam, [3])
+    lr.update(1, 1)   # x=1 inside region {x <= 3}
+    assert lr.predict(2) == pytest.approx(2 / 3, abs=1e-15)
+    assert lr.predict(6) == 0.5  # other side untouched
 
 
 def test_mixture_predictions_strictly_interior():
     rng = np.random.default_rng(0)
     fam = RegionFamily.threshold_grid(16)
-    st_ = init_mixture_state(fam, epsilon_cover(fam, 0.2))
+    lr = mixture(fam, epsilon_cover(fam, 0.2))
     for _ in range(200):
         x = int(rng.integers(16))
-        q = mixture_predict(st_, x)
+        q = lr.predict(x)
         assert 0.0 < q < 1.0
-        st_ = mixture_update(st_, x, int(rng.integers(2)))
+        lr.update(x, int(rng.integers(2)))
 
 
 def test_mixture_chain_rule_telescopes():
     rng = np.random.default_rng(1)
     fam = RegionFamily.threshold_grid(64)
+    lr = MixtureLearner(fam, epsilon_cover(fam, 1e-9))
     for _ in range(3):
-        st_ = init_mixture_state(fam, epsilon_cover(fam, 1e-9))
+        lr.reset(np.random.default_rng(0))
         acc = 0.0
         for _ in range(200):
             x = int(rng.integers(64))
             y = int(rng.integers(2))
-            q1 = mixture_predict(st_, x)
+            q1 = lr.predict(x)
             acc += math.log(q1 if y == 1 else 1.0 - q1)
-            st_ = mixture_update(st_, x, y)
-        assert abs(acc - st_.log_normalizer) <= 1e-10
+            lr.update(x, y)
+        assert abs(acc - log_normalizer(lr)) <= 1e-10
 
 
 def test_mixture_counts_sum_to_rounds():
     rng = np.random.default_rng(2)
     fam = RegionFamily.threshold_grid(10)
-    st_ = init_mixture_state(fam, [0, 4, 9])
+    lr = mixture(fam, [0, 4, 9])
     for t in range(50):
-        st_ = mixture_update(st_, int(rng.integers(10)), int(rng.integers(2)))
-    assert np.all(st_.n.sum(axis=1) == 50)
+        lr.update(int(rng.integers(10)), int(rng.integers(2)))
+    assert np.all(lr.n.sum(axis=1) == 50)
 
 
-def mixture_log_marginal_from_scratch(state):
+def mixture_log_marginal_from_scratch(lr):
     """Each element's log marginal recomputed from its counts."""
-    return np.array([laplace_integral_log(int(state.k[i, 0]), int(state.n[i, 0]))
-                     + laplace_integral_log(int(state.k[i, 1]), int(state.n[i, 1]))
-                     for i in range(state.size)])
+    return np.array([laplace_integral_log(int(lr.k[i, 0]), int(lr.n[i, 0]))
+                     + laplace_integral_log(int(lr.k[i, 1]), int(lr.n[i, 1]))
+                     for i in range(lr.cover.size)])
 
 
 def test_mixture_incremental_marginals_match_recompute():
     rng = np.random.default_rng(3)
     fam = RegionFamily.threshold_grid(12)
-    st_ = init_mixture_state(fam, [1, 5, 11])
+    lr = mixture(fam, [1, 5, 11])
     for _ in range(120):
-        st_ = mixture_update(st_, int(rng.integers(12)), int(rng.integers(2)))
-    fresh = mixture_log_marginal_from_scratch(st_)
-    assert np.max(np.abs(fresh - st_.log_marginal)) < 1e-10
+        lr.update(int(rng.integers(12)), int(rng.integers(2)))
+    fresh = mixture_log_marginal_from_scratch(lr)
+    assert np.max(np.abs(fresh - lr.log_marginal)) < 1e-10
 
 
 def test_mixture_dominance_over_best_element():
     rng = np.random.default_rng(4)
     fam = RegionFamily.threshold_grid(16)
-    st_ = init_mixture_state(fam, epsilon_cover(fam, 0.25))
+    lr = mixture(fam, epsilon_cover(fam, 0.25))
     cum_loss = 0.0
     for _ in range(150):
         x = int(rng.integers(16))
         y = int(rng.integers(2))
-        q1 = mixture_predict(st_, x)
+        q1 = lr.predict(x)
         cum_loss += -math.log(q1 if y == 1 else 1.0 - q1)
-        st_ = mixture_update(st_, x, y)
-    best_element_bayes = float(np.min(-st_.log_marginal))
-    assert cum_loss <= best_element_bayes + math.log(st_.size) + 1e-9
+        lr.update(x, y)
+    best_element_bayes = float(np.min(-lr.log_marginal))
+    assert cum_loss <= best_element_bayes + math.log(lr.cover.size) + 1e-9
 
 
 def test_mixture_no_context_case_is_add_one_rule():
     # single cover element = full universe: one effective side, add-1 rule exactly
     u = 9
     fam = RegionFamily.threshold_grid(u)
-    st_ = init_mixture_state(fam, [u - 1])
+    lr = mixture(fam, [u - 1])
     rng = np.random.default_rng(5)
     n = k = 0
     for _ in range(60):
         x = int(rng.integers(u))
         y = int(rng.integers(2))
-        assert mixture_predict(st_, x) == (k + 1.0) / (n + 2.0)
-        st_ = mixture_update(st_, x, y)
+        assert lr.predict(x) == (k + 1.0) / (n + 2.0)
+        lr.update(x, y)
         n += 1
         k += y
 
 
-def logsumexp_mixture_predict(state, x):
+def logsumexp_mixture_predict(lr, fam, x):
     """The posterior-weighted add-one rule with weights normalized by logsumexp."""
-    inside = state.member[x]
-    n_j = np.where(inside, state.n[:, 0], state.n[:, 1])
-    k_j = np.where(inside, state.k[:, 0], state.k[:, 1])
-    w = np.exp(state.log_marginal - logsumexp(state.log_marginal))
+    inside = fam.contains(x, lr.cover)
+    n_j = np.where(inside, lr.n[:, 0], lr.n[:, 1])
+    k_j = np.where(inside, lr.k[:, 0], lr.k[:, 1])
+    w = np.exp(lr.log_marginal - logsumexp(lr.log_marginal))
     return float(w @ ((k_j + 1.0) / (n_j + 2.0)))
 
 
 def test_mixture_predict_matches_logsumexp_oracle():
     rng = np.random.default_rng(6)
     fam = RegionFamily.threshold_grid(32)
+    lr = MixtureLearner(fam, epsilon_cover(fam, 1e-9))
     spreads = []
     for trial in range(200):
-        st_ = init_mixture_state(fam, epsilon_cover(fam, 1e-9))
+        lr.reset(np.random.default_rng(0))
         for _ in range(int(rng.integers(0, 60))):
-            st_ = mixture_update(st_, int(rng.integers(32)), int(rng.integers(2)))
+            lr.update(int(rng.integers(32)), int(rng.integers(2)))
         if trial % 2:
             # marginals far apart and far below 0: exp of the raw values underflows
-            st_.log_marginal = rng.uniform(-2000.0, -600.0, size=st_.size)
-        spreads.append(np.ptp(st_.log_marginal))
+            lr.log_marginal = rng.uniform(-2000.0, -600.0, size=lr.cover.size)
+        spreads.append(np.ptp(lr.log_marginal))
         for x in range(32):
-            assert abs(mixture_predict(st_, x) - logsumexp_mixture_predict(st_, x)) <= 1e-12
+            assert abs(lr.predict(x) - logsumexp_mixture_predict(lr, fam, x)) <= 1e-12
     assert max(spreads) > 700.0
 
 
 def test_mixture_prefix_tree_leaves_equal_closed_form():
-    # Every leaf of the label tree, reached by branching both labels off the
-    # same parent state, must carry log q(y_1:t || x_1:t) of its own sequence.
+    # Every leaf of the label tree, reached by branching both labels off a
+    # copy of the same parent learner, must carry log q(y_1:t || x_1:t) of its
+    # own sequence.
     rng = np.random.default_rng(7)
     for _ in range(20):
         u = int(rng.integers(2, 6))
@@ -257,17 +270,18 @@ def test_mixture_prefix_tree_leaves_equal_closed_form():
         t = int(rng.integers(3, 8))
         xs = rng.integers(0, u, size=t)
         leaves = {}
-        stack = [((), init_mixture_state(fam, cover), 0.0)]
+        stack = [((), mixture(fam, cover), 0.0)]
         while stack:
-            ys, state, logq = stack.pop()
+            ys, lr, logq = stack.pop()
             if len(ys) == t:
                 leaves[ys] = logq
                 continue
             x = int(xs[len(ys)])
-            q1 = mixture_predict(state, x)
+            q1 = lr.predict(x)
             for y in (0, 1):
-                stack.append((ys + (y,), mixture_update(state, x, y),
-                              logq + math.log(q1 if y == 1 else 1.0 - q1)))
+                child = copy.deepcopy(lr)
+                child.update(x, y)
+                stack.append((ys + (y,), child, logq + math.log(q1 if y == 1 else 1.0 - q1)))
         assert len(leaves) == 2 ** t
         for ys, logq in leaves.items():
             y_arr = np.asarray(ys)
@@ -283,11 +297,12 @@ def test_mixture_prefix_tree_leaves_equal_closed_form():
 
 def test_mixture_learner_wraps_state():
     fam = RegionFamily.threshold_grid(8)
-    lr = MixtureLearner(fam, eps=0.3)
-    lr.reset(ContextUniverse(8), np.random.default_rng(0))
+    lr = mixture(fam, epsilon_cover(fam, 0.3))
     assert lr.predict(0) == 0.5
     lr.update(0, 1)
     assert lr.predict(0) > 0.5
+    lr.reset(np.random.default_rng(1))      # a new game starts from the prior
+    assert lr.predict(0) == 0.5
 
 
 # ---------------------------------------------------------------- ftpl
@@ -295,7 +310,7 @@ def test_mixture_learner_wraps_state():
 def reference_ftpl_predict(cnt, pos, config, family, rng, x):
     """One FTPL prediction the direct way: draw this round's (2, U) hallucinated
     counts, refit the oracle on the per-context counts, truncate at x."""
-    u = family.universe.size
+    u = family.size
     hal = rng.poisson(config.n / (2.0 * u), size=(2, u))
     h, _ = mle_from_counts(cnt + hal[0] + hal[1], pos + hal[1], family)
     q = (evaluate(family, h, x) + config.alpha) / (1.0 + 2.0 * config.alpha)
@@ -308,7 +323,7 @@ def reference_ftpl_predict(cnt, pos, config, family, rng, x):
 def ftpl_after(cfg, fam, seed, xs, ys):
     """An FTPL learner with generator seed `seed` that has seen (xs, ys)."""
     lr = FtplLearner(cfg, fam)
-    lr.reset(ContextUniverse(fam.universe.size), np.random.default_rng(seed))
+    lr.reset(np.random.default_rng(seed))
     for x, y in zip(xs, ys):
         lr.update(x, y)
     return lr
@@ -367,11 +382,11 @@ FTPL_FAMILIES = {
 @pytest.mark.parametrize("name", sorted(FTPL_FAMILIES))
 def test_ftpl_learner_equals_per_round_reference(name, n):
     fam, rounds = FTPL_FAMILIES[name]
-    u = fam.universe.size
+    u = fam.size
     cfg = FtplConfig(n=n, alpha=0.01)
     recorder = PoissonRecorder(31)
     lr = FtplLearner(cfg, fam)
-    lr.reset(ContextUniverse(u), recorder)
+    lr.reset(recorder)
     ref_rng = np.random.default_rng(31)
     data = np.random.default_rng(32)
     cnt, pos = np.zeros(u), np.zeros(u)
@@ -389,7 +404,7 @@ def test_ftpl_predictions_stay_in_truncation_range():
     cfg = FtplConfig(n=5.0, alpha=0.02)
     fam = RegionFamily.threshold_grid(8)
     lr = FtplLearner(cfg, fam)
-    lr.reset(ContextUniverse(8), np.random.default_rng(7))
+    lr.reset(np.random.default_rng(7))
     lo, hi = truncation_range(cfg.alpha)
     rng = np.random.default_rng(8)
     for _ in range(300):
@@ -435,7 +450,7 @@ def test_ftpl_hallucinated_counts_follow_the_bincount_law(monkeypatch):
 
     monkeypatch.setattr(learners_mod, "mle_from_region_counts", spy)
     lr = FtplLearner(FtplConfig(n=n, alpha=0.1), RegionFamily.threshold_grid(u))
-    lr.reset(ContextUniverse(u), np.random.default_rng(11))
+    lr.reset(np.random.default_rng(11))
     for _ in range(draws):
         lr.predict(0)
     new = np.array(seen).astype(np.int64)
@@ -473,16 +488,8 @@ def test_ftpl_config_validation():
     with pytest.raises(ConfigError, match=r"^learner\.ftpl\.n: 1e\+30 outside \[0, 1e\+18\]"):
         FtplConfig(n=1e30, alpha=0.1)
     lr = FtplLearner(FtplConfig(n=1e18, alpha=0.1), RegionFamily.threshold_grid(1))
-    lr.reset(ContextUniverse(1), np.random.default_rng(0))
+    lr.reset(np.random.default_rng(0))
     assert 0.0 < lr.predict(0) < 1.0
-
-
-@pytest.mark.parametrize("universe", [4, 16])
-def test_ftpl_reset_rejects_universe_mismatch(universe):
-    lr = FtplLearner(FtplConfig(n=4.0, alpha=0.1), RegionFamily.threshold_grid(8))
-    with pytest.raises(ConfigError, match=f"learner.ftpl: family size 8 differs from "
-                                          f"universe {universe}"):
-        lr.reset(ContextUniverse(universe), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- specs
@@ -493,7 +500,10 @@ def test_learner_from_spec_kinds():
     kt = learner_from_spec({"kt": {"beta": 1.0}}, fam, 16, 0.5)
     assert isinstance(kt, KtLearner) and kt.beta == 1.0
     mix = learner_from_spec({"vc_mixture": {}}, fam, 16, 0.5)
-    assert isinstance(mix, MixtureLearner) and mix.eps == pytest.approx(0.5 / 256)
+    assert isinstance(mix, MixtureLearner)      # the default eps = sigma / T^2 covers the grid
+    assert np.array_equal(mix.cover, epsilon_cover(fam, 0.5 / 256))
+    mix = learner_from_spec({"vc_mixture": {"eps": 0.25}}, fam, 16, 0.5)
+    assert mix.cover.tolist() == [0, 2, 4, 6, 7]
     ftpl = learner_from_spec({"ftpl": {"n": 4, "alpha": 0.25}}, fam, 16, 0.5)
     assert isinstance(ftpl, FtplLearner) and ftpl.config.n == 4.0
     auto = learner_from_spec({"ftpl": {}}, fam, 1024, 0.25)
