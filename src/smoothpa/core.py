@@ -53,6 +53,15 @@ class GameTrace:
         return np.cumsum(self.losses)
 
 
+def allocate_columns(T: int) -> list[np.ndarray]:
+    """One game's five zeroed T-long columns: xs and ys (int64), then qs,
+    losses and comparator (float64). A T whose columns numpy cannot allocate
+    raises ConfigError, e.g. `T: 4611686018427387904 rounds are more than
+    numpy can allocate`."""
+    return [allocate(T, "T", "rounds", lambda: np.zeros(T, dtype))
+            for dtype in (np.int64, np.int64, np.float64, np.float64, np.float64)]
+
+
 def run_game(learner, adversary, T: int, seed: int, run_id: str = "game") -> GameTrace:
     """Play one seeded trajectory of the assignment game.
 
@@ -74,9 +83,7 @@ def run_game(learner, adversary, T: int, seed: int, run_id: str = "game") -> Gam
     learner.reset(np.random.default_rng(learner_ss))
     adversary.reset(np.random.default_rng(adv_ss))
 
-    xs, ys, qs, losses, comparator = [
-        allocate(T, "T", "rounds", lambda: np.zeros(T, dtype))
-        for dtype in (np.int64, np.int64, np.float64, np.float64, np.float64)]
+    xs, ys, qs, losses, comparator = allocate_columns(T)
     for t in range(T):
         x = int(adversary.context_distribution().sample(ctx_rng))
         q = float(learner.predict(x))

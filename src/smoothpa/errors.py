@@ -13,11 +13,12 @@ class ConfigError(ValueError):
 
 
 def parse_field(value, name: str, cast):
-    """cast(value); a bool, a non-integral number for an int cast, or a value
-    the cast rejects raises ConfigError naming the field."""
+    """cast(value); a bool, a string (JSON "64" is not the number 64), a
+    non-integral number for an int cast, or a value the cast rejects raises
+    ConfigError naming the field."""
     try:
-        if isinstance(value, bool) or (cast is int and isinstance(value, float)
-                                       and not value.is_integer()):
+        if isinstance(value, (bool, str)) or (cast is int and isinstance(value, float)
+                                              and not value.is_integer()):
             raise ValueError
         return cast(value)
     except (TypeError, ValueError, OverflowError):

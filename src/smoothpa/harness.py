@@ -1,7 +1,8 @@
 """Experiment configuration, seeded batch execution, sweeps, and scaling fits.
 
-A single JSON config describes one sweep: universe, family, adversary, learner
-spec(s), horizon(s), smoothness value(s), repetitions, and a base seed. Every
+A single JSON config describes one sweep: family, adversary, learner spec(s),
+horizon(s), smoothness value(s), repetitions, and a base seed. The family fixes
+the context space; an optional `universe` restates its size. Every
 (cell, repetition) derives its own seed by stable hashing, so cells reproduce
 independently and byte-identically.
 """
@@ -19,7 +20,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .adversary import AdversaryPolicy, adversary_from_spec
-from .core import GameTrace, format_records_csv, run_game
+from .core import GameTrace, allocate_columns, format_records_csv, run_game
 from .errors import ConfigError, check_keys, load_json, parse_field
 from .hypotheses import RegionFamily, prefix_best_losses
 from .learners import learner_from_spec
@@ -64,7 +65,7 @@ def _as_list(value, name: str, cast):
 
 
 # The keys a config reads at its top level, and those `sweep` may set instead;
-# a swept key set in both places takes its value from `sweep`
+# each swept key is set in one of the two places
 _TOP_LEVEL = ("universe", "family", "adversary", "sweep", "repetitions", "base_seed",
               "output_dir")
 _SWEPT = ("learner", "T", "sigma")
@@ -72,9 +73,10 @@ _SWEPT = ("learner", "T", "sigma")
 
 def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     """Check a config document (or the JSON file at a path) and build its sweep:
-    the region family, whose size must equal `universe`, and per cell one
-    learner and one adversary. Fixed-sequence labels must cover the longest
-    horizon. Error messages carry the offending field path."""
+    the region family, whose size must equal `universe` if one is given, and
+    per cell one learner and one adversary. Fixed-sequence labels must cover
+    the longest horizon, whose columns numpy must be able to allocate. Error
+    messages carry the offending field path."""
     if isinstance(obj, (str, Path)):
         obj = load_json(obj, "config")
     if not isinstance(obj, dict):
@@ -85,9 +87,6 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
             raise ConfigError(f"{key}: missing")
         return obj[key]
 
-    universe = parse_field(need("universe"), "universe", int)
-    if universe < 1:
-        raise ConfigError(f"universe: {universe} must be >= 1")
     family_spec = need("family")
     adversary_spec = need("adversary")
     if not isinstance(adversary_spec, dict):
@@ -98,6 +97,9 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
         raise ConfigError("sweep: must be an object")
     check_keys(sweep, "sweep", _SWEPT)
     check_keys(obj, "", _TOP_LEVEL + _SWEPT)
+    for key in _SWEPT:
+        if key in sweep and key in obj:
+            raise ConfigError(f"{key}: set both at the top level and in sweep")
     learners = sweep.get("learner", obj.get("learner"))
     if learners is None:
         raise ConfigError("learner: missing")
@@ -114,9 +116,12 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     repetitions = parse_field(obj.get("repetitions", 1), "repetitions", int)
     if repetitions < 1:
         raise ConfigError(f"repetitions: {repetitions} must be >= 1")
-    for name, n in (("T", max(horizons)), ("repetitions", repetitions)):
+    t_max = max(horizons)
+    for name, n in (("T", t_max), ("repetitions", repetitions)):
         if n > sys.maxsize:     # e.g. 1e308: no array holds that many rounds or regrets
             raise ConfigError(f"{name}: above {sys.maxsize}, the most numpy can index")
+    # before any cell plays: the columns one game at the largest horizon holds
+    allocate_columns(t_max)
     base_seed = parse_field(obj.get("base_seed", 0), "base_seed", int)
     output_dir = obj.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -125,16 +130,17 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     if not isinstance(family_spec, dict):
         raise ConfigError("family: must be an object")
     family = RegionFamily.from_spec(family_spec)
-    if family.size != universe:
-        raise ConfigError(f"family.size: {family.size} differs from universe {universe}")
+    if "universe" in obj:
+        universe = parse_field(obj["universe"], "universe", int)
+        if family.size != universe:
+            raise ConfigError(f"family.size: {family.size} differs from universe {universe}")
     cells = [Cell(ls, t, s, learner_from_spec(ls, family, t, s),
                   adversary_from_spec(adversary_spec, family, sigma=s))
              for ls, t, s in itertools.product(learners, horizons, sigmas)]
     labels = adversary_spec.get("labels")
-    if adversary_spec.get("label") == "fixed_sequence" and len(labels) < max(horizons):
-        raise ConfigError(f"adversary.labels: {len(labels)} labels, fewer than "
-                          f"T = {max(horizons)}")
-    echo = {"universe": universe, "family": family_spec, "adversary": adversary_spec,
+    if adversary_spec.get("label") == "fixed_sequence" and len(labels) < t_max:
+        raise ConfigError(f"adversary.labels: {len(labels)} labels, fewer than T = {t_max}")
+    echo = {"universe": family.size, "family": family_spec, "adversary": adversary_spec,
             "learner": learners, "T": horizons, "sigma": sigmas,
             "repetitions": repetitions, "base_seed": base_seed}
     return ExperimentConfig(family, cells, repetitions, base_seed, echo, output_dir)

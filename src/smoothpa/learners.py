@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ConfigError, NumericalAssertionError, check_keys
+from .errors import ConfigError, NumericalAssertionError, check_keys, parse_field
 from .hypotheses import (_BLOCK_BYTES, RegionFamily, THRESHOLD_GRID, evaluate,
                          mle_from_region_counts, region_counts)
 
@@ -132,20 +132,27 @@ class MixtureLearner:
 
     Per cover element i it keeps counts n[i, j], k[i, j] on side j (0 inside,
     1 outside) and the log marginal ln[B(k0, n0) * B(k1, n1)] of the labels
-    seen so far. side[x, i] is the flat index 2i + j into n and k of element
-    i's side holding context x.
+    seen so far. Context x's side of element i is the flat index 2i + j into
+    n and k, read through `family.contains`, so the learner holds O(cover)
+    memory whatever the size of the context space.
     """
 
     def __init__(self, family: RegionFamily, cover):
+        self.family = family
         self.cover = np.asarray(cover, dtype=np.int64)
-        member = family.contains(np.arange(family.size), self.cover)
-        self.side = np.arange(0, 2 * self.cover.size, 2) + ~member
+        # element i's outside side is 2i + 1, its inside side one less
+        self._outside = np.arange(1, 2 * self.cover.size, 2)
 
     def reset(self, rng: np.random.Generator) -> None:
         m = self.cover.size
         self.n = np.zeros((m, 2))
         self.k = np.zeros((m, 2))
         self.log_marginal = np.zeros(m)
+
+    def _gather(self, x: int):
+        """x's flat side indices and the counts n_j, k_j on them."""
+        side = self._outside - self.family.contains(x, self.cover)
+        return side, self.n.take(side), self.k.take(side)
 
     def predict(self, x: int) -> float:
         """Posterior-weighted add-one rule: sum_i w_i (k_j + 1)/(n_j + 2) on x's side.
@@ -155,18 +162,16 @@ class MixtureLearner:
         weights are the marginals shifted by their maximum before exponentiating,
         so they cannot all underflow.
         """
-        side = self.side[x]
+        _, n_j, k_j = self._gather(x)
         lm = self.log_marginal
         w = np.exp(lm - lm.max())
-        q1 = float(w @ ((self.k.take(side) + 1.0) / (self.n.take(side) + 2.0)) / w.sum())
+        q1 = float(w @ ((k_j + 1.0) / (n_j + 2.0)) / w.sum())
         return min(max(q1, _Q_MIN), _Q_MAX)
 
     def update(self, x: int, y: int) -> None:
         """Bump the counts on x's side and shift the log marginals by the log
         Laplace factor of the realized label."""
-        side = self.side[x]
-        n_j = self.n.take(side)
-        k_j = self.k.take(side)
+        side, n_j, k_j = self._gather(x)
         hits = k_j + 1.0 if y == 1 else n_j - k_j + 1.0
         self.log_marginal += np.log(hits / (n_j + 2.0))
         np.put(self.n, side, n_j + 1.0)
@@ -247,14 +252,7 @@ def default_ftpl_tuning(T: int, sigma: float) -> tuple[float, float]:
 def _number(params: dict, key: str, default: float, path: str) -> float:
     """params[key] as a float; `default` when it is absent or null."""
     value = params.get(key)
-    if value is None:
-        return default
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{path}.{key}: {value!r} is not a number") from None
+    return default if value is None else parse_field(value, f"{path}.{key}", float)
 
 
 def _positive(params: dict, key: str, default: float, path: str) -> float:
@@ -275,7 +273,7 @@ def learner_from_spec(spec: dict, family: RegionFamily, T: int, sigma: float):
     Specs are {"uniform": {}}, {"kt": {"beta": 0.5}}, {"vc_mixture": {"eps": ...}}
     with eps defaulting to sigma/T^2, or {"ftpl": {"n": ..., "alpha": ...}} with
     both defaulting to the T^{4/5}-style tuning. A malformed spec raises
-    ConfigError naming the field, e.g. `learner.ftpl.n: 'abc' is not a number`.
+    ConfigError naming the field, e.g. `learner.ftpl.n: 'abc' is not a valid float`.
     """
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError("learner: must be an object with exactly one kind key")

@@ -2,7 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from smoothpa.learners import learner_from_spec
 
 
 def base_config(**overrides):
+    """A small valid config. A key that `sweep` sets loses its top-level
+    default, since a key may be set in only one of the two places."""
     cfg = {
         "universe": 8,
         "family": {"kind": "threshold_grid", "size": 8},
@@ -29,6 +34,9 @@ def base_config(**overrides):
         "base_seed": 1234,
     }
     cfg.update(overrides)
+    for key in overrides.get("sweep", {}):
+        if key not in overrides:
+            cfg.pop(key, None)
     return cfg
 
 
@@ -47,8 +55,8 @@ def test_derive_seed_stable_and_spread():
 
 
 def test_parse_config_field_paths():
-    with pytest.raises(ConfigError, match="universe"):
-        parse_config({"family": {}})
+    with pytest.raises(ConfigError, match="^family: missing"):
+        parse_config({})
     with pytest.raises(ConfigError, match="sigma"):
         parse_config(base_config(sigma=1.5))
     with pytest.raises(ConfigError, match="repetitions"):
@@ -81,6 +89,10 @@ def test_parse_config_field_paths():
         parse_config(base_config(T=[[16]]))
     with pytest.raises(ConfigError, match="sigma: 'x' is not a valid float"):
         parse_config(base_config(sigma="x"))
+    # a swept key is set in one place: both is an error, not a silent override
+    for key, value in (("T", [8]), ("sigma", [1.0]), ("learner", [{"kt": {}}])):
+        with pytest.raises(ConfigError, match=f"^{key}: set both at the top level and in sweep$"):
+            parse_config(dict(base_config(), sweep={key: value}))
     with pytest.raises(ConfigError, match="repetitions: None is not a valid int"):
         parse_config(base_config(repetitions=None))
     realizable = {"context": "subset_uniform", "rule": "static", "label": "realizable"}
@@ -91,7 +103,10 @@ def test_parse_config_field_paths():
             (dict(f_star, region_index=-1), r"adversary\.f_star\.region_index: -1 outside"),
             (dict(f_star, region_index="a"), r"adversary\.f_star\.region_index: 'a' is not a"),
             (dict(f_star, theta1=1.5), r"adversary\.f_star\.theta1: 1\.5 outside \[0, 1\]"),
-            (dict(f_star, theta0="x"), r"adversary\.f_star\.theta0: 'x' is not a valid float")):
+            (dict(f_star, theta0="x"), r"adversary\.f_star\.theta0: 'x' is not a valid float"),
+            (dict(f_star, theta0="0.5"), r"adversary\.f_star\.theta0: '0\.5' is not a valid float"),
+            (dict(f_star, region_index="2"),
+             r"adversary\.f_star\.region_index: '2' is not a valid int")):
         with pytest.raises(ConfigError, match=f"^{message}"):
             parse_config(base_config(adversary=dict(realizable, f_star=fs)))
     explicit = {"kind": "explicit", "size": 8}
@@ -108,6 +123,19 @@ def test_parse_config_field_paths():
             parse_config(base_config(family={"kind": "threshold_grid", "size": size}))
     for key, value, message in (("T", 4.7, "T: 4.7 is not a valid int"),
                                 ("T", True, "T: True is not a valid int"),
+                                # a JSON string is not a number, however it reads
+                                ("T", "64", "T: '64' is not a valid int"),
+                                ("T", [16, "32"], "T: '32' is not a valid int"),
+                                ("sigma", "0.5", "sigma: '0.5' is not a valid float"),
+                                ("base_seed", " 7 ", "base_seed: ' 7 ' is not a valid int"),
+                                ("repetitions", "2", "repetitions: '2' is not a valid int"),
+                                ("universe", "8", "universe: '8' is not a valid int"),
+                                ("learner", {"ftpl": {"n": "10"}},
+                                 "learner.ftpl.n: '10' is not a valid float"),
+                                ("learner", {"kt": {"beta": "0.5"}},
+                                 "learner.kt.beta: '0.5' is not a valid float"),
+                                ("learner", {"vc_mixture": {"eps": "0.1"}},
+                                 "learner.vc_mixture.eps: '0.1' is not a valid float"),
                                 ("repetitions", 2.9, "repetitions: 2.9 is not a valid int"),
                                 ("sigma", True, "sigma: True is not a valid float"),
                                 # integral, but more rounds than numpy can index
@@ -164,15 +192,11 @@ def test_run_uniform_vs_greedy_regret_is_t_ln2(tmp_path):
 
 def test_run_byte_identical_for_same_config(tmp_path):
     cfg = base_config(
-        learner=None,
         sweep={"learner": [{"vc_mixture": {}}, {"ftpl": {"n": 6, "alpha": 0.05}}],
                "T": [12, 24], "sigma": [0.25]},
         adversary={"context": "subset_uniform", "rule": "adaptive", "label": "greedy"},
         repetitions=2,
     )
-    cfg.pop("learner")
-    cfg.pop("T")
-    cfg.pop("sigma")
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run(cfg, output_dir=out1)
     run(cfg, output_dir=out2)
@@ -192,9 +216,9 @@ def test_run_cell_count_is_axis_product(tmp_path):
 
 def test_bad_learner_spec_fails_before_any_output(tmp_path):
     cfg = base_config(learner=[{"uniform": {}}, {"ftpl": {"n": "abc"}}])
-    with pytest.raises(ConfigError, match=r"^learner\.ftpl\.n: 'abc' is not a number"):
+    with pytest.raises(ConfigError, match=r"^learner\.ftpl\.n: 'abc' is not a valid float"):
         parse_config(cfg)
-    with pytest.raises(ConfigError, match=r"^learner\.ftpl\.n: 'abc' is not a number"):
+    with pytest.raises(ConfigError, match=r"^learner\.ftpl\.n: 'abc' is not a valid float"):
         run(cfg, output_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
     # every (learner, T, sigma) cell is checked: the default alpha = 1/T fails at T = 2
@@ -216,6 +240,49 @@ def test_bad_adversary_spec_fails_before_any_output(tmp_path, overrides, message
         parse_config(cfg)
     with pytest.raises(ConfigError, match=message):
         run(cfg, output_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unallocatable_horizon_fails_before_any_output(tmp_path):
+    # the 16-round cell could play, but the sweep's largest horizon never can
+    cfg = base_config(universe=4, family={"kind": "threshold_grid", "size": 4},
+                      sweep={"T": [16, 2 ** 62]})
+    message = f"^T: {2 ** 62} rounds are more than numpy can allocate$"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(cfg)
+    with pytest.raises(ConfigError, match=message):
+        run(cfg, output_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+# Run under an address-space limit 2 GiB above what the interpreter already
+# maps: one 8e8-byte column of T = 1e8 rounds fits, a game's five do not.
+TIGHT_MEMORY_RUN = """
+import json, resource, sys
+from smoothpa.errors import ConfigError
+from smoothpa.harness import run
+with open("/proc/self/status") as fh:
+    mapped = next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmSize:"))
+limit = mapped + (2 << 30)
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+try:
+    run(json.loads(sys.argv[1]), output_dir=sys.argv[2])
+except ConfigError as e:
+    print(e)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_horizon_check_sizes_all_of_a_games_columns(tmp_path):
+    cfg = base_config(universe=4, family={"kind": "threshold_grid", "size": 4},
+                      sweep={"T": [16, 10 ** 8]})
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", TIGHT_MEMORY_RUN, json.dumps(cfg),
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"T: {10 ** 8} rounds are more than numpy can allocate\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -661,6 +728,13 @@ STATIC_SWEEPS = {
         "summary.json": "6b6433cab92e7ea99b27e04d80b0391aefbbf7e48b921cd981175f5b05b78c8d",
     }),
 }
+
+
+# The family is the one source of the context space's size: without "universe"
+# the config plays the same sweep, and summary.json still echoes the family's size
+STATIC_SWEEPS.update({f"{name}_without_universe": (
+    {k: v for k, v in cfg.items() if k != "universe"}, digests)
+    for name, (cfg, digests) in STATIC_SWEEPS.items()})
 
 
 @pytest.mark.parametrize("name", sorted(STATIC_SWEEPS))

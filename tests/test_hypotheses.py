@@ -1,17 +1,20 @@
+import ast
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smoothpa
 from smoothpa import Hypothesis, mle_oracle, offline_best_loss
 from smoothpa.diagnostics import nml_value, rademacher_estimate
 from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import (ComparatorTracker, RegionFamily, evaluate,
                                  examples_to_counts, mle_from_counts, prefix_best_losses,
                                  region_counts)
-from smoothpa.learners import FtplConfig, FtplLearner
+from smoothpa.learners import FtplConfig, FtplLearner, MixtureLearner, epsilon_cover
 
 LN2 = math.log(2.0)
 
@@ -105,15 +108,17 @@ def test_grid_paths_hold_no_universe_squared_matrix():
     xs = rng.integers(0, u, size=64)
     ys = rng.integers(0, 2, size=64)
 
-    def ftpl():
-        learner = FtplLearner(FtplConfig(100.0, 0.01), RegionFamily.threshold_grid(u))
+    def play(make_learner):
+        learner = make_learner(RegionFamily.threshold_grid(u))
         learner.reset(np.random.default_rng(0))
         for x, y in zip(xs.tolist(), ys.tolist()):
             learner.predict(x)
             learner.update(x, y)
 
     calls = {
-        "ftpl": ftpl,
+        "ftpl": lambda: play(lambda fam: FtplLearner(FtplConfig(100.0, 0.01), fam)),
+        # every threshold in the cover: a (U, cover) int64 side map would be 134 MB
+        "mixture": lambda: play(lambda fam: MixtureLearner(fam, epsilon_cover(fam, 1e-9))),
         "prefix_best_losses": lambda: prefix_best_losses(xs, ys, RegionFamily.threshold_grid(u)),
         "nml_value": lambda: nml_value(RegionFamily.threshold_grid(u),
                                        [Hypothesis(10, 0.2, 0.7), Hypothesis(3000, 0.6, 0.1)],
@@ -129,6 +134,17 @@ def test_grid_paths_hold_no_universe_squared_matrix():
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20, (name, peak)
+
+
+def test_membership_is_read_only_through_contains():
+    # the stored layout of an explicit family is private to hypotheses.py
+    for path in sorted(Path(smoothpa.__file__).parent.glob("*.py")):
+        if path.name == "hypotheses.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "_member"]
+        assert readers == [], (path.name, readers)
 
 
 def inside_outside_counts(bitmap, xs, ys):

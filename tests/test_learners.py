@@ -295,6 +295,34 @@ def test_mixture_prefix_tree_leaves_equal_closed_form():
             assert abs(logq - closed) <= 1e-10, ys
 
 
+@pytest.mark.parametrize("fam", [
+    RegionFamily.threshold_grid(12),
+    RegionFamily.explicit(12, [[0, 1, 2], [3, 5, 7, 11], [0, 4, 8], [6, 7, 8, 9, 10, 11], [2, 9]]),
+], ids=["grid", "explicit"])
+def test_mixture_predict_leaves_later_updates_exact(fam):
+    # predict(x) changes no state: a following update(x) twice, or update(x')
+    # then update(x), matches a learner that never predicted
+    cover = epsilon_cover(fam, 1e-9)
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        played, fresh = mixture(fam, cover), mixture(fam, cover)
+        for _ in range(int(rng.integers(0, 20))):
+            x, y = int(rng.integers(12)), int(rng.integers(2))
+            for lr in (played, fresh):
+                lr.update(x, y)
+        x, other = (int(v) for v in rng.choice(12, size=2, replace=False))
+        steps = [(x, 1), (x, 1)] if rng.random() < 0.5 else [(other, int(rng.integers(2)))]
+        steps.append((x, int(rng.integers(2))))
+        played.predict(x)
+        for x_t, y_t in steps:
+            played.update(x_t, y_t)
+            fresh.update(x_t, y_t)
+        for name in ("n", "k", "log_marginal"):
+            assert np.array_equal(getattr(played, name), getattr(fresh, name)), name
+        assert np.max(np.abs(mixture_log_marginal_from_scratch(played)
+                             - played.log_marginal)) < 1e-10
+
+
 def test_mixture_learner_wraps_state():
     fam = RegionFamily.threshold_grid(8)
     lr = mixture(fam, epsilon_cover(fam, 0.3))
@@ -527,14 +555,15 @@ def test_learner_from_spec_errors():
         learner_from_spec({"ftpl": {"alpha": 0.5}}, fam, 16, 0.5)
     for key, value in (("n", "abc"), ("n", [3]), ("n", True), ("n", 10 ** 400),
                        ("alpha", "x"), ("alpha", {}), ("alpha", False)):
-        with pytest.raises(ConfigError, match=rf"learner\.ftpl\.{key}: .* is not a number"):
+        with pytest.raises(ConfigError, match=rf"learner\.ftpl\.{key}: .* is not a valid float"):
             learner_from_spec({"ftpl": {key: value}}, fam, 16, 0.5)
     for kind, key in (("kt", "beta"), ("vc_mixture", "eps")):
-        with pytest.raises(ConfigError, match=rf"^learner\.{kind}\.{key}: True is not a number"):
+        with pytest.raises(ConfigError,
+                           match=rf"^learner\.{kind}\.{key}: True is not a valid float"):
             learner_from_spec({kind: {key: True}}, fam, 16, 0.5)
-    with pytest.raises(ConfigError, match=r"learner\.kt\.beta: 'b' is not a number"):
+    with pytest.raises(ConfigError, match=r"learner\.kt\.beta: 'b' is not a valid float"):
         learner_from_spec({"kt": {"beta": "b"}}, fam, 16, 0.5)
-    with pytest.raises(ConfigError, match=r"learner\.vc_mixture\.eps: \[\] is not a number"):
+    with pytest.raises(ConfigError, match=r"learner\.vc_mixture\.eps: \[\] is not a valid float"):
         learner_from_spec({"vc_mixture": {"eps": []}}, fam, 16, 0.5)
     for kind, key, value in (("kt", "beta", 0), ("kt", "beta", math.nan),
                              ("vc_mixture", "eps", -0.1), ("vc_mixture", "eps", math.inf)):
