@@ -21,7 +21,7 @@ import numpy as np
 
 from .adversary import AdversaryPolicy, adversary_from_spec
 from .core import GameTrace, allocate_columns, format_records_csv, run_game
-from .errors import ConfigError, check_keys, load_json, parse_field
+from .errors import ConfigError, NumericalAssertionError, check_keys, load_json, parse_field
 from .hypotheses import RegionFamily, prefix_best_losses
 from .learners import learner_from_spec
 
@@ -175,6 +175,8 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
     byte-identical across runs of the same config. A cell's CSV is written once
     its repetitions finish; a failure still writes the repetitions of its cell
     that finished, so an interrupt leaves complete, parseable CSV prefixes.
+    A comparator column that decreases from one round to the next raises
+    NumericalAssertionError naming the cell, repetition and round.
     """
     cfg = config if isinstance(config, ExperimentConfig) else parse_config(config)
     out = Path(output_dir or cfg.output_dir or ".")
@@ -193,6 +195,7 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
                                  derive_seed(cfg.base_seed, cell_key, rep),
                                  run_id=f"c{ci:03d}r{rep:03d}")
                 trace.comparator = prefix_best_losses(trace.xs, trace.ys, cfg.family)
+                _check_nondecreasing(trace.comparator, ci, rep)
                 traces.append(trace)
         finally:
             if traces:
@@ -216,6 +219,17 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
         summary.fits = {}
     (out / "summary.json").write_text(summary.to_json() + "\n", encoding="utf-8")
     return summary
+
+
+def _check_nondecreasing(comparator: np.ndarray, cell: int, rep: int) -> None:
+    """Raise NumericalAssertionError where the offline-best loss falls from
+    one round to the next: one more example cannot lower any region's loss."""
+    dips = np.flatnonzero(np.diff(comparator) < 0)
+    if dips.size:
+        i = int(dips[0])        # row i holds round i + 1
+        raise NumericalAssertionError(
+            f"comparator decreased in cell {cell}, repetition {rep}, round {i + 2}: "
+            f"{float(comparator[i])!r} -> {float(comparator[i + 1])!r}")
 
 
 def _line_design(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

@@ -7,6 +7,7 @@ threshold grid {x <= a} or an explicit list of subsets.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -138,9 +139,37 @@ def evaluate(family: RegionFamily, h: Hypothesis, x: int) -> float:
     return h.theta0 if inside else h.theta1
 
 
+# Counts below 2**_TABLE_BITS read j ln j from a table of at most 8 MiB
+_TABLE_BITS = 20
+
+
+@functools.lru_cache(maxsize=None)
+def _jlnj(bits: int) -> np.ndarray:
+    """Read-only table of xlogy(j, j) = j ln j for j = 0, ..., 2**bits - 1."""
+    j = np.arange(1 << bits, dtype=np.float64)
+    table = xlogy(j, j)
+    table.flags.writeable = False
+    return table
+
+
 def _nll(n, k):
-    """Minimized negative log-likelihood n*H(k/n) for Bernoulli counts, 0 ln 0 = 0."""
-    return xlogy(n, n) - xlogy(k, k) - xlogy(n - k, n - k)
+    """Minimized negative log-likelihood n*H(k/n) for integer-valued arrays of
+    Bernoulli counts 0 <= k <= n, 0 ln 0 = 0.
+
+    Below 2**_TABLE_BITS each j ln j is a gather from the table that holds n's
+    largest count; the entries are xlogy's own, so the bits are xlogy's.
+    Larger counts call xlogy on the arrays as given, which keeps the bits of
+    float counts past 2**53, where the outside counts were rounded.
+    """
+    top = n.max()
+    if not top < 1 << _TABLE_BITS:
+        return xlogy(n, n) - xlogy(k, k) - xlogy(n - k, n - k)
+    n, k = n.astype(np.intp, copy=False), k.astype(np.intp, copy=False)
+    table = _jlnj(int(top).bit_length())
+    out = table[n]
+    out -= table[k]
+    out -= table[n - k]
+    return out
 
 
 def examples_to_counts(xs, ys, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +182,8 @@ def examples_to_counts(xs, ys, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _split_losses(n0, k0, total_n, total_k):
-    """Per-region minimized log-loss from the counts inside each region and the totals."""
+    """Per-region minimized log-loss from the integer-valued counts inside
+    each region and the totals."""
     return _nll(n0, k0) + _nll(total_n - n0, total_k - k0)
 
 
@@ -170,7 +200,9 @@ def region_counts(values: np.ndarray, family: RegionFamily) -> np.ndarray:
 def mle_from_region_counts(n0: np.ndarray, k0: np.ndarray, total_n: float,
                            total_k: float) -> tuple[Hypothesis, float]:
     """Loss-minimizing hypothesis from per-region inside counts (n0 samples, k0
-    positive labels) and the totals, plus its loss.
+    positive labels) and the totals, plus its loss. All counts must be
+    integer-valued, in integer or float arrays: the losses index a j ln j
+    table with them, which would truncate a fractional count.
 
     Per region the optimal theta_j is the empirical frequency k_j/n_j (1/2 when
     the side is empty); ties between regions break to the lowest index.
@@ -204,7 +236,8 @@ def offline_best_loss(xs, ys, family: RegionFamily) -> float:
 
 # Temporary memory one block of rounds may use, in prefix_best_losses and in the
 # FTPL learner's hallucination draws; a block's row count follows from it and
-# the sizes of the family. Larger blocks run no faster and only raise peak memory.
+# the sizes of the family. Larger blocks save only some per-block dispatch and
+# raise peak memory.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -214,30 +247,34 @@ def prefix_best_losses(xs: np.ndarray, ys: np.ndarray, family: RegionFamily) -> 
 
     Per region, the counts inside it on every prefix are running sums over
     time of the examples' membership rows, built a block of rounds at a time.
-    All counts are integers, exact whatever the summation order, so the values
-    equal the incremental ones bit for bit.
+    All counts are int64, exact whatever the summation order, and index the
+    j ln j table directly, so the values equal the incremental ones bit for bit.
     """
     xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.int64)
     m = len(family)
-    # the two count blocks plus about ten per-region temporaries in the losses
-    rows = max(1, _BLOCK_BYTES // (8 * 12 * m))
+    # 8-byte words per (round, region) while a block's losses are formed: the
+    # membership block (bool), the two count blocks, the outside counts (two),
+    # the inside losses, and in _nll the loss, a count difference and a table
+    # gather; one more for the previous block's losses, alive until replaced
+    rows = max(1, _BLOCK_BYTES // (8 * 9 * m))
     out = np.empty(len(xs))
-    n0_carry = np.zeros(m)
-    k0_carry = np.zeros(m)
+    n0_carry = np.zeros(m, dtype=np.int64)
+    k0_carry = np.zeros(m, dtype=np.int64)
     total_k = np.cumsum(ys)
     for start in range(0, len(xs), rows):
         stop = min(start + rows, len(xs))
         inside = family.contains(xs[start:stop])
-        n0 = np.cumsum(inside, axis=0, dtype=np.float64)
+        n0 = np.cumsum(inside, axis=0, dtype=np.int64)
         k0 = inside * ys[start:stop, None]
         np.cumsum(k0, axis=0, out=k0)
         n0 += n0_carry
         k0 += k0_carry
-        total_n = np.arange(start + 1.0, stop + 1.0)[:, None]
+        total_n = np.arange(start + 1, stop + 1)[:, None]
         losses = _split_losses(n0, k0, total_n, total_k[start:stop, None])
         out[start:stop] = losses.min(axis=1)
-        n0_carry, k0_carry = n0[-1], k0[-1]
+        # copies, so the carry does not keep this block's counts alive
+        n0_carry, k0_carry = n0[-1].copy(), k0[-1].copy()
     return out
 
 

@@ -384,6 +384,60 @@ def test_interrupted_run_leaves_parseable_partial_csv(tmp_path, monkeypatch):
     assert all(len(r) == 7 and r["learner_loss"] for r in partial)
 
 
+def test_run_fails_where_the_comparator_decreases(tmp_path, monkeypatch, capsys):
+    real = harness.prefix_best_losses
+    calls = []
+
+    def dipping(xs, ys, family):
+        out = real(xs, ys, family)
+        calls.append(out)
+        if len(calls) == 4:         # the second cell's second repetition, round 9
+            out[8] = np.nextafter(out[7], -np.inf)
+        return out
+
+    monkeypatch.setattr(harness, "prefix_best_losses", dipping)
+    cfg = base_config(adversary={"context": "subset_uniform", "rule": "static",
+                                 "label": "realizable",
+                                 "f_star": {"region_index": 3, "theta0": 0.2, "theta1": 0.7}},
+                      repetitions=2, sweep={"sigma": [0.5, 1.0]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: comparator decreased in cell 1, "
+                          "repetition 1, round 9: "), err
+    assert len(read_rows(tmp_path / "out" / "records_cell001.csv")) == 16
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_mixture_regret_meets_its_certificate_every_round(tmp_path):
+    # A mixture whose cover holds the comparator's region has regret after t
+    # rounds at most ln|cover| + ln(n_in + 1) + ln(n_out + 1), at most
+    # ln|cover| + 2 ln(t/2 + 1), against any adversary. Under the default
+    # eps = sigma / T^2 a 64-point grid's cover holds all 64 thresholds.
+    adversaries = {
+        "adaptive_greedy": {"context": "subset_uniform", "rule": "adaptive", "label": "greedy"},
+        "static_realizable": {"context": "subset_uniform", "rule": "static",
+                              "label": "realizable",
+                              "f_star": {"region_index": 40, "theta0": 0.1, "theta1": 0.9}},
+    }
+    for name, adversary in adversaries.items():
+        cfg = parse_config({"family": {"kind": "threshold_grid", "size": 64},
+                            "adversary": adversary, "learner": {"vc_mixture": {}}, "T": 2048,
+                            "repetitions": 3, "base_seed": 47,
+                            "sweep": {"sigma": [0.05, 0.2, 1.0]}})
+        assert [cell.learner.cover.size for cell in cfg.cells] == [64, 64, 64]
+        run(cfg, output_dir=tmp_path / name)
+        for ci in range(len(cfg.cells)):
+            rows = read_rows(tmp_path / name / f"records_cell{ci:03d}.csv")
+            assert len(rows) == 3 * 2048
+            t = np.array([int(r["t"]) for r in rows])
+            regret = np.array([float(r["cum_regret"]) for r in rows])
+            bound = math.log(64) + 2 * np.log(t / 2 + 1)
+            worst = int(np.argmax(regret - bound))
+            assert regret[worst] <= bound[worst], (name, ci, rows[worst])
+
+
 def synthetic_summary(values_by_t, sigma=0.1, reps=3, jitter=0.0, seed=0):
     rng = np.random.default_rng(seed)
     cells = []

@@ -6,14 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 import smoothpa
+import smoothpa.hypotheses as hypotheses
 from smoothpa import Hypothesis, mle_oracle, offline_best_loss
 from smoothpa.diagnostics import nml_value, rademacher_estimate
 from smoothpa.errors import ConfigError
-from smoothpa.hypotheses import (ComparatorTracker, RegionFamily, evaluate,
-                                 examples_to_counts, mle_from_counts, prefix_best_losses,
-                                 region_counts)
+from smoothpa.hypotheses import (_BLOCK_BYTES, _TABLE_BITS, ComparatorTracker, RegionFamily,
+                                 _split_losses, evaluate, examples_to_counts, mle_from_counts,
+                                 prefix_best_losses, region_counts)
 from smoothpa.learners import FtplConfig, FtplLearner, MixtureLearner, epsilon_cover
 
 LN2 = math.log(2.0)
@@ -251,6 +253,118 @@ def test_prefix_best_losses_equal_tracker_bitwise(family):
     want = np.array([tracker.update(int(x), int(y)) for x, y in zip(xs, ys)])
     assert np.array_equal(prefix_best_losses(xs, ys, family), want)
     assert np.array_equal(prefix_best_losses(xs[:1], ys[:1], family), want[:1])
+
+
+def xlogy_split_losses(n0, k0, total_n, total_k):
+    """The per-region losses with every j ln j from xlogy on the counts as given."""
+    def nll(n, k):
+        return xlogy(n, n) - xlogy(k, k) - xlogy(n - k, n - k)
+    return nll(n0, k0) + nll(total_n - n0, total_k - k0)
+
+
+def random_split_counts(rng, top, shape):
+    """Valid integer counts, one total per row, the first row's total_n = top:
+    inside each region n0 of total_n samples with k0 of the total_k labels 1,
+    and outside the rest."""
+    total_n = rng.integers(0, top + 1, size=shape[:-1] + (1,))
+    total_n[0] = top
+    total_k = rng.integers(0, total_n + 1)
+    n0 = rng.integers(0, total_n + 1, size=shape)
+    n0[0, 0] = top                              # one region holds the whole row
+    lo = np.maximum(0, total_k - (total_n - n0))
+    hi = np.minimum(n0, total_k)
+    k0 = lo + (rng.random(shape) * (hi - lo + 1)).astype(np.int64)
+    return n0, k0, total_n, total_k
+
+
+def assert_table_equals_xlogy(rng, top, shape=(5, 40)):
+    counts = random_split_counts(rng, top, shape)
+    want = xlogy_split_losses(*(c.astype(np.float64) for c in counts))
+    assert np.array_equal(_split_losses(*counts), want)
+    assert np.array_equal(_split_losses(*(c.astype(np.float64) for c in counts)), want)
+
+
+def test_split_losses_equal_xlogy_form_bitwise():
+    rng = np.random.default_rng(20)
+    for top in (1, 2, 7, 100, 5000, 1 << 16):
+        assert_table_equals_xlogy(rng, top)
+    # counts at and beside each doubling of the table, up to and past its cap
+    for bits in range(1, _TABLE_BITS + 3):
+        for top in ((1 << bits) - 1, 1 << bits, (1 << bits) + 1):
+            assert_table_equals_xlogy(rng, top, (3, 16))
+
+
+def test_split_losses_past_the_cap_call_xlogy_on_the_float_counts():
+    # FTPL with n near 1e18 sums float counts past 2**53, where a sum rounds;
+    # the losses keep xlogy's bits on those floats. Labels 1 are at most half
+    # of each context's samples, so no count difference rounds below zero.
+    rng = np.random.default_rng(21)
+    seen = rng.uniform(0.0, 3e16, size=64).round()
+    pos = (seen * rng.uniform(0.0, 0.5, size=64)).round()
+    family = RegionFamily.threshold_grid(64)
+    n0, k0 = region_counts(seen, family), region_counts(pos, family)
+    assert n0[0] > 0 and n0[-1] >= 1 << 53
+    want = xlogy_split_losses(n0, k0, n0[-1], k0[-1])
+    assert np.isfinite(want).all()
+    assert np.array_equal(_split_losses(n0, k0, n0[-1], k0[-1]), want)
+
+
+@pytest.mark.parametrize("order", ["large_first", "small_first"])
+def test_split_losses_do_not_depend_on_tables_built_before(order):
+    hypotheses._jlnj.cache_clear()
+    rng = np.random.default_rng(22)
+    tops = [1 << 18, 3000, 40, 2] if order == "large_first" else [2, 40, 3000, 1 << 18]
+    for top in tops:
+        assert_table_equals_xlogy(rng, top)
+    assert hypotheses._jlnj(4).flags.writeable is False
+
+
+def xlogy_prefix_best_losses(xs, ys, family):
+    """Every prefix's best loss from float counts and xlogy, in one pass."""
+    inside = family.contains(np.asarray(xs)).astype(np.float64)
+    n0 = np.cumsum(inside, axis=0)
+    k0 = np.cumsum(inside * np.asarray(ys, dtype=np.float64)[:, None], axis=0)
+    total_n = np.arange(1.0, len(xs) + 1.0)[:, None]
+    total_k = np.cumsum(ys, dtype=np.float64)[:, None]
+    return xlogy_split_losses(n0, k0, total_n, total_k).min(axis=1)
+
+
+@pytest.mark.parametrize("family", [
+    RegionFamily.threshold_grid(16),
+    RegionFamily.explicit(24, [np.flatnonzero(row).tolist() for row in
+                               np.random.default_rng(23).random((10, 24)) < 0.4]),
+], ids=["grid16", "explicit10x24"])
+@pytest.mark.parametrize("T", [1, 2, 1023, 1024, 1025])
+def test_prefix_best_losses_equal_tracker_and_xlogy_at_table_boundaries(family, T):
+    # the total count reaches 1023, 1024 and 1025: the table doubles at 1024
+    rng = np.random.default_rng(T)
+    xs = rng.integers(0, family.size, size=T)
+    ys = (rng.random(T) < 0.3).astype(np.int64)
+    tracker = ComparatorTracker(family)
+    want = np.array([tracker.update(int(x), int(y)) for x, y in zip(xs, ys)])
+    got = prefix_best_losses(xs, ys, family)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, xlogy_prefix_best_losses(xs, ys, family))
+
+
+def test_prefix_best_losses_block_memory_meets_its_budget():
+    # a block's temporaries, counted in prefix_best_losses' row sizing, come to
+    # _BLOCK_BYTES; the output and the label cumsum (8 bytes a round each) are
+    # the only other arrays it holds
+    family = RegionFamily.explicit(256, [np.flatnonzero(row).tolist() for row in
+                                         np.random.default_rng(24).random((128, 256)) < 0.5])
+    rng = np.random.default_rng(25)
+    xs = rng.integers(0, 256, size=4096)
+    ys = rng.integers(0, 2, size=4096)
+    prefix_best_losses(xs, ys, family)          # the tables it reads, built untraced
+    tracemalloc.start()
+    try:
+        prefix_best_losses(xs, ys, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = peak - 2 * 8 * len(xs)
+    assert 0.75 * _BLOCK_BYTES <= block <= 1.25 * _BLOCK_BYTES, block
 
 
 def test_threshold_fast_path_equals_generic_scan():

@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 from scipy.special import logsumexp
 
 import smoothpa.learners as learners_mod
 
+from smoothpa.core import log_loss
 from smoothpa.errors import ConfigError, NumericalAssertionError
-from smoothpa.hypotheses import RegionFamily, evaluate, mle_from_counts
+from smoothpa.hypotheses import (RegionFamily, evaluate, mle_from_counts, mle_oracle,
+                                 prefix_best_losses)
 from smoothpa.learners import (FtplConfig, FtplLearner, KtLearner, MixtureLearner,
                                UniformLearner, epsilon_cover, laplace_integral_log,
                                learner_from_spec, truncation_range)
@@ -321,6 +323,42 @@ def test_mixture_predict_leaves_later_updates_exact(fam):
             assert np.array_equal(getattr(played, name), getattr(fresh, name)), name
         assert np.max(np.abs(mixture_log_marginal_from_scratch(played)
                              - played.log_marginal)) < 1e-10
+
+
+@st.composite
+def family_and_game(draw):
+    """An explicit family of 2 to 5 regions over 1 to 6 contexts, and up to 30
+    contexts with their labels."""
+    u = draw(st.integers(1, 6))
+    regions = draw(st.lists(st.lists(st.integers(0, u - 1), unique=True),
+                            min_size=2, max_size=5))
+    t = draw(st.integers(1, 30))
+    xs = draw(st.lists(st.integers(0, u - 1), min_size=t, max_size=t))
+    ys = draw(st.lists(st.integers(0, 1), min_size=t, max_size=t))
+    return RegionFamily.explicit(u, regions), xs, ys
+
+
+@settings(max_examples=80, deadline=None)
+@given(family_and_game())
+def test_mixture_regret_meets_its_certificate_at_the_comparator_region(game):
+    # With the comparator's region r in the cover, the mixture's regret is at
+    # most ln|cover| + ln(n_in + 1) + ln(n_out + 1), n_in and n_out the
+    # examples on r's two sides: ln B(k, n) = -ln(n + 1) - ln C(n, k) and
+    # C(n, k) (k/n)^k (1 - k/n)^(n - k) <= 1. Each other region's marginal,
+    # at least 2^-t / (t/2 + 1)^2, keeps the regret more than 1e-12 below the
+    # bound at t <= 30, far above rounding; a one-region cover with unmixed
+    # labels meets it with equality, which rounding cannot decide.
+    fam, xs, ys = game
+    lr = mixture(fam, np.arange(len(fam)))          # the full cover
+    comparator = prefix_best_losses(xs, ys, fam)
+    cum = 0.0
+    for t, (x, y) in enumerate(zip(xs, ys), start=1):
+        cum += log_loss(lr.predict(x), y)
+        lr.update(x, y)
+        region = mle_oracle(xs[:t], ys[:t], fam).region_index
+        n_in = int(fam.contains(xs[:t], [region]).sum())
+        bound = math.log(len(fam)) + math.log(n_in + 1) + math.log(t - n_in + 1)
+        assert cum - comparator[t - 1] <= bound, (t, region)
 
 
 def test_mixture_learner_wraps_state():
