@@ -158,8 +158,8 @@ def _nll(n, k):
 
     Below 2**_TABLE_BITS each j ln j is a gather from the table that holds n's
     largest count; the entries are xlogy's own, so the bits are xlogy's.
-    Larger counts call xlogy on the arrays as given, which keeps the bits of
-    float counts past 2**53, where the outside counts were rounded.
+    Larger counts call xlogy on the arrays as given: integer counts, n - k
+    included, are exact and cast to float once, inside xlogy.
     """
     top = n.max()
     if not top < 1 << _TABLE_BITS:
@@ -174,11 +174,9 @@ def _nll(n, k):
 
 def examples_to_counts(xs, ys, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-context totals (cnt) and positive-label totals (pos) of the examples
-    (xs[i], ys[i])."""
+    (xs[i], ys[i]), as int64."""
     xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
-    cnt = np.bincount(xs, minlength=size).astype(np.float64)
-    pos = np.bincount(xs[ys == 1], minlength=size).astype(np.float64)
-    return cnt, pos
+    return np.bincount(xs, minlength=size), np.bincount(xs[ys == 1], minlength=size)
 
 
 def _split_losses(n0, k0, total_n, total_k):
@@ -188,29 +186,45 @@ def _split_losses(n0, k0, total_n, total_k):
 
 
 def region_counts(values: np.ndarray, family: RegionFamily) -> np.ndarray:
-    """Per-region sums of per-context values along the last axis: entry a sums
-    the contexts inside region a. Threshold grids take one prefix-sum pass,
-    explicit families the product with the membership matrix; integer counts
-    come out exact."""
+    """Per-region sums of non-negative per-context counts along the last axis:
+    entry a sums the contexts inside region a. Threshold grids take one
+    prefix-sum pass, explicit families the product with the membership matrix;
+    integer counts come out as exact int64 sums."""
     if family.kind == THRESHOLD_GRID:
         return np.cumsum(values, axis=-1)
-    return values @ family._member
+    # An integer product does not run on BLAS (about 20x slower than float64 @
+    # bool); the float64 one is exact while every row totals below 2**53.
+    if values.dtype.kind == "i" and not values.sum(axis=-1).max() < 1 << 53:
+        return values @ family._member
+    product = values.astype(np.float64, copy=False) @ family._member
+    return product.astype(values.dtype, copy=False)
 
 
-def mle_from_region_counts(n0: np.ndarray, k0: np.ndarray, total_n: float,
-                           total_k: float) -> tuple[Hypothesis, float]:
-    """Loss-minimizing hypothesis from per-region inside counts (n0 samples, k0
-    positive labels) and the totals, plus its loss. All counts must be
-    integer-valued, in integer or float arrays: the losses index a j ln j
-    table with them, which would truncate a fractional count.
+def side_counts(values: np.ndarray, family: RegionFamily) -> np.ndarray:
+    """The counts `mle_from_region_counts` reads, from per-context counts of
+    shape (..., 2, U), row 0 the samples and row 1 the positive labels: shape
+    (..., 2, 2, len(family)), indexed (n, k) x (inside, outside) x region. The
+    outside counts are the row totals less the inside ones, exact for
+    integer counts."""
+    inside = region_counts(values, family)
+    return np.stack((inside, values.sum(axis=-1)[..., None] - inside), axis=-2)
+
+
+def mle_from_region_counts(counts: np.ndarray) -> tuple[Hypothesis, float]:
+    """Loss-minimizing hypothesis from per-region counts, plus its loss.
+
+    counts[0] holds the samples and counts[1] the positive labels, each as
+    (inside, outside) x region, the layout `side_counts` builds. All counts
+    must be integer-valued, in integer or float arrays: the losses index a
+    j ln j table with them, which would truncate a fractional count.
 
     Per region the optimal theta_j is the empirical frequency k_j/n_j (1/2 when
     the side is empty); ties between regions break to the lowest index.
     """
-    losses = _split_losses(n0, k0, total_n, total_k)
+    side = _nll(counts[0], counts[1])
+    losses = side[0] + side[1]
     idx = int(losses.argmin())
-    n_in, k_in = float(n0[idx]), float(k0[idx])
-    n_out, k_out = float(total_n - n_in), float(total_k - k_in)
+    (n_in, n_out), (k_in, k_out) = counts[:, :, idx].tolist()
     theta0 = k_in / n_in if n_in > 0 else 0.5
     theta1 = k_out / n_out if n_out > 0 else 0.5
     return Hypothesis(idx, theta0, theta1), float(losses[idx])
@@ -219,8 +233,7 @@ def mle_from_region_counts(n0: np.ndarray, k0: np.ndarray, total_n: float,
 def mle_from_counts(cnt: np.ndarray, pos: np.ndarray,
                     family: RegionFamily) -> tuple[Hypothesis, float]:
     """Loss-minimizing hypothesis from per-context count arrays, plus its loss."""
-    return mle_from_region_counts(region_counts(cnt, family), region_counts(pos, family),
-                                  cnt.sum(), pos.sum())
+    return mle_from_region_counts(side_counts(np.stack((cnt, pos)), family))
 
 
 def mle_oracle(xs, ys, family: RegionFamily) -> Hypothesis:
@@ -283,8 +296,8 @@ class ComparatorTracker:
 
     def __init__(self, family: RegionFamily):
         self.family = family
-        self.cnt = np.zeros(family.size)
-        self.pos = np.zeros(family.size)
+        self.cnt = np.zeros(family.size, dtype=np.int64)
+        self.pos = np.zeros(family.size, dtype=np.int64)
 
     def update(self, x: int, y: int) -> float:
         """Account for one more example and return the best loss on the prefix so far."""

@@ -18,7 +18,7 @@ from scipy.special import gammaln
 
 from .errors import ConfigError, NumericalAssertionError, check_keys, parse_field
 from .hypotheses import (_BLOCK_BYTES, RegionFamily, THRESHOLD_GRID, evaluate,
-                         mle_from_region_counts, region_counts)
+                         mle_from_region_counts, side_counts)
 
 
 def laplace_integral_log(k: int, n: int) -> float:
@@ -185,10 +185,11 @@ class FtplLearner:
     Each prediction refits the oracle on the history plus fresh hallucinated
     samples: Poisson(n) of them uniform over (context, label), drawn as
     independent Poisson(n / 2U) counts per cell (Poisson splitting). The
-    learner keeps its history as per-region inside counts, and draws the
-    hallucinations for a block of rounds at once, which takes the same values
-    from its generator as one draw per round. Blocks double in size up to the
-    shared byte budget, so short games draw little ahead.
+    learner keeps its history as the oracle's int64 (n, k) x (inside,
+    outside) x region counts, and draws the hallucinations for a block of
+    rounds at once, in the same layout, which takes the same values from its
+    generator as one draw per round. Blocks double in size up to the shared
+    byte budget, so short games draw little ahead.
     """
 
     def __init__(self, config: FtplConfig, family: RegionFamily):
@@ -199,36 +200,28 @@ class FtplLearner:
     def reset(self, rng: np.random.Generator) -> None:
         u, m = self.family.size, len(self.family)
         self.rng = rng
-        self._n0 = np.zeros(m)
-        self._k0 = np.zeros(m)
-        self._n = 0.0
-        self._k = 0.0
-        # per row of a block: the draw as integers and as floats (2U each), the
-        # per-context totals (U) and the per-region counts (2m)
-        self._max_rows = max(1, _BLOCK_BYTES // (8 * (5 * u + 2 * m)))
-        self._hal_n0 = self._hal_k0 = np.zeros((0, m))
-        self._hal_n = self._hal_k = []
+        self._counts = np.zeros((2, 2, m), dtype=np.int64)
+        # 8-byte words per row of a block while it is drawn: the draw (2U), the
+        # inside and outside counts (2m each), the stacked block row (4m) and
+        # the previous block's row (4m), alive until replaced
+        self._max_rows = max(1, _BLOCK_BYTES // (8 * (2 * u + 12 * m)))
+        self._block = np.zeros((0, 2, 2, m), dtype=np.int64)
         self._row = 0
 
     def _draw_block(self) -> None:
         u = self.family.size
-        rows = min(2 * len(self._hal_n0) or 1, self._max_rows)
-        hal = self.rng.poisson(self.config.n / (2.0 * u), size=(rows, 2, u)).astype(np.float64)
-        pos = hal[:, 1]
-        seen = hal[:, 0] + pos
-        self._hal_n0 = region_counts(seen, self.family)
-        self._hal_k0 = region_counts(pos, self.family)
-        self._hal_n = seen.sum(axis=1).tolist()
-        self._hal_k = pos.sum(axis=1).tolist()
+        rows = min(2 * len(self._block) or 1, self._max_rows)
+        hal = self.rng.poisson(self.config.n / (2.0 * u), size=(rows, 2, u))
+        hal[:, 0] += hal[:, 1]          # (samples, positive labels) per context
+        self._block = side_counts(hal, self.family)
 
     def predict(self, x: int) -> float:
         i = self._row
-        if i == len(self._hal_n):
+        if i == len(self._block):
             self._draw_block()
             i = 0
         self._row = i + 1
-        h, _ = mle_from_region_counts(self._n0 + self._hal_n0[i], self._k0 + self._hal_k0[i],
-                                      self._n + self._hal_n[i], self._k + self._hal_k[i])
+        h, _ = mle_from_region_counts(self._counts + self._block[i])
         q = (evaluate(self.family, h, x) + self.config.alpha) / (1.0 + 2.0 * self.config.alpha)
         if not self._lo <= q <= self._hi:
             raise NumericalAssertionError(
@@ -236,12 +229,9 @@ class FtplLearner:
         return q
 
     def update(self, x: int, y: int) -> None:
-        col = self.family.contains(x)
-        self._n0 += col
-        self._n += 1.0
-        if y:
-            self._k0 += col
-            self._k += 1.0
+        inside = self.family.contains(x)
+        # x's side of every region, into the n row and, when y = 1, the k row
+        self._counts[:1 + y] += np.array((inside, ~inside))
 
 
 def default_ftpl_tuning(T: int, sigma: float) -> tuple[float, float]:

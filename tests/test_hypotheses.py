@@ -382,6 +382,26 @@ def test_threshold_fast_path_equals_generic_scan():
         assert mle_from_counts(cnt, pos, fam) == mle_from_counts(cnt, pos, same)
 
 
+def test_region_counts_of_int64_counts_equal_the_integer_product():
+    # an explicit family sums integer counts with a float64 product while each
+    # row totals below 2**53, and with an integer product past that
+    family = RegionFamily.explicit(24, [np.flatnonzero(row).tolist() for row in
+                                        np.random.default_rng(26).random((40, 24)) < 0.4])
+    member = region_bitmaps(family).T.astype(object)    # (U, regions) of Python ints
+    rng = np.random.default_rng(27)
+    edge = rng.integers(0, 1 << 48, size=(2, 24))
+    edge[:, -1] = [(1 << 53) - 1, (1 << 53) + 1] - edge[:, :-1].sum(axis=1)
+    past = rng.integers(0, 1 << 57, size=(2, 24))
+    for values in (rng.integers(0, 1000, size=24), rng.integers(0, 1 << 40, size=(3, 2, 24)),
+                   edge[:1], edge, past):
+        got = region_counts(values, family)
+        assert got.dtype == np.int64
+        assert got.tolist() == (values.astype(object) @ member).tolist()
+    # past 2**53 the float64 product alone would round
+    assert not np.array_equal(past.astype(np.float64) @ member.astype(np.float64),
+                              region_counts(past, family))
+
+
 def test_family_json_roundtrip():
     fam = RegionFamily.threshold_grid(12)
     back = RegionFamily.from_spec(json.loads(fam.to_json()))

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
-from scipy.special import logsumexp
+from scipy.special import logsumexp, xlogy
 
+import smoothpa.hypotheses as hypotheses
 import smoothpa.learners as learners_mod
 
 from smoothpa.core import log_loss
@@ -422,15 +423,18 @@ def test_ftpl_seeded_reproducibility_and_step_equivalence():
 
 
 class PoissonRecorder:
-    """Generator stand-in that records the shape of every Poisson draw."""
+    """Generator stand-in that records the shape and the values of every
+    Poisson draw; the caller gets a copy, which it may change in place."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.sizes = []
+        self.draws = []
 
     def poisson(self, lam, size):
         self.sizes.append(size)
-        return self.rng.poisson(lam, size)
+        self.draws.append(self.rng.poisson(lam, size))
+        return self.draws[-1].copy()
 
 
 FTPL_FAMILIES = {
@@ -444,7 +448,8 @@ FTPL_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("n", [0.0, 12.0, 3000.0])
+# 2**23 puts the totals past the j ln j table's cap, where the losses call xlogy
+@pytest.mark.parametrize("n", [0.0, 12.0, 3000.0, float(2 ** 23)])
 @pytest.mark.parametrize("name", sorted(FTPL_FAMILIES))
 def test_ftpl_learner_equals_per_round_reference(name, n):
     fam, rounds = FTPL_FAMILIES[name]
@@ -464,6 +469,48 @@ def test_ftpl_learner_equals_per_round_reference(name, n):
         cnt[x] += 1
         pos[x] += y
     assert len(recorder.sizes) >= 5 and len(set(recorder.sizes[-4:])) == 1, recorder.sizes
+
+
+@pytest.mark.parametrize("name", ["grid64", "explicit"])
+def test_ftpl_counts_stay_exact_at_the_largest_rate(monkeypatch, name):
+    # At n = 1e18 the counts pass 2**53, where float sums round and an outside
+    # count could come out negative. The oracle must see the exact counts,
+    # all >= 0, and finite losses, and its leader's loss must equal the one
+    # from Python-integer counts.
+    fam = FTPL_FAMILIES[name][0]
+    u, bitmaps = fam.size, region_bitmaps(fam)
+    seen = []
+    oracle = learners_mod.mle_from_region_counts
+
+    def spy(counts):
+        assert (counts >= 0).all()
+        assert np.isfinite(hypotheses._nll(counts[0], counts[1])).all()
+        seen.append((counts, *oracle(counts)))
+        return seen[-1][1:]
+
+    monkeypatch.setattr(learners_mod, "mle_from_region_counts", spy)
+    recorder = PoissonRecorder(33)
+    lr = FtplLearner(FtplConfig(1e18, 0.01), fam)
+    lr.reset(recorder)
+    data = np.random.default_rng(34)
+    examples = [(int(data.integers(u)), int(data.integers(2))) for _ in range(50)]
+    for x, y in examples:
+        lr.predict(x)
+        lr.update(x, y)
+    assert len(seen) == 50 and max(c.max() for c, _, _ in seen) > 2 ** 53
+    member = bitmaps.astype(object)             # (regions, U) of Python ints
+    history = np.zeros((2, u), dtype=object)
+    hal = np.concatenate(recorder.draws).astype(object)
+    for (counts, h, loss), (label0, label1), (x, y) in zip(seen, hal, examples):
+        ctx = history + [label0 + label1, label1]
+        inside = ctx @ member.T
+        exact = np.stack([inside, ctx.sum(axis=1)[:, None] - inside], axis=1)
+        assert counts.tolist() == exact.tolist()
+        n, k, gap = (c.astype(np.float64) for c in (exact[0], exact[1], exact[0] - exact[1]))
+        side = xlogy(n, n) - xlogy(k, k) - xlogy(gap, gap)
+        ref = side[0] + side[1]
+        assert ref[h.region_index] == ref.min() == loss
+        history[:, x] += [1, y]
 
 
 def test_ftpl_predictions_stay_in_truncation_range():
@@ -503,16 +550,18 @@ def test_ftpl_hallucinated_counts_follow_the_bincount_law(monkeypatch):
     # With no history the oracle sees only the hallucinated counts; by Poisson
     # splitting each (label, context) cell is an independent Poisson(n / 2U).
     # On a grid the per-region inside counts are prefix sums over contexts, so
-    # their differences give back the per-context counts.
+    # their differences give back the per-context counts, and the last
+    # threshold holds every sample.
     u, n, draws = 4, 24.0, 4000
     seen = []
     oracle = learners_mod.mle_from_region_counts
 
-    def spy(n0, k0, total_n, total_k):
-        cnt, pos = np.diff(n0, prepend=0.0), np.diff(k0, prepend=0.0)
-        assert (n0[-1], k0[-1]) == (total_n, total_k)
+    def spy(counts):
+        assert counts.shape == (2, 2, u) and counts.dtype == np.int64
+        assert (counts[:, 1, -1] == 0).all()
+        cnt, pos = np.diff(counts[:, 0], prepend=0)
         seen.append(np.stack([cnt - pos, pos]))
-        return oracle(n0, k0, total_n, total_k)
+        return oracle(counts)
 
     monkeypatch.setattr(learners_mod, "mle_from_region_counts", spy)
     lr = FtplLearner(FtplConfig(n=n, alpha=0.1), RegionFamily.threshold_grid(u))
