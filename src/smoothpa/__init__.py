@@ -5,8 +5,8 @@ from .core import GameTrace, log_loss, run_game
 from .errors import (ConfigError, InfiniteLossError, NumericalAssertionError,
                      SmoothnessError)
 from .hypotheses import Hypothesis, RegionFamily, evaluate, mle_oracle, offline_best_loss
-from .adversary import (AdversaryPolicy, SmoothDistribution, SubsetUniform,
-                        adversary_from_spec, subset_smooth_adversary, validate_smooth)
+from .adversary import (AdversaryPolicy, SmoothDistribution, adversary_from_spec,
+                        subset_smooth_adversary, validate_smooth)
 from .coupling import rejection_couple_batch
 from .learners import (FtplConfig, FtplLearner, KtLearner, MixtureLearner,
                        UniformLearner, epsilon_cover, laplace_integral_log,

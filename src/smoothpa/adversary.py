@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,7 +31,7 @@ def validate_smooth(pmf: np.ndarray, sigma: float) -> tuple[bool, Optional[int]]
         return False, None
     if pmf.ndim != 1 or pmf.size == 0:
         return False, None
-    neg = np.flatnonzero(pmf < 0.0)
+    neg = np.flatnonzero(~(pmf >= 0.0))      # a NaN entry is not nonnegative either
     if neg.size:
         return False, int(neg[0])
     if abs(float(pmf.sum()) - 1.0) > SUM_TOL:
@@ -42,39 +41,6 @@ def validate_smooth(pmf: np.ndarray, sigma: float) -> tuple[bool, Optional[int]]
     if over.size:
         return False, int(over[0])
     return True, None
-
-
-@dataclass(frozen=True)
-class SmoothDistribution:
-    """A pmf over the universe certified sigma-smooth at construction time."""
-
-    pmf: np.ndarray
-    sigma: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "pmf", np.asarray(self.pmf, dtype=np.float64))
-        ok, idx = validate_smooth(self.pmf, self.sigma)
-        if not ok:
-            where = f" at index {idx}" if idx is not None else ""
-            raise SmoothnessError(
-                f"pmf is not {self.sigma}-smooth{where} "
-                f"(cap 1/(sigma*U) = {1.0 / (self.sigma * max(len(self.pmf), 1)):.6g})"
-            )
-
-    def sample(self, rng: np.random.Generator) -> int:
-        """One context drawn from the pmf."""
-        return int(rng.choice(self.pmf.size, p=self.pmf))
-
-    @classmethod
-    def uniform(cls, size: int, sigma: float = 1.0) -> "SmoothDistribution":
-        return cls(np.full(size, 1.0 / size), sigma)
-
-    @classmethod
-    def uniform_on(cls, size: int, support: Sequence[int], sigma: float) -> "SmoothDistribution":
-        support = np.asarray(support, dtype=np.int64)
-        pmf = np.zeros(size)
-        pmf[support] = 1.0 / support.size
-        return cls(pmf, sigma)
 
 
 def min_support_size(sigma: float, size: int) -> int:
@@ -92,18 +58,59 @@ def _uniform_cdf(k: int) -> np.ndarray:
     return cdf
 
 
-class SubsetUniform:
-    """Uniform distribution on a set of distinct context ids.
+class SmoothDistribution:
+    """A distribution over the contexts {0, ..., size-1}, certified sigma-smooth
+    at construction time.
 
-    Uniform mass on k >= ceil(sigma*U) atoms is at most 1/(sigma*U), so the
-    size check certifies sigma-smoothness without building the dense pmf; a
-    repeated id, an id outside [0, U) or too small a set raises SmoothnessError.
-    `sample` draws the same context from the same generator state as
-    `rng.choice(U, p=self.pmf)`.
+    It holds its support `ids` in ascending order and their running cdf,
+    normalized the way rng.choice normalizes the dense one. A zero atom adds
+    exactly 0.0 to a running sum, so the two cdfs agree at every support
+    position, and `sample` draws the same context from the same generator
+    state as `rng.choice(size, p=pmf)`.
     """
 
-    def __init__(self, size: int, subset: Sequence[int], sigma: float):
-        ids = np.array(subset, dtype=np.int64)      # a copy: the caller may reuse its array
+    def __init__(self, pmf, sigma: float):
+        pmf = np.asarray(pmf, dtype=np.float64)
+        ok, idx = validate_smooth(pmf, sigma)
+        if not ok:
+            where = f" at index {idx}" if idx is not None else ""
+            scale = sigma * max(pmf.size, 1)        # 0 at sigma = 0, which has no cap
+            raise SmoothnessError(
+                f"pmf is not {sigma}-smooth{where} "
+                f"(cap 1/(sigma*U) = {1.0 / scale if scale else math.inf:.6g})"
+            )
+        self.size, self.sigma, self.pmf = pmf.size, sigma, pmf
+        self.ids = np.flatnonzero(pmf)
+        self.cdf = np.cumsum(pmf[self.ids])
+        self.cdf /= self.cdf[-1]
+
+    @functools.cached_property
+    def pmf(self) -> np.ndarray:
+        """The dense pmf, which `uniform_on` builds only when it is read."""
+        pmf = np.zeros(self.size)
+        pmf[self.ids] = 1.0 / self.ids.size
+        return pmf
+
+    def sample(self, rng: np.random.Generator) -> int:
+        """One context: the support id where a uniform draw falls in the cdf."""
+        return int(self.ids[self.cdf.searchsorted(rng.random(), side="right")])
+
+    @classmethod
+    def uniform(cls, size: int, sigma: float = 1.0) -> "SmoothDistribution":
+        return cls.uniform_on(size, np.arange(size), sigma)
+
+    @classmethod
+    def uniform_on(cls, size: int, support: Sequence[int], sigma: float) -> "SmoothDistribution":
+        """Uniform distribution on a set of distinct context ids, in any order.
+
+        Uniform mass on k >= ceil(sigma*U) atoms is at most 1/(sigma*U), so the
+        size check certifies sigma-smoothness without building the dense pmf; a
+        sigma outside (0, 1], a repeated id, an id outside [0, U) or too small
+        a set raises SmoothnessError.
+        """
+        if not 0.0 < sigma <= 1.0:
+            raise SmoothnessError(f"sigma {sigma} outside (0, 1]")
+        ids = np.array(support, dtype=np.int64)      # a copy: the caller may reuse its array
         if ids.ndim != 1:
             raise SmoothnessError(f"target set must be a flat list of ids, got shape {ids.shape}")
         if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
@@ -118,20 +125,9 @@ class SubsetUniform:
         if ids.size < k:
             raise SmoothnessError(
                 f"target set of size {ids.size} below minimum {k} for sigma={sigma}")
-        self.size = size
-        self.ids = ids
-        self.sigma = sigma
-        self._cdf = _uniform_cdf(ids.size)
-
-    @functools.cached_property
-    def pmf(self) -> np.ndarray:
-        pmf = np.zeros(self.size)
-        pmf[self.ids] = 1.0 / self.ids.size
-        return pmf
-
-    def sample(self, rng: np.random.Generator) -> int:
-        """One context: the subset member where a uniform draw falls in the cdf."""
-        return int(self.ids[self._cdf.searchsorted(rng.random(), side="right")])
+        dist = cls.__new__(cls)
+        dist.size, dist.sigma, dist.ids, dist.cdf = size, sigma, ids, _uniform_cdf(ids.size)
+        return dist
 
 
 def check_static_set(ids, size: int) -> None:
@@ -285,14 +281,14 @@ class AdversaryPolicy:
         self.label_rule.reset(rng)
         self._dist = None
 
-    def context_distribution(self) -> SubsetUniform:
+    def context_distribution(self) -> SmoothDistribution:
         """The uniform distribution on the rule's set. While the rule proposes
         the ids it proposed last round (by content, so an array the rule changed
         in place counts as new), the distribution checked then is reused."""
         ids = np.asarray(self.context_rule.target_set(), dtype=np.int64)
         dist = self._dist
         if dist is None or ids.shape != self._shape or ids.tobytes() != self._bytes:
-            dist = SubsetUniform(self.size, ids, self.sigma)
+            dist = SmoothDistribution.uniform_on(self.size, ids, self.sigma)
             self._dist, self._shape, self._bytes = dist, ids.shape, ids.tobytes()
         return dist
 

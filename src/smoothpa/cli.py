@@ -12,9 +12,12 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .adversary import SmoothDistribution, min_support_size
 from .diagnostics import chi_square_bruteforce, chi_square_closed_form, nml_value
-from .errors import ConfigError, InfiniteLossError, NumericalAssertionError, load_json
+from .errors import (ConfigError, InfiniteLossError, NumericalAssertionError, allocate,
+                     load_json)
 from .harness import fit_scaling, parse_config, run
 from .hypotheses import Hypothesis, RegionFamily
 from .learners import epsilon_cover
@@ -36,9 +39,9 @@ def _cmd_chi2(args) -> dict:
         raise ConfigError(f"--universe: {args.universe} must be >= 1")
     if not 0.0 < args.cutoff < 1.0:
         raise ConfigError(f"--cutoff: {args.cutoff:g} outside (0, 1)")
-    u = args.universe
-    support = list(range(min_support_size(args.sigma, u)))
-    target = SmoothDistribution.uniform_on(u, support, args.sigma)
+    u, k = args.universe, min_support_size(args.sigma, args.universe)
+    target = SmoothDistribution.uniform_on(
+        u, allocate(u, "--universe", "contexts", lambda: np.arange(u))[:k], args.sigma)
     closed, bound = chi_square_closed_form(target, args.n)
     brute = discarded = None
     if not args.no_brute:

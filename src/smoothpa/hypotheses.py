@@ -172,11 +172,11 @@ def _nll(n, k):
     return out
 
 
-def examples_to_counts(xs, ys, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-context totals (cnt) and positive-label totals (pos) of the examples
-    (xs[i], ys[i]), as int64."""
+def examples_to_counts(xs, ys, size: int) -> np.ndarray:
+    """Per-context counts of the examples (xs[i], ys[i]) as one int64 array of
+    shape (2, size): row 0 the samples, row 1 the positive labels."""
     xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
-    return np.bincount(xs, minlength=size), np.bincount(xs[ys == 1], minlength=size)
+    return np.stack((np.bincount(xs, minlength=size), np.bincount(xs[ys == 1], minlength=size)))
 
 
 def _split_losses(n0, k0, total_n, total_k):
@@ -230,21 +230,21 @@ def mle_from_region_counts(counts: np.ndarray) -> tuple[Hypothesis, float]:
     return Hypothesis(idx, theta0, theta1), float(losses[idx])
 
 
-def mle_from_counts(cnt: np.ndarray, pos: np.ndarray,
-                    family: RegionFamily) -> tuple[Hypothesis, float]:
-    """Loss-minimizing hypothesis from per-context count arrays, plus its loss."""
-    return mle_from_region_counts(side_counts(np.stack((cnt, pos)), family))
+def mle_from_counts(counts: np.ndarray, family: RegionFamily) -> tuple[Hypothesis, float]:
+    """Loss-minimizing hypothesis from (2, U) per-context counts, row 0 the
+    samples and row 1 the positive labels, plus its loss."""
+    return mle_from_region_counts(side_counts(counts, family))
 
 
 def mle_oracle(xs, ys, family: RegionFamily) -> Hypothesis:
     """Empirical-loss minimizer over (region, theta0, theta1) on the examples
     (xs[i], ys[i]); empty columns are allowed."""
-    return mle_from_counts(*examples_to_counts(xs, ys, family.size), family)[0]
+    return mle_from_counts(examples_to_counts(xs, ys, family.size), family)[0]
 
 
 def offline_best_loss(xs, ys, family: RegionFamily) -> float:
     """Cumulative log-loss of the best fixed hypothesis on the examples (xs[i], ys[i])."""
-    return mle_from_counts(*examples_to_counts(xs, ys, family.size), family)[1]
+    return mle_from_counts(examples_to_counts(xs, ys, family.size), family)[1]
 
 
 # Temporary memory one block of rounds may use, in prefix_best_losses and in the
@@ -292,15 +292,14 @@ def prefix_best_losses(xs: np.ndarray, ys: np.ndarray, family: RegionFamily) -> 
 
 
 class ComparatorTracker:
-    """Incremental offline-best loss over growing prefixes of one trajectory."""
+    """Incremental offline-best loss over growing prefixes of one trajectory,
+    from (2, U) per-context counts as `examples_to_counts` builds them."""
 
     def __init__(self, family: RegionFamily):
         self.family = family
-        self.cnt = np.zeros(family.size, dtype=np.int64)
-        self.pos = np.zeros(family.size, dtype=np.int64)
+        self.counts = np.zeros((2, family.size), dtype=np.int64)
 
     def update(self, x: int, y: int) -> float:
         """Account for one more example and return the best loss on the prefix so far."""
-        self.cnt[x] += 1
-        self.pos[x] += y
-        return mle_from_counts(self.cnt, self.pos, self.family)[1]
+        self.counts[:1 + y, x] += 1
+        return mle_from_counts(self.counts, self.family)[1]

@@ -86,8 +86,7 @@ def test_criterion_03_mle_vs_bruteforce():
         size = int(rng.integers(0, 21))
         xs = rng.integers(0, u, size=size)
         ys = rng.integers(0, 2, size=size)
-        cnt, pos = examples_to_counts(xs, ys, u)
-        _, loss = mle_from_counts(cnt, pos, fam)
+        _, loss = mle_from_counts(examples_to_counts(xs, ys, u), fam)
         assert loss <= brute_force_best_loss(xs, ys, fam, step=1e-3) + 1e-3
 
 

@@ -6,8 +6,8 @@ import pytest
 from smoothpa import Hypothesis, SmoothnessError, UniformLearner, run_game, validate_smooth
 from smoothpa.adversary import (AdaptiveExtremenessRule, AdversaryPolicy,
                                 FixedSequenceLabelRule, GreedyLabelRule, RealizableLabelRule,
-                                SmoothDistribution, SubsetUniform, adversary_from_spec,
-                                min_support_size, subset_smooth_adversary)
+                                SmoothDistribution, adversary_from_spec, min_support_size,
+                                subset_smooth_adversary)
 from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import RegionFamily
 from smoothpa.learners import MixtureLearner, epsilon_cover
@@ -47,6 +47,8 @@ def test_validate_smooth_minimal_support():
 def test_validate_smooth_rejects_bad_vectors():
     assert validate_smooth(np.array([0.5, 0.6]), 1.0)[0] is False        # sum != 1
     assert validate_smooth(np.array([-0.1, 1.1]), 1.0) == (False, 0)     # negative
+    # NaN, which rng.choice refused and a cdf search would draw as context 0
+    assert validate_smooth(np.array([0.25, 0.25, np.nan, 0.25, 0.25]), 0.5) == (False, 2)
     assert validate_smooth(np.full(4, 0.25), 1.5)[0] is False            # bad sigma
 
 
@@ -72,9 +74,42 @@ def test_subset_adversary_rejects_small_set():
         adv.context_distribution()
 
 
+def assert_draws_match_choice(dist, pmf, seed, draws):
+    """dist's dense pmf is `pmf`, and `draws` samples from a generator seeded
+    `seed` land where rng.choice over that pmf does and leave the same state."""
+    assert np.array_equal(dist.pmf, pmf)
+    direct, dense = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert [dist.sample(direct) for _ in range(draws)] == \
+        [int(dense.choice(pmf.size, p=pmf)) for _ in range(draws)]
+    assert direct.random() == dense.random()
+
+
+def test_smooth_distribution_sample_matches_choice():
+    # every constructor draws through the one sampler, which must consume the
+    # generator exactly as rng.choice over the dense pmf does
+    rng = np.random.default_rng(1)
+    raw = rng.random(20)
+    pmf = 0.5 / 20 + 0.5 * raw / raw.sum()
+    assert_draws_match_choice(SmoothDistribution(pmf, 0.5), pmf, 7, 500)
+    # general pmfs with zero atoms, the first and last positions among them
+    rng = np.random.default_rng(2)
+    for trial in range(200):
+        u = int(rng.integers(2, 40))
+        zero = rng.random(u) < 0.4
+        zero[0], zero[-1] = trial % 2 == 0, trial % 3 == 0
+        zero[1 + trial % (u - 1)] = False
+        pmf = np.where(zero, 0.0, rng.random(u))
+        pmf /= pmf.sum()
+        dist = SmoothDistribution(pmf, min(1.0, 1.0 / (u * pmf.max())))
+        assert_draws_match_choice(dist, pmf, int(rng.integers(2 ** 32)), 200)
+    for u, sigma in ((1, 1.0), (7, 0.3), (64, 1.0)):
+        assert_draws_match_choice(SmoothDistribution.uniform(u, sigma), np.full(u, 1.0 / u),
+                                  u, 200)
+
+
 def test_subset_sample_matches_dense_choice():
-    # the direct draw must consume the generator exactly as rng.choice over
-    # the dense pmf does, and land on the same context
+    # uniform_on draws straight from the subset, and must still land where
+    # rng.choice over the dense pmf does
     rng = np.random.default_rng(0)
     for trial in range(300):
         u = int(rng.integers(1, 300))
@@ -82,31 +117,34 @@ def test_subset_sample_matches_dense_choice():
         subset = rng.choice(u, size=k, replace=False)        # unsorted
         if trial % 3 == 0:
             subset = np.sort(subset)
-        dist = SubsetUniform(u, subset.tolist(), k / u)
         pmf = np.zeros(u)
         pmf[subset] = 1.0 / k
-        assert np.array_equal(dist.pmf, pmf)
-        seed = int(rng.integers(2 ** 32))
-        direct, dense = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(100):
-            assert dist.sample(direct) == int(dense.choice(u, p=pmf))
-        assert direct.random() == dense.random()
-
-
-def test_smooth_distribution_sample_matches_choice():
-    rng = np.random.default_rng(1)
-    raw = rng.random(20)
-    dist = SmoothDistribution(0.5 / 20 + 0.5 * raw / raw.sum(), 0.5)
-    a, b = np.random.default_rng(7), np.random.default_rng(7)
-    assert [dist.sample(a) for _ in range(500)] == \
-        [int(b.choice(20, p=dist.pmf)) for _ in range(500)]
+        dist = SmoothDistribution.uniform_on(u, subset.tolist(), k / u)
+        assert_draws_match_choice(dist, pmf, int(rng.integers(2 ** 32)), 100)
 
 
 @pytest.mark.parametrize("subset, bad", [([-1, 0, 1, 2], "-1"), ([0, 1, 2, 8], "8"),
-                                         ([3, 1, 3, 5], "3"), ([[0, 1], [2, 3]], "shape")])
+                                         ([3, 1, 3, 5], "3"), ([[0, 1], [2, 3]], "shape"),
+                                         ([], "size 0 below minimum 4")])
 def test_subset_uniform_rejects_bad_ids(subset, bad):
     with pytest.raises(SmoothnessError, match=bad):
-        SubsetUniform(8, subset, 0.5)
+        SmoothDistribution.uniform_on(8, subset, 0.5)
+
+
+@pytest.mark.parametrize("size, subset, bad", [(4, [-1, 0], -1), (8, [0, 1, 2, 8], 8)])
+def test_uniform_on_names_an_id_outside_the_universe(size, subset, bad):
+    # a dense builder once put the mass of id -1 on context U - 1, and raised
+    # IndexError at id U
+    with pytest.raises(SmoothnessError, match=rf"context id {bad} outside \[0, {size}\)"):
+        SmoothDistribution.uniform_on(size, subset, 0.5)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.5, 1.5, float("nan")])
+def test_smooth_distribution_rejects_sigma_outside_the_unit_interval(sigma):
+    with pytest.raises(SmoothnessError, match=r"sigma .* outside \(0, 1\]"):
+        SmoothDistribution.uniform_on(4, [0, 1, 2, 3], sigma)
+    with pytest.raises(SmoothnessError, match=rf"pmf is not {sigma}-smooth \(cap"):
+        SmoothDistribution(np.full(4, 0.25), sigma)
 
 
 def test_static_rule_with_bad_id_fails_the_run():

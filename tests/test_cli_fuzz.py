@@ -154,8 +154,10 @@ VALID_ARGV = [
 ]
 ARGV_FILES = {"config.json": RUN_CONFIG, "class.json": CLASS, "contexts.json": CONTEXTS,
               "family.json": EXPLICIT, "summary.json": SUMMARY}
-# --universe stays at most 2: chi2's enumeration at larger universes is real work
-VALUES = ["-1", "0", "0.5", "1", "2", "1e300", *map(repr, SPECIAL_FLOATS), "abc", "",
+# --universe stays at most 2, or past what numpy can allocate: chi2's
+# enumeration at larger universes is real work
+VALUES = ["-1", "0", "0.5", "1", "2", "1e300", "4611686018427387904",
+          *map(repr, SPECIAL_FLOATS), "abc", "",
           *ARGV_FILES, "missing.json", "a_dir", "a_file", "a_file/out", "out"]
 TOKENS = sorted({t for argv in VALID_ARGV for t in argv if t.startswith("-")}) + [
     "run", "chi2", "nml", "cover", "fit", "--help", "-x", "--sigma=0.5", *VALUES]

@@ -676,6 +676,9 @@ GRID4_CLASS = {"family": {"kind": "threshold_grid", "size": 4},
     (["run", "--config", "c.json", "--output-dir", "out"],
      {"c.json": base_config(T=2 ** 62), "out": DIRECTORY},
      f"T: {2 ** 62} rounds are more than numpy can allocate"),
+    # a chi2 universe numpy refuses from its size alone
+    (["chi2", "--sigma", "1", "--n", "4", "--universe", str(2 ** 62), "--no-brute"], {},
+     f"--universe: {2 ** 62} contexts are more than numpy can allocate"),
 ])
 def test_cli_file_errors_exit_2(tmp_path, capsys, argv, files, message):
     for name, obj in files.items():

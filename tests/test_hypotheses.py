@@ -152,9 +152,10 @@ def test_membership_is_read_only_through_contains():
 def inside_outside_counts(bitmap, xs, ys):
     """(n0, k0, n1, k1) for one region through examples_to_counts and region_counts."""
     fam = RegionFamily.explicit(len(bitmap), [np.flatnonzero(bitmap).tolist()])
-    cnt, pos = examples_to_counts(xs, ys, len(bitmap))
-    n0, k0 = region_counts(cnt, fam)[0], region_counts(pos, fam)[0]
-    return n0, k0, cnt.sum() - n0, pos.sum() - k0
+    counts = examples_to_counts(xs, ys, len(bitmap))
+    n0, k0 = region_counts(counts, fam)[:, 0]
+    n1, k1 = counts.sum(axis=1) - (n0, k0)
+    return n0, k0, n1, k1
 
 
 def test_count_regions_empty_and_full():
@@ -295,9 +296,10 @@ def test_split_losses_equal_xlogy_form_bitwise():
 
 
 def test_split_losses_past_the_cap_call_xlogy_on_the_float_counts():
-    # FTPL with n near 1e18 sums float counts past 2**53, where a sum rounds;
-    # the losses keep xlogy's bits on those floats. Labels 1 are at most half
-    # of each context's samples, so no count difference rounds below zero.
+    # A caller's own float counts past 2**53, where a sum rounds (FTPL sums
+    # exact int64 counts): the losses keep xlogy's bits on those floats. Labels
+    # 1 are at most half of each context's samples, so no count difference
+    # rounds below zero.
     rng = np.random.default_rng(21)
     seen = rng.uniform(0.0, 3e16, size=64).round()
     pos = (seen * rng.uniform(0.0, 0.5, size=64)).round()
@@ -375,11 +377,12 @@ def test_threshold_fast_path_equals_generic_scan():
         same = RegionFamily.explicit(u, [range(a + 1) for a in range(u)])
         xs = rng.integers(0, u, size=int(rng.integers(1, 60)))
         ys = rng.integers(0, 2, size=len(xs))
-        cnt, pos = examples_to_counts(xs, ys, u)
-        for values in (cnt, pos):       # prefix sums against the bitmap product
-            assert np.array_equal(region_counts(values, fam), region_bitmaps(fam) @ values)
-            assert np.array_equal(region_counts(values, fam), region_counts(values, same))
-        assert mle_from_counts(cnt, pos, fam) == mle_from_counts(cnt, pos, same)
+        counts = examples_to_counts(xs, ys, u)
+        assert counts.shape == (2, u) and counts.dtype == np.int64
+        # prefix sums against the bitmap product
+        assert np.array_equal(region_counts(counts, fam), counts @ region_bitmaps(fam).T)
+        assert np.array_equal(region_counts(counts, fam), region_counts(counts, same))
+        assert mle_from_counts(counts, fam) == mle_from_counts(counts, same)
 
 
 def test_region_counts_of_int64_counts_equal_the_integer_product():

@@ -374,12 +374,14 @@ def test_mixture_learner_wraps_state():
 
 # ---------------------------------------------------------------- ftpl
 
-def reference_ftpl_predict(cnt, pos, config, family, rng, x):
+def reference_ftpl_predict(counts, config, family, rng, x):
     """One FTPL prediction the direct way: draw this round's (2, U) hallucinated
-    counts, refit the oracle on the per-context counts, truncate at x."""
+    counts by label, add them to the (2, U) per-context counts (samples, then
+    labels 1), refit the oracle, truncate at x."""
     u = family.size
     hal = rng.poisson(config.n / (2.0 * u), size=(2, u))
-    h, _ = mle_from_counts(cnt + hal[0] + hal[1], pos + hal[1], family)
+    hal[0] += hal[1]
+    h, _ = mle_from_counts(counts + hal, family)
     q = (evaluate(family, h, x) + config.alpha) / (1.0 + 2.0 * config.alpha)
     lo, hi = truncation_range(config.alpha)
     if not lo <= q <= hi:
@@ -417,9 +419,8 @@ def test_ftpl_seeded_reproducibility_and_step_equivalence():
     a = [ftpl_after(cfg, fam, 99, xs, ys).predict(5) for _ in range(2)]
     assert a[0] == a[1]
 
-    cnt = np.bincount(xs, minlength=16).astype(float)
-    pos = np.bincount(xs, weights=ys, minlength=16)
-    assert a[0] == reference_ftpl_predict(cnt, pos, cfg, fam, np.random.default_rng(99), 5)
+    counts = np.stack((np.bincount(xs, minlength=16), np.bincount(xs, weights=ys, minlength=16)))
+    assert a[0] == reference_ftpl_predict(counts, cfg, fam, np.random.default_rng(99), 5)
 
 
 class PoissonRecorder:
@@ -460,14 +461,13 @@ def test_ftpl_learner_equals_per_round_reference(name, n):
     lr.reset(recorder)
     ref_rng = np.random.default_rng(31)
     data = np.random.default_rng(32)
-    cnt, pos = np.zeros(u), np.zeros(u)
+    counts = np.zeros((2, u))
     for _ in range(rounds):
         x = int(data.integers(u))
         y = int(data.random() < (0.2 if x < u // 2 else 0.7))
-        assert lr.predict(x) == reference_ftpl_predict(cnt, pos, cfg, fam, ref_rng, x)
+        assert lr.predict(x) == reference_ftpl_predict(counts, cfg, fam, ref_rng, x)
         lr.update(x, y)
-        cnt[x] += 1
-        pos[x] += y
+        counts[:1 + y, x] += 1
     assert len(recorder.sizes) >= 5 and len(set(recorder.sizes[-4:])) == 1, recorder.sizes
 
 
