@@ -66,7 +66,8 @@ class SmoothDistribution:
     normalized the way rng.choice normalizes the dense one. A zero atom adds
     exactly 0.0 to a running sum, so the two cdfs agree at every support
     position, and `sample` draws the same context from the same generator
-    state as `rng.choice(size, p=pmf)`.
+    state as `rng.choice(size, p=pmf)`. A distribution from `uniform_on`
+    builds its dense pmf and its cdf only when they are read.
     """
 
     def __init__(self, pmf, sigma: float):
@@ -90,6 +91,17 @@ class SmoothDistribution:
         pmf = np.zeros(self.size)
         pmf[self.ids] = 1.0 / self.ids.size
         return pmf
+
+    @functools.cached_property
+    def cdf(self) -> np.ndarray:
+        """The running cdf, which `uniform_on` builds only when it is read."""
+        return _uniform_cdf(self.ids.size)
+
+    @functools.cached_property
+    def collision(self) -> float:
+        """sum_x D(x)^2, the chance that two independent draws coincide;
+        1/k for the uniform distribution on k ids."""
+        return float(np.sum(self.pmf ** 2))
 
     def sample(self, rng: np.random.Generator) -> int:
         """One context: the support id where a uniform draw falls in the cdf."""
@@ -126,7 +138,7 @@ class SmoothDistribution:
             raise SmoothnessError(
                 f"target set of size {ids.size} below minimum {k} for sigma={sigma}")
         dist = cls.__new__(cls)
-        dist.size, dist.sigma, dist.ids, dist.cdf = size, sigma, ids, _uniform_cdf(ids.size)
+        dist.size, dist.sigma, dist.ids, dist.collision = size, sigma, ids, 1.0 / ids.size
         return dist
 
 

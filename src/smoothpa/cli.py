@@ -40,8 +40,14 @@ def _cmd_chi2(args) -> dict:
     if not 0.0 < args.cutoff < 1.0:
         raise ConfigError(f"--cutoff: {args.cutoff:g} outside (0, 1)")
     u, k = args.universe, min_support_size(args.sigma, args.universe)
-    target = SmoothDistribution.uniform_on(
-        u, allocate(u, "--universe", "contexts", lambda: np.arange(u))[:k], args.sigma)
+    # The k support ids and uniform_on's copy of them are the whole working
+    # set: the closed form reads no dense pmf, and the brute force enumerates
+    # only universes of a few contexts.
+    try:
+        target = SmoothDistribution.uniform_on(
+            u, allocate(k, "--universe", "contexts", lambda: np.arange(k)), args.sigma)
+    except (ConfigError, MemoryError):
+        raise ConfigError(f"--universe: {u} contexts are more than numpy can allocate") from None
     closed, bound = chi_square_closed_form(target, args.n)
     brute = discarded = None
     if not args.no_brute:

@@ -22,8 +22,7 @@ def chi_square_closed_form(target: SmoothDistribution, n_rate: float) -> tuple[f
     together with its smoothness bound 2/(sigma*n)."""
     if n_rate <= 0:
         raise ValueError("n_rate must be positive")
-    u = len(target.pmf)
-    value = float(2.0 * u / n_rate * np.sum(target.pmf ** 2))
+    value = float(2.0 * target.size / n_rate * target.collision)
     scale = target.sigma * n_rate
     bound = 2.0 / scale if scale > 0.0 else math.inf     # sigma * n can underflow to 0
     return value, bound
@@ -44,7 +43,7 @@ def chi_square_bruteforce(target: SmoothDistribution, n_rate: float,
         raise ValueError("n_rate must be positive")
     if not 0.0 < tail_cutoff < 1.0:
         raise ValueError("tail_cutoff must be in (0, 1)")
-    u = len(target.pmf)
+    u = target.size
     lam = n_rate / (2.0 * u)
     if math.exp(-lam) <= tail_cutoff:
         raise ValueError(f"cutoff {tail_cutoff:g} empties the support at rate {lam:g}")

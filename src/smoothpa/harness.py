@@ -240,15 +240,27 @@ def _line_design(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return lhs / scale, scale, len(ts) * np.finfo(float).eps
 
 
-def _line(design, y: np.ndarray) -> tuple[float, float]:
-    """(slope, intercept) of y against ln T, bit-identical to np.polyfit(ln T, y, 1)."""
+def _lines(design, ys: np.ndarray) -> np.ndarray:
+    """(slope, intercept) of y against ln T for each y along the last axis of
+    ys, each bit-identical to np.polyfit(ln T, y, 1).
+
+    np.linalg.lstsq refuses a stack of problems, so this calls the LAPACK
+    gufunc it wraps, which solves each stacked y on its own with one
+    right-hand side, as np.polyfit does. One solve with every y as a column of
+    a single right-hand side rounds differently once there are 8 or more
+    horizons.
+    """
+    from numpy.linalg import _umath_linalg
     lhs, scale, rcond = design
-    c = np.linalg.lstsq(lhs, y + 0.0, rcond)[0] / scale   # + 0.0 as polyfit: -0.0 -> 0.0
-    return float(c[0]), float(c[1])
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        # + 0.0 as polyfit: -0.0 -> 0.0
+        c = _umath_linalg.lstsq(lhs, ys[..., None] + 0.0, rcond, signature="ddd->ddid")[0]
+    return c[..., 0] / scale
 
 
-def _slopes(design, regrets: np.ndarray) -> tuple[float, float, float, float]:
-    return (*_line(design, np.log(np.maximum(regrets, 1e-9))), *_line(design, regrets))
+def _slopes(design, regrets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The log-log and the ln T fit of regrets, as `_lines` returns them."""
+    return _lines(design, np.log(np.maximum(regrets, 1e-9))), _lines(design, regrets)
 
 
 def fit_scaling(summary: Union[SweepSummary, dict], n_boot: int = 200,
@@ -275,20 +287,16 @@ def fit_scaling(summary: Union[SweepSummary, dict], n_boot: int = 200,
             continue
         means = np.array([c["mean_final_regret"] for c in group])
         design = _line_design(ts)
-        ll_b, ll_a, lt_b, lt_a = _slopes(design, means)
+        (ll_b, ll_a), (lt_b, lt_a) = (c.tolist() for c in _slopes(design, means))
         # Resample indices for every (resample, cell, repetition) in one draw,
         # in that order; row b holds resample b's index vectors back to back.
-        # Each resample keeps its own fit: one solve over all of them rounds
-        # differently once there are 8 or more horizons.
         vals = [np.asarray(c["final_regrets"]) for c in group]
         sizes = np.array([len(v) for v in vals])
         idx = rng.integers(0, np.tile(np.repeat(sizes, sizes), (n_boot, 1)))
         ends = np.cumsum(sizes)
         resampled = np.stack([v[idx[:, end - len(v): end]].mean(axis=1)
                               for v, end in zip(vals, ends)], axis=1)
-        boot = [_slopes(design, row) for row in resampled]
-        boot_ll = [b[0] for b in boot]
-        boot_lt = [b[2] for b in boot]
+        boot_ll, boot_lt = (c[:, 0] for c in _slopes(design, resampled))
         meta = json.loads(key)
         fitted.append({
             "learner": meta["learner"], "sigma": meta["sigma"],

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import ConfigError, allocate, check_keys, parse_field
 
@@ -143,11 +143,27 @@ def evaluate(family: RegionFamily, h: Hypothesis, x: int) -> float:
 _TABLE_BITS = 20
 
 
+def _j_ln_j(j) -> np.ndarray:
+    """j ln j for every count in j, as float64: +0.0 at 0 and NaN at a
+    negative or NaN count, the values of xlogy(j, j).
+
+    Each log is math.log's, which is the C library's log, as xlogy's is.
+    np.log is not: its vectorized log differs from the C library's in the
+    last bit for some counts (on an AVX-512 host, 51 of the first 2**20).
+    """
+    j = np.asarray(j, dtype=np.float64)
+    out = np.zeros(j.shape)
+    pos = j > 0
+    jp = j[pos]
+    out[pos] = jp * np.fromiter(map(math.log, jp.tolist()), np.float64, jp.size)
+    out[~(j >= 0)] = np.nan
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _jlnj(bits: int) -> np.ndarray:
-    """Read-only table of xlogy(j, j) = j ln j for j = 0, ..., 2**bits - 1."""
-    j = np.arange(1 << bits, dtype=np.float64)
-    table = xlogy(j, j)
+    """Read-only table of j ln j for j = 0, ..., 2**bits - 1."""
+    table = _j_ln_j(np.arange(1 << bits))
     table.flags.writeable = False
     return table
 
@@ -157,13 +173,13 @@ def _nll(n, k):
     Bernoulli counts 0 <= k <= n, 0 ln 0 = 0.
 
     Below 2**_TABLE_BITS each j ln j is a gather from the table that holds n's
-    largest count; the entries are xlogy's own, so the bits are xlogy's.
-    Larger counts call xlogy on the arrays as given: integer counts, n - k
-    included, are exact and cast to float once, inside xlogy.
+    largest count. Larger counts go to _j_ln_j as given: integer counts, n - k
+    included, are exact and cast to float once, there. Both read the same
+    _j_ln_j values, so the bits do not depend on which path a count takes.
     """
     top = n.max()
     if not top < 1 << _TABLE_BITS:
-        return xlogy(n, n) - xlogy(k, k) - xlogy(n - k, n - k)
+        return _j_ln_j(n) - _j_ln_j(k) - _j_ln_j(n - k)
     n, k = n.astype(np.intp, copy=False), k.astype(np.intp, copy=False)
     table = _jlnj(int(top).bit_length())
     out = table[n]

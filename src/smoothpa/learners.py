@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigError, NumericalAssertionError, check_keys, parse_field
 from .hypotheses import (_BLOCK_BYTES, RegionFamily, THRESHOLD_GRID, evaluate,
@@ -28,7 +27,7 @@ def laplace_integral_log(k: int, n: int) -> float:
     """
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    log_binom = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    log_binom = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
     return float(-math.log(n + 1) - log_binom)
 
 

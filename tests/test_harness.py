@@ -494,7 +494,7 @@ def per_resample_bootstrap(summary, n_boot=200, seed=0):
     return out
 
 
-@pytest.mark.parametrize("n_t", [4, 6, 8, 11])
+@pytest.mark.parametrize("n_t", [4, 6, 8, 11, 14])
 def test_fit_scaling_bootstrap_equals_per_resample_loop(n_t):
     rng = np.random.default_rng(n_t)
     for trial in range(6):
@@ -551,6 +551,76 @@ def test_cli_chi2_report(capsys):
     rep = json.loads(capsys.readouterr().out)["chi2"]
     assert rep["closed"] <= rep["bound"] + 1e-12
     assert rep["brute"] == pytest.approx(rep["closed"], abs=1e-6 + rep["discarded"])
+
+
+# chi2 under an address-space limit 500 MiB above what the interpreter already
+# maps: 2.5e7 support ids and uniform_on's copy of them fit, 5e7 of each do not
+TIGHT_MEMORY_CHI2 = """
+import resource, sys
+from smoothpa.cli import main
+with open("/proc/self/status") as fh:
+    mapped = next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmSize:"))
+limit = mapped + (500 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("universe", [5 * 10 ** 7, 10 ** 8])
+def test_cli_chi2_working_set_fits_or_is_a_universe_error(universe):
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", TIGHT_MEMORY_CHI2, "chi2", "--sigma", "0.5",
+                           "--n", "4", "--universe", str(universe), "--no-brute"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    if universe == 5 * 10 ** 7:
+        assert done.returncode == 0, done.stderr
+        rep = json.loads(done.stdout)["chi2"]
+        assert rep["closed"] == pytest.approx(1.0, rel=1e-12) and rep["bound"] == 1.0
+    else:
+        assert (done.returncode, done.stderr) == (
+            2, f"config error: --universe: {universe} contexts are more than numpy "
+               f"can allocate\n")
+
+
+# Every subcommand, the sweeps over both family kinds and all four learners,
+# in one process that must never import scipy
+NO_SCIPY_RUN = """
+import contextlib, io, json, sys
+from smoothpa.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    learners = [{"uniform": {}}, {"kt": {}}, {"vc_mixture": {}}, {"ftpl": {}}]
+    explicit = {"kind": "explicit", "size": 8, "regions": [[0, 1], [2, 3, 4], [5], []]}
+    configs = {"grid": base_config(sweep={"learner": learners, "T": [8, 16, 32, 64]}),
+               "explicit": base_config(family=explicit,
+                                       sweep={"learner": learners, "T": [8, 16]})}
+    argv = []
+    for name, cfg in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        argv.append(["run", "--config", str(tmp_path / f"{name}.json"),
+                     "--output-dir", str(tmp_path / name)])
+    (tmp_path / "family.json").write_text(json.dumps(explicit))
+    (tmp_path / "class.json").write_text(json.dumps(
+        {"family": explicit, "hypotheses": [[0, 0.2, 0.7], [1, 0.5, 0.5]]}))
+    (tmp_path / "contexts.json").write_text(json.dumps([0, 2, 5, 7]))
+    argv += [["chi2", "--sigma", "0.5", "--n", "4", "--universe", "2"],
+             ["nml", "--class", str(tmp_path / "class.json"),
+              "--contexts", str(tmp_path / "contexts.json")],
+             ["cover", "--family", str(tmp_path / "family.json"), "--eps", "0.3"],
+             ["fit", "--summary", str(tmp_path / "grid" / "summary.json")]]
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"codes": [0] * len(argv), "scipy": []}
 
 
 def test_cli_cover_and_nml(tmp_path, capsys):

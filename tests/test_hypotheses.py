@@ -286,6 +286,16 @@ def assert_table_equals_xlogy(rng, top, shape=(5, 40)):
 
 
 def test_split_losses_equal_xlogy_form_bitwise():
+    # j ln j itself: the whole table, the counts _nll sends past its cap as
+    # int64 and as float64, and the edge values
+    j = np.arange(1 << _TABLE_BITS, dtype=np.float64)
+    assert hypotheses._jlnj(_TABLE_BITS).tobytes() == xlogy(j, j).tobytes()
+    for dtype in (np.int64, np.float64):
+        big = np.array([1 << _TABLE_BITS, (1 << 53) - 1, (1 << 53) + 1, 10 ** 18], dtype=dtype)
+        assert hypotheses._j_ln_j(big).tobytes() == xlogy(big, big).tobytes()
+    zero, *bad = hypotheses._j_ln_j(np.array([0.0, -1.0, -(1 << 60), np.nan]))
+    assert zero == 0.0 and not np.signbit(zero)
+    assert np.isnan(bad).all() and np.isnan(xlogy(bad, bad)).all()
     rng = np.random.default_rng(20)
     for top in (1, 2, 7, 100, 5000, 1 << 16):
         assert_table_equals_xlogy(rng, top)
