@@ -108,10 +108,6 @@ class SmoothDistribution:
         return int(self.ids[self.cdf.searchsorted(rng.random(), side="right")])
 
     @classmethod
-    def uniform(cls, size: int, sigma: float = 1.0) -> "SmoothDistribution":
-        return cls.uniform_on(size, np.arange(size), sigma)
-
-    @classmethod
     def uniform_on(cls, size: int, support: Sequence[int], sigma: float) -> "SmoothDistribution":
         """Uniform distribution on a set of distinct context ids, in any order.
 
@@ -311,30 +307,6 @@ class AdversaryPolicy:
         self.context_rule.observe(x, q, y)
 
 
-def subset_smooth_adversary(sigma: float, size: int, target_set_rule=None, label_rule=None,
-                            rule: str = "static",
-                            subset: Optional[Sequence[int]] = None) -> AdversaryPolicy:
-    """Maximally concentrated smooth adversary over the contexts {0, ..., size-1}:
-    uniform on a subset chosen from the past.
-
-    target_set_rule may be any object with reset/observe/target_set; it sees
-    the past only through observe(x, q, y). Otherwise `rule` selects the
-    built-in static or adaptive rule. Sets smaller than
-    ceil(sigma*U), with repeated ids or with ids outside the universe are
-    rejected at emission time.
-    """
-    if target_set_rule is None:
-        if rule == "static":
-            target_set_rule = StaticSubsetRule(subset)
-        elif rule == "adaptive":
-            target_set_rule = AdaptiveExtremenessRule()
-        else:
-            raise ConfigError(f"adversary.rule: unknown rule {rule!r}")
-    if label_rule is None:
-        label_rule = GreedyLabelRule()
-    return AdversaryPolicy(target_set_rule, label_rule, sigma, size)
-
-
 def _f_star(fs, family: RegionFamily) -> Hypothesis:
     """The realizable labels' hypothesis from its spec; its region must be one
     of the family's and its thetas in [0, 1]."""
@@ -394,8 +366,14 @@ def adversary_from_spec(spec: dict, family: RegionFamily,
     else:
         raise ConfigError(f"adversary.label: unknown kind {label_kind!r}")
 
-    policy = subset_smooth_adversary(float(sig), family.size, label_rule=label_rule,
-                                     rule=rule, subset=subset)
+    if rule == "static":
+        context_rule = StaticSubsetRule(subset)
+    elif rule == "adaptive":
+        context_rule = AdaptiveExtremenessRule()
+    else:
+        raise ConfigError(f"adversary.rule: unknown rule {rule!r}")
+
+    policy = AdversaryPolicy(context_rule, label_rule, float(sig), family.size)
     if subset is not None:
         k = min_support_size(policy.sigma, family.size)
         if len(subset) < k:

@@ -54,7 +54,8 @@ def chi_square_bruteforce(target: SmoothDistribution, n_rate: float,
         pm.pop()
     pm = np.asarray(pm)
     k_sup = len(pm)
-    if k_sup ** (2 * u) > max_cells:
+    # the exact power has 2u log2(k) bits, so it is built only near the limit
+    if 2 * u * math.log(k_sup) > math.log(max_cells) + 1.0 or k_sup ** (2 * u) > max_cells:
         raise ValueError(
             f"enumeration of {k_sup}^{2 * u} count vectors exceeds {max_cells:g} cells")
 
@@ -135,51 +136,38 @@ def rademacher_estimate(family: RegionFamily, alpha: float, sample_size: int,
     return best
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Inputs to the composite FTPL regret bound.
+def theorem_bound(n_rate: float, alpha: float, sigma: float, T: int,
+                  rad: Callable[[float], float], m: Optional[float] = None) -> float:
+    """Evaluate n ln(1/a) + aT + T sqrt(ln(1/a)/(sigma n)) plus T times the
+    best inner bracket (1/a) rad(n/m) + n(1-sigma)^m ln(1/a)/m + e^{-n/8}.
 
     rad maps a (real) sample size to a Rademacher complexity value for the
     truncated class. With m set, the inner bracket is evaluated at that block
     size; with m None it is minimized over a 32-point log grid in [1, n].
     """
-
-    n_rate: float
-    alpha: float
-    sigma: float
-    T: int
-    rad: Callable[[float], float]
-    m: Optional[float] = None
-
-    def __post_init__(self):
-        if self.n_rate <= 0 or self.T <= 0:
-            raise ValueError("n_rate and T must be positive")
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError("alpha must be in (0, 1/2)")
-        if not 0.0 < self.sigma <= 1.0:
-            raise ValueError("sigma must be in (0, 1]")
-        if self.m is not None and not 0.0 < self.m <= self.n_rate:
-            raise ValueError("m must be in (0, n_rate]")
-
-
-def theorem_bound(inputs: BoundInputs) -> float:
-    """Evaluate n ln(1/a) + aT + T sqrt(ln(1/a)/(sigma n)) plus T times the
-    best inner bracket (1/a) rad(n/m) + n(1-sigma)^m ln(1/a)/m + e^{-n/8}."""
-    n, alpha, sigma, t = inputs.n_rate, inputs.alpha, inputs.sigma, inputs.T
+    if n_rate <= 0 or T <= 0:
+        raise ValueError("n_rate and T must be positive")
+    if not 0.0 < alpha < 0.5:
+        raise ValueError("alpha must be in (0, 1/2)")
+    if not 0.0 < sigma <= 1.0:
+        raise ValueError("sigma must be in (0, 1]")
+    if m is not None and not 0.0 < m <= n_rate:
+        raise ValueError("m must be in (0, n_rate]")
+    n = n_rate
     la = math.log(1.0 / alpha)
-    base = n * la + alpha * t + t * math.sqrt(la / (sigma * n))
+    base = n * la + alpha * T + T * math.sqrt(la / (sigma * n))
 
-    def bracket(m: float) -> float:
-        return (inputs.rad(n / m) / alpha
-                + n * (1.0 - sigma) ** m * la / m
+    def bracket(block: float) -> float:
+        return (rad(n / block) / alpha
+                + n * (1.0 - sigma) ** block * la / block
                 + math.exp(-n / 8.0))
 
-    if inputs.m is not None:
-        inner = bracket(inputs.m)
+    if m is not None:
+        inner = bracket(m)
     else:
         grid = np.unique(np.geomspace(1.0, n, 32))
-        inner = min(bracket(float(m)) for m in grid)
-    return base + t * inner
+        inner = min(bracket(float(b)) for b in grid)
+    return base + T * inner
 
 
 def nml_value(family: RegionFamily, hypotheses: Sequence[Hypothesis],

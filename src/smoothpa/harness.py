@@ -107,6 +107,8 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
         learners = [learners]
     if not isinstance(learners, list) or not all(isinstance(v, dict) for v in learners):
         raise ConfigError("learner: must be an object or list of objects")
+    if not learners:
+        raise ConfigError("learner: empty list")
     horizons = _as_list(sweep.get("T", obj.get("T")), "T", int)
     if any(t < 1 for t in horizons):
         raise ConfigError("T: horizons must be >= 1")

@@ -11,7 +11,6 @@ the add-one Laplace rule per region side, reweighted by the region marginals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,20 +70,6 @@ _Q_MAX = float(np.nextafter(1.0, 0.0))
 # Largest hallucination rate: the per-cell Poisson rate n / 2U stays far below
 # the largest rate numpy's Poisson sampler accepts (about 9.2e18).
 _N_MAX = 1e18
-
-
-@dataclass(frozen=True)
-class FtplConfig:
-    """FTPL knobs: Poisson rate of hallucinated samples and truncation level."""
-
-    n: float
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.n <= _N_MAX:
-            raise ConfigError(f"learner.ftpl.n: {self.n:g} outside [0, {_N_MAX:g}]")
-        if not 0.0 < self.alpha < 0.5:
-            raise ConfigError(f"learner.ftpl.alpha: {self.alpha} outside (0, 1/2)")
 
 
 def truncation_range(alpha: float) -> tuple[float, float]:
@@ -179,7 +164,8 @@ class MixtureLearner:
 
 
 class FtplLearner:
-    """Follow-the-perturbed-leader over the MLE oracle with truncated output.
+    """Follow-the-perturbed-leader over the MLE oracle, its output truncated
+    to [alpha, 1 + alpha] / (1 + 2 alpha), with n in [0, 1e18] and alpha in (0, 1/2).
 
     Each prediction refits the oracle on the history plus fresh hallucinated
     samples: Poisson(n) of them uniform over (context, label), drawn as
@@ -191,10 +177,13 @@ class FtplLearner:
     byte budget, so short games draw little ahead.
     """
 
-    def __init__(self, config: FtplConfig, family: RegionFamily):
-        self.config = config
-        self.family = family
-        self._lo, self._hi = truncation_range(config.alpha)
+    def __init__(self, family: RegionFamily, n: float, alpha: float):
+        if not 0.0 <= n <= _N_MAX:
+            raise ConfigError(f"learner.ftpl.n: {n:g} outside [0, {_N_MAX:g}]")
+        if not 0.0 < alpha < 0.5:
+            raise ConfigError(f"learner.ftpl.alpha: {alpha} outside (0, 1/2)")
+        self.family, self.n, self.alpha = family, n, alpha
+        self._lo, self._hi = truncation_range(alpha)
 
     def reset(self, rng: np.random.Generator) -> None:
         u, m = self.family.size, len(self.family)
@@ -210,7 +199,7 @@ class FtplLearner:
     def _draw_block(self) -> None:
         u = self.family.size
         rows = min(2 * len(self._block) or 1, self._max_rows)
-        hal = self.rng.poisson(self.config.n / (2.0 * u), size=(rows, 2, u))
+        hal = self.rng.poisson(self.n / (2.0 * u), size=(rows, 2, u))
         hal[:, 0] += hal[:, 1]          # (samples, positive labels) per context
         self._block = side_counts(hal, self.family)
 
@@ -221,7 +210,7 @@ class FtplLearner:
             i = 0
         self._row = i + 1
         h, _ = mle_from_region_counts(self._counts + self._block[i])
-        q = (evaluate(self.family, h, x) + self.config.alpha) / (1.0 + 2.0 * self.config.alpha)
+        q = (evaluate(self.family, h, x) + self.alpha) / (1.0 + 2.0 * self.alpha)
         if not self._lo <= q <= self._hi:
             raise NumericalAssertionError(
                 f"FTPL prediction {q} escaped [{self._lo}, {self._hi}]")
@@ -286,4 +275,4 @@ def learner_from_spec(spec: dict, family: RegionFamily, T: int, sigma: float):
     if params.get("alpha") is None and not 0.0 < alpha < 0.5:
         raise ConfigError(f"learner.ftpl.alpha: the default 1/T = {alpha:g} at T = {T} "
                           f"is outside (0, 1/2); set alpha explicitly")
-    return FtplLearner(FtplConfig(n, alpha), family)
+    return FtplLearner(family, n, alpha)

@@ -18,7 +18,7 @@ from smoothpa.diagnostics import (chi_square_bruteforce, chi_square_closed_form,
                                   nml_value)
 from smoothpa.harness import run
 from smoothpa.hypotheses import RegionFamily, mle_from_counts, examples_to_counts
-from smoothpa.learners import (FtplConfig, FtplLearner, MixtureLearner, epsilon_cover,
+from smoothpa.learners import (FtplLearner, MixtureLearner, epsilon_cover,
                                laplace_integral_log, truncation_range)
 
 from test_hypotheses import brute_force_best_loss, region_bitmaps
@@ -125,7 +125,7 @@ def test_criterion_05_coupling():
     rng = np.random.default_rng(5)
     for sigma in (0.25, 0.5, 1.0):
         if sigma == 1.0:
-            target = SmoothDistribution.uniform(u, sigma=1.0)
+            target = SmoothDistribution.uniform_on(u, range(u), 1.0)
         else:
             raw = rng.random(u)
             raw /= raw.sum()
@@ -278,7 +278,7 @@ def test_criterion_09_truncation_range():
     for t, sigma, seed in ((256, 0.05, 1), (512, 0.2, 2), (1024, 0.5, 3)):
         alpha = 1.0 / t
         n = round(t ** 0.8 / math.sqrt(sigma))
-        learner = FtplLearner(FtplConfig(float(n), alpha), fam)
+        learner = FtplLearner(fam, float(n), alpha)
         adv = adversary_from_spec({"rule": "adaptive", "label": "greedy"}, fam, sigma=sigma)
         trace = run_game(learner, adv, t, seed)
         lo, hi = truncation_range(alpha)

@@ -6,8 +6,8 @@ import pytest
 from smoothpa import Hypothesis, SmoothnessError, UniformLearner, run_game, validate_smooth
 from smoothpa.adversary import (AdaptiveExtremenessRule, AdversaryPolicy,
                                 FixedSequenceLabelRule, GreedyLabelRule, RealizableLabelRule,
-                                SmoothDistribution, adversary_from_spec, min_support_size,
-                                subset_smooth_adversary)
+                                SmoothDistribution, StaticSubsetRule, adversary_from_spec,
+                                min_support_size)
 from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import RegionFamily
 from smoothpa.learners import MixtureLearner, epsilon_cover
@@ -38,8 +38,8 @@ def test_validate_smooth_minimal_support():
     assert ok
     # however small sigma * U is, a target set holds at least one context
     assert min_support_size(1e-300, 8) == 1
-    for rule in ("static", "adaptive"):
-        trace = run_game(UniformLearner(), subset_smooth_adversary(1e-300, 8, rule=rule),
+    for rule in (StaticSubsetRule(), AdaptiveExtremenessRule()):
+        trace = run_game(UniformLearner(), AdversaryPolicy(rule, GreedyLabelRule(), 1e-300, 8),
                          4, seed=0)
         assert len(trace.xs) == 4
 
@@ -53,14 +53,14 @@ def test_validate_smooth_rejects_bad_vectors():
 
 
 def test_subset_adversary_sigma_one_is_uniform():
-    adv = subset_smooth_adversary(1.0, 16)
+    adv = AdversaryPolicy(StaticSubsetRule(), GreedyLabelRule(), 1.0, 16)
     adv.reset(np.random.default_rng(0))
     dist = adv.context_distribution()
     assert np.allclose(dist.pmf, 1 / 16)
 
 
 def test_subset_adversary_static_quarter():
-    adv = subset_smooth_adversary(0.25, 16, rule="static", subset=[1, 5, 9, 13])
+    adv = AdversaryPolicy(StaticSubsetRule([1, 5, 9, 13]), GreedyLabelRule(), 0.25, 16)
     adv.reset(np.random.default_rng(0))
     dist = adv.context_distribution()
     assert dist.pmf[1] == 0.25 and dist.pmf[0] == 0.0
@@ -68,7 +68,7 @@ def test_subset_adversary_static_quarter():
 
 
 def test_subset_adversary_rejects_small_set():
-    adv = subset_smooth_adversary(0.5, 4, rule="static", subset=[0])
+    adv = AdversaryPolicy(StaticSubsetRule([0]), GreedyLabelRule(), 0.5, 4)
     adv.reset(np.random.default_rng(0))
     with pytest.raises(SmoothnessError):
         adv.context_distribution()
@@ -103,8 +103,8 @@ def test_smooth_distribution_sample_matches_choice():
         dist = SmoothDistribution(pmf, min(1.0, 1.0 / (u * pmf.max())))
         assert_draws_match_choice(dist, pmf, int(rng.integers(2 ** 32)), 200)
     for u, sigma in ((1, 1.0), (7, 0.3), (64, 1.0)):
-        assert_draws_match_choice(SmoothDistribution.uniform(u, sigma), np.full(u, 1.0 / u),
-                                  u, 200)
+        assert_draws_match_choice(SmoothDistribution.uniform_on(u, range(u), sigma),
+                                  np.full(u, 1.0 / u), u, 200)
 
 
 def test_subset_sample_matches_dense_choice():
@@ -145,11 +145,13 @@ def test_smooth_distribution_rejects_sigma_outside_the_unit_interval(sigma):
         SmoothDistribution.uniform_on(4, [0, 1, 2, 3], sigma)
     with pytest.raises(SmoothnessError, match=rf"pmf is not {sigma}-smooth \(cap"):
         SmoothDistribution(np.full(4, 0.25), sigma)
+    with pytest.raises(ConfigError, match=rf"^adversary\.sigma: {sigma} outside \(0, 1\]$"):
+        AdversaryPolicy(StaticSubsetRule(), GreedyLabelRule(), sigma, 4)
 
 
 def test_static_rule_with_bad_id_fails_the_run():
     # an id of -1 once indexed the dense pmf from the end and drew context 7
-    adv = subset_smooth_adversary(0.5, 8, rule="static", subset=[-1, 0, 1, 2])
+    adv = AdversaryPolicy(StaticSubsetRule([-1, 0, 1, 2]), GreedyLabelRule(), 0.5, 8)
     with pytest.raises(SmoothnessError, match="-1"):
         run_game(UniformLearner(), adv, 4, seed=0)
 
@@ -232,7 +234,7 @@ class ListRule:
 
 def test_policy_reuses_distribution_only_for_the_same_ids():
     rule = ListRule(np.array([0, 2, 4, 6]))
-    adv = subset_smooth_adversary(0.5, 8, target_set_rule=rule)
+    adv = AdversaryPolicy(rule, GreedyLabelRule(), 0.5, 8)
     adv.reset(np.random.default_rng(0))
     first = adv.context_distribution()
     assert adv.context_distribution() is first
@@ -251,7 +253,7 @@ def test_policy_reuses_distribution_only_for_the_same_ids():
 
 def test_policy_rechecks_a_set_changed_in_place():
     ids = np.array([0, 2, 4, 6])
-    adv = subset_smooth_adversary(0.5, 8, target_set_rule=ListRule(ids))
+    adv = AdversaryPolicy(ListRule(ids), GreedyLabelRule(), 0.5, 8)
     adv.reset(np.random.default_rng(0))
     adv.context_distribution()
     ids[0] = 2                                          # a repeated id
@@ -284,7 +286,7 @@ class RecordingPolicy(AdversaryPolicy):
 
 def test_adaptive_rule_emits_valid_distributions_for_1000_rounds():
     fam = RegionFamily.threshold_grid(16)
-    adv = RecordingPolicy(subset_smooth_adversary(0.3, 16, rule="adaptive"))
+    adv = RecordingPolicy(AdversaryPolicy(AdaptiveExtremenessRule(), GreedyLabelRule(), 0.3, 16))
     learner = MixtureLearner(fam, epsilon_cover(fam, 0.1))
     run_game(learner, adv, 1000, seed=21)
     assert len(adv.emitted) == 1000
@@ -294,7 +296,7 @@ def test_adaptive_rule_emits_valid_distributions_for_1000_rounds():
 
 
 def test_sigma_one_contexts_close_to_uniform_tv():
-    adv = subset_smooth_adversary(1.0, 16)
+    adv = AdversaryPolicy(StaticSubsetRule(), GreedyLabelRule(), 1.0, 16)
     trace = run_game(UniformLearner(), adv, 100_000, seed=3)
     counts = np.bincount(trace.xs, minlength=16) / len(trace.xs)
     tv = 0.5 * np.abs(counts - 1 / 16).sum()

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smoothpa import AdversaryPolicy, InfiniteLossError, UniformLearner, log_loss, run_game
-from smoothpa.adversary import FixedSequenceLabelRule, subset_smooth_adversary
+from smoothpa.adversary import (AdaptiveExtremenessRule, FixedSequenceLabelRule,
+                                GreedyLabelRule, StaticSubsetRule)
 from smoothpa.core import CSV_HEADER, format_records_csv
 from smoothpa.hypotheses import RegionFamily, offline_best_loss, prefix_best_losses
 
@@ -70,7 +71,7 @@ def csv_rows(text):
 
 
 def test_play_game_uniform_learner_all_ln2():
-    adv = subset_smooth_adversary(0.5, 8)
+    adv = AdversaryPolicy(StaticSubsetRule(), GreedyLabelRule(), 0.5, 8)
     trace = run_game(UniformLearner(), adv, 10, seed=7)
     assert len(trace.losses) == len(trace.xs) == len(trace.comparator) == 10
     assert np.all(trace.losses == LN2)
@@ -80,7 +81,7 @@ def test_play_game_uniform_learner_all_ln2():
 
 
 def test_play_game_seeded_determinism():
-    make = lambda: subset_smooth_adversary(0.3, 16, rule="adaptive")
+    make = lambda: AdversaryPolicy(AdaptiveExtremenessRule(), GreedyLabelRule(), 0.3, 16)
     a = run_game(UniformLearner(), make(), 50, seed=123)
     b = run_game(UniformLearner(), make(), 50, seed=123)
     columns = ("xs", "ys", "qs", "losses", "comparator")
@@ -91,7 +92,7 @@ def test_play_game_seeded_determinism():
 
 
 def test_play_game_greedy_flips_confident_prediction():
-    adv = subset_smooth_adversary(1.0, 4)
+    adv = AdversaryPolicy(StaticSubsetRule(), GreedyLabelRule(), 1.0, 4)
     trace = run_game(ConstLearner(0.9), adv, 1, seed=0)
     # greedy picks the lower-probability label 0, loss -ln(0.1)
     assert trace.ys[0] == 0
@@ -99,7 +100,8 @@ def test_play_game_greedy_flips_confident_prediction():
 
 
 def test_regret_against_arithmetic():
-    trace = run_game(UniformLearner(), subset_smooth_adversary(1.0, 2), 10, seed=1)
+    adv = AdversaryPolicy(StaticSubsetRule(), GreedyLabelRule(), 1.0, 2)
+    trace = run_game(UniformLearner(), adv, 10, seed=1)
     total = trace.cum_losses[-1]
     trace.comparator = np.full(10, 7.5)
     last = csv_rows(format_records_csv([trace]))[-1]
@@ -110,7 +112,8 @@ def test_regret_against_arithmetic():
 
 def test_regret_bookkeeping_identity():
     fam = RegionFamily.threshold_grid(8)
-    trace = run_game(ConstLearner(0.3), subset_smooth_adversary(0.5, 8), 25, seed=5)
+    adv = AdversaryPolicy(StaticSubsetRule(), GreedyLabelRule(), 0.5, 8)
+    trace = run_game(ConstLearner(0.3), adv, 25, seed=5)
     # the cumulative column is the running sum in round order, bit for bit
     assert trace.cum_losses.tolist() == list(itertools.accumulate(trace.losses.tolist()))
     trace.comparator = prefix_best_losses(trace.xs, trace.ys, fam)
@@ -125,7 +128,7 @@ def test_regret_bookkeeping_identity():
 
 def test_regret_small_threshold_instance_vs_bruteforce_comparator():
     fam = RegionFamily.threshold_grid(6)
-    adv = subset_smooth_adversary(0.5, 6)
+    adv = AdversaryPolicy(StaticSubsetRule(), GreedyLabelRule(), 0.5, 6)
     trace = run_game(ConstLearner(0.7), adv, 3, seed=11)
     # brute force over thresholds x a theta-grid of step 1e-4, both sides
     grid = np.linspace(0.0, 1.0, 10001)
@@ -148,8 +151,9 @@ def test_regret_small_threshold_instance_vs_bruteforce_comparator():
 
 
 def test_csv_schema_and_significant_digits():
-    make = lambda run_id, seed: run_game(UniformLearner(), subset_smooth_adversary(1.0, 2),
-                                         3, seed=seed, run_id=run_id)
+    make = lambda run_id, seed: run_game(
+        UniformLearner(), AdversaryPolicy(StaticSubsetRule(), GreedyLabelRule(), 1.0, 2),
+        3, seed=seed, run_id=run_id)
     text = format_records_csv([make("r1", 9), make("r2", 10)])
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -185,8 +189,7 @@ class RecordingPolicy(AdversaryPolicy):
     """An adversary that logs every call it and its distributions receive."""
 
     def __init__(self, log, sigma, labels):
-        super().__init__(subset_smooth_adversary(sigma, 8, rule="adaptive").context_rule,
-                         FixedSequenceLabelRule(labels), sigma, 8)
+        super().__init__(AdaptiveExtremenessRule(), FixedSequenceLabelRule(labels), sigma, 8)
         self.log = log
 
     def context_distribution(self, *args):

@@ -18,7 +18,7 @@ def skewed_smooth(u, sigma, seed=0):
 
 
 def test_sigma_one_accepts_first_sample():
-    target = SmoothDistribution.uniform(8, sigma=1.0)
+    target = SmoothDistribution.uniform_on(8, range(8), 1.0)
     rng = np.random.default_rng(0)
     success, index, samples = rejection_couple_batch(20, 5, target, rng)
     assert success.all() and (index == 0).all()
@@ -26,7 +26,7 @@ def test_sigma_one_accepts_first_sample():
 
 
 def test_block_coupling_empty_and_sigma_one():
-    target = SmoothDistribution.uniform(4, sigma=1.0)
+    target = SmoothDistribution.uniform_on(4, range(4), 1.0)
     rng = np.random.default_rng(1)
     success, index, samples = rejection_couple_batch(0, 3, target, rng)
     assert success.shape == index.shape == (0,) and samples.shape == (0, 3)
@@ -81,7 +81,7 @@ def test_unchosen_last_position_stays_uniform():
 
 
 def test_rejects_invalid_block_size():
-    target = SmoothDistribution.uniform(4, sigma=1.0)
+    target = SmoothDistribution.uniform_on(4, range(4), 1.0)
     for trials in (0, 3):
         with pytest.raises(ValueError, match="block size m must be >= 1"):
             rejection_couple_batch(trials, 0, target, np.random.default_rng(0))

@@ -1,16 +1,20 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
+import smoothpa
 from smoothpa.adversary import SmoothDistribution
 from smoothpa.cli import main as cli_main
-from smoothpa.diagnostics import (BoundInputs, chi_square_bruteforce,
-                                  chi_square_closed_form, nml_value,
+from smoothpa.diagnostics import (chi_square_bruteforce, chi_square_closed_form, nml_value,
                                   rademacher_estimate, theorem_bound)
 from smoothpa.hypotheses import Hypothesis, RegionFamily
 
@@ -28,7 +32,7 @@ def make_smooth(u, sigma, rng):
 # ---------------------------------------------------------------- chi-square
 
 def test_chi2_uniform_meets_bound_at_sigma_one():
-    d = SmoothDistribution.uniform(16, sigma=1.0)
+    d = SmoothDistribution.uniform_on(16, range(16), 1.0)
     closed, bound = chi_square_closed_form(d, 8.0)
     assert closed == pytest.approx(2.0 / 8.0, abs=1e-14)
     assert closed == pytest.approx(bound, rel=1e-12)
@@ -51,7 +55,7 @@ def test_chi2_closed_form_below_bound(u, sigma, seed, n_rate):
 
 
 def test_chi2_bruteforce_matches_closed_small():
-    d = SmoothDistribution.uniform(2, sigma=1.0)
+    d = SmoothDistribution.uniform_on(2, range(2), 1.0)
     closed, _ = chi_square_closed_form(d, 4.0)
     brute, discarded = chi_square_bruteforce(d, 4.0, 1e-12)
     assert abs(brute - closed) <= 1e-6 + discarded
@@ -66,16 +70,53 @@ def test_chi2_bruteforce_skewed_target():
 
 
 def test_chi2_bruteforce_discarded_grows_with_cutoff():
-    d = SmoothDistribution.uniform(2, sigma=1.0)
+    d = SmoothDistribution.uniform_on(2, range(2), 1.0)
     _, tight = chi_square_bruteforce(d, 4.0, 1e-12)
     _, loose = chi_square_bruteforce(d, 4.0, 1e-3)
     assert loose > tight
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda d: chi_square_closed_form(d, 0.0), r"^n_rate must be positive$"),
+    (lambda d: chi_square_bruteforce(d, -1.0), r"^n_rate must be positive$"),
+    (lambda d: chi_square_bruteforce(d, 4.0, 0.0), r"^tail_cutoff must be in \(0, 1\)$"),
+    (lambda d: chi_square_bruteforce(d, 4.0, 1.0), r"^tail_cutoff must be in \(0, 1\)$"),
+    (lambda d: chi_square_bruteforce(d, 4.0, 0.5), r"^cutoff 0\.5 empties the support at rate 1$"),
+])
+def test_chi2_rejects_bad_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(SmoothDistribution.uniform_on(2, range(2), 1.0))
+
+
 def test_chi2_bruteforce_rejects_oversize():
-    d = SmoothDistribution.uniform(16, sigma=1.0)
+    d = SmoothDistribution.uniform_on(16, range(16), 1.0)
     with pytest.raises(ValueError):
         chi_square_bruteforce(d, 8.0, 1e-12)
+
+
+# The brute force's size check under an address-space limit 64 MiB above what
+# the interpreter already maps: 15^(2e10) cells, a count whose exact value takes 9 GiB
+TIGHT_MEMORY_BRUTE = """
+import resource, types
+from smoothpa.diagnostics import chi_square_bruteforce
+with open("/proc/self/status") as fh:
+    mapped = next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmSize:"))
+limit = mapped + (64 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+try:
+    chi_square_bruteforce(types.SimpleNamespace(size=10 ** 10), 2e10)
+except ValueError as e:
+    print(e)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_chi2_bruteforce_size_check_builds_no_huge_power():
+    env = dict(os.environ, PYTHONPATH=str(Path(smoothpa.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", TIGHT_MEMORY_BRUTE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith(" count vectors exceeds 2e+08 cells\n"), done.stdout
 
 
 def chi_square_per_c0(target, n_rate, tail_cutoff=1e-12):
@@ -163,16 +204,18 @@ def test_rademacher_validates_inputs():
     fam = RegionFamily.threshold_grid(4)
     with pytest.raises(ValueError):
         rademacher_estimate(fam, 0.0, 0, 10, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"^mc_rounds must be >= 1$"):
+        rademacher_estimate(fam, 0.0, 8, 0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- bound
 
 def test_theorem_bound_fixed_block_reduction():
     n, alpha, t = 64.0, 0.01, 1000
-    inputs = BoundInputs(n, alpha, 1.0, t, rad=lambda s: 0.0, m=n)
     la = math.log(1 / alpha)
     want = n * la + alpha * t + t * math.sqrt(la / n) + t * math.exp(-n / 8)
-    assert theorem_bound(inputs) == pytest.approx(want, rel=1e-12)
+    bound = theorem_bound(n, alpha, 1.0, t, rad=lambda s: 0.0, m=n)
+    assert bound == pytest.approx(want, rel=1e-12)
 
 
 def test_theorem_bound_monotone_in_sigma():
@@ -183,8 +226,8 @@ def test_theorem_bound_monotone_in_sigma():
         alpha = float(rng.uniform(0.001, 0.4))
         t = int(rng.integers(10, 10000))
         s1, s2 = sorted(rng.uniform(0.05, 1.0, size=2))
-        b1 = theorem_bound(BoundInputs(n, alpha, s1, t, rad))
-        b2 = theorem_bound(BoundInputs(n, alpha, s2, t, rad))
+        b1 = theorem_bound(n, alpha, s1, t, rad)
+        b2 = theorem_bound(n, alpha, s2, t, rad)
         assert b1 >= b2 - 1e-9
 
 
@@ -194,7 +237,7 @@ def test_theorem_bound_scaling_windows():
     rad = lambda s: (1.0 / s) ** 0.5
 
     def total(t):
-        return theorem_bound(BoundInputs(t ** 0.8, 0.01, 1.0, t, rad))
+        return theorem_bound(t ** 0.8, 0.01, 1.0, t, rad)
 
     desk = [2 ** e for e in range(10, 21)]
     slope_desk = np.polyfit(np.log(desk), np.log([total(t) for t in desk]), 1)[0]
@@ -207,11 +250,13 @@ def test_theorem_bound_scaling_windows():
 
 def test_theorem_bound_input_validation():
     with pytest.raises(ValueError):
-        BoundInputs(10.0, 0.01, 1.0, 100, rad=lambda s: 0.0, m=20.0)
+        theorem_bound(10.0, 0.01, 1.0, 100, rad=lambda s: 0.0, m=20.0)
     with pytest.raises(ValueError):
-        BoundInputs(10.0, 0.6, 1.0, 100, rad=lambda s: 0.0)
+        theorem_bound(10.0, 0.6, 1.0, 100, rad=lambda s: 0.0)
     with pytest.raises(ValueError):
-        BoundInputs(-1.0, 0.01, 1.0, 100, rad=lambda s: 0.0)
+        theorem_bound(-1.0, 0.01, 1.0, 100, rad=lambda s: 0.0)
+    with pytest.raises(ValueError, match=r"^sigma must be in \(0, 1\]$"):
+        theorem_bound(10.0, 0.01, 1.5, 100, rad=lambda s: 0.0)
 
 
 # ---------------------------------------------------------------- nml

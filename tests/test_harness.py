@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import smoothpa.harness as harness
-from smoothpa.adversary import adversary_from_spec, subset_smooth_adversary
+from smoothpa.adversary import (AdversaryPolicy, GreedyLabelRule, StaticSubsetRule,
+                                adversary_from_spec)
 from smoothpa.cli import main as cli_main
 from smoothpa.core import run_game
 from smoothpa.errors import ConfigError
@@ -584,6 +585,20 @@ def test_cli_chi2_working_set_fits_or_is_a_universe_error(universe):
                f"can allocate\n")
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_cli_chi2_reports_no_brute_force_past_its_cell_limit():
+    # 2^(2U) count vectors at U = 5e7: the closed form alone, and no exact power
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", TIGHT_MEMORY_CHI2, "chi2", "--sigma", "0.5",
+                           "--n", "4", "--universe", str(5 * 10 ** 7)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rep = json.loads(done.stdout)["chi2"]
+    assert rep["brute"] is None and rep["discarded"] is None
+    assert rep["closed"] == pytest.approx(1.0, rel=1e-12)
+
+
 # Every subcommand, the sweeps over both family kinds and all four learners,
 # in one process that must never import scipy
 NO_SCIPY_RUN = """
@@ -749,6 +764,42 @@ GRID4_CLASS = {"family": {"kind": "threshold_grid", "size": 4},
     # a chi2 universe numpy refuses from its size alone
     (["chi2", "--sigma", "1", "--n", "4", "--universe", str(2 ** 62), "--no-brute"], {},
      f"--universe: {2 ** 62} contexts are more than numpy can allocate"),
+    # class, contexts and summary files of the wrong shape
+    (["nml", "--class", "c.json", "--contexts", "x.json"],
+     {"c.json": dict(GRID4_CLASS, hypotheses={"0": [1, 0.2, 0.7]}), "x.json": [0, 3]},
+     "hypotheses: must be a list of [region, theta0, theta1]"),
+    (["nml", "--class", "c.json", "--contexts", "x.json"],
+     {"c.json": dict(GRID4_CLASS, hypotheses=[[1, 10 ** 400, 0.5]]), "x.json": [0, 3]},
+     f"hypotheses[0]: theta0 {10 ** 400} is not a number in [0, 1]"),
+    (["nml", "--class", "c.json", "--contexts", "x.json"],
+     {"c.json": GRID4_CLASS, "x.json": {"0": 3}},
+     "contexts file: must be a JSON list of context ids"),
+    (["fit", "--summary", "s.json"], {"s.json": {"cells": [[8]]}},
+     "summary.cells[0]: must be an object"),
+    (["fit", "--summary", "s.json"],
+     {"s.json": {"cells": [{"learner": {"uniform": {}}, "sigma": 0.5, "T": 8,
+                            "mean_final_regret": math.inf, "final_regrets": [1.0]}]}},
+     "summary.cells[0].mean_final_regret: inf is not a finite number"),
+    # config sections of the wrong type, and missing or empty sweep axes; an
+    # empty learner list once built no cell, so no adversary spec was checked
+    (["run", "--config", "c.json"], {"c.json": base_config(family=[8])},
+     "family: must be an object"),
+    (["run", "--config", "c.json"], {"c.json": base_config(adversary="static")},
+     "adversary: must be an object"),
+    (["run", "--config", "c.json"], {"c.json": dict(base_config(), sweep=["T"])},
+     "sweep: must be an object"),
+    (["run", "--config", "c.json"],
+     {"c.json": {k: v for k, v in base_config().items() if k != "learner"}},
+     "learner: missing"),
+    (["run", "--config", "c.json", "--output-dir", "out"],
+     {"c.json": base_config(learner=[], adversary={"rule": "nonsense"}), "out": DIRECTORY},
+     "learner: empty list"),
+    (["run", "--config", "c.json"], {"c.json": base_config(T=[])}, "T: empty list"),
+    (["run", "--config", "c.json"], {"c.json": base_config(adversary={"label": "coin"})},
+     "adversary.label: unknown kind 'coin'"),
+    (["run", "--config", "c.json"],
+     {"c.json": base_config(adversary={"label": "fixed_sequence", "labels": "0101"})},
+     "adversary.labels: required for fixed_sequence, a list of 0/1"),
 ])
 def test_cli_file_errors_exit_2(tmp_path, capsys, argv, files, message):
     for name, obj in files.items():
@@ -761,6 +812,8 @@ def test_cli_file_errors_exit_2(tmp_path, capsys, argv, files, message):
     argv = [str(tmp_path / a) if a in files else a for a in argv]
     assert cli_main(argv) == 2
     assert capsys.readouterr().err == f"config error: {message.format(tmp=tmp_path)}\n"
+    # nothing written, also inside a directory given as the output
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == sorted(files)
 
 
 # KT with beta = 5e-324 predicts 5e-324 / 2 = 0.0 in round 3, which label 1 contradicts
@@ -793,8 +846,8 @@ def test_cli_numerical_assertion_exit_code(tmp_path, monkeypatch, capsys):
     # a static set below ceil(sigma * U) = 4 fails the smoothness check in the
     # first round; parse_config rejects one in a config, so the set goes in here
     monkeypatch.setattr(harness, "adversary_from_spec",
-                        lambda spec, family, sigma: subset_smooth_adversary(sigma, family.size,
-                                                                            subset=[0]))
+                        lambda spec, family, sigma: AdversaryPolicy(
+                            StaticSubsetRule([0]), GreedyLabelRule(), sigma, family.size))
     path.write_text(json.dumps(base_config()))
     assert cli_main(argv) == 3
     assert capsys.readouterr().err.startswith(

@@ -16,7 +16,7 @@ from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import (_BLOCK_BYTES, _TABLE_BITS, ComparatorTracker, RegionFamily,
                                  _split_losses, evaluate, examples_to_counts, mle_from_counts,
                                  prefix_best_losses, region_counts)
-from smoothpa.learners import FtplConfig, FtplLearner, MixtureLearner, epsilon_cover
+from smoothpa.learners import FtplLearner, MixtureLearner, epsilon_cover
 
 LN2 = math.log(2.0)
 
@@ -118,7 +118,7 @@ def test_grid_paths_hold_no_universe_squared_matrix():
             learner.update(x, y)
 
     calls = {
-        "ftpl": lambda: play(lambda fam: FtplLearner(FtplConfig(100.0, 0.01), fam)),
+        "ftpl": lambda: play(lambda fam: FtplLearner(fam, 100.0, 0.01)),
         # every threshold in the cover: a (U, cover) int64 side map would be 134 MB
         "mixture": lambda: play(lambda fam: MixtureLearner(fam, epsilon_cover(fam, 1e-9))),
         "prefix_best_losses": lambda: prefix_best_losses(xs, ys, RegionFamily.threshold_grid(u)),

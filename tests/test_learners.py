@@ -15,7 +15,7 @@ from smoothpa.core import log_loss
 from smoothpa.errors import ConfigError, NumericalAssertionError
 from smoothpa.hypotheses import (RegionFamily, evaluate, mle_from_counts, mle_oracle,
                                  prefix_best_losses)
-from smoothpa.learners import (FtplConfig, FtplLearner, KtLearner, MixtureLearner,
+from smoothpa.learners import (FtplLearner, KtLearner, MixtureLearner,
                                UniformLearner, epsilon_cover, laplace_integral_log,
                                learner_from_spec, truncation_range)
 
@@ -374,24 +374,23 @@ def test_mixture_learner_wraps_state():
 
 # ---------------------------------------------------------------- ftpl
 
-def reference_ftpl_predict(counts, config, family, rng, x):
+def reference_ftpl_predict(counts, n, alpha, family, rng, x):
     """One FTPL prediction the direct way: draw this round's (2, U) hallucinated
     counts by label, add them to the (2, U) per-context counts (samples, then
     labels 1), refit the oracle, truncate at x."""
     u = family.size
-    hal = rng.poisson(config.n / (2.0 * u), size=(2, u))
+    hal = rng.poisson(n / (2.0 * u), size=(2, u))
     hal[0] += hal[1]
     h, _ = mle_from_counts(counts + hal, family)
-    q = (evaluate(family, h, x) + config.alpha) / (1.0 + 2.0 * config.alpha)
-    lo, hi = truncation_range(config.alpha)
+    q = (evaluate(family, h, x) + alpha) / (1.0 + 2.0 * alpha)
+    lo, hi = truncation_range(alpha)
     if not lo <= q <= hi:
         raise NumericalAssertionError(f"FTPL prediction {q} escaped [{lo}, {hi}]")
     return q
 
 
-def ftpl_after(cfg, fam, seed, xs, ys):
-    """An FTPL learner with generator seed `seed` that has seen (xs, ys)."""
-    lr = FtplLearner(cfg, fam)
+def ftpl_after(lr, seed, xs, ys):
+    """The FTPL learner `lr`, reset with generator seed `seed`, after seeing (xs, ys)."""
     lr.reset(np.random.default_rng(seed))
     for x, y in zip(xs, ys):
         lr.update(x, y)
@@ -400,27 +399,26 @@ def ftpl_after(cfg, fam, seed, xs, ys):
 
 def test_ftpl_truncation_map_value():
     # oracle fit pinned at 0 by an all-zero history, no hallucination
-    cfg = FtplConfig(n=0.0, alpha=0.01)
-    q = ftpl_after(cfg, RegionFamily.threshold_grid(8), 0, [0, 0, 0], [0, 0, 0]).predict(0)
+    lr = FtplLearner(RegionFamily.threshold_grid(8), n=0.0, alpha=0.01)
+    q = ftpl_after(lr, 0, [0, 0, 0], [0, 0, 0]).predict(0)
     assert q == pytest.approx(0.01 / 1.02, abs=1e-15)
 
 
 def test_ftpl_zero_rate_is_follow_the_leader():
-    cfg = FtplConfig(n=0.0, alpha=0.1)
-    fam = RegionFamily.threshold_grid(4)
-    qs = {ftpl_after(cfg, fam, s, [1, 1], [1, 1]).predict(1) for s in range(5)}
+    lr = FtplLearner(RegionFamily.threshold_grid(4), n=0.0, alpha=0.1)
+    qs = {ftpl_after(lr, s, [1, 1], [1, 1]).predict(1) for s in range(5)}
     assert qs == {(1.0 + 0.1) / 1.2}  # no randomness left: theta = 1 on the fit side
 
 
 def test_ftpl_seeded_reproducibility_and_step_equivalence():
-    cfg = FtplConfig(n=12.0, alpha=0.05)
     fam = RegionFamily.threshold_grid(16)
     xs, ys = [3, 7, 7, 1], [1, 0, 1, 1]
-    a = [ftpl_after(cfg, fam, 99, xs, ys).predict(5) for _ in range(2)]
+    a = [ftpl_after(FtplLearner(fam, n=12.0, alpha=0.05), 99, xs, ys).predict(5)
+         for _ in range(2)]
     assert a[0] == a[1]
 
     counts = np.stack((np.bincount(xs, minlength=16), np.bincount(xs, weights=ys, minlength=16)))
-    assert a[0] == reference_ftpl_predict(counts, cfg, fam, np.random.default_rng(99), 5)
+    assert a[0] == reference_ftpl_predict(counts, 12.0, 0.05, fam, np.random.default_rng(99), 5)
 
 
 class PoissonRecorder:
@@ -455,9 +453,8 @@ FTPL_FAMILIES = {
 def test_ftpl_learner_equals_per_round_reference(name, n):
     fam, rounds = FTPL_FAMILIES[name]
     u = fam.size
-    cfg = FtplConfig(n=n, alpha=0.01)
     recorder = PoissonRecorder(31)
-    lr = FtplLearner(cfg, fam)
+    lr = FtplLearner(fam, n=n, alpha=0.01)
     lr.reset(recorder)
     ref_rng = np.random.default_rng(31)
     data = np.random.default_rng(32)
@@ -465,7 +462,7 @@ def test_ftpl_learner_equals_per_round_reference(name, n):
     for _ in range(rounds):
         x = int(data.integers(u))
         y = int(data.random() < (0.2 if x < u // 2 else 0.7))
-        assert lr.predict(x) == reference_ftpl_predict(counts, cfg, fam, ref_rng, x)
+        assert lr.predict(x) == reference_ftpl_predict(counts, n, 0.01, fam, ref_rng, x)
         lr.update(x, y)
         counts[:1 + y, x] += 1
     assert len(recorder.sizes) >= 5 and len(set(recorder.sizes[-4:])) == 1, recorder.sizes
@@ -490,7 +487,7 @@ def test_ftpl_counts_stay_exact_at_the_largest_rate(monkeypatch, name):
 
     monkeypatch.setattr(learners_mod, "mle_from_region_counts", spy)
     recorder = PoissonRecorder(33)
-    lr = FtplLearner(FtplConfig(1e18, 0.01), fam)
+    lr = FtplLearner(fam, 1e18, 0.01)
     lr.reset(recorder)
     data = np.random.default_rng(34)
     examples = [(int(data.integers(u)), int(data.integers(2))) for _ in range(50)]
@@ -514,11 +511,9 @@ def test_ftpl_counts_stay_exact_at_the_largest_rate(monkeypatch, name):
 
 
 def test_ftpl_predictions_stay_in_truncation_range():
-    cfg = FtplConfig(n=5.0, alpha=0.02)
-    fam = RegionFamily.threshold_grid(8)
-    lr = FtplLearner(cfg, fam)
+    lr = FtplLearner(RegionFamily.threshold_grid(8), n=5.0, alpha=0.02)
     lr.reset(np.random.default_rng(7))
-    lo, hi = truncation_range(cfg.alpha)
+    lo, hi = truncation_range(lr.alpha)
     rng = np.random.default_rng(8)
     for _ in range(300):
         x = int(rng.integers(8))
@@ -530,8 +525,8 @@ def test_ftpl_predictions_stay_in_truncation_range():
 def test_truncated_view_range():
     # a zero-loss fit with theta0 = 0 on region {0} and theta1 = 1 outside it
     # lands exactly on the two ends of the truncation range
-    cfg = FtplConfig(n=0.0, alpha=0.25)
-    lr = ftpl_after(cfg, RegionFamily.threshold_grid(4), 0, [0, 3], [0, 1])
+    lr = ftpl_after(FtplLearner(RegionFamily.threshold_grid(4), n=0.0, alpha=0.25), 0,
+                    [0, 3], [0, 1])
     lo, hi = truncation_range(0.25)
     assert lr.predict(0) == lo
     assert lr.predict(3) == hi
@@ -564,7 +559,7 @@ def test_ftpl_hallucinated_counts_follow_the_bincount_law(monkeypatch):
         return oracle(counts)
 
     monkeypatch.setattr(learners_mod, "mle_from_region_counts", spy)
-    lr = FtplLearner(FtplConfig(n=n, alpha=0.1), RegionFamily.threshold_grid(u))
+    lr = FtplLearner(RegionFamily.threshold_grid(u), n=n, alpha=0.1)
     lr.reset(np.random.default_rng(11))
     for _ in range(draws):
         lr.predict(0)
@@ -589,20 +584,21 @@ def test_ftpl_hallucinated_counts_follow_the_bincount_law(monkeypatch):
 
 
 def test_ftpl_config_validation():
+    fam = RegionFamily.threshold_grid(1)
     with pytest.raises(ConfigError):
-        FtplConfig(n=-1.0, alpha=0.1)
+        FtplLearner(fam, n=-1.0, alpha=0.1)
     with pytest.raises(ConfigError):
-        FtplConfig(n=1.0, alpha=0.5)
+        FtplLearner(fam, n=1.0, alpha=0.5)
     with pytest.raises(ConfigError):
-        FtplConfig(n=1.0, alpha=0.0)
+        FtplLearner(fam, n=1.0, alpha=0.0)
     with pytest.raises(ConfigError, match=r"learner\.ftpl\.n"):
-        FtplConfig(n=math.inf, alpha=0.1)
+        FtplLearner(fam, n=math.inf, alpha=0.1)
     with pytest.raises(ConfigError, match=r"learner\.ftpl\.n"):
-        FtplConfig(n=math.nan, alpha=0.1)
+        FtplLearner(fam, n=math.nan, alpha=0.1)
     # a larger rate would overflow the Poisson draw of a one-context universe
     with pytest.raises(ConfigError, match=r"^learner\.ftpl\.n: 1e\+30 outside \[0, 1e\+18\]"):
-        FtplConfig(n=1e30, alpha=0.1)
-    lr = FtplLearner(FtplConfig(n=1e18, alpha=0.1), RegionFamily.threshold_grid(1))
+        FtplLearner(fam, n=1e30, alpha=0.1)
+    lr = FtplLearner(fam, n=1e18, alpha=0.1)
     lr.reset(np.random.default_rng(0))
     assert 0.0 < lr.predict(0) < 1.0
 
@@ -620,10 +616,10 @@ def test_learner_from_spec_kinds():
     mix = learner_from_spec({"vc_mixture": {"eps": 0.25}}, fam, 16, 0.5)
     assert mix.cover.tolist() == [0, 2, 4, 6, 7]
     ftpl = learner_from_spec({"ftpl": {"n": 4, "alpha": 0.25}}, fam, 16, 0.5)
-    assert isinstance(ftpl, FtplLearner) and ftpl.config.n == 4.0
+    assert isinstance(ftpl, FtplLearner) and ftpl.n == 4.0
     auto = learner_from_spec({"ftpl": {}}, fam, 1024, 0.25)
-    assert auto.config.alpha == pytest.approx(1 / 1024)
-    assert auto.config.n == pytest.approx(round(1024 ** 0.8 / math.sqrt(0.25)))
+    assert auto.alpha == pytest.approx(1 / 1024)
+    assert auto.n == pytest.approx(round(1024 ** 0.8 / math.sqrt(0.25)))
 
 
 def test_learner_from_spec_errors():
@@ -637,7 +633,7 @@ def test_learner_from_spec_errors():
     for t in (1, 2):    # the default alpha = 1/T leaves (0, 1/2)
         with pytest.raises(ConfigError, match=rf"learner\.ftpl\.alpha: the default 1/T .* T = {t}"):
             learner_from_spec({"ftpl": {}}, fam, t, 0.5)
-    assert learner_from_spec({"ftpl": {"alpha": 0.1}}, fam, 2, 0.5).config.alpha == 0.1
+    assert learner_from_spec({"ftpl": {"alpha": 0.1}}, fam, 2, 0.5).alpha == 0.1
     with pytest.raises(ConfigError, match=r"learner\.ftpl\.alpha: 0\.5 outside"):
         learner_from_spec({"ftpl": {"alpha": 0.5}}, fam, 16, 0.5)
     for key, value in (("n", "abc"), ("n", [3]), ("n", True), ("n", 10 ** 400),
