@@ -49,15 +49,6 @@ def min_support_size(sigma: float, size: int) -> int:
     return max(1, int(math.ceil(sigma * size - 1e-12)))
 
 
-@functools.lru_cache(maxsize=256)
-def _uniform_cdf(k: int) -> np.ndarray:
-    """Normalized running sum of k equal masses 1/k, as rng.choice builds it."""
-    cdf = np.cumsum(np.full(k, 1.0 / k))
-    cdf /= cdf[-1]
-    cdf.flags.writeable = False
-    return cdf
-
-
 class SmoothDistribution:
     """A distribution over the contexts {0, ..., size-1}, certified sigma-smooth
     at construction time.
@@ -94,8 +85,11 @@ class SmoothDistribution:
 
     @functools.cached_property
     def cdf(self) -> np.ndarray:
-        """The running cdf, which `uniform_on` builds only when it is read."""
-        return _uniform_cdf(self.ids.size)
+        """The running cdf, which `uniform_on` builds only when it is read: the
+        normalized running sum of k equal masses 1/k, as rng.choice builds it."""
+        cdf = np.cumsum(np.full(self.ids.size, 1.0 / self.ids.size))
+        cdf /= cdf[-1]
+        return cdf
 
     @functools.cached_property
     def collision(self) -> float:
@@ -138,9 +132,10 @@ class SmoothDistribution:
         return dist
 
 
-def check_static_set(ids, size: int) -> None:
-    """Reject a configured static target set with a bad entry: not an integer,
-    outside [0, size), or repeated."""
+def check_static_set(ids, size: int, sigma: float) -> None:
+    """Reject a configured static target set with a bad entry (not an integer,
+    outside [0, size), or repeated) or with fewer than ceil(sigma * size) ids.
+    A sigma outside (0, 1] is left for AdversaryPolicy to name."""
     if ids is None:
         return
     if not isinstance(ids, (list, tuple)):
@@ -154,6 +149,10 @@ def check_static_set(ids, size: int) -> None:
         if v in seen:
             raise ConfigError(f"adversary.set[{i}]: context id {v} repeated")
         seen.add(v)
+    k = min_support_size(sigma, size) if 0.0 < sigma <= 1.0 else 0
+    if len(ids) < k:
+        raise ConfigError(f"adversary.set: {len(ids)} contexts, fewer than "
+                          f"ceil(sigma * U) = {k} at sigma = {sigma:g}")
 
 
 class StaticSubsetRule:
@@ -331,28 +330,24 @@ def _f_star(fs, family: RegionFamily) -> Hypothesis:
 _LABEL_KEYS = {"greedy": (), "realizable": ("f_star",), "fixed_sequence": ("labels",)}
 
 
-def adversary_from_spec(spec: dict, family: RegionFamily,
-                        sigma: Optional[float] = None) -> AdversaryPolicy:
-    """Build a policy over the family's contexts from the JSON adversary spec.
+def adversary_from_spec(spec: dict, family: RegionFamily, sigma: float) -> AdversaryPolicy:
+    """Build a policy over the family's contexts at smoothness `sigma` (a sweep
+    cell's value) from the JSON adversary spec.
 
-    Context side: {"context": "subset_uniform", "sigma": 0.1, "rule": "static|adaptive"}.
+    Context side: {"context": "subset_uniform", "rule": "static|adaptive"}.
     Label side: {"label": "greedy" | "realizable" | "fixed_sequence", ...}.
-    An explicit `sigma` argument (e.g. a sweep cell value) replaces the spec's,
-    which is then an unknown key, as is a `set` under the adaptive rule, an
-    `f_star` under non-realizable labels and `labels` under non-fixed ones.
-    A static `set` smaller than ceil(sigma * U) is rejected here.
+    Any other key is unknown, `sigma` among them, as is a `set` under the
+    adaptive rule, an `f_star` under non-realizable labels and `labels` under
+    non-fixed ones. A static `set` smaller than ceil(sigma * U) is rejected here.
     """
     if not isinstance(spec, dict):
         raise ConfigError("adversary: must be an object")
     context = spec.get("context", "subset_uniform")
     if context != "subset_uniform":
         raise ConfigError(f"adversary.context: unknown kind {context!r}")
-    sig = sigma if sigma is not None else spec.get("sigma")
-    if sig is None:
-        raise ConfigError("adversary.sigma: missing")
     rule = spec.get("rule", "static")
     subset = spec.get("set") if rule == "static" else None
-    check_static_set(subset, family.size)
+    check_static_set(subset, family.size, sigma)
 
     label_kind = spec.get("label", "greedy")
     if label_kind == "greedy":
@@ -373,13 +368,7 @@ def adversary_from_spec(spec: dict, family: RegionFamily,
     else:
         raise ConfigError(f"adversary.rule: unknown rule {rule!r}")
 
-    policy = AdversaryPolicy(context_rule, label_rule, float(sig), family.size)
-    if subset is not None:
-        k = min_support_size(policy.sigma, family.size)
-        if len(subset) < k:
-            raise ConfigError(f"adversary.set: {len(subset)} contexts, fewer than "
-                              f"ceil(sigma * U) = {k} at sigma = {policy.sigma:g}")
+    policy = AdversaryPolicy(context_rule, label_rule, sigma, family.size)
     known = ["context", "rule", "label", *_LABEL_KEYS[label_kind]]
-    known += (["sigma"] if sigma is None else []) + (["set"] if rule == "static" else [])
-    check_keys(spec, "adversary", known)
+    check_keys(spec, "adversary", known + (["set"] if rule == "static" else []))
     return policy

@@ -15,6 +15,11 @@ from .adversary import SmoothDistribution
 from .hypotheses import _BLOCK_BYTES, Hypothesis, RegionFamily
 
 LOG_ZERO = -1e300
+# Work limits: the count vectors chi_square_bruteforce may enumerate, and the
+# horizon and hypothesis count nml_value accepts
+CHI2_MAX_CELLS = 2e8
+NML_MAX_HORIZON = 22
+NML_MAX_HYPOTHESES = 10_000
 
 
 def chi_square_closed_form(target: SmoothDistribution, n_rate: float) -> tuple[float, float]:
@@ -29,8 +34,7 @@ def chi_square_closed_form(target: SmoothDistribution, n_rate: float) -> tuple[f
 
 
 def chi_square_bruteforce(target: SmoothDistribution, n_rate: float,
-                          tail_cutoff: float = 1e-12,
-                          max_cells: float = 2e8) -> tuple[float, float]:
+                          tail_cutoff: float = 1e-12) -> tuple[float, float]:
     """Chi-square divergence by explicit enumeration of hallucination count vectors.
 
     Enumerates all ``{n_y(x)}`` with every coordinate in the per-coordinate
@@ -55,9 +59,10 @@ def chi_square_bruteforce(target: SmoothDistribution, n_rate: float,
     pm = np.asarray(pm)
     k_sup = len(pm)
     # the exact power has 2u log2(k) bits, so it is built only near the limit
-    if 2 * u * math.log(k_sup) > math.log(max_cells) + 1.0 or k_sup ** (2 * u) > max_cells:
+    if (2 * u * math.log(k_sup) > math.log(CHI2_MAX_CELLS) + 1.0
+            or k_sup ** (2 * u) > CHI2_MAX_CELLS):
         raise ValueError(
-            f"enumeration of {k_sup}^{2 * u} count vectors exceeds {max_cells:g} cells")
+            f"enumeration of {k_sup}^{2 * u} count vectors exceeds {CHI2_MAX_CELLS:g} cells")
 
     # Axes: (x, y=0) for x = 0..U-1 then (x, y=1); axis 0 is (0, 0) so the
     # mixture ratio, which only touches y=1 coordinates, is constant along it.
@@ -171,8 +176,7 @@ def theorem_bound(n_rate: float, alpha: float, sigma: float, T: int,
 
 
 def nml_value(family: RegionFamily, hypotheses: Sequence[Hypothesis],
-              contexts: Sequence[int], max_horizon: int = 22,
-              max_hypotheses: int = 10_000) -> float:
+              contexts: Sequence[int]) -> float:
     """ln sum over label sequences of the best in-class likelihood on fixed contexts.
 
     This is the log normalizer of the normalized-maximum-likelihood assignment,
@@ -192,10 +196,10 @@ def nml_value(family: RegionFamily, hypotheses: Sequence[Hypothesis],
     xs = np.sort(np.asarray(contexts, dtype=np.int64))
     t = xs.size
     n_hyp = len(hypotheses)
-    if t < 1 or t > max_horizon:
-        raise ValueError(f"horizon {t} outside [1, {max_horizon}]")
-    if n_hyp < 1 or n_hyp > max_hypotheses:
-        raise ValueError(f"hypothesis count {n_hyp} outside [1, {max_hypotheses}]")
+    if t < 1 or t > NML_MAX_HORIZON:
+        raise ValueError(f"horizon {t} outside [1, {NML_MAX_HORIZON}]")
+    if n_hyp < 1 or n_hyp > NML_MAX_HYPOTHESES:
+        raise ValueError(f"hypothesis count {n_hyp} outside [1, {NML_MAX_HYPOTHESES}]")
     regions = np.array([h.region_index for h in hypotheses], dtype=np.int64)
     classes, sizes = np.unique(family.contains(xs, regions), axis=0,
                                return_counts=True)          # (n_cls, n_hyp), (n_cls,)

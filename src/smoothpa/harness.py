@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
@@ -137,7 +137,7 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
         if family.size != universe:
             raise ConfigError(f"family.size: {family.size} differs from universe {universe}")
     cells = [Cell(ls, t, s, learner_from_spec(ls, family, t, s),
-                  adversary_from_spec(adversary_spec, family, sigma=s))
+                  adversary_from_spec(adversary_spec, family, s))
              for ls, t, s in itertools.product(learners, horizons, sigmas)]
     labels = adversary_spec.get("labels")
     if adversary_spec.get("label") == "fixed_sequence" and len(labels) < t_max:
@@ -162,7 +162,7 @@ class SweepSummary:
 
     config: dict
     cells: list[dict]
-    fits: dict = field(default_factory=dict)
+    fits: dict
 
     def to_json(self) -> str:
         return json.dumps({"config": self.config, "cells": self.cells,
@@ -214,11 +214,11 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
             "mean_final_loss": float(np.mean(finals)),
         })
 
-    summary = SweepSummary(config=cfg.echo, cells=summary_cells)
     try:
-        summary.fits = fit_scaling(summary)
+        fits = fit_scaling({"cells": summary_cells})
     except ConfigError:
-        summary.fits = {}
+        fits = {}
+    summary = SweepSummary(cfg.echo, summary_cells, fits)
     (out / "summary.json").write_text(summary.to_json() + "\n", encoding="utf-8")
     return summary
 
@@ -232,6 +232,9 @@ def _check_nondecreasing(comparator: np.ndarray, cell: int, rep: int) -> None:
         raise NumericalAssertionError(
             f"comparator decreased in cell {cell}, repetition {rep}, round {i + 2}: "
             f"{float(comparator[i])!r} -> {float(comparator[i + 1])!r}")
+
+
+BOOTSTRAP_RESAMPLES = 200
 
 
 def _line_design(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -265,17 +268,16 @@ def _slopes(design, regrets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _lines(design, np.log(np.maximum(regrets, 1e-9))), _lines(design, regrets)
 
 
-def fit_scaling(summary: Union[SweepSummary, dict], n_boot: int = 200,
-                seed: int = 0) -> dict:
+def fit_scaling(summary: dict, seed: int = 0) -> dict:
     """Least-squares exponents of regret vs horizon, with bootstrap CIs.
 
-    Cells group by (learner, sigma); each group with >= 4 distinct horizons
-    yields a log-log slope (regret ~ T^b) and a regret ~ a + b ln T fit.
-    Bootstrap resamples repetitions within each cell.
+    `summary` is a summary.json document; only its "cells" are read. Cells
+    group by (learner, sigma); each group with >= 4 distinct horizons yields a
+    log-log slope (regret ~ T^b) and a regret ~ a + b ln T fit. Each of the
+    BOOTSTRAP_RESAMPLES resamples draws repetitions within each cell.
     """
-    cells = summary.cells if isinstance(summary, SweepSummary) else summary["cells"]
     groups: dict[str, list[dict]] = {}
-    for cell in cells:
+    for cell in summary["cells"]:
         key = json.dumps({"learner": cell["learner"], "sigma": cell["sigma"]},
                          sort_keys=True)
         groups.setdefault(key, []).append(cell)
@@ -294,7 +296,7 @@ def fit_scaling(summary: Union[SweepSummary, dict], n_boot: int = 200,
         # in that order; row b holds resample b's index vectors back to back.
         vals = [np.asarray(c["final_regrets"]) for c in group]
         sizes = np.array([len(v) for v in vals])
-        idx = rng.integers(0, np.tile(np.repeat(sizes, sizes), (n_boot, 1)))
+        idx = rng.integers(0, np.tile(np.repeat(sizes, sizes), (BOOTSTRAP_RESAMPLES, 1)))
         ends = np.cumsum(sizes)
         resampled = np.stack([v[idx[:, end - len(v): end]].mean(axis=1)
                               for v, end in zip(vals, ends)], axis=1)

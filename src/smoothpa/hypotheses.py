@@ -26,25 +26,27 @@ class RegionFamily:
     which carry the uniform base measure.
 
     kind is "threshold_grid" (region a is {x : x <= a}, one per grid point,
-    totally ordered by inclusion) or "explicit" (arbitrary subsets). Outside
-    this module membership is read only through `contains`: a grid compares
-    contexts with thresholds, so it stores no matrix; an explicit family
-    gathers rows of its stored (U, regions) boolean matrix, context-major so
-    that one context's memberships are one contiguous row.
+    totally ordered by inclusion) or "explicit" (arbitrary subsets), and
+    follows from `member`: a grid has none. Build one with `threshold_grid`,
+    `explicit` or `from_spec`. Outside this module membership is read only
+    through `contains`: a grid compares contexts with thresholds, so it stores
+    no matrix; an explicit family gathers rows of its stored (U, regions)
+    boolean matrix, context-major so that one context's memberships are one
+    contiguous row.
     """
 
-    def __init__(self, size: int, kind: str, member: Optional[np.ndarray] = None):
+    def __init__(self, size: int, member: Optional[np.ndarray] = None):
         if size < 1:
             raise ValueError("family size must be >= 1")
         self.size = size
-        self.kind = kind
+        self.kind = THRESHOLD_GRID if member is None else EXPLICIT
         self._member = member
         self._grid = (allocate(size, "family.size", "contexts", lambda: np.arange(size))
                       if member is None else None)
 
     @classmethod
     def threshold_grid(cls, size: int) -> "RegionFamily":
-        return cls(size, THRESHOLD_GRID)
+        return cls(size)
 
     @classmethod
     def explicit(cls, size: int, regions: Sequence[Sequence[int]]) -> "RegionFamily":
@@ -58,7 +60,7 @@ class RegionFamily:
                 bad = min(ids) if min(ids) < 0 else max(ids)
                 raise ConfigError(f"family.regions[{i}]: context id {bad} outside [0, {size})")
             member[np.asarray(ids, dtype=np.int64), i] = True
-        return cls(size, EXPLICIT, member)
+        return cls(size, member)
 
     def __len__(self) -> int:
         if self.kind == THRESHOLD_GRID:

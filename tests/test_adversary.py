@@ -333,8 +333,8 @@ def test_realizable_label_bernoulli_mean():
 
 
 def test_adversary_from_spec_variants():
-    spec = {"context": "subset_uniform", "sigma": 0.1, "rule": "static", "label": "greedy"}
-    adv = adversary_from_spec(spec, RegionFamily.threshold_grid(16))
+    spec = {"context": "subset_uniform", "rule": "static", "label": "greedy"}
+    adv = adversary_from_spec(spec, RegionFamily.threshold_grid(16), 0.1)
     assert adv.sigma == 0.1 and adv.size == 16 and isinstance(adv.label_rule, GreedyLabelRule)
 
     adv2 = adversary_from_spec({"rule": "adaptive", "label": "realizable",
@@ -355,8 +355,15 @@ def test_adversary_from_spec_errors():
     fam = RegionFamily.threshold_grid(4)
     with pytest.raises(ConfigError):
         adversary_from_spec({"context": "gaussian"}, fam, sigma=0.5)
-    with pytest.raises(ConfigError):
-        adversary_from_spec({"label": "greedy"}, fam)  # sigma missing
+    with pytest.raises(TypeError):
+        adversary_from_spec({"label": "greedy"}, fam)   # sigma comes only from the caller
+    # the spec's own sigma, of any type, is not read
+    for value in ("0.5", True, [1], 0.5):
+        with pytest.raises(ConfigError, match=r"^adversary\.sigma: unknown key"):
+            adversary_from_spec({"label": "greedy", "sigma": value}, fam, sigma=0.5)
+    # a sigma outside (0, 1] is named as such, also beside a static set
+    with pytest.raises(ConfigError, match=r"^adversary\.sigma: nan outside"):
+        adversary_from_spec({"set": [0, 1]}, fam, sigma=float("nan"))
     with pytest.raises(ConfigError):
         adversary_from_spec({"label": "realizable"}, fam, sigma=0.5)
     realizable = {"label": "realizable",
