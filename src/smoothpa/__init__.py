@@ -8,10 +8,9 @@ from .hypotheses import Hypothesis, RegionFamily, evaluate, mle_oracle, offline_
 from .adversary import AdversaryPolicy, SmoothDistribution, adversary_from_spec, validate_smooth
 from .coupling import rejection_couple_batch
 from .learners import (FtplLearner, KtLearner, MixtureLearner, UniformLearner, epsilon_cover,
-                       laplace_integral_log, learner_from_spec)
+                       learner_from_spec)
 from .diagnostics import (RademacherEstimate, chi_square_bruteforce, chi_square_closed_form,
                           nml_value, rademacher_estimate, theorem_bound)
-from .harness import (ExperimentConfig, SweepSummary, derive_seed, fit_scaling,
-                      parse_config, run)
+from .harness import ExperimentConfig, derive_seed, fit_scaling, parse_config, run
 
 __version__ = "0.1.0"

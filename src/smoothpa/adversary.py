@@ -107,12 +107,15 @@ class SmoothDistribution:
 
         Uniform mass on k >= ceil(sigma*U) atoms is at most 1/(sigma*U), so the
         size check certifies sigma-smoothness without building the dense pmf; a
-        sigma outside (0, 1], a repeated id, an id outside [0, U) or too small
-        a set raises SmoothnessError.
+        sigma outside (0, 1], an id that is not an integer, a repeated id, an
+        id outside [0, U) or too small a set raises SmoothnessError.
         """
         if not 0.0 < sigma <= 1.0:
             raise SmoothnessError(f"sigma {sigma} outside (0, 1]")
-        ids = np.array(support, dtype=np.int64)      # a copy: the caller may reuse its array
+        ids = np.array(support)      # a copy: the caller may reuse its array
+        if ids.size and ids.dtype.kind not in "iu":
+            raise SmoothnessError(f"target set must hold integer ids, got {ids.dtype}")
+        ids = ids.astype(np.int64, copy=False)
         if ids.ndim != 1:
             raise SmoothnessError(f"target set must be a flat list of ids, got shape {ids.shape}")
         if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
@@ -286,18 +289,19 @@ class AdversaryPolicy:
     def reset(self, rng: np.random.Generator) -> None:
         self.context_rule.reset(self.size, self.sigma)
         self.label_rule.reset(rng)
-        self._dist = None
+        self._dist = self._key = None
 
     def context_distribution(self) -> SmoothDistribution:
         """The uniform distribution on the rule's set. While the rule proposes
-        the ids it proposed last round (by content, so an array the rule changed
-        in place counts as new), the distribution checked then is reused."""
-        ids = np.asarray(self.context_rule.target_set(), dtype=np.int64)
-        dist = self._dist
-        if dist is None or ids.shape != self._shape or ids.tobytes() != self._bytes:
-            dist = SmoothDistribution.uniform_on(self.size, ids, self.sigma)
-            self._dist, self._shape, self._bytes = dist, ids.shape, ids.tobytes()
-        return dist
+        the ids it proposed last round (by dtype and content, so an array the
+        rule changed in place counts as new), the distribution checked then is
+        reused."""
+        ids = np.asarray(self.context_rule.target_set())
+        key = (ids.dtype, ids.shape, ids.tobytes())
+        if key != self._key:
+            self._dist = SmoothDistribution.uniform_on(self.size, ids, self.sigma)
+            self._key = key
+        return self._dist
 
     def label(self, x: int, q: float) -> int:
         return self.label_rule.label(x, q)

@@ -26,7 +26,7 @@ from .learners import epsilon_cover
 def _cmd_run(args) -> dict:
     cfg = parse_config(args.config)
     summary = run(cfg, output_dir=args.output_dir)
-    return {"cells": len(summary.cells),
+    return {"cells": len(summary["cells"]),
             "output_dir": str(args.output_dir or cfg.output_dir or ".")}
 
 

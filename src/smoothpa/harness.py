@@ -50,7 +50,7 @@ class ExperimentConfig:
     repetitions: int
     base_seed: int
     echo: dict
-    output_dir: Optional[str] = None
+    output_dir: Optional[str]
 
 
 def _as_list(value, name: str, cast):
@@ -156,29 +156,27 @@ def derive_seed(base_seed: int, cell_key, rep: int) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-@dataclass
-class SweepSummary:
-    """Aggregates per cell: repetition-level final regrets and their moments."""
-
-    config: dict
-    cells: list[dict]
-    fits: dict
-
-    def to_json(self) -> str:
-        return json.dumps({"config": self.config, "cells": self.cells,
-                           "fits": self.fits}, sort_keys=True, indent=2)
+def _write(path: Path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ConfigError(f"output_dir: cannot write {path}: {e.strerror}") from None
 
 
 def run(config: Union[dict, str, Path, ExperimentConfig],
-        output_dir: Optional[Union[str, Path]] = None) -> SweepSummary:
-    """Execute the sweep; write one records CSV per cell plus summary.json.
+        output_dir: Optional[Union[str, Path]] = None) -> dict:
+    """Execute the sweep; write one records CSV per cell plus summary.json,
+    and return the summary.json document: the config echo, the per-cell final
+    regrets with their moments, and the scaling fits.
 
     Trajectories run one after another in cell order, so outputs are
     byte-identical across runs of the same config. A cell's CSV is written once
     its repetitions finish; a failure still writes the repetitions of its cell
     that finished, so an interrupt leaves complete, parseable CSV prefixes.
     A comparator column that decreases from one round to the next raises
-    NumericalAssertionError naming the cell, repetition and round.
+    NumericalAssertionError naming the cell, repetition and round. An output
+    file that cannot be written raises ConfigError.
     """
     cfg = config if isinstance(config, ExperimentConfig) else parse_config(config)
     out = Path(output_dir or cfg.output_dir or ".")
@@ -201,9 +199,7 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
                 traces.append(trace)
         finally:
             if traces:
-                with open(out / f"records_cell{ci:03d}.csv", "w", encoding="utf-8",
-                          newline="\n") as fh:
-                    fh.write(format_records_csv(traces))
+                _write(out / f"records_cell{ci:03d}.csv", format_records_csv(traces))
         finals = [float(tr.cum_losses[-1]) for tr in traces]
         regrets = np.array([f - tr.comparator[-1] for f, tr in zip(finals, traces)])
         summary_cells.append({
@@ -218,8 +214,8 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
         fits = fit_scaling({"cells": summary_cells})
     except ConfigError:
         fits = {}
-    summary = SweepSummary(cfg.echo, summary_cells, fits)
-    (out / "summary.json").write_text(summary.to_json() + "\n", encoding="utf-8")
+    summary = {"config": cfg.echo, "cells": summary_cells, "fits": fits}
+    _write(out / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary
 
 
@@ -274,7 +270,8 @@ def fit_scaling(summary: dict, seed: int = 0) -> dict:
     `summary` is a summary.json document; only its "cells" are read. Cells
     group by (learner, sigma); each group with >= 4 distinct horizons yields a
     log-log slope (regret ~ T^b) and a regret ~ a + b ln T fit. Each of the
-    BOOTSTRAP_RESAMPLES resamples draws repetitions within each cell.
+    BOOTSTRAP_RESAMPLES resamples draws repetitions within each cell. A fitted
+    value that is not finite raises NumericalAssertionError.
     """
     groups: dict[str, list[dict]] = {}
     for cell in summary["cells"]:
@@ -301,17 +298,19 @@ def fit_scaling(summary: dict, seed: int = 0) -> dict:
         resampled = np.stack([v[idx[:, end - len(v): end]].mean(axis=1)
                               for v, end in zip(vals, ends)], axis=1)
         boot_ll, boot_lt = (c[:, 0] for c in _slopes(design, resampled))
+        ll_ci, lt_ci = ([float(np.percentile(boot, 2.5)), float(np.percentile(boot, 97.5))]
+                        for boot in (boot_ll, boot_lt))
         meta = json.loads(key)
+        if not np.isfinite([ll_b, ll_a, lt_b, lt_a, *ll_ci, *lt_ci]).all():
+            raise NumericalAssertionError(
+                f"fit: learner {json.dumps(meta['learner'])} at sigma {meta['sigma']!r} "
+                f"has a fitted value that is not finite")
         fitted.append({
             "learner": meta["learner"], "sigma": meta["sigma"],
             "T": [int(v) for v in ts],
             "mean_regret": [float(v) for v in means],
-            "loglog_slope": ll_b, "loglog_intercept": ll_a,
-            "loglog_ci": [float(np.percentile(boot_ll, 2.5)),
-                          float(np.percentile(boot_ll, 97.5))],
-            "lnT_slope": lt_b, "lnT_intercept": lt_a,
-            "lnT_ci": [float(np.percentile(boot_lt, 2.5)),
-                       float(np.percentile(boot_lt, 97.5))],
+            "loglog_slope": ll_b, "loglog_intercept": ll_a, "loglog_ci": ll_ci,
+            "lnT_slope": lt_b, "lnT_intercept": lt_a, "lnT_ci": lt_ci,
         })
     if not fitted:
         raise ConfigError("fit: need >= 4 sweep points on the T axis in some group")

@@ -197,12 +197,6 @@ def examples_to_counts(xs, ys, size: int) -> np.ndarray:
     return np.stack((np.bincount(xs, minlength=size), np.bincount(xs[ys == 1], minlength=size)))
 
 
-def _split_losses(n0, k0, total_n, total_k):
-    """Per-region minimized log-loss from the integer-valued counts inside
-    each region and the totals."""
-    return _nll(n0, k0) + _nll(total_n - n0, total_k - k0)
-
-
 def region_counts(values: np.ndarray, family: RegionFamily) -> np.ndarray:
     """Per-region sums of non-negative per-context counts along the last axis:
     entry a sums the contexts inside region a. Threshold grids take one
@@ -228,19 +222,26 @@ def side_counts(values: np.ndarray, family: RegionFamily) -> np.ndarray:
     return np.stack((inside, values.sum(axis=-1)[..., None] - inside), axis=-2)
 
 
+def _region_losses(counts: np.ndarray) -> np.ndarray:
+    """Per-region minimized log-loss, the inside side's plus the outside's,
+    from counts in the layout `side_counts` builds. All counts must be
+    integer-valued, in integer or float arrays: the losses index a j ln j
+    table with them, which would truncate a fractional count."""
+    side = _nll(counts[0], counts[1])
+    return side[0] + side[1]
+
+
 def mle_from_region_counts(counts: np.ndarray) -> tuple[Hypothesis, float]:
     """Loss-minimizing hypothesis from per-region counts, plus its loss.
 
     counts[0] holds the samples and counts[1] the positive labels, each as
-    (inside, outside) x region, the layout `side_counts` builds. All counts
-    must be integer-valued, in integer or float arrays: the losses index a
-    j ln j table with them, which would truncate a fractional count.
+    (inside, outside) x region, the layout `side_counts` builds, integer-valued
+    as `_region_losses` needs.
 
     Per region the optimal theta_j is the empirical frequency k_j/n_j (1/2 when
     the side is empty); ties between regions break to the lowest index.
     """
-    side = _nll(counts[0], counts[1])
-    losses = side[0] + side[1]
+    losses = _region_losses(counts)
     idx = int(losses.argmin())
     (n_in, n_out), (k_in, k_out) = counts[:, :, idx].tolist()
     theta0 = k_in / n_in if n_in > 0 else 0.5
@@ -277,35 +278,34 @@ def prefix_best_losses(xs: np.ndarray, ys: np.ndarray, family: RegionFamily) -> 
     in-class loss on the first t examples, as ComparatorTracker.update returns.
 
     Per region, the counts inside it on every prefix are running sums over
-    time of the examples' membership rows, built a block of rounds at a time.
-    All counts are int64, exact whatever the summation order, and index the
-    j ln j table directly, so the values equal the incremental ones bit for bit.
+    time of the examples' membership rows, built a block of rounds at a time
+    in the layout `side_counts` builds; the outside counts are the prefix
+    totals less the inside ones. All counts are int64, exact whatever the
+    summation order, so the losses equal the incremental ones bit for bit.
     """
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
     m = len(family)
     # 8-byte words per (round, region) while a block's losses are formed: the
-    # membership block (bool), the two count blocks, the outside counts (two),
-    # the inside losses, and in _nll the loss, a count difference and a table
-    # gather; one more for the previous block's losses, alive until replaced
-    rows = max(1, _BLOCK_BYTES // (8 * 9 * m))
+    # membership block (bool), the four count blocks, and in _nll each side's
+    # loss, count difference and table gather
+    rows = max(1, _BLOCK_BYTES // (8 * 11 * m))
     out = np.empty(len(xs))
-    n0_carry = np.zeros(m, dtype=np.int64)
-    k0_carry = np.zeros(m, dtype=np.int64)
+    carry = np.zeros((2, m), dtype=np.int64)
     total_k = np.cumsum(ys)
     for start in range(0, len(xs), rows):
         stop = min(start + rows, len(xs))
         inside = family.contains(xs[start:stop])
-        n0 = np.cumsum(inside, axis=0, dtype=np.int64)
-        k0 = inside * ys[start:stop, None]
-        np.cumsum(k0, axis=0, out=k0)
-        n0 += n0_carry
-        k0 += k0_carry
-        total_n = np.arange(start + 1, stop + 1)[:, None]
-        losses = _split_losses(n0, k0, total_n, total_k[start:stop, None])
-        out[start:stop] = losses.min(axis=1)
-        # copies, so the carry does not keep this block's counts alive
-        n0_carry, k0_carry = n0[-1].copy(), k0[-1].copy()
+        counts = np.empty((2, 2, stop - start, m), dtype=np.int64)
+        counts[0, 0] = inside
+        np.multiply(inside, ys[start:stop, None], out=counts[1, 0])
+        counts[:, 0, 0] += carry
+        np.cumsum(counts[:, 0], axis=1, out=counts[:, 0])
+        np.subtract(np.arange(start + 1, stop + 1)[:, None], counts[0, 0], out=counts[0, 1])
+        np.subtract(total_k[start:stop, None], counts[1, 0], out=counts[1, 1])
+        out[start:stop] = _region_losses(counts).min(axis=1)
+        # a copy, so the carry does not keep this block's counts alive
+        carry = counts[:, 0, -1].copy()
     return out
 
 

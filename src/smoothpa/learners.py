@@ -19,17 +19,6 @@ from .hypotheses import (_BLOCK_BYTES, RegionFamily, THRESHOLD_GRID, evaluate,
                          mle_from_region_counts, side_counts)
 
 
-def laplace_integral_log(k: int, n: int) -> float:
-    """ln of the Beta integral over [0,1] of t^k (1-t)^(n-k), via log-gamma.
-
-    Equals -ln(n+1) - ln binom(n, k).
-    """
-    if k < 0 or n < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    log_binom = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    return float(-math.log(n + 1) - log_binom)
-
-
 def epsilon_cover(family: RegionFamily, eps: float) -> np.ndarray:
     """Region indices covering the family within distance eps under the base measure.
 
@@ -93,7 +82,7 @@ class UniformLearner:
 class KtLearner:
     """Context-oblivious add-beta estimator over the label stream."""
 
-    def __init__(self, beta: float = 0.5):
+    def __init__(self, beta: float):
         if beta <= 0:
             raise ConfigError(f"kt.beta: {beta} must be positive")
         self.beta = beta

@@ -18,9 +18,9 @@ from smoothpa.diagnostics import (chi_square_bruteforce, chi_square_closed_form,
                                   nml_value)
 from smoothpa.harness import run
 from smoothpa.hypotheses import RegionFamily, mle_from_counts, examples_to_counts
-from smoothpa.learners import (FtplLearner, MixtureLearner, epsilon_cover,
-                               laplace_integral_log, truncation_range)
+from smoothpa.learners import FtplLearner, MixtureLearner, epsilon_cover, truncation_range
 
+from oracles import laplace_integral_log
 from test_hypotheses import brute_force_best_loss, region_bitmaps
 
 
@@ -218,7 +218,7 @@ def test_criterion_07_mixture_scaling(tmp_path):
         "sweep": {"T": [2 ** e for e in range(6, 14)], "sigma": [0.05, 0.2]},
     }
     summary = run(cfg, output_dir=tmp_path)
-    groups = {g["sigma"]: g for g in summary.fits["groups"]}
+    groups = {g["sigma"]: g for g in summary["fits"]["groups"]}
     for sigma in (0.05, 0.2):
         g = groups[sigma]
         assert g["loglog_slope"] < 0.35, (sigma, g["loglog_slope"])
@@ -251,7 +251,7 @@ def test_criterion_08_ftpl_sublinearity(tmp_path):
             "sigma": sigma,
         }
         summary = run(cfg, output_dir=tmp_path / f"T{t}")
-        means.append(summary.cells[0]["mean_final_regret"])
+        means.append(summary["cells"][0]["mean_final_regret"])
 
     slope = float(np.polyfit(np.log(horizons), np.log(np.maximum(means, 1e-9)), 1)[0])
     assert 0.0 < slope < 0.95, slope
@@ -267,7 +267,7 @@ def test_criterion_08_ftpl_sublinearity(tmp_path):
         "sigma": sigma,
     }
     baseline = run(base_cfg, output_dir=tmp_path / "uniform")
-    assert means[-1] < baseline.cells[0]["mean_final_regret"]
+    assert means[-1] < baseline["cells"][0]["mean_final_regret"]
 
 
 @criterion(9, "FTPL truncation range, zero violations", 120.0)

@@ -125,7 +125,9 @@ def test_subset_sample_matches_dense_choice():
 
 @pytest.mark.parametrize("subset, bad", [([-1, 0, 1, 2], "-1"), ([0, 1, 2, 8], "8"),
                                          ([3, 1, 3, 5], "3"), ([[0, 1], [2, 3]], "shape"),
-                                         ([], "size 0 below minimum 4")])
+                                         ([], "size 0 below minimum 4"),
+                                         ([0.0, 1.0, 2.0, 3.0], "integer ids, got float64"),
+                                         ([True, True, False, True], "integer ids, got bool")])
 def test_subset_uniform_rejects_bad_ids(subset, bad):
     with pytest.raises(SmoothnessError, match=bad):
         SmoothDistribution.uniform_on(8, subset, 0.5)
@@ -268,6 +270,20 @@ def test_policy_rechecks_a_set_changed_in_place():
     adv.context_distribution()
     ids.resize(3, refcheck=False)                       # below ceil(0.5 * 8) = 4
     with pytest.raises(SmoothnessError, match="size 3 below minimum 4"):
+        adv.context_distribution()
+
+
+def test_custom_rule_with_non_integer_ids_fails_the_run():
+    # these ids once played on the contexts {0, 2, 5, 7}, truncated
+    rule = ListRule(np.array([0.0, 2.5, 5.9, 7.5]))
+    adv = AdversaryPolicy(rule, GreedyLabelRule(), 0.5, 8)
+    with pytest.raises(SmoothnessError, match="^target set must hold integer ids, got float64$"):
+        run_game(UniformLearner(), adv, 4, seed=0)
+    # a float array with the bytes of the int64 set checked last round
+    rule.ids = np.array([0, 2, 4, 6])
+    adv.context_distribution()
+    rule.ids = rule.ids.view(np.float64)
+    with pytest.raises(SmoothnessError, match="float64"):
         adv.context_distribution()
 
 

@@ -176,7 +176,7 @@ def test_parse_config_field_paths():
 
 def test_run_uniform_vs_greedy_regret_is_t_ln2(tmp_path):
     summary = run(base_config(), output_dir=tmp_path)
-    cell = summary.cells[0]
+    cell = summary["cells"][0]
     # greedy ties to y=0 against q=1/2, so the comparator fits labels exactly
     assert cell["mean_final_regret"] == pytest.approx(16 * math.log(2), abs=1e-9)
     rows = read_rows(tmp_path / "records_cell000.csv")
@@ -211,7 +211,7 @@ def test_run_byte_identical_for_same_config(tmp_path):
 def test_run_cell_count_is_axis_product(tmp_path):
     cfg = base_config(sweep={"T": [8, 16, 32], "sigma": [0.5, 1.0]})
     summary = run(cfg, output_dir=tmp_path)
-    assert len(summary.cells) == 6
+    assert len(summary["cells"]) == 6
     assert len(list(tmp_path.glob("records_cell*.csv"))) == 6
 
 
@@ -313,7 +313,7 @@ def test_run_builds_the_family_once_and_each_cell_once(tmp_path, monkeypatch):
     cfg = base_config(sweep={"learner": [{"kt": {}}, {"vc_mixture": {}}, {"ftpl": {}}],
                              "T": [8, 16], "sigma": [0.5, 1.0]}, repetitions=3)
     summary = run(cfg, output_dir=tmp_path)
-    assert len(summary.cells) == 12
+    assert len(summary["cells"]) == 12
     assert counts == {"family": 1, "learner": 12, "adversary": 12}
 
 
@@ -523,6 +523,21 @@ def test_fit_scaling_needs_four_points():
     summary = synthetic_summary({8: 1.0, 16: 2.0, 32: 3.0})
     with pytest.raises(ConfigError, match="4 sweep points"):
         fit_scaling(summary)
+
+
+def test_cli_fit_with_a_non_finite_fit_exits_3(tmp_path, capsys):
+    # finite regrets whose bootstrap means overflow to inf; |regret| <= 745 T
+    # keeps every real sweep far below this
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"cells": [
+        {"learner": {"synthetic": {}}, "sigma": 0.1, "T": t, "mean_final_regret": 1e308,
+         "final_regrets": [1e308, 1e308]} for t in (8, 16, 32, 64)]}))
+    with np.errstate(over="ignore"):
+        assert cli_main(["fit", "--summary", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ('numerical failure: fit: learner {"synthetic": {}} at sigma 0.1 '
+                   'has a fitted value that is not finite\n')
 
 
 # ---------------------------------------------------------------- CLI
@@ -852,6 +867,28 @@ def test_cli_numerical_assertion_exit_code(tmp_path, monkeypatch, capsys):
     assert cli_main(argv) == 3
     assert capsys.readouterr().err.startswith(
         "numerical failure: target set of size 1 below minimum 4")
+
+
+@pytest.mark.parametrize("name", ["records_cell000.csv", "summary.json"])
+def test_cli_output_file_that_is_a_directory_exits_2(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config()))
+    assert cli_main(["run", "--config", str(path), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: output_dir: cannot write {out / name}: Is a directory\n"
+    assert (out / name).is_dir()
+
+
+def test_csv_write_error_replaces_the_error_of_a_failed_trajectory(tmp_path, monkeypatch):
+    # the first cell's learner dies in its second repetition, then the CSV of
+    # the first repetition cannot be written: the write error is the one raised
+    monkeypatch.setattr(harness, "learner_from_spec",
+                        lambda spec, family, t, sigma: ExplodingLearner(fail_game=2, fail_at=3))
+    (tmp_path / "records_cell000.csv").mkdir()
+    with pytest.raises(ConfigError, match="^output_dir: cannot write .*: Is a directory$"):
+        run(base_config(T=10, repetitions=2), output_dir=tmp_path)
 
 
 # sha256 of every artifact of two static-set, realizable-label sweeps with the

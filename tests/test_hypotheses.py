@@ -14,7 +14,7 @@ from smoothpa import Hypothesis, mle_oracle, offline_best_loss
 from smoothpa.diagnostics import nml_value, rademacher_estimate
 from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import (_BLOCK_BYTES, _TABLE_BITS, ComparatorTracker, RegionFamily,
-                                 _split_losses, evaluate, examples_to_counts, mle_from_counts,
+                                 _region_losses, evaluate, examples_to_counts, mle_from_counts,
                                  prefix_best_losses, region_counts)
 from smoothpa.learners import FtplLearner, MixtureLearner, epsilon_cover
 
@@ -263,6 +263,13 @@ def xlogy_split_losses(n0, k0, total_n, total_k):
     return nll(n0, k0) + nll(total_n - n0, total_k - k0)
 
 
+def side_layout(n0, k0, total_n, total_k):
+    """The counts inside each region and the totals in the layout
+    `side_counts` builds: (n, k) x (inside, outside) x the counts' shape."""
+    return np.stack([np.stack(np.broadcast_arrays(inside, total - inside))
+                     for inside, total in ((n0, total_n), (k0, total_k))])
+
+
 def random_split_counts(rng, top, shape):
     """Valid integer counts, one total per row, the first row's total_n = top:
     inside each region n0 of total_n samples with k0 of the total_k labels 1,
@@ -281,8 +288,9 @@ def random_split_counts(rng, top, shape):
 def assert_table_equals_xlogy(rng, top, shape=(5, 40)):
     counts = random_split_counts(rng, top, shape)
     want = xlogy_split_losses(*(c.astype(np.float64) for c in counts))
-    assert np.array_equal(_split_losses(*counts), want)
-    assert np.array_equal(_split_losses(*(c.astype(np.float64) for c in counts)), want)
+    assert np.array_equal(_region_losses(side_layout(*counts)), want)
+    assert np.array_equal(_region_losses(side_layout(*(c.astype(np.float64) for c in counts))),
+                          want)
 
 
 def test_split_losses_equal_xlogy_form_bitwise():
@@ -318,7 +326,7 @@ def test_split_losses_past_the_cap_call_xlogy_on_the_float_counts():
     assert n0[0] > 0 and n0[-1] >= 1 << 53
     want = xlogy_split_losses(n0, k0, n0[-1], k0[-1])
     assert np.isfinite(want).all()
-    assert np.array_equal(_split_losses(n0, k0, n0[-1], k0[-1]), want)
+    assert np.array_equal(_region_losses(side_layout(n0, k0, n0[-1], k0[-1])), want)
 
 
 @pytest.mark.parametrize("order", ["large_first", "small_first"])
@@ -357,6 +365,22 @@ def test_prefix_best_losses_equal_tracker_and_xlogy_at_table_boundaries(family, 
     got = prefix_best_losses(xs, ys, family)
     assert np.array_equal(got, want)
     assert np.array_equal(got, xlogy_prefix_best_losses(xs, ys, family))
+
+
+def test_prefix_best_losses_past_the_table_cap_equal_xlogy(monkeypatch):
+    # the last block's counts reach 2**_TABLE_BITS, so _nll takes their j ln j
+    # from _j_ln_j directly rather than from a table
+    seen = []
+    direct = hypotheses._j_ln_j
+    monkeypatch.setattr(hypotheses, "_j_ln_j", lambda j: seen.append(np.max(j)) or direct(j))
+    family = RegionFamily.threshold_grid(4)
+    T = (1 << _TABLE_BITS) + 7
+    rng = np.random.default_rng(26)
+    xs = rng.integers(0, 4, size=T)
+    ys = (rng.random(T) < 0.3).astype(np.int64)
+    got = prefix_best_losses(xs, ys, family)
+    assert max(seen) == T
+    assert got.tobytes() == xlogy_prefix_best_losses(xs, ys, family).tobytes()
 
 
 def test_prefix_best_losses_block_memory_meets_its_budget():

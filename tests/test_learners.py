@@ -16,9 +16,10 @@ from smoothpa.errors import ConfigError, NumericalAssertionError
 from smoothpa.hypotheses import (RegionFamily, evaluate, mle_from_counts, mle_oracle,
                                  prefix_best_losses)
 from smoothpa.learners import (FtplLearner, KtLearner, MixtureLearner,
-                               UniformLearner, epsilon_cover, laplace_integral_log,
-                               learner_from_spec, truncation_range)
+                               UniformLearner, epsilon_cover, learner_from_spec,
+                               truncation_range)
 
+from oracles import laplace_integral_log
 from test_hypotheses import region_bitmaps
 
 # ---------------------------------------------------------------- laplace
