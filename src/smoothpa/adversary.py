@@ -53,16 +53,17 @@ class SmoothDistribution:
     """A distribution over the contexts {0, ..., size-1}, certified sigma-smooth
     at construction time.
 
-    It holds its support `ids` in ascending order and their running cdf,
-    normalized the way rng.choice normalizes the dense one. A zero atom adds
-    exactly 0.0 to a running sum, so the two cdfs agree at every support
-    position, and `sample` draws the same context from the same generator
-    state as `rng.choice(size, p=pmf)`. A distribution from `uniform_on`
-    builds its dense pmf and its cdf only when they are read.
+    It holds its support `ids` in ascending order, a read-only dense `pmf`
+    of its own, and the running cdf of the pmf on `ids`, normalized the way
+    rng.choice normalizes the dense one. A zero atom adds exactly 0.0 to a
+    running sum, so the two cdfs agree at every support position, and `sample`
+    draws the same context from the same generator state as
+    `rng.choice(size, p=pmf)`. The cdf is built at the first sample; a
+    distribution from `uniform_on` builds its pmf only when it is read.
     """
 
     def __init__(self, pmf, sigma: float):
-        pmf = np.asarray(pmf, dtype=np.float64)
+        pmf = np.array(pmf, dtype=np.float64)       # a copy: the caller may change its array
         ok, idx = validate_smooth(pmf, sigma)
         if not ok:
             where = f" at index {idx}" if idx is not None else ""
@@ -71,23 +72,21 @@ class SmoothDistribution:
                 f"pmf is not {sigma}-smooth{where} "
                 f"(cap 1/(sigma*U) = {1.0 / scale if scale else math.inf:.6g})"
             )
-        self.size, self.sigma, self.pmf = pmf.size, sigma, pmf
-        self.ids = np.flatnonzero(pmf)
-        self.cdf = np.cumsum(pmf[self.ids])
-        self.cdf /= self.cdf[-1]
+        pmf.flags.writeable = False
+        self.size, self.sigma, self.pmf, self.ids = pmf.size, sigma, pmf, np.flatnonzero(pmf)
 
     @functools.cached_property
     def pmf(self) -> np.ndarray:
         """The dense pmf, which `uniform_on` builds only when it is read."""
         pmf = np.zeros(self.size)
         pmf[self.ids] = 1.0 / self.ids.size
+        pmf.flags.writeable = False
         return pmf
 
     @functools.cached_property
     def cdf(self) -> np.ndarray:
-        """The running cdf, which `uniform_on` builds only when it is read: the
-        normalized running sum of k equal masses 1/k, as rng.choice builds it."""
-        cdf = np.cumsum(np.full(self.ids.size, 1.0 / self.ids.size))
+        """The normalized running sum of the pmf on `ids`, as rng.choice builds it."""
+        cdf = np.cumsum(self.pmf[self.ids])
         cdf /= cdf[-1]
         return cdf
 
@@ -115,7 +114,6 @@ class SmoothDistribution:
         ids = np.array(support)      # a copy: the caller may reuse its array
         if ids.size and ids.dtype.kind not in "iu":
             raise SmoothnessError(f"target set must hold integer ids, got {ids.dtype}")
-        ids = ids.astype(np.int64, copy=False)
         if ids.ndim != 1:
             raise SmoothnessError(f"target set must be a flat list of ids, got shape {ids.shape}")
         if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
@@ -123,9 +121,10 @@ class SmoothDistribution:
             dup = np.flatnonzero(ids[1:] == ids[:-1])
             if dup.size:
                 raise SmoothnessError(f"target set repeats context id {ids[dup[0]]}")
-        if ids.size and (ids[0] < 0 or ids[-1] >= size):     # ids ascend here
+        if ids.size and (ids[0] < 0 or ids[-1] >= size):     # ids ascend here, in their own dtype
             bad = ids[0] if ids[0] < 0 else ids[-1]
             raise SmoothnessError(f"target set has context id {bad} outside [0, {size})")
+        ids = ids.astype(np.int64, copy=False)
         k = min_support_size(sigma, size)
         if ids.size < k:
             raise SmoothnessError(

@@ -89,8 +89,6 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
 
     family_spec = need("family")
     adversary_spec = need("adversary")
-    if not isinstance(adversary_spec, dict):
-        raise ConfigError("adversary: must be an object")
 
     sweep = obj.get("sweep", {})
     if not isinstance(sweep, dict):
@@ -233,35 +231,25 @@ def _check_nondecreasing(comparator: np.ndarray, cell: int, rep: int) -> None:
 BOOTSTRAP_RESAMPLES = 200
 
 
-def _line_design(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """np.polyfit's degree-1 least-squares problem on ln T, built once: the
-    Vandermonde matrix with unit-norm columns, the column scale and rcond."""
-    lhs = np.vander(np.log(ts), 2)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    return lhs / scale, scale, len(ts) * np.finfo(float).eps
+def _lines(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(slope, intercept) of y against ln T for each row y of ys, each
+    bit-identical to np.polyfit(ln T, y, 1).
 
-
-def _lines(design, ys: np.ndarray) -> np.ndarray:
-    """(slope, intercept) of y against ln T for each y along the last axis of
-    ys, each bit-identical to np.polyfit(ln T, y, 1).
-
-    np.linalg.lstsq refuses a stack of problems, so this calls the LAPACK
-    gufunc it wraps, which solves each stacked y on its own with one
-    right-hand side, as np.polyfit does. One solve with every y as a column of
-    a single right-hand side rounds differently once there are 8 or more
-    horizons.
+    This builds np.polyfit's degree-1 problem on ln T (the Vandermonde matrix
+    with unit-norm columns, and rcond) and calls the LAPACK gufunc that
+    np.linalg.lstsq wraps, since lstsq refuses a stack of problems. The gufunc
+    solves each row on its own with one right-hand side, as np.polyfit does.
+    One solve with every row as a column of a single right-hand side rounds
+    differently once there are 8 or more horizons.
     """
     from numpy.linalg import _umath_linalg
-    lhs, scale, rcond = design
+    lhs = np.vander(np.log(ts), 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
     with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
         # + 0.0 as polyfit: -0.0 -> 0.0
-        c = _umath_linalg.lstsq(lhs, ys[..., None] + 0.0, rcond, signature="ddd->ddid")[0]
+        c = _umath_linalg.lstsq(lhs / scale, ys[..., None] + 0.0, len(ts) * np.finfo(float).eps,
+                                signature="ddd->ddid")[0]
     return c[..., 0] / scale
-
-
-def _slopes(design, regrets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The log-log and the ln T fit of regrets, as `_lines` returns them."""
-    return _lines(design, np.log(np.maximum(regrets, 1e-9))), _lines(design, regrets)
 
 
 def fit_scaling(summary: dict, seed: int = 0) -> dict:
@@ -287,17 +275,20 @@ def fit_scaling(summary: dict, seed: int = 0) -> dict:
         if len(np.unique(ts)) < 4:
             continue
         means = np.array([c["mean_final_regret"] for c in group])
-        design = _line_design(ts)
-        (ll_b, ll_a), (lt_b, lt_a) = (c.tolist() for c in _slopes(design, means))
         # Resample indices for every (resample, cell, repetition) in one draw,
         # in that order; row b holds resample b's index vectors back to back.
         vals = [np.asarray(c["final_regrets"]) for c in group]
         sizes = np.array([len(v) for v in vals])
         idx = rng.integers(0, np.tile(np.repeat(sizes, sizes), (BOOTSTRAP_RESAMPLES, 1)))
         ends = np.cumsum(sizes)
-        resampled = np.stack([v[idx[:, end - len(v): end]].mean(axis=1)
-                              for v, end in zip(vals, ends)], axis=1)
-        boot_ll, boot_lt = (c[:, 0] for c in _slopes(design, resampled))
+        with np.errstate(over="ignore"):    # an overflowed mean fails the finite check below
+            resampled = np.stack([v[idx[:, end - len(v): end]].mean(axis=1)
+                                  for v, end in zip(vals, ends)], axis=1)
+        # row 0 is the point fit, rows 1.. the resamples' fits
+        rows = np.vstack((means, resampled))
+        fits = [_lines(ts, np.log(np.maximum(rows, 1e-9))), _lines(ts, rows)]
+        (ll_b, ll_a), (lt_b, lt_a) = (f[0].tolist() for f in fits)
+        boot_ll, boot_lt = (f[1:, 0] for f in fits)
         ll_ci, lt_ci = ([float(np.percentile(boot, 2.5)), float(np.percentile(boot, 97.5))]
                         for boot in (boot_ll, boot_lt))
         meta = json.loads(key)

@@ -162,8 +162,8 @@ class FtplLearner:
     learner keeps its history as the oracle's int64 (n, k) x (inside,
     outside) x region counts, and draws the hallucinations for a block of
     rounds at once, in the same layout, which takes the same values from its
-    generator as one draw per round. Blocks double in size up to the shared
-    byte budget, so short games draw little ahead.
+    generator as one draw per round. Every block holds as many rounds as the
+    shared byte budget allows.
     """
 
     def __init__(self, family: RegionFamily, n: float, alpha: float):
@@ -181,14 +181,13 @@ class FtplLearner:
         # 8-byte words per row of a block while it is drawn: the draw (2U), the
         # inside and outside counts (2m each), the stacked block row (4m) and
         # the previous block's row (4m), alive until replaced
-        self._max_rows = max(1, _BLOCK_BYTES // (8 * (2 * u + 12 * m)))
-        self._block = np.zeros((0, 2, 2, m), dtype=np.int64)
+        self._rows = max(1, _BLOCK_BYTES // (8 * (2 * u + 12 * m)))
+        self._block = np.zeros((0, 2, 2, m), dtype=np.int64)     # no rounds drawn yet
         self._row = 0
 
     def _draw_block(self) -> None:
         u = self.family.size
-        rows = min(2 * len(self._block) or 1, self._max_rows)
-        hal = self.rng.poisson(self.n / (2.0 * u), size=(rows, 2, u))
+        hal = self.rng.poisson(self.n / (2.0 * u), size=(self._rows, 2, u))
         hal[:, 0] += hal[:, 1]          # (samples, positive labels) per context
         self._block = side_counts(hal, self.family)
 

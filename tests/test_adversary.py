@@ -123,6 +123,44 @@ def test_subset_sample_matches_dense_choice():
         assert_draws_match_choice(dist, pmf, int(rng.integers(2 ** 32)), 100)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 13, 1000])
+def test_uniform_cdf_is_the_running_sum_of_equal_masses(k):
+    # the one cdf formula, on a pmf holding exactly 1/k at each of k ids
+    want = np.cumsum(np.full(k, 1.0 / k))
+    want /= want[-1]
+    dist = SmoothDistribution.uniform_on(2 * k, np.arange(1, 2 * k, 2), 0.5)
+    assert dist.cdf.tobytes() == want.tobytes()
+
+
+def test_dense_cdf_is_the_normalized_running_sum_on_the_support():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        u = int(rng.integers(1, 60))
+        pmf = np.where(rng.random(u) < 0.3, 0.0, rng.random(u))
+        pmf[rng.integers(u)] = 1.0
+        pmf /= pmf.sum()
+        want = np.cumsum(pmf[np.flatnonzero(pmf)])
+        want /= want[-1]
+        dist = SmoothDistribution(pmf, min(1.0, 1.0 / (u * pmf.max())))
+        assert dist.cdf.tobytes() == want.tobytes()
+
+
+def test_smooth_distribution_keeps_its_own_read_only_pmf():
+    # the caller's array changes after the check, before the first draw
+    p = np.full(4, 0.25)
+    dist = SmoothDistribution(p, 1.0)
+    p[:] = [1.0, 0.0, 0.0, 0.0]
+    assert_draws_match_choice(dist, np.full(4, 0.25), 5, 200)
+    for d in (dist, SmoothDistribution.uniform_on(4, [0, 1, 2, 3], 1.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            d.pmf[0] = 1.0
+
+
+@pytest.mark.parametrize("pmf", [np.full((2, 2), 0.25), np.zeros(0)])
+def test_validate_smooth_rejects_a_pmf_that_is_not_a_flat_nonempty_vector(pmf):
+    assert validate_smooth(pmf, 1.0) == (False, None)
+
+
 @pytest.mark.parametrize("subset, bad", [([-1, 0, 1, 2], "-1"), ([0, 1, 2, 8], "8"),
                                          ([3, 1, 3, 5], "3"), ([[0, 1], [2, 3]], "shape"),
                                          ([], "size 0 below minimum 4"),
@@ -133,7 +171,9 @@ def test_subset_uniform_rejects_bad_ids(subset, bad):
         SmoothDistribution.uniform_on(8, subset, 0.5)
 
 
-@pytest.mark.parametrize("size, subset, bad", [(4, [-1, 0], -1), (8, [0, 1, 2, 8], 8)])
+@pytest.mark.parametrize("size, subset, bad", [
+    (4, [-1, 0], -1), (8, [0, 1, 2, 8], 8),
+    (8, np.array([2 ** 63, 1, 2, 3], dtype=np.uint64), 2 ** 63)])       # not wrapped to int64
 def test_uniform_on_names_an_id_outside_the_universe(size, subset, bad):
     # a dense builder once put the mass of id -1 on context U - 1, and raised
     # IndexError at id U

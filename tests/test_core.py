@@ -9,7 +9,9 @@ from smoothpa import AdversaryPolicy, InfiniteLossError, UniformLearner, log_los
 from smoothpa.adversary import (AdaptiveExtremenessRule, FixedSequenceLabelRule,
                                 GreedyLabelRule, StaticSubsetRule)
 from smoothpa.core import CSV_HEADER, format_records_csv
+from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import RegionFamily, offline_best_loss, prefix_best_losses
+from smoothpa.learners import KtLearner
 
 LN2 = math.log(2.0)
 
@@ -89,6 +91,17 @@ def test_play_game_seeded_determinism():
     assert all(np.array_equal(getattr(a, c), getattr(b, c)) for c in columns)
     c = run_game(UniformLearner(), make(), 50, seed=124)
     assert not np.array_equal(c.xs, a.xs)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: run_game(UniformLearner(),
+                      AdversaryPolicy(StaticSubsetRule(), GreedyLabelRule(), 0.5, 8), 0, seed=0),
+     ValueError, "horizon T must be >= 1"),
+    (lambda: RegionFamily(0), ValueError, "family size must be >= 1"),
+    (lambda: KtLearner(0.0), ConfigError, "kt.beta: 0.0 must be positive")])
+def test_degenerate_sizes_are_refused(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
 
 
 def test_play_game_greedy_flips_confident_prediction():

@@ -438,8 +438,8 @@ class PoissonRecorder:
 
 
 FTPL_FAMILIES = {
-    # name: (family, rounds); the rounds reach past the blocks' doubling phase
-    # and through at least three boundaries between full-size blocks
+    # name: (family, rounds); the rounds reach through at least three
+    # boundaries between blocks
     "grid4": (RegionFamily.threshold_grid(4), 6000),
     "grid64": (RegionFamily.threshold_grid(64), 600),
     "explicit": (RegionFamily.explicit(24, [np.flatnonzero(row) for row in
