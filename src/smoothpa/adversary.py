@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SmoothnessError, check_keys, parse_field
-from .hypotheses import Hypothesis, RegionFamily, evaluate
+from .errors import ConfigError, SmoothnessError, check_keys, parse_field, read_ids
+from .hypotheses import HYPOTHESIS_KEYS, Hypothesis, RegionFamily, evaluate, read_hypothesis
 
 SUM_TOL = 1e-12
 MASS_TOL = 1e-12
@@ -134,20 +134,16 @@ class SmoothDistribution:
         return dist
 
 
-def check_static_set(ids, size: int, sigma: float) -> None:
-    """Reject a configured static target set with a bad entry (not an integer,
-    outside [0, size), or repeated) or with fewer than ceil(sigma * size) ids.
-    A sigma outside (0, 1] is left for AdversaryPolicy to name."""
+def read_static_set(ids, size: int, sigma: float) -> Optional[list]:
+    """A configured static target set as Python ints, None if there is none.
+    An entry `read_ids` refuses, a repeated id or fewer than ceil(sigma * size)
+    ids raises ConfigError. A sigma outside (0, 1] is left for AdversaryPolicy
+    to name."""
     if ids is None:
-        return
-    if not isinstance(ids, (list, tuple)):
-        raise ConfigError("adversary.set: must be a list of context ids")
+        return None
+    ids = read_ids(ids, "adversary.set", size)
     seen = set()
     for i, v in enumerate(ids):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ConfigError(f"adversary.set[{i}]: {v!r} is not an integer context id")
-        if not 0 <= v < size:
-            raise ConfigError(f"adversary.set[{i}]: context id {v} outside [0, {size})")
         if v in seen:
             raise ConfigError(f"adversary.set[{i}]: context id {v} repeated")
         seen.add(v)
@@ -155,6 +151,7 @@ def check_static_set(ids, size: int, sigma: float) -> None:
     if len(ids) < k:
         raise ConfigError(f"adversary.set: {len(ids)} contexts, fewer than "
                           f"ceil(sigma * U) = {k} at sigma = {sigma:g}")
+    return ids
 
 
 class StaticSubsetRule:
@@ -255,9 +252,11 @@ class FixedSequenceLabelRule:
     if the game outruns it."""
 
     def __init__(self, labels: Sequence[int]):
-        if any(isinstance(v, bool) or v not in (0, 1) for v in labels):
-            raise ConfigError("adversary.labels: entries must be 0 or 1")
-        self.labels = [int(v) for v in labels]
+        self.labels = [parse_field(v, f"adversary.labels[{i}]", int)
+                       for i, v in enumerate(labels)]
+        for i, y in enumerate(self.labels):
+            if y not in (0, 1):
+                raise ConfigError(f"adversary.labels[{i}]: {y} is not 0 or 1")
 
     def reset(self, rng):
         self._t = 0
@@ -310,23 +309,11 @@ class AdversaryPolicy:
 
 
 def _f_star(fs, family: RegionFamily) -> Hypothesis:
-    """The realizable labels' hypothesis from its spec; its region must be one
-    of the family's and its thetas in [0, 1]."""
+    """The realizable labels' hypothesis from its spec, read by `read_hypothesis`."""
     if not isinstance(fs, dict):
         raise ConfigError("adversary.f_star: required for realizable labels")
-    check_keys(fs, "adversary.f_star", ("region_index", "theta0", "theta1"))
-    thetas = []
-    for key in ("theta0", "theta1"):
-        if fs.get(key) is None:
-            raise ConfigError(f"adversary.f_star.{key}: missing")
-        theta = parse_field(fs[key], f"adversary.f_star.{key}", float)
-        if not 0.0 <= theta <= 1.0:
-            raise ConfigError(f"adversary.f_star.{key}: {theta} outside [0, 1]")
-        thetas.append(theta)
-    idx = parse_field(fs.get("region_index", 0), "adversary.f_star.region_index", int)
-    if not 0 <= idx < len(family):
-        raise ConfigError(f"adversary.f_star.region_index: {idx} outside [0, {len(family)})")
-    return Hypothesis(idx, *thetas)
+    check_keys(fs, "adversary.f_star", HYPOTHESIS_KEYS)
+    return read_hypothesis([fs.get(key) for key in HYPOTHESIS_KEYS], "adversary.f_star", family)
 
 
 # The keys besides the context side's that each label kind reads
@@ -349,8 +336,7 @@ def adversary_from_spec(spec: dict, family: RegionFamily, sigma: float) -> Adver
     if context != "subset_uniform":
         raise ConfigError(f"adversary.context: unknown kind {context!r}")
     rule = spec.get("rule", "static")
-    subset = spec.get("set") if rule == "static" else None
-    check_static_set(subset, family.size, sigma)
+    subset = read_static_set(spec.get("set") if rule == "static" else None, family.size, sigma)
 
     label_kind = spec.get("label", "greedy")
     if label_kind == "greedy":

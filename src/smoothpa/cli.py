@@ -17,9 +17,9 @@ import numpy as np
 from .adversary import SmoothDistribution, min_support_size
 from .diagnostics import chi_square_bruteforce, chi_square_closed_form, nml_value
 from .errors import (ConfigError, InfiniteLossError, NumericalAssertionError, allocate,
-                     load_json)
+                     load_json, parse_field, positive_finite, read_ids)
 from .harness import fit_scaling, parse_config, run
-from .hypotheses import Hypothesis, RegionFamily
+from .hypotheses import Hypothesis, RegionFamily, read_hypothesis
 from .learners import epsilon_cover
 
 
@@ -33,8 +33,7 @@ def _cmd_run(args) -> dict:
 def _cmd_chi2(args) -> dict:
     if not 0.0 < args.sigma <= 1.0:
         raise ConfigError(f"--sigma: {args.sigma:g} outside (0, 1]")
-    if not args.n > 0.0:
-        raise ConfigError(f"--n: {args.n:g} must be positive")
+    positive_finite(args.n, "--n")
     if args.universe < 1:
         raise ConfigError(f"--universe: {args.universe} must be >= 1")
     if not 0.0 < args.cutoff < 1.0:
@@ -59,38 +58,15 @@ def _cmd_chi2(args) -> dict:
                      "discarded": discarded}}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A JSON number that converts to a finite float."""
-    if not (_is_int(value) or isinstance(value, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _class_hypotheses(entries, family: RegionFamily) -> list[Hypothesis]:
-    """The class file's hypotheses, each [region, theta0, theta1] with the region
-    one of the family's and both thetas numbers in [0, 1]."""
+    """The class file's hypotheses, each [region, theta0, theta1]."""
     if not isinstance(entries, list):
         raise ConfigError("hypotheses: must be a list of [region, theta0, theta1]")
     hyps = []
     for i, h in enumerate(entries):
         if not isinstance(h, list) or len(h) != 3:
             raise ConfigError(f"hypotheses[{i}]: must be [region, theta0, theta1]")
-        region, *thetas = h
-        if not _is_int(region) or not 0 <= region < len(family):
-            raise ConfigError(f"hypotheses[{i}]: region {region!r} is not an integer "
-                              f"in [0, {len(family)})")
-        for key, theta in zip(("theta0", "theta1"), thetas):
-            if not _is_number(theta) or not 0 <= theta <= 1:
-                raise ConfigError(f"hypotheses[{i}]: {key} {theta!r} is not a number "
-                                  f"in [0, 1]")
-        hyps.append(Hypothesis(region, float(thetas[0]), float(thetas[1])))
+        hyps.append(read_hypothesis(h, f"hypotheses[{i}]", family))
     return hyps
 
 
@@ -103,10 +79,7 @@ def _cmd_nml(args) -> dict:
     contexts = load_json(args.contexts, "contexts file")
     if not isinstance(contexts, list):
         raise ConfigError("contexts file: must be a JSON list of context ids")
-    u = family.size
-    for i, x in enumerate(contexts):
-        if not _is_int(x) or not 0 <= x < u:
-            raise ConfigError(f"contexts[{i}]: {x!r} is not a context id in [0, {u})")
+    contexts = read_ids(contexts, "contexts", family.size)
     try:
         value = nml_value(family, hyps, contexts)
     except ValueError as e:
@@ -115,17 +88,26 @@ def _cmd_nml(args) -> dict:
 
 
 def _cmd_cover(args) -> dict:
-    if not args.eps > 0.0:
-        raise ConfigError(f"--eps: {args.eps:g} must be positive")
+    positive_finite(args.eps, "--eps")
     family = RegionFamily.from_spec(load_json(args.family, "family"))
     idx = epsilon_cover(family, args.eps)
     return {"cover": [int(i) for i in idx], "size": len(idx)}
 
 
-def _check_summary(summary) -> None:
-    """A summary file's sweep cells must each carry the fields the fits read."""
+def _finite(value, name: str) -> float:
+    value = parse_field(value, name, float)
+    if not math.isfinite(value):
+        raise ConfigError(f"{name}: {value!r} is not a finite number")
+    return value
+
+
+def _read_summary(summary) -> dict:
+    """The cells of a summary file with the fields the fits read: `learner` and
+    `sigma` as given, an integer `T` in [1, sys.maxsize], a finite
+    `mean_final_regret` and a nonempty list of finite `final_regrets`."""
     if not isinstance(summary, dict) or not isinstance(summary.get("cells"), list):
         raise ConfigError("summary.cells: must be a list of sweep cells")
+    cells = []
     for i, cell in enumerate(summary["cells"]):
         where = f"summary.cells[{i}]"
         if not isinstance(cell, dict):
@@ -133,21 +115,23 @@ def _check_summary(summary) -> None:
         for key in ("learner", "sigma", "T", "mean_final_regret", "final_regrets"):
             if key not in cell:
                 raise ConfigError(f"{where}.{key}: missing")
-        if not (_is_int(cell["T"]) and _is_number(cell["T"])) or cell["T"] < 1:
-            raise ConfigError(f"{where}.T: {cell['T']!r} is not an integer >= 1")
-        if not _is_number(cell["mean_final_regret"]):
-            raise ConfigError(f"{where}.mean_final_regret: {cell['mean_final_regret']!r} "
-                              f"is not a finite number")
+        t = parse_field(cell["T"], f"{where}.T", int)
+        if not 1 <= t <= sys.maxsize:
+            raise ConfigError(f"{where}.T: {t} outside [1, {sys.maxsize}]")
+        mean = _finite(cell["mean_final_regret"], f"{where}.mean_final_regret")
         regrets = cell["final_regrets"]
-        if not isinstance(regrets, list) or not regrets or not all(map(_is_number, regrets)):
+        if not isinstance(regrets, list) or not regrets:
             raise ConfigError(f"{where}.final_regrets: must be a nonempty list of "
                               f"finite numbers")
+        cells.append({"learner": cell["learner"], "sigma": cell["sigma"], "T": t,
+                      "mean_final_regret": mean,
+                      "final_regrets": [_finite(v, f"{where}.final_regrets[{j}]")
+                                        for j, v in enumerate(regrets)]})
+    return {"cells": cells}
 
 
 def _cmd_fit(args) -> dict:
-    summary = load_json(args.summary, "summary")
-    _check_summary(summary)
-    return {"fits": fit_scaling(summary)}
+    return {"fits": fit_scaling(_read_summary(load_json(args.summary, "summary")))}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,6 +6,7 @@ InfiniteLossError -> 3.
 """
 
 import json
+import math
 
 
 class ConfigError(ValueError):
@@ -23,6 +24,27 @@ def parse_field(value, name: str, cast):
         return cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name}: {value!r} is not a valid {cast.__name__}") from None
+
+
+def read_ids(values, name: str, size) -> list:
+    """The JSON list `values` of context ids in [0, size), as Python ints; a bad
+    one raises ConfigError naming it, e.g. `adversary.set[1]: 1.5 is not a valid
+    int`. A list of plain ints has its types checked as a whole and comes back as is."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{name}: must be a list of context ids")
+    ids = values if set(map(type, values)) <= {int} else [
+        parse_field(v, f"{name}[{i}]", int) for i, v in enumerate(values)]
+    if ids and (min(ids) < 0 or max(ids) >= size):
+        i = next(i for i, v in enumerate(ids) if not 0 <= v < size)
+        raise ConfigError(f"{name}[{i}]: context id {ids[i]} outside [0, {size})")
+    return ids
+
+
+def positive_finite(value: float, name: str) -> float:
+    """value, if it is positive and finite; otherwise ConfigError naming the field."""
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{name}: {value:g} must be positive and finite")
+    return value
 
 
 def check_keys(obj: dict, path: str, known) -> None:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, allocate, check_keys, parse_field
+from .errors import ConfigError, allocate, check_keys, parse_field, read_ids
 
 THRESHOLD_GRID = "threshold_grid"
 EXPLICIT = "explicit"
@@ -49,17 +49,13 @@ class RegionFamily:
         return cls(size)
 
     @classmethod
-    def explicit(cls, size: int, regions: Sequence[Sequence[int]]) -> "RegionFamily":
+    def explicit(cls, size: int, regions: Sequence[list]) -> "RegionFamily":
         if len(regions) == 0:
             raise ConfigError("family.regions: must be a nonempty list of context id lists")
         member = allocate(size, "family.size", "contexts",
                           lambda: np.zeros((size, len(regions)), dtype=bool))
         for i, ids in enumerate(regions):
-            ids = list(ids)     # range-checked as Python ints: the cast would overflow
-            if ids and (min(ids) < 0 or max(ids) >= size):
-                bad = min(ids) if min(ids) < 0 else max(ids)
-                raise ConfigError(f"family.regions[{i}]: context id {bad} outside [0, {size})")
-            member[np.asarray(ids, dtype=np.int64), i] = True
+            member[read_ids(ids, f"family.regions[{i}]", size), i] = True
         return cls(size, member)
 
     def __len__(self) -> int:
@@ -89,7 +85,7 @@ class RegionFamily:
     @classmethod
     def from_spec(cls, obj: dict) -> "RegionFamily":
         """The family a JSON spec describes. A malformed spec raises ConfigError
-        naming the field, e.g. `family.regions[0]: context id 9 outside [0, 8)`.
+        naming the field, e.g. `family.regions[0][1]: context id 9 outside [0, 8)`.
         An explicit family without a size covers its largest context id."""
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ConfigError("family.kind: missing")
@@ -103,15 +99,11 @@ class RegionFamily:
         regions = obj.get("regions")
         if not isinstance(regions, list):
             raise ConfigError("family.regions: must be a nonempty list of context id lists")
-        for i, ids in enumerate(regions):
-            if not isinstance(ids, list) or not all(issubclass(t, (int, np.integer))
-                                                    and t is not bool for t in set(map(type, ids))):
-                raise ConfigError(f"family.regions[{i}]: must be a list of integer context ids")
-        if obj.get("size") is None:
-            size = max([1] + [max(r) + 1 for r in regions if r])
-        else:
-            size = _size(obj["size"])
-        return cls.explicit(size, regions)
+        if obj.get("size") is not None:
+            return cls.explicit(_size(obj["size"]), regions)
+        regions = [read_ids(ids, f"family.regions[{i}]", math.inf)
+                   for i, ids in enumerate(regions)]
+        return cls.explicit(max([1] + [max(r) + 1 for r in regions if r]), regions)
 
 
 def _size(value) -> int:
@@ -128,6 +120,27 @@ class Hypothesis:
     region_index: int
     theta0: float
     theta1: float
+
+
+HYPOTHESIS_KEYS = ("region_index", "theta0", "theta1")
+
+
+def read_hypothesis(values, path: str, family: RegionFamily) -> Hypothesis:
+    """The hypothesis the JSON values (region_index, theta0, theta1) name, with a
+    region of the family and thetas in [0, 1]; a null or bad value raises
+    ConfigError naming it, e.g. `hypotheses[0].theta1: 1.5 outside [0, 1]`."""
+    names = [f"{path}.{key}" for key in HYPOTHESIS_KEYS]
+    for name, value in zip(names, values):
+        if value is None:
+            raise ConfigError(f"{name}: missing")
+    region, *thetas = (parse_field(value, name, cast)
+                       for value, name, cast in zip(values, names, (int, float, float)))
+    if not 0 <= region < len(family):
+        raise ConfigError(f"{names[0]}: {region} outside [0, {len(family)})")
+    for name, theta in zip(names[1:], thetas):
+        if not 0.0 <= theta <= 1.0:
+            raise ConfigError(f"{name}: {theta} outside [0, 1]")
+    return Hypothesis(region, *thetas)
 
 
 def evaluate(family: RegionFamily, h: Hypothesis, x: int) -> float:

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, NumericalAssertionError, check_keys, parse_field
+from .errors import (ConfigError, NumericalAssertionError, check_keys, parse_field,
+                     positive_finite)
 from .hypotheses import (_BLOCK_BYTES, RegionFamily, THRESHOLD_GRID, evaluate,
                          mle_from_region_counts, side_counts)
 
@@ -221,13 +222,6 @@ def _number(params: dict, key: str, default: float, path: str) -> float:
     return default if value is None else parse_field(value, f"{path}.{key}", float)
 
 
-def _positive(params: dict, key: str, default: float, path: str) -> float:
-    value = _number(params, key, default, path)
-    if not 0.0 < value < math.inf:
-        raise ConfigError(f"{path}.{key}: {value:g} must be positive and finite")
-    return value
-
-
 # The parameters each learner kind reads
 _PARAMS = {"uniform": (), "kt": ("beta",), "vc_mixture": ("eps",), "ftpl": ("n", "alpha")}
 
@@ -253,9 +247,9 @@ def learner_from_spec(spec: dict, family: RegionFamily, T: int, sigma: float):
     if kind == "uniform":
         return UniformLearner()
     if kind == "kt":
-        return KtLearner(_positive(params, "beta", 0.5, path))
+        return KtLearner(positive_finite(_number(params, "beta", 0.5, path), f"{path}.beta"))
     if kind == "vc_mixture":
-        eps = _positive(params, "eps", sigma / float(T) ** 2, path)
+        eps = positive_finite(_number(params, "eps", sigma / float(T) ** 2, path), f"{path}.eps")
         return MixtureLearner(family, epsilon_cover(family, eps))
     n_def, alpha_def = default_ftpl_tuning(T, sigma)
     n = _number(params, "n", n_def, path)

@@ -202,7 +202,7 @@ def test_static_rule_with_bad_id_fails_the_run():
     ([-1, 0, 1, 2], r"adversary\.set\[0\]: context id -1 outside \[0, 8\)"),
     ([0, 1, 8, 2], r"adversary\.set\[2\]: context id 8 outside \[0, 8\)"),
     ([0, 5, 1, 5], r"adversary\.set\[3\]: context id 5 repeated"),
-    ([0, 1.5], r"adversary\.set\[1\]: 1\.5 is not an integer"),
+    ([0, 1.5], r"adversary\.set\[1\]: 1\.5 is not a valid int"),
     ("0,1", r"adversary\.set: must be a list"),
     ([0, 1, 2], r"adversary\.set: 3 contexts, fewer than ceil\(sigma \* U\) = 4 at sigma = 0\.5"),
 ])
@@ -428,10 +428,12 @@ def test_adversary_from_spec_errors():
         adversary_from_spec(realizable, fam, sigma=0.5)
     with pytest.raises(ConfigError):
         adversary_from_spec({"rule": "chaotic"}, fam, sigma=0.5)
-    for labels in ([0, 2], [True, 0, 1], [0, False]):
-        with pytest.raises(ConfigError, match=r"^adversary\.labels: entries must be 0 or 1"):
+    for labels, message in (([0, 2], r"adversary\.labels\[1\]: 2 is not 0 or 1"),
+                            ([True, 0, 1], r"adversary\.labels\[0\]: True is not a valid int"),
+                            ([0, False], r"adversary\.labels\[1\]: False is not a valid int")):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             FixedSequenceLabelRule(labels)
-        with pytest.raises(ConfigError, match=r"^adversary\.labels: entries must be 0 or 1"):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             adversary_from_spec({"label": "fixed_sequence", "labels": labels}, fam, sigma=0.5)
 
 

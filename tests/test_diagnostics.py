@@ -174,7 +174,7 @@ def test_chi2_report_shape(capsys):
 # ---------------------------------------------------------------- rademacher
 
 def test_rademacher_constant_region_matches_enumeration():
-    fam = RegionFamily.explicit(4, [range(4)])
+    fam = RegionFamily.explicit(4, [list(range(4))])
     t = 6
     exact = np.mean([max(0, bin(mask).count("1") * 2 - t) / t for mask in range(2 ** t)])
     est = rademacher_estimate(fam, 0.0, t, 4000, np.random.default_rng(0))

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import smoothpa
 import smoothpa.harness as harness
 from smoothpa.adversary import (AdversaryPolicy, GreedyLabelRule, StaticSubsetRule,
                                 adversary_from_spec)
@@ -100,6 +102,7 @@ def test_parse_config_field_paths():
     f_star = {"region_index": 2, "theta0": 0.2, "theta1": 0.7}
     for fs, message in (
             ({"region_index": 2, "theta1": 0.7}, r"adversary\.f_star\.theta0: missing"),
+            ({"theta0": 0.2, "theta1": 0.7}, r"adversary\.f_star\.region_index: missing"),
             (dict(f_star, region_index=99), r"adversary\.f_star\.region_index: 99 outside \[0, 8\)"),
             (dict(f_star, region_index=-1), r"adversary\.f_star\.region_index: -1 outside"),
             (dict(f_star, region_index="a"), r"adversary\.f_star\.region_index: 'a' is not a"),
@@ -111,10 +114,10 @@ def test_parse_config_field_paths():
         with pytest.raises(ConfigError, match=f"^{message}"):
             parse_config(base_config(adversary=dict(realizable, f_star=fs)))
     explicit = {"kind": "explicit", "size": 8}
-    for regions, message in (([[0, 9]], r"family\.regions\[0\]: context id 9 outside \[0, 8\)"),
-                             ([[10 ** 20]], r"family\.regions\[0\]: context id 10+ outside"),
-                             ([[1], [-2]], r"family\.regions\[1\]: context id -2 outside"),
-                             ([[1], [2, "a"]], r"family\.regions\[1\]: must be a list of int"),
+    for regions, message in (([[0, 9]], r"family\.regions\[0\]\[1\]: context id 9 outside \[0, 8\)"),
+                             ([[10 ** 20]], r"family\.regions\[0\]\[0\]: context id 10+ outside"),
+                             ([[1], [-2]], r"family\.regions\[1\]\[0\]: context id -2 outside"),
+                             ([[1], [2, "a"]], r"family\.regions\[1\]\[1\]: 'a' is not a valid int"),
                              ([], r"family\.regions: must be a nonempty list")):
         with pytest.raises(ConfigError, match=f"^{message}"):
             parse_config(base_config(family=dict(explicit, regions=regions)))
@@ -682,11 +685,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["chi2", "--sigma", "2", "--n", "4", "--universe", "2"], "--sigma: 2 outside (0, 1]"),
     (["chi2", "--sigma", "0", "--n", "4", "--universe", "2"], "--sigma: 0 outside (0, 1]"),
-    (["chi2", "--sigma", "0.5", "--n", "0", "--universe", "2"], "--n: 0 must be positive"),
+    (["chi2", "--sigma", "0.5", "--n", "0", "--universe", "2"], "--n: 0 must be positive and finite"),
     (["chi2", "--sigma", "0.5", "--n", "4", "--universe", "0"], "--universe: 0 must be >= 1"),
     (["chi2", "--sigma", "0.5", "--n", "4", "--universe", "2", "--cutoff", "2"],
      "--cutoff: 2 outside (0, 1)"),
-    (["cover", "--family", "family.json", "--eps", "0"], "--eps: 0 must be positive"),
+    (["cover", "--family", "family.json", "--eps", "0"], "--eps: 0 must be positive and finite"),
+    (["chi2", "--sigma", "0.5", "--n", "inf", "--universe", "4"],
+     "--n: inf must be positive and finite"),
+    (["cover", "--family", "family.json", "--eps", "inf"], "--eps: inf must be positive and finite"),
 ])
 def test_cli_argument_errors_exit_2(capsys, argv, message):
     assert cli_main(argv) == 2
@@ -704,19 +710,19 @@ GRID4_CLASS = {"family": {"kind": "threshold_grid", "size": 4},
      "hypotheses[0]: must be [region, theta0, theta1]"),
     (["nml", "--class", "c.json", "--contexts", "x.json"],
      {"c.json": dict(GRID4_CLASS, hypotheses=[[1, 0.2, 0.7], [9, 0.5, 0.5]]), "x.json": [0, 3]},
-     "hypotheses[1]: region 9 is not an integer in [0, 4)"),
+     "hypotheses[1].region_index: 9 outside [0, 4)"),
     (["nml", "--class", "c.json", "--contexts", "x.json"],
      {"c.json": dict(GRID4_CLASS, hypotheses=[[1, "a", 0.5]]), "x.json": [0, 3]},
-     "hypotheses[0]: theta0 'a' is not a number in [0, 1]"),
+     "hypotheses[0].theta0: 'a' is not a valid float"),
     (["nml", "--class", "c.json", "--contexts", "x.json"],
      {"c.json": dict(GRID4_CLASS, hypotheses=[[1, 0.5, 1.5]]), "x.json": [0, 3]},
-     "hypotheses[0]: theta1 1.5 is not a number in [0, 1]"),
+     "hypotheses[0].theta1: 1.5 outside [0, 1]"),
     (["nml", "--class", "c.json", "--contexts", "x.json"],
      {"c.json": GRID4_CLASS, "x.json": [0, -1]},
-     "contexts[1]: -1 is not a context id in [0, 4)"),
+     "contexts[1]: context id -1 outside [0, 4)"),
     (["nml", "--class", "c.json", "--contexts", "x.json"],
      {"c.json": GRID4_CLASS, "x.json": [0, 9]},
-     "contexts[1]: 9 is not a context id in [0, 4)"),
+     "contexts[1]: context id 9 outside [0, 4)"),
     (["fit", "--summary", "s.json"], {"s.json": {}},
      "summary.cells: must be a list of sweep cells"),
     (["fit", "--summary", "s.json"], {"s.json": [1, 2]},
@@ -731,7 +737,7 @@ GRID4_CLASS = {"family": {"kind": "threshold_grid", "size": 4},
      "family.size: 2.5 is not a valid int"),
     (["cover", "--family", "f.json", "--eps", "0.3"],
      {"f.json": {"kind": "explicit", "size": 8, "regions": [[10 ** 20]]}},
-     f"family.regions[0]: context id {10 ** 20} outside [0, 8)"),
+     f"family.regions[0][0]: context id {10 ** 20} outside [0, 8)"),
     (["cover", "--family", "f.json", "--eps", "0.3"], {"f.json": b"{"},
      "family: invalid JSON in {tmp}/f.json (Expecting property name enclosed in double "
      "quotes: line 1 column 2 (char 1))"),
@@ -784,7 +790,7 @@ GRID4_CLASS = {"family": {"kind": "threshold_grid", "size": 4},
      "hypotheses: must be a list of [region, theta0, theta1]"),
     (["nml", "--class", "c.json", "--contexts", "x.json"],
      {"c.json": dict(GRID4_CLASS, hypotheses=[[1, 10 ** 400, 0.5]]), "x.json": [0, 3]},
-     f"hypotheses[0]: theta0 {10 ** 400} is not a number in [0, 1]"),
+     f"hypotheses[0].theta0: {10 ** 400} is not a valid float"),
     (["nml", "--class", "c.json", "--contexts", "x.json"],
      {"c.json": GRID4_CLASS, "x.json": {"0": 3}},
      "contexts file: must be a JSON list of context ids"),
@@ -814,6 +820,11 @@ GRID4_CLASS = {"family": {"kind": "threshold_grid", "size": 4},
     (["run", "--config", "c.json"],
      {"c.json": base_config(adversary={"label": "fixed_sequence", "labels": "0101"})},
      "adversary.labels: required for fixed_sequence, a list of 0/1"),
+    # an integer T no float holds
+    (["fit", "--summary", "s.json"],
+     {"s.json": {"cells": [{"learner": {"uniform": {}}, "sigma": 0.5, "T": 10 ** 400,
+                            "mean_final_regret": 1.0, "final_regrets": [1.0]}]}},
+     f"summary.cells[0].T: {10 ** 400} outside [1, {sys.maxsize}]"),
 ])
 def test_cli_file_errors_exit_2(tmp_path, capsys, argv, files, message):
     for name, obj in files.items():
@@ -828,6 +839,98 @@ def test_cli_file_errors_exit_2(tmp_path, capsys, argv, files, message):
     assert capsys.readouterr().err == f"config error: {message.format(tmp=tmp_path)}\n"
     # nothing written, also inside a directory given as the output
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == sorted(files)
+
+
+def summary_with_t(t):
+    """A fit summary of four uniform-learner cells, the first at horizon t."""
+    return {"cells": [{"learner": {"uniform": {}}, "sigma": 0.5, "T": h,
+                       "mean_final_regret": 0.7 * i, "final_regrets": [0.6 * i, 0.8 * i]}
+                      for i, h in enumerate((t, 16, 32, 64), start=1)]}
+
+
+RUN = ["run", "--config", "c.json", "--output-dir", "out"]
+NML = ["nml", "--class", "c.json", "--contexts", "x.json"]
+REALIZABLE = {"rule": "static", "label": "realizable"}
+
+# Every integer field of a config or CLI input file: the path an error names,
+# the command and the files that put the value k there, and a valid k
+INTEGER_FIELDS = [
+    ("T", lambda k: (RUN, {"c.json": base_config(T=k)}), 8),
+    ("universe", lambda k: (RUN, {"c.json": base_config(universe=k)}), 8),
+    ("family.size",
+     lambda k: (RUN, {"c.json": base_config(family={"kind": "threshold_grid", "size": k})}), 8),
+    ("repetitions", lambda k: (RUN, {"c.json": base_config(repetitions=k)}), 2),
+    ("base_seed", lambda k: (RUN, {"c.json": base_config(base_seed=k)}), 7),
+    ("adversary.f_star.region_index",
+     lambda k: (RUN, {"c.json": base_config(adversary=dict(REALIZABLE, f_star={
+         "region_index": k, "theta0": 0.2, "theta1": 0.7}))}), 3),
+    ("adversary.set[1]",
+     lambda k: (RUN, {"c.json": base_config(adversary={"set": [0, k, 2, 3]})}), 5),
+    ("family.regions[0][1]",
+     lambda k: (RUN, {"c.json": base_config(family={"kind": "explicit", "size": 8,
+                                                    "regions": [[0, k, 2], [3]]})}), 5),
+    ("adversary.labels[2]",
+     lambda k: (RUN, {"c.json": base_config(T=8, adversary={
+         "label": "fixed_sequence", "labels": [1, 0, k, 1, 0, 1, 1, 0]})}), 1),
+    ("hypotheses[0].region_index",
+     lambda k: (NML, {"c.json": dict(GRID4_CLASS, hypotheses=[[k, 0.2, 0.7], [3, 0.5, 0.5]]),
+                      "x.json": [0, 3]}), 1),
+    ("contexts[1]", lambda k: (NML, {"c.json": GRID4_CLASS, "x.json": [0, k]}), 3),
+    ("summary.cells[0].T",
+     lambda k: (["fit", "--summary", "s.json"], {"s.json": summary_with_t(k)}), 8),
+]
+
+
+@pytest.mark.parametrize("path, command, k", INTEGER_FIELDS,
+                         ids=[field[0] for field in INTEGER_FIELDS])
+def test_one_integer_rule_for_every_field(tmp_path, capsys, path, command, k):
+    def result(value):
+        """Exit code, stderr and what the command made: its report, or for
+        `run` every records CSV with the summary's cells and fits."""
+        work = tmp_path / str(len(list(tmp_path.iterdir())))
+        work.mkdir()
+        argv, files = command(value)
+        for name, obj in files.items():
+            (work / name).write_text(json.dumps(obj))
+        code = cli_main([str(work / a) if a in files or a == "out" else a for a in argv])
+        out, err = capsys.readouterr()
+        if argv[0] != "run" or code != 0:
+            return code, err, out
+        summary = json.loads((work / "out" / "summary.json").read_text())
+        records = {p.name: p.read_text() for p in (work / "out").glob("records_cell*.csv")}
+        return code, err, records, summary["cells"], summary["fits"]
+
+    want = result(k)
+    assert want[0] == 0, want
+    assert result(float(k)) == want
+    for bad in (k + 0.5, True, str(k)):
+        assert result(bad) == (2, f"config error: {path}: {bad!r} is not a valid int\n", "")
+
+
+def test_cli_fit_reads_regrets_past_int64(tmp_path, capsys):
+    # a JSON integer past 2**64 once made a numpy object array that np.log refused
+    summary = summary_with_t(8)
+    summary["cells"][0]["final_regrets"] = [10 ** 20, 1]
+    summary["cells"][1]["mean_final_regret"] = 10 ** 20
+    (tmp_path / "s.json").write_text(json.dumps(summary))
+    assert cli_main(["fit", "--summary", str(tmp_path / "s.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["fits"]["groups"]
+
+
+def test_only_errors_py_tests_a_value_against_bool():
+    # whether a JSON value is an integer or a number is errors.parse_field's rule alone
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    for path in sorted(Path(smoothpa.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tests = [node.lineno for node in ast.walk(tree)
+                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                     and node.func.id == "isinstance" and "bool" in names(node.args[-1]))
+                 or (isinstance(node, ast.Compare) and "bool" in names(node)
+                     and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops))]
+        assert tests == [], (path.name, tests)
 
 
 # KT with beta = 5e-324 predicts 5e-324 / 2 = 0.0 in round 3, which label 1 contradicts

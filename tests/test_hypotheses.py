@@ -177,7 +177,7 @@ def test_count_regions_random_vs_recount():
 
 
 def test_mle_single_region_family_defaults():
-    fam = RegionFamily.explicit(5, [range(5)])
+    fam = RegionFamily.explicit(5, [list(range(5))])
     h = mle_oracle([1, 2, 3], [1, 1, 0], fam)
     assert h.region_index == 0
     assert h.theta0 == pytest.approx(2.0 / 3.0)
@@ -216,7 +216,7 @@ def test_offline_best_loss_examples():
     fam = RegionFamily.threshold_grid(4)
     xs = [i % 4 for i in range(6)]
     assert offline_best_loss(xs, [1] * 6, fam) == pytest.approx(0.0, abs=1e-12)
-    single = RegionFamily.explicit(4, [range(4)])
+    single = RegionFamily.explicit(4, [list(range(4))])
     assert offline_best_loss([2, 2], [1, 0], single) == pytest.approx(2 * LN2)
     # the examples (0, 1) and (0, 0): one context with both labels costs ln 2
     # each in any region; contexts 0 and 1 both labelled 0 cost nothing
@@ -408,7 +408,7 @@ def test_threshold_fast_path_equals_generic_scan():
     for _ in range(10):
         u = int(rng.integers(2, 40))
         fam = RegionFamily.threshold_grid(u)
-        same = RegionFamily.explicit(u, [range(a + 1) for a in range(u)])
+        same = RegionFamily.explicit(u, [list(range(a + 1)) for a in range(u)])
         xs = rng.integers(0, u, size=int(rng.integers(1, 60)))
         ys = rng.integers(0, 2, size=len(xs))
         counts = examples_to_counts(xs, ys, u)

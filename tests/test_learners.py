@@ -442,7 +442,7 @@ FTPL_FAMILIES = {
     # boundaries between blocks
     "grid4": (RegionFamily.threshold_grid(4), 6000),
     "grid64": (RegionFamily.threshold_grid(64), 600),
-    "explicit": (RegionFamily.explicit(24, [np.flatnonzero(row) for row in
+    "explicit": (RegionFamily.explicit(24, [np.flatnonzero(row).tolist() for row in
                                            np.random.default_rng(5).random((40, 24)) < 0.4]),
                  1200),
 }
