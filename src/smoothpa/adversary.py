@@ -1,4 +1,4 @@
-"""Sigma-smooth context distributions, adaptive context rules, and label strategies.
+"""Sigma-smooth context distributions, context rules, and label strategies.
 
 A distribution over the finite universe is sigma-smooth (w.r.t. the uniform base
 measure) iff every atom carries mass at most 1/(sigma*U); on finite universes the
@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .core import game_generators
 from .errors import ConfigError, SmoothnessError, check_keys, parse_field, read_ids
 from .hypotheses import HYPOTHESIS_KEYS, Hypothesis, RegionFamily, evaluate, read_hypothesis
 
@@ -155,7 +156,8 @@ def read_static_set(ids, size: int, sigma: float) -> Optional[list]:
 
 
 class StaticSubsetRule:
-    """Context rule: uniform on a fixed subset of the universe."""
+    """Context rule: uniform on a fixed subset of the universe, by default the
+    first ceil(sigma * U) ids."""
 
     def __init__(self, subset: Optional[Sequence[int]] = None):
         self.subset = None if subset is None else np.asarray(subset, dtype=np.int64)
@@ -166,59 +168,10 @@ class StaticSubsetRule:
         else:
             self._set = self.subset
 
-    def observe(self, x: int, q: float, y: int) -> None:
+    def observe(self, xs, qs, ys) -> None:
         pass
 
     def target_set(self) -> np.ndarray:
-        return self._set
-
-
-class AdaptiveExtremenessRule:
-    """Context rule concentrating where the learner's last prediction was most extreme.
-
-    Tracks the most recent prediction per context (1/2 before any visit) and
-    proposes the ceil(sigma*U) contexts with the largest |q - 1/2|, a heuristic
-    stress rule with no optimality claim. Ties break to the lowest context id.
-
-    One observation moves one key, so the set can change only if the observed
-    context is an outsider, or an insider whose key falls below the best
-    outsider's. The set, its membership mask and that best outsider are kept
-    between rounds, and the argsort reruns only after such an observation.
-    When every context is drawn from the set, the set stays the first
-    ceil(sigma*U) ids: an insider's key (|q - 1/2|, lower id first) always
-    beats an unvisited outsider's (0, id >= ceil(sigma*U)).
-    """
-
-    def reset(self, size: int, sigma: float) -> None:
-        self._k = min_support_size(sigma, size)
-        self._last_q = np.full(size, 0.5)
-        self._stale = True
-
-    def observe(self, x: int, q: float, y: int) -> None:
-        self._last_q[x] = q
-        if self._stale or self._best is None:
-            return
-        if not self._inside[x]:
-            self._stale = True
-            return
-        e = abs(float(q) - 0.5)
-        best_e, best = self._best
-        if e < best_e or (e == best_e and x > best):
-            self._stale = True
-
-    def target_set(self) -> np.ndarray:
-        if self._stale:
-            extremeness = np.abs(self._last_q - 0.5)
-            order = np.argsort(-extremeness, kind="stable")
-            self._set = np.sort(order[: self._k])
-            self._set.flags.writeable = False
-            self._inside = np.zeros(self._last_q.size, dtype=bool)
-            self._inside[self._set] = True
-            self._best = None       # (extremeness, id) of the best outsider, if any
-            if self._k < order.size:
-                best = int(order[self._k])
-                self._best = (float(extremeness[best]), best)
-            self._stale = False
         return self._set
 
 
@@ -226,30 +179,45 @@ class GreedyLabelRule:
     """Per-round loss-maximizing label: the side the learner considers less
     likely. Ties at q = 1/2 resolve to 0 for determinism."""
 
-    def reset(self, rng):
+    def reset(self, rngs):
         pass
 
-    def label(self, x: int, q: float) -> int:
-        return 0 if q >= 0.5 else 1
+    def label(self, xs, qs):
+        return qs < 0.5
+
+
+# Rounds of label uniforms a realizable rule draws from each game's generator at once
+_LABEL_ROWS = 256
 
 
 class RealizableLabelRule:
-    """Labels drawn from a fixed hypothesis: y ~ Bernoulli(f*(x))."""
+    """Labels drawn from a fixed hypothesis: y ~ Bernoulli(f*(x)), one uniform
+    from the game's generator per round, drawn _LABEL_ROWS rounds at a time
+    with the values one draw per round takes."""
 
     def __init__(self, f_star: Hypothesis, family: RegionFamily):
         self.f_star = f_star
         self.family = family
+        self._p = evaluate(family, f_star, np.arange(family.size))     # f*(x) for every x
 
-    def reset(self, rng):
-        self._rng = rng
+    def reset(self, rngs):
+        self._rngs, self._shape = game_generators(rngs)
+        self._uniforms = np.zeros((0,) + self._shape)
+        self._row = 0
 
-    def label(self, x: int, q: float) -> int:
-        return int(self._rng.random() < evaluate(self.family, self.f_star, x))
+    def label(self, xs, qs):
+        i = self._row
+        if i == len(self._uniforms):
+            self._uniforms = np.stack([rng.random(_LABEL_ROWS) for rng in self._rngs],
+                                      axis=1).reshape((_LABEL_ROWS,) + self._shape)
+            i = 0
+        self._row = i + 1
+        return self._uniforms[i] < self._p[xs]
 
 
 class FixedSequenceLabelRule:
-    """Labels replayed from a fixed list, one per round since `reset`; raises
-    if the game outruns it."""
+    """Labels replayed from a fixed list, one per round since `reset` and the
+    same in every game; raises if the game outruns it."""
 
     def __init__(self, labels: Sequence[int]):
         self.labels = [parse_field(v, f"adversary.labels[{i}]", int)
@@ -258,10 +226,10 @@ class FixedSequenceLabelRule:
             if y not in (0, 1):
                 raise ConfigError(f"adversary.labels[{i}]: {y} is not 0 or 1")
 
-    def reset(self, rng):
+    def reset(self, rngs):
         self._t = 0
 
-    def label(self, x: int, q: float) -> int:
+    def label(self, xs, qs) -> int:
         if self._t >= len(self.labels):
             raise ConfigError(f"adversary.labels: exhausted after {len(self.labels)} rounds")
         self._t += 1
@@ -269,8 +237,8 @@ class FixedSequenceLabelRule:
 
 
 class AdversaryPolicy:
-    """Adaptive context rule plus label rule over the contexts {0, ..., size-1},
-    owning per-trajectory RNG.
+    """Context rule plus label rule over the contexts {0, ..., size-1}. The
+    label rule owns the games' generators.
 
     Every emitted distribution is validated sigma-smooth on construction, so a
     violation anywhere in a run surfaces as SmoothnessError.
@@ -284,9 +252,9 @@ class AdversaryPolicy:
         self.sigma = sigma
         self.size = size
 
-    def reset(self, rng: np.random.Generator) -> None:
+    def reset(self, rngs) -> None:
         self.context_rule.reset(self.size, self.sigma)
-        self.label_rule.reset(rng)
+        self.label_rule.reset(rngs)
         self._dist = self._key = None
 
     def context_distribution(self) -> SmoothDistribution:
@@ -301,11 +269,11 @@ class AdversaryPolicy:
             self._key = key
         return self._dist
 
-    def label(self, x: int, q: float) -> int:
-        return self.label_rule.label(x, q)
+    def label(self, xs, qs):
+        return self.label_rule.label(xs, qs)
 
-    def observe(self, x: int, q: float, y: int) -> None:
-        self.context_rule.observe(x, q, y)
+    def observe(self, xs, qs, ys) -> None:
+        self.context_rule.observe(xs, qs, ys)
 
 
 def _f_star(fs, family: RegionFamily) -> Hypothesis:
@@ -350,12 +318,12 @@ def adversary_from_spec(spec: dict, family: RegionFamily, sigma: float) -> Adver
     else:
         raise ConfigError(f"adversary.label: unknown kind {label_kind!r}")
 
-    if rule == "static":
-        context_rule = StaticSubsetRule(subset)
-    elif rule == "adaptive":
-        context_rule = AdaptiveExtremenessRule()
-    else:
+    # "adaptive" names the default static set: a rule that moved toward the
+    # learner's most extreme predictions never left it, as every context is
+    # drawn from the set itself
+    if rule not in ("static", "adaptive"):
         raise ConfigError(f"adversary.rule: unknown rule {rule!r}")
+    context_rule = StaticSubsetRule(subset)
 
     policy = AdversaryPolicy(context_rule, label_rule, sigma, family.size)
     known = ["context", "rule", "label", *_LABEL_KEYS[label_kind]]

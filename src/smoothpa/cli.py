@@ -94,9 +94,9 @@ def _cmd_cover(args) -> dict:
     return {"cover": [int(i) for i in idx], "size": len(idx)}
 
 
-def _finite(value, name: str) -> float:
-    value = parse_field(value, name, float)
-    if not math.isfinite(value):
+def _finite(value, name: str):
+    """value as given, if it is a finite number; fit_scaling converts it."""
+    if not math.isfinite(parse_field(value, name, float)):
         raise ConfigError(f"{name}: {value!r} is not a finite number")
     return value
 

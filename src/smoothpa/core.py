@@ -1,7 +1,7 @@
 """Game-level primitives: log-loss, the interaction loop, regret accounting.
 
-Losses are in nats throughout. A prediction is a plain float q1 in [0, 1], the
-probability assigned to label 1.
+Losses are in nats throughout. A prediction is a float q1 in [0, 1], the
+probability assigned to label 1; games played in lockstep hold one each.
 """
 
 from __future__ import annotations
@@ -13,24 +13,40 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfiniteLossError, allocate
+from .hypotheses import _BLOCK_BYTES
 
 CSV_HEADER = "run_id,seed,t,learner_loss,cum_learner_loss,cum_comparator_loss,cum_regret"
 
 
-def log_loss(q1: float, y: int) -> float:
-    """Log-loss -ln q(y) of predicting q1 = q(1) when label y is realized.
+def log_loss(q1, y):
+    """Log-loss -ln q(y) of predicting q1 = q(1) when label y is realized, for
+    one round or elementwise over arrays of them; each log is `math.log`'s.
 
     Deterministic predictions (q1 in {0, 1}) are admitted only when correct;
-    a contradicted one raises InfiniteLossError rather than returning inf.
+    a contradicted one raises InfiniteLossError rather than returning inf. Over
+    arrays, the first bad entry in row-major order raises its own error.
     """
-    if not 0.0 <= q1 <= 1.0:
-        raise ValueError(f"prediction {q1} outside [0, 1]")
-    if y not in (0, 1):
-        raise ValueError(f"label {y} not in {{0, 1}}")
-    p = q1 if y == 1 else 1.0 - q1
-    if p == 0.0:
-        raise InfiniteLossError(f"deterministic prediction q1={q1} contradicted by y={y}")
-    return -math.log(p)
+    q1, y = np.asarray(q1, dtype=np.float64), np.asarray(y)
+    p = np.where(y == 1, q1, 1.0 - q1)
+    bad = ~((q1 >= 0.0) & (q1 <= 1.0) & ((y == 0) | (y == 1)) & (p != 0.0))
+    if bad.any():
+        i = np.unravel_index(np.flatnonzero(bad)[0], bad.shape)
+        q, label = q1[i].item(), y[i].item()
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"prediction {q} outside [0, 1]")
+        if label not in (0, 1):
+            raise ValueError(f"label {label} not in {{0, 1}}")
+        raise InfiniteLossError(f"deterministic prediction q1={q} contradicted by y={label}")
+    losses = -np.fromiter(map(math.log, p.ravel().tolist()), np.float64, p.size)
+    return losses.reshape(p.shape) if p.ndim else float(losses[0])
+
+
+def game_generators(rngs) -> tuple[list, tuple]:
+    """The generators a player's `reset` got, as a list, and the shape of the
+    per-round values it then takes: a list or tuple of R generators plays R
+    games in lockstep, on (R,) arrays of contexts, predictions and labels;
+    anything else is the one generator of a single game, played on scalars."""
+    return (list(rngs), (len(rngs),)) if isinstance(rngs, (list, tuple)) else ([rngs], ())
 
 
 @dataclass
@@ -53,46 +69,75 @@ class GameTrace:
         return np.cumsum(self.losses)
 
 
-def allocate_columns(T: int) -> list[np.ndarray]:
-    """One game's five zeroed T-long columns: xs and ys (int64), then qs,
-    losses and comparator (float64). A T whose columns numpy cannot allocate
-    raises ConfigError, e.g. `T: 4611686018427387904 rounds are more than
-    numpy can allocate`."""
-    return [allocate(T, "T", "rounds", lambda: np.zeros(T, dtype))
+def allocate_columns(T: int, R: int = 1) -> list[np.ndarray]:
+    """The five zeroed columns of R games played in lockstep, of shape (T,)
+    for one game and (T, R) for more: xs and ys (int64), then qs, losses and
+    comparator (float64), row t - 1 holding round t. A size numpy cannot
+    allocate raises ConfigError, e.g. `T: 4611686018427387904 rounds are more
+    than numpy can allocate`."""
+    unit, shape = ("rounds", (T,)) if R == 1 else (f"rounds of {R} repetitions", (T, R))
+    return [allocate(T, "T", unit, lambda: np.zeros(shape, dtype))
             for dtype in (np.int64, np.int64, np.float64, np.float64, np.float64)]
 
 
-def run_game(learner, adversary, T: int, seed: int, run_id: str = "game") -> GameTrace:
-    """Play one seeded trajectory of the assignment game.
+def run_game(learner, adversary, T: int, seed, run_id="game"):
+    """Play seeded trajectories of the assignment game: one GameTrace for one
+    `seed`, or a list of R GameTraces for a sequence of R seeds with a
+    sequence of R `run_id`s, the R games played in lockstep.
 
-    Per round: the adversary emits a smooth context distribution (any object
-    with `sample(rng) -> int`), a context x is drawn from it, the learner
-    predicts q, the adversary picks the label y after seeing the prediction,
-    the loss is recorded, and both players observe the round. The adversary
-    learns the past only through `observe(x, q, y)`.
-    The comparator column is left at zero; the harness fills it offline.
-
-    All randomness (context draws, learner perturbations, label coin flips)
-    derives from `seed`, so a repeated call is bit-identical.
+    Each game has its own generators for its context draws, its learner and
+    its adversary, spawned from its seed, so each game of a call equals, bit
+    for bit, the game a call with its seed alone plays, and a repeated call
+    is bit-identical. Both players are reset with the generators of their kind:
+    a list of R of them when R > 1, and every round's contexts, predictions
+    and labels are then (R,) arrays; the one generator, and scalars, for a
+    single game. Per round the adversary emits one smooth context
+    distribution for all games, each game's context is where its next
+    uniform falls in that distribution's cdf (the uniforms are drawn a block
+    of rounds at a time, with the values one draw per round takes), the
+    learner predicts q, the adversary picks the labels y after seeing the
+    predictions, and both players observe the round. Each value is written
+    to its column first, and the players get the column's entries: int64
+    contexts and labels, float64 predictions. The adversary learns the past
+    only through `observe(x, q, y)`. The losses are taken by `log_loss` for a
+    block of rounds once it is played, so an invalid or contradicted
+    prediction raises at the end of its block. The comparator column is left
+    at zero; the harness fills it offline.
     """
     if T < 1:
         raise ValueError("horizon T must be >= 1")
-    ss = np.random.SeedSequence(seed)
-    ctx_ss, learner_ss, adv_ss = ss.spawn(3)
-    ctx_rng = np.random.default_rng(ctx_ss)
-    learner.reset(np.random.default_rng(learner_ss))
-    adversary.reset(np.random.default_rng(adv_ss))
+    single = np.ndim(seed) == 0
+    seeds, run_ids = ([seed], [run_id]) if single else (list(seed), list(run_id))
+    if not seeds or len(run_ids) != len(seeds):
+        raise ValueError(f"{len(seeds)} seeds and {len(run_ids)} run ids: need one of each "
+                         f"per game, and at least one game")
+    R = len(seeds)
+    streams = [np.random.SeedSequence(s).spawn(3) for s in seeds]
+    ctx_rngs, learner_rngs, adv_rngs = ([np.random.default_rng(ss[i]) for ss in streams]
+                                        for i in range(3))
+    learner.reset(learner_rngs if R > 1 else learner_rngs[0])
+    adversary.reset(adv_rngs if R > 1 else adv_rngs[0])
 
-    xs, ys, qs, losses, comparator = allocate_columns(T)
-    for t in range(T):
-        x = int(adversary.context_distribution().sample(ctx_rng))
-        q = float(learner.predict(x))
-        y = int(adversary.label(x, q))
-        losses[t] = log_loss(q, y)
-        learner.update(x, y)
-        adversary.observe(x, q, y)
-        xs[t], ys[t], qs[t] = x, y, q
-    return GameTrace(run_id, seed, xs, ys, qs, losses, comparator)
+    xs, ys, qs, losses, comparator = allocate_columns(T, R)
+    rows = max(1, _BLOCK_BYTES // (8 * R))
+    for start in range(0, T, rows):
+        stop = min(start + rows, T)
+        uniforms = np.stack([rng.random(stop - start) for rng in ctx_rngs], axis=-1)
+        for t, u in enumerate(uniforms if R > 1 else uniforms[:, 0], start):
+            dist = adversary.context_distribution()
+            x = dist.ids[dist.cdf.searchsorted(u, side="right")]
+            xs[t] = x
+            qs[t] = learner.predict(x)
+            q = qs[t]
+            ys[t] = adversary.label(x, q)
+            y = ys[t]
+            learner.update(x, y)
+            adversary.observe(x, q, y)
+        losses[start:stop] = log_loss(qs[start:stop], ys[start:stop])
+    traces = [GameTrace(run_ids[r], seeds[r], *(np.ascontiguousarray(col.reshape(T, R)[:, r])
+                                                 for col in (xs, ys, qs, losses, comparator)))
+              for r in range(R)]
+    return traces[0] if single else traces
 
 
 def format_records_csv(traces: Sequence[GameTrace]) -> str:

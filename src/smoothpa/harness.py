@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .adversary import AdversaryPolicy, adversary_from_spec
-from .core import GameTrace, allocate_columns, format_records_csv, run_game
+from .core import allocate_columns, format_records_csv, run_game
 from .errors import ConfigError, NumericalAssertionError, check_keys, load_json, parse_field
 from .hypotheses import RegionFamily, prefix_best_losses
 from .learners import learner_from_spec
@@ -28,9 +28,9 @@ from .learners import learner_from_spec
 
 class Cell(NamedTuple):
     """One sweep cell: its learner spec, horizon and smoothness, and the learner
-    and adversary that every repetition of the cell plays. `run_game` resets
-    both with fresh generators, and `reset` clears all of their state, so no
-    repetition sees the one before."""
+    and adversary that play the cell's repetitions in lockstep. `run_game`
+    resets both with fresh generators, one per repetition, and `reset` clears
+    all of their state, so no game sees another's."""
 
     learner_spec: dict
     T: int
@@ -75,8 +75,8 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     """Check a config document (or the JSON file at a path) and build its sweep:
     the region family, whose size must equal `universe` if one is given, and
     per cell one learner and one adversary. Fixed-sequence labels must cover
-    the longest horizon, whose columns numpy must be able to allocate. Error
-    messages carry the offending field path."""
+    the longest horizon, whose columns for all repetitions numpy must be able
+    to allocate. Error messages carry the offending field path."""
     if isinstance(obj, (str, Path)):
         obj = load_json(obj, "config")
     if not isinstance(obj, dict):
@@ -120,8 +120,8 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     for name, n in (("T", t_max), ("repetitions", repetitions)):
         if n > sys.maxsize:     # e.g. 1e308: no array holds that many rounds or regrets
             raise ConfigError(f"{name}: above {sys.maxsize}, the most numpy can index")
-    # before any cell plays: the columns one game at the largest horizon holds
-    allocate_columns(t_max)
+    # before any cell plays: the columns a cell's games at the largest horizon hold
+    allocate_columns(t_max, repetitions)
     base_seed = parse_field(obj.get("base_seed", 0), "base_seed", int)
     output_dir = obj.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -168,10 +168,11 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
     and return the summary.json document: the config echo, the per-cell final
     regrets with their moments, and the scaling fits.
 
-    Trajectories run one after another in cell order, so outputs are
-    byte-identical across runs of the same config. A cell's CSV is written once
-    its repetitions finish; a failure still writes the repetitions of its cell
-    that finished, so an interrupt leaves complete, parseable CSV prefixes.
+    Cells run one after another in order, each one `run_game` call that plays
+    the cell's repetitions in lockstep, so outputs are byte-identical across
+    runs of the same config. A cell's CSV is written once its repetitions
+    finish and their comparators are checked; a failure writes nothing for its
+    cell, so an interrupt leaves every completed cell's CSV and no partial one.
     A comparator column that decreases from one round to the next raises
     NumericalAssertionError naming the cell, repetition and round. An output
     file that cannot be written raises ConfigError.
@@ -186,18 +187,14 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
     summary_cells: list[dict] = []
     for ci, cell in enumerate(cfg.cells):
         cell_key = {"learner": cell.learner_spec, "T": cell.T, "sigma": cell.sigma}
-        traces: list[GameTrace] = []
-        try:
-            for rep in range(cfg.repetitions):
-                trace = run_game(cell.learner, cell.adversary, cell.T,
-                                 derive_seed(cfg.base_seed, cell_key, rep),
-                                 run_id=f"c{ci:03d}r{rep:03d}")
-                trace.comparator = prefix_best_losses(trace.xs, trace.ys, cfg.family)
-                _check_nondecreasing(trace.comparator, ci, rep)
-                traces.append(trace)
-        finally:
-            if traces:
-                _write(out / f"records_cell{ci:03d}.csv", format_records_csv(traces))
+        reps = range(cfg.repetitions)
+        traces = run_game(cell.learner, cell.adversary, cell.T,
+                          [derive_seed(cfg.base_seed, cell_key, rep) for rep in reps],
+                          run_id=[f"c{ci:03d}r{rep:03d}" for rep in reps])
+        for rep, trace in enumerate(traces):
+            trace.comparator = prefix_best_losses(trace.xs, trace.ys, cfg.family)
+            _check_nondecreasing(trace.comparator, ci, rep)
+        _write(out / f"records_cell{ci:03d}.csv", format_records_csv(traces))
         finals = [float(tr.cum_losses[-1]) for tr in traces]
         regrets = np.array([f - tr.comparator[-1] for f, tr in zip(finals, traces)])
         summary_cells.append({
@@ -255,8 +252,9 @@ def _lines(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
 def fit_scaling(summary: dict, seed: int = 0) -> dict:
     """Least-squares exponents of regret vs horizon, with bootstrap CIs.
 
-    `summary` is a summary.json document; only its "cells" are read. Cells
-    group by (learner, sigma); each group with >= 4 distinct horizons yields a
+    `summary` is a summary.json document; only its "cells" are read, their
+    regrets as float64, JSON integers past 2^64 included. Cells group by
+    (learner, sigma); each group with >= 4 distinct horizons yields a
     log-log slope (regret ~ T^b) and a regret ~ a + b ln T fit. Each of the
     BOOTSTRAP_RESAMPLES resamples draws repetitions within each cell. A fitted
     value that is not finite raises NumericalAssertionError.
@@ -274,10 +272,10 @@ def fit_scaling(summary: dict, seed: int = 0) -> dict:
         ts = np.array([c["T"] for c in group], dtype=float)
         if len(np.unique(ts)) < 4:
             continue
-        means = np.array([c["mean_final_regret"] for c in group])
+        means = np.array([c["mean_final_regret"] for c in group], dtype=np.float64)
         # Resample indices for every (resample, cell, repetition) in one draw,
         # in that order; row b holds resample b's index vectors back to back.
-        vals = [np.asarray(c["final_regrets"]) for c in group]
+        vals = [np.asarray(c["final_regrets"], dtype=np.float64) for c in group]
         sizes = np.array([len(v) for v in vals])
         idx = rng.integers(0, np.tile(np.repeat(sizes, sizes), (BOOTSTRAP_RESAMPLES, 1)))
         ends = np.cumsum(sizes)

@@ -143,14 +143,19 @@ def read_hypothesis(values, path: str, family: RegionFamily) -> Hypothesis:
     return Hypothesis(region, *thetas)
 
 
-def evaluate(family: RegionFamily, h: Hypothesis, x: int) -> float:
-    """Predicted probability of label 1 at context x: theta0 inside A, theta1 outside."""
-    if not 0 <= x < family.size:
+def evaluate(family: RegionFamily, h: Hypothesis, x):
+    """Predicted probability of label 1 at context x: theta0 inside A, theta1
+    outside. x may be an array of contexts, and h's fields arrays of its
+    shape, one hypothesis per context."""
+    lo, hi = (x.min(), x.max()) if isinstance(x, np.ndarray) else (x, x)
+    if lo < 0 or hi >= family.size:
         raise ValueError(f"context {x} outside universe")
     if family.kind == THRESHOLD_GRID:
         inside = x <= h.region_index
     else:
-        inside = bool(family._member[x, h.region_index])
+        inside = family._member[x, h.region_index]
+    if isinstance(inside, np.ndarray):
+        return np.where(inside, h.theta0, h.theta1)
     return h.theta0 if inside else h.theta1
 
 
@@ -244,22 +249,41 @@ def _region_losses(counts: np.ndarray) -> np.ndarray:
     return side[0] + side[1]
 
 
+def _frequency(k, n):
+    """k / n, or 1/2 where n is 0, for Python ints or elementwise for int64
+    arrays: the correctly rounded quotient, as int division gives it. Counts
+    below 2^53 are exact in float64, where one division rounds once."""
+    if not isinstance(n, np.ndarray):
+        return k / n if n > 0 else 0.5
+    if n.max() < 2 ** 53:
+        return np.divide(k, n, out=np.full(n.shape, 0.5), where=n > 0)
+    return np.array([_frequency(a, b) for a, b in zip(k.tolist(), n.tolist())])
+
+
+# The (n, k) and (inside, outside) axes of the counts, whole
+_BOTH_SIDES = (slice(None), slice(None))
+
+
 def mle_from_region_counts(counts: np.ndarray) -> tuple[Hypothesis, float]:
     """Loss-minimizing hypothesis from per-region counts, plus its loss.
 
     counts[0] holds the samples and counts[1] the positive labels, each as
     (inside, outside) x region, the layout `side_counts` builds, integer-valued
-    as `_region_losses` needs.
+    as `_region_losses` needs. An axis between the side and the region axes,
+    counts of shape (2, 2, games, regions), holds independent problems, such
+    as the games a learner plays in lockstep: the hypothesis's fields and the
+    loss are then arrays over the games.
 
     Per region the optimal theta_j is the empirical frequency k_j/n_j (1/2 when
     the side is empty); ties between regions break to the lowest index.
     """
     losses = _region_losses(counts)
-    idx = int(losses.argmin())
-    (n_in, n_out), (k_in, k_out) = counts[:, :, idx].tolist()
-    theta0 = k_in / n_in if n_in > 0 else 0.5
-    theta1 = k_out / n_out if n_out > 0 else 0.5
-    return Hypothesis(idx, theta0, theta1), float(losses[idx])
+    idx = losses.argmin(axis=-1)
+    at = (np.arange(idx.size), idx) if idx.ndim else (idx,)
+    picked = counts[_BOTH_SIDES + at]
+    (n_in, n_out), (k_in, k_out) = picked if idx.ndim else picked.tolist()
+    h = Hypothesis(idx if idx.ndim else int(idx), _frequency(k_in, n_in), _frequency(k_out, n_out))
+    return h, losses[at]
 
 
 def mle_from_counts(counts: np.ndarray, family: RegionFamily) -> tuple[Hypothesis, float]:
@@ -279,10 +303,10 @@ def offline_best_loss(xs, ys, family: RegionFamily) -> float:
     return mle_from_counts(examples_to_counts(xs, ys, family.size), family)[1]
 
 
-# Temporary memory one block of rounds may use, in prefix_best_losses and in the
-# FTPL learner's hallucination draws; a block's row count follows from it and
-# the sizes of the family. Larger blocks save only some per-block dispatch and
-# raise peak memory.
+# Temporary memory one block of rounds may use, in prefix_best_losses, in the
+# FTPL learner's hallucination draws and in a game's context uniforms; a
+# block's row count follows from it and the sizes of the family. Larger blocks
+# save only some per-block dispatch and raise peak memory.
 _BLOCK_BYTES = 1 << 18
 
 

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .core import game_generators
 from .errors import (ConfigError, NumericalAssertionError, check_keys, parse_field,
                      positive_finite)
 from .hypotheses import (_BLOCK_BYTES, RegionFamily, THRESHOLD_GRID, evaluate,
@@ -70,13 +71,13 @@ def truncation_range(alpha: float) -> tuple[float, float]:
 class UniformLearner:
     """Baseline assigning 1/2 always; per-round loss is exactly ln 2."""
 
-    def reset(self, rng: np.random.Generator) -> None:
+    def reset(self, rngs) -> None:
         pass
 
-    def predict(self, x: int) -> float:
+    def predict(self, xs) -> float:
         return 0.5
 
-    def update(self, x: int, y: int) -> None:
+    def update(self, xs, ys) -> None:
         pass
 
 
@@ -88,15 +89,15 @@ class KtLearner:
             raise ConfigError(f"kt.beta: {beta} must be positive")
         self.beta = beta
 
-    def reset(self, rng: np.random.Generator) -> None:
-        self._ones = 0
+    def reset(self, rngs) -> None:
+        self._ones = np.zeros(game_generators(rngs)[1])[()]
         self._rounds = 0
 
-    def predict(self, x: int) -> float:
+    def predict(self, xs):
         return (self._ones + self.beta) / (self._rounds + 2.0 * self.beta)
 
-    def update(self, x: int, y: int) -> None:
-        self._ones += y
+    def update(self, xs, ys) -> None:
+        self._ones = self._ones + ys
         self._rounds += 1
 
 
@@ -104,53 +105,77 @@ class MixtureLearner:
     """Uniform Bayes mixture over a cover of the region family, such as the
     regions `epsilon_cover` picks.
 
-    Per cover element i it keeps counts n[i, j], k[i, j] on side j (0 inside,
-    1 outside) and the log marginal ln[B(k0, n0) * B(k1, n1)] of the labels
-    seen so far. Context x's side of element i is the flat index 2i + j into
-    n and k, read through `family.contains`, so the learner holds O(cover)
-    memory whatever the size of the context space.
+    Per game and cover element i it keeps counts n[i, j] on side j (0 inside,
+    1 outside), the counts of each label there (`k` holds the 1s) and the log
+    marginal ln[B(k0, n0) * B(k1, n1)] of the labels seen so far. It stores
+    the counts as n + 2 and as label counts + 1, the terms of the Laplace
+    factors, exact while they are integers below 2^53. Context x's side of
+    element i is a flat index into them, 2i + j plus the game's offset, read
+    through `family.contains`, so the learner holds O(cover) memory per game
+    whatever the size of the context space.
     """
 
     def __init__(self, family: RegionFamily, cover):
         self.family = family
         self.cover = np.asarray(cover, dtype=np.int64)
-        # element i's outside side is 2i + 1, its inside side one less
-        self._outside = np.arange(1, 2 * self.cover.size, 2)
 
-    def reset(self, rng: np.random.Generator) -> None:
-        m = self.cover.size
-        self.n = np.zeros((m, 2))
-        self.k = np.zeros((m, 2))
-        self.log_marginal = np.zeros(m)
+    def reset(self, rngs) -> None:
+        shape, m = game_generators(rngs)[1], self.cover.size
+        self._n2 = np.full(shape + (m, 2), 2.0)
+        self._labels1 = np.ones((2,) + shape + (m, 2))      # the 0s, then the 1s
+        self.log_marginal = np.zeros(shape + (m,))
+        # element i's outside side is 2i + 1 past its game's offset, its inside one less
+        games = np.arange(self._n2.size // (2 * m)).reshape(shape + (1,))
+        self._outside = np.arange(1, 2 * m, 2) + 2 * m * games
+        self._predicted = None      # the last prediction's contexts, sides and n_j + 2
 
-    def _gather(self, x: int):
-        """x's flat side indices and the counts n_j, k_j on them."""
-        side = self._outside - self.family.contains(x, self.cover)
-        return side, self.n.take(side), self.k.take(side)
+    @property
+    def n(self) -> np.ndarray:
+        """The examples per game, cover element and side."""
+        return self._n2 - 2.0
 
-    def predict(self, x: int) -> float:
+    @property
+    def k(self) -> np.ndarray:
+        """The labels 1 per game, cover element and side."""
+        return self._labels1[1] - 1.0
+
+    def _sides(self, xs):
+        """The flat side indices of xs and the terms n_j + 2 on them."""
+        side = self._outside - self.family.contains(xs, self.cover)
+        return side, self._n2.take(side)
+
+    def predict(self, xs):
         """Posterior-weighted add-one rule: sum_i w_i (k_j + 1)/(n_j + 2) on x's side.
 
         The per-element factor is the exact ratio of consecutive Beta integrals, so
         the sequential products telescope to the joint mixture probability. The
         weights are the marginals shifted by their maximum before exponentiating,
-        so they cannot all underflow.
+        so they cannot all underflow. Each game's weighted sum is one matrix
+        product of a row and a column, which rounds as the dot product does.
         """
-        _, n_j, k_j = self._gather(x)
+        side, n2_j = self._sides(xs)
+        self._predicted = xs, side, n2_j
+        f = self._labels1[1].take(side) / n2_j
         lm = self.log_marginal
-        w = np.exp(lm - lm.max())
-        q1 = float(w @ ((k_j + 1.0) / (n_j + 2.0)) / w.sum())
-        return min(max(q1, _Q_MIN), _Q_MAX)
+        w = np.exp(lm - lm.max(axis=-1, keepdims=True))
+        q1 = (w[..., None, :] @ f[..., None])[..., 0, 0] / w.sum(axis=-1)
+        return np.minimum(np.maximum(q1, _Q_MIN), _Q_MAX)
 
-    def update(self, x: int, y: int) -> None:
+    def update(self, xs, ys) -> None:
         """Bump the counts on x's side and shift the log marginals by the log
-        Laplace factor of the realized label."""
-        side, n_j, k_j = self._gather(x)
-        hits = k_j + 1.0 if y == 1 else n_j - k_j + 1.0
-        self.log_marginal += np.log(hits / (n_j + 2.0))
-        np.put(self.n, side, n_j + 1.0)
-        if y == 1:
-            np.put(self.k, side, k_j + 1.0)
+        Laplace factor of the realized label: one more than its count there,
+        over n_j + 2. Given the very contexts object the last prediction got,
+        as a game passes it, the update reuses that prediction's sides."""
+        predicted, self._predicted = self._predicted, None
+        if predicted is not None and predicted[0] is xs:
+            side, n2_j = predicted[1:]
+        else:
+            side, n2_j = self._sides(xs)
+        label_side = side + np.multiply(ys, self._n2.size)[..., None]
+        hits = self._labels1.take(label_side)
+        self.log_marginal += np.log(hits / n2_j)
+        self._n2.put(side, n2_j + 1.0)
+        self._labels1.put(label_side, hits + 1.0)
 
 
 class FtplLearner:
@@ -160,11 +185,12 @@ class FtplLearner:
     Each prediction refits the oracle on the history plus fresh hallucinated
     samples: Poisson(n) of them uniform over (context, label), drawn as
     independent Poisson(n / 2U) counts per cell (Poisson splitting). The
-    learner keeps its history as the oracle's int64 (n, k) x (inside,
-    outside) x region counts, and draws the hallucinations for a block of
-    rounds at once, in the same layout, which takes the same values from its
-    generator as one draw per round. Every block holds as many rounds as the
-    shared byte budget allows.
+    learner keeps each game's history as the oracle's int64 (n, k) x
+    (inside, outside) x region counts, the games on the axis before the
+    regions, and draws each game's hallucinations for a block of rounds at
+    once from that game's generator, in the same layout, which takes the
+    same values from it as one draw per round. Every block holds as many
+    rounds as the shared byte budget allows for one game.
     """
 
     def __init__(self, family: RegionFamily, n: float, alpha: float):
@@ -175,40 +201,50 @@ class FtplLearner:
         self.family, self.n, self.alpha = family, n, alpha
         self._lo, self._hi = truncation_range(alpha)
 
-    def reset(self, rng: np.random.Generator) -> None:
+    def reset(self, rngs) -> None:
         u, m = self.family.size, len(self.family)
-        self.rng = rng
-        self._counts = np.zeros((2, 2, m), dtype=np.int64)
-        # 8-byte words per row of a block while it is drawn: the draw (2U), the
-        # inside and outside counts (2m each), the stacked block row (4m) and
-        # the previous block's row (4m), alive until replaced
+        self._rngs, self._shape = game_generators(rngs)
+        self._counts = np.zeros((2, 2) + self._shape + (m,), dtype=np.int64)
+        self._bump = np.ones((2, 1) + self._shape + (1,), dtype=bool)     # rows an update adds to
+        # 8-byte words per row of a game's block while it is drawn: the draw
+        # (2U), the inside and outside counts (2m each), the stacked block row
+        # (4m) and the previous block's row (4m), alive until replaced; the
+        # games' draws are stacked into one more copy (2U) while it is built
         self._rows = max(1, _BLOCK_BYTES // (8 * (2 * u + 12 * m)))
-        self._block = np.zeros((0, 2, 2, m), dtype=np.int64)     # no rounds drawn yet
+        self._block = np.zeros((0, 2, 2) + self._shape + (m,), dtype=np.int64)
         self._row = 0
 
     def _draw_block(self) -> None:
         u = self.family.size
-        hal = self.rng.poisson(self.n / (2.0 * u), size=(self._rows, 2, u))
-        hal[:, 0] += hal[:, 1]          # (samples, positive labels) per context
-        self._block = side_counts(hal, self.family)
+        hal = np.stack([rng.poisson(self.n / (2.0 * u), size=(self._rows, 2, u))
+                        for rng in self._rngs], axis=1)
+        hal[..., 0, :] += hal[..., 1, :]      # (samples, positive labels) per context
+        counts = np.moveaxis(side_counts(hal, self.family), 1, -2)
+        self._block = counts.reshape(counts.shape[:3] + self._shape + counts.shape[-1:])
 
-    def predict(self, x: int) -> float:
+    def predict(self, xs):
         i = self._row
         if i == len(self._block):
             self._draw_block()
             i = 0
         self._row = i + 1
         h, _ = mle_from_region_counts(self._counts + self._block[i])
-        q = (evaluate(self.family, h, x) + self.alpha) / (1.0 + 2.0 * self.alpha)
-        if not self._lo <= q <= self._hi:
+        q = (evaluate(self.family, h, xs) + self.alpha) / (1.0 + 2.0 * self.alpha)
+        # a single game's q is a float
+        if not (self._lo <= q <= self._hi if isinstance(q, float)
+                else ((self._lo <= q) & (q <= self._hi)).all()):
+            flat = np.ravel(q)
+            escaped = flat[~((self._lo <= flat) & (flat <= self._hi))][0]
             raise NumericalAssertionError(
-                f"FTPL prediction {q} escaped [{self._lo}, {self._hi}]")
+                f"FTPL prediction {escaped} escaped [{self._lo}, {self._hi}]")
         return q
 
-    def update(self, x: int, y: int) -> None:
-        inside = self.family.contains(x)
-        # x's side of every region, into the n row and, when y = 1, the k row
-        self._counts[:1 + y] += np.array((inside, ~inside))
+    def update(self, xs, ys) -> None:
+        inside = self.family.contains(xs)
+        # x's side of every region, into the n row and, in the games where
+        # y = 1, the k row
+        self._bump[1, 0, ..., 0] = ys
+        np.add(self._counts, np.array((inside, ~inside)), out=self._counts, where=self._bump)
 
 
 def default_ftpl_tuning(T: int, sigma: float) -> tuple[float, float]:

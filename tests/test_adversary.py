@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from smoothpa import Hypothesis, SmoothnessError, UniformLearner, run_game, validate_smooth
-from smoothpa.adversary import (AdaptiveExtremenessRule, AdversaryPolicy,
-                                FixedSequenceLabelRule, GreedyLabelRule, RealizableLabelRule,
-                                SmoothDistribution, StaticSubsetRule, adversary_from_spec,
-                                min_support_size)
+from smoothpa.adversary import (AdversaryPolicy, FixedSequenceLabelRule, GreedyLabelRule,
+                                RealizableLabelRule, SmoothDistribution, StaticSubsetRule,
+                                adversary_from_spec, min_support_size)
 from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import RegionFamily
 from smoothpa.learners import MixtureLearner, epsilon_cover
@@ -38,10 +37,9 @@ def test_validate_smooth_minimal_support():
     assert ok
     # however small sigma * U is, a target set holds at least one context
     assert min_support_size(1e-300, 8) == 1
-    for rule in (StaticSubsetRule(), AdaptiveExtremenessRule()):
-        trace = run_game(UniformLearner(), AdversaryPolicy(rule, GreedyLabelRule(), 1e-300, 8),
-                         4, seed=0)
-        assert len(trace.xs) == 4
+    trace = run_game(UniformLearner(),
+                     AdversaryPolicy(StaticSubsetRule(), GreedyLabelRule(), 1e-300, 8), 4, seed=0)
+    assert len(trace.xs) == 4
 
 
 def test_validate_smooth_rejects_bad_vectors():
@@ -212,50 +210,29 @@ def test_adversary_from_spec_rejects_bad_static_set(ids, message):
         adversary_from_spec(spec, RegionFamily.threshold_grid(8), sigma=0.5)
 
 
-def argsort_target_set(last_q, k):
-    """The adaptive rule's set recomputed from scratch: the k contexts with the
-    largest |q - 1/2|, ties to the lowest id, in ascending order."""
-    order = np.argsort(-np.abs(last_q - 0.5), kind="stable")
-    return np.sort(order[:k])
+class RecordingPolicy(AdversaryPolicy):
+    """Wrapper capturing every emitted distribution (its read-only pmf) for
+    invariant checks."""
 
+    def __init__(self, inner):
+        super().__init__(inner.context_rule, inner.label_rule, inner.sigma, inner.size)
+        self.emitted = []
 
-def test_adaptive_rule_matches_argsort_on_random_observations():
-    # q values on a coarse grid so that keys tie; contexts drawn from the whole
-    # universe so that outsiders are observed and the set really changes
-    rng = np.random.default_rng(5)
-    changes = 0
-    for trial in range(300):
-        u = int(rng.integers(1, 24))
-        sigma = float(rng.choice([1e-9, 0.1, 0.3, 0.5, 0.9, 1.0]))
-        k = min_support_size(sigma, u)
-        rule = AdaptiveExtremenessRule()
-        rule.reset(u, sigma)
-        last_q = np.full(u, 0.5)
-        prev = rule.target_set()
-        assert np.array_equal(prev, np.arange(k))
-        for _ in range(60):
-            for _ in range(int(rng.integers(1, 3))):     # sometimes two observations a round
-                x = int(rng.integers(u))
-                q = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
-                rule.observe(x, q, 0)
-                last_q[x] = q
-            got = rule.target_set()
-            assert np.array_equal(got, argsort_target_set(last_q, k))
-            changes += not np.array_equal(got, prev)
-            prev = got
-    assert changes > 100
+    def context_distribution(self):
+        dist = super().context_distribution()
+        self.emitted.append(dist.pmf)
+        return dist
 
 
 def test_adaptive_rule_set_fixed_when_drawn_from_itself():
-    rule = AdaptiveExtremenessRule()
-    rule.reset(32, 0.25)
-    rng = np.random.default_rng(0)
-    first = rule.target_set()
-    for _ in range(500):
-        x = int(rng.choice(rule.target_set()))
-        rule.observe(x, float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0])), 0)
-        assert rule.target_set() is first
-    assert np.array_equal(first, np.arange(8))
+    # "adaptive" names the default static set: every context is drawn from it
+    fam = RegionFamily.threshold_grid(32)
+    adv = RecordingPolicy(adversary_from_spec({"rule": "adaptive"}, fam, sigma=0.25))
+    trace = run_game(MixtureLearner(fam, epsilon_cover(fam, 0.1)), adv, 500, seed=0)
+    first = adv.emitted[0]
+    assert all(pmf is first for pmf in adv.emitted)
+    assert np.array_equal(np.flatnonzero(first), np.arange(8))
+    assert set(trace.xs.tolist()) <= set(range(8))
 
 
 class ListRule:
@@ -327,24 +304,11 @@ def test_custom_rule_with_non_integer_ids_fails_the_run():
         adv.context_distribution()
 
 
-class RecordingPolicy(AdversaryPolicy):
-    """Wrapper capturing every emitted distribution for invariant checks."""
-
-    def __init__(self, inner):
-        super().__init__(inner.context_rule, inner.label_rule, inner.sigma, inner.size)
-        self.emitted = []
-
-    def context_distribution(self):
-        dist = super().context_distribution()
-        self.emitted.append(dist.pmf.copy())
-        return dist
-
-
 def test_adaptive_rule_emits_valid_distributions_for_1000_rounds():
     fam = RegionFamily.threshold_grid(16)
-    adv = RecordingPolicy(AdversaryPolicy(AdaptiveExtremenessRule(), GreedyLabelRule(), 0.3, 16))
+    adv = RecordingPolicy(adversary_from_spec({"rule": "adaptive"}, fam, sigma=0.3))
     learner = MixtureLearner(fam, epsilon_cover(fam, 0.1))
-    run_game(learner, adv, 1000, seed=21)
+    run_game(learner, adv, 1000, seed=[21, 22, 23], run_id=["a", "b", "c"])
     assert len(adv.emitted) == 1000
     for pmf in adv.emitted:
         ok, idx = validate_smooth(pmf, 0.3)

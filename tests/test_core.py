@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from smoothpa import AdversaryPolicy, InfiniteLossError, UniformLearner, log_loss, run_game
-from smoothpa.adversary import (AdaptiveExtremenessRule, FixedSequenceLabelRule,
-                                GreedyLabelRule, StaticSubsetRule)
+from smoothpa import AdversaryPolicy, InfiniteLossError, UniformLearner, core, log_loss, run_game
+from smoothpa.adversary import (FixedSequenceLabelRule, GreedyLabelRule, StaticSubsetRule,
+                                adversary_from_spec)
 from smoothpa.core import CSV_HEADER, format_records_csv
 from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import RegionFamily, offline_best_loss, prefix_best_losses
-from smoothpa.learners import KtLearner
+from smoothpa.learners import KtLearner, learner_from_spec
+
+from oracles import run_game_one_round_at_a_time
 
 LN2 = math.log(2.0)
 
@@ -83,7 +85,7 @@ def test_play_game_uniform_learner_all_ln2():
 
 
 def test_play_game_seeded_determinism():
-    make = lambda: AdversaryPolicy(AdaptiveExtremenessRule(), GreedyLabelRule(), 0.3, 16)
+    make = lambda: AdversaryPolicy(StaticSubsetRule(), GreedyLabelRule(), 0.3, 16)
     a = run_game(UniformLearner(), make(), 50, seed=123)
     b = run_game(UniformLearner(), make(), 50, seed=123)
     columns = ("xs", "ys", "qs", "losses", "comparator")
@@ -179,69 +181,139 @@ def test_csv_schema_and_significant_digits():
 
 
 class RecordingLearner:
-    """Predicts from a fixed list of probabilities and logs every call."""
+    """Predicts from a fixed list of probabilities, the same in every game,
+    and logs every call."""
 
     def __init__(self, log, qs):
         self.log = log
         self.qs = qs
 
-    def reset(self, rng):
+    def reset(self, rngs):
         self.t = 0
+        self.log.append(("reset", rngs))
 
-    def predict(self, x):
+    def predict(self, xs):
         q = self.qs[self.t % len(self.qs)]
-        self.log.append(("predict", x, q))
+        self.log.append(("predict", xs.tolist(), q))
         return q
 
-    def update(self, x, y):
+    def update(self, xs, ys):
         self.t += 1
-        self.log.append(("update", x, y))
+        self.log.append(("update", xs.tolist(), ys.tolist()))
 
 
 class RecordingPolicy(AdversaryPolicy):
-    """An adversary that logs every call it and its distributions receive."""
+    """An adversary that logs every call it receives."""
 
     def __init__(self, log, sigma, labels):
-        super().__init__(AdaptiveExtremenessRule(), FixedSequenceLabelRule(labels), sigma, 8)
+        super().__init__(StaticSubsetRule(), FixedSequenceLabelRule(labels), sigma, 8)
         self.log = log
+
+    def reset(self, rngs):
+        self.log.append(("reset", rngs))
+        super().reset(rngs)
 
     def context_distribution(self, *args):
         self.log.append(("context_distribution", *args))
-        dist = super().context_distribution()
-        log = self.log
+        return super().context_distribution()
 
-        class Logged:
-            def sample(self, rng):
-                x = dist.sample(rng)
-                log.append(("sample", rng, x))
-                return x
-        return Logged()
-
-    def label(self, *args):
-        y = super().label(*args)
-        self.log.append(("label", *args, y))
+    def label(self, xs, qs):
+        y = super().label(xs, qs)
+        self.log.append(("label", xs.tolist(), qs.tolist(), y))
         return y
 
-    def observe(self, *args):
-        self.log.append(("observe", *args))
-        super().observe(*args)
+    def observe(self, xs, qs, ys):
+        self.log.append(("observe", xs.tolist(), qs.tolist(), ys.tolist()))
+        super().observe(xs, qs, ys)
 
 
 def test_run_game_round_protocol():
     log = []
     labels = [1, 0, 0, 1, 1, 0, 1]
     learner = RecordingLearner(log, [0.5, 0.9, 0.2])
-    trace = run_game(learner, RecordingPolicy(log, 0.5, labels), len(labels), seed=3)
-    assert len(log) == 6 * len(labels)
-    rng = log[1][1]
-    assert isinstance(rng, np.random.Generator)
-    for t, (x, y, q) in enumerate(zip(trace.xs.tolist(), trace.ys.tolist(),
-                                      trace.qs.tolist())):
-        # each round: the distribution with no arguments, one draw from it on
-        # the game's context generator, then the prediction, the label, and
-        # both players' updates
-        assert log[6 * t: 6 * t + 6] == [
-            ("context_distribution",), ("sample", rng, x), ("predict", x, q),
-            ("label", x, q, y), ("update", x, y), ("observe", x, q, y)]
-        assert y == labels[t] and q == learner.qs[t % 3]
-    assert trace.losses.tolist() == [log_loss(q, y) for q, y in zip(trace.qs, trace.ys)]
+    traces = run_game(learner, RecordingPolicy(log, 0.5, labels), len(labels), seed=[3, 4],
+                      run_id=["a", "b"])
+    assert [(tr.run_id, tr.seed) for tr in traces] == [("a", 3), ("b", 4)]
+    # both players are reset once, with one generator per game
+    (who, learner_rngs), (what, adversary_rngs), *rounds = log
+    assert who == what == "reset" and len(learner_rngs) == len(adversary_rngs) == 2
+    assert all(isinstance(r, np.random.Generator) for r in learner_rngs + adversary_rngs)
+    assert len(rounds) == 5 * len(labels)
+    for t in range(len(labels)):
+        xs, qs, ys = ([getattr(tr, c)[t].item() for tr in traces] for c in ("xs", "qs", "ys"))
+        q, y = learner.qs[t % 3], labels[t]
+        # each round: the distribution with no arguments, then the prediction
+        # for every game's context, the labels, and both players' updates
+        assert rounds[5 * t: 5 * t + 5] == [
+            ("context_distribution",), ("predict", xs, q), ("label", xs, [q, q], y),
+            ("update", xs, [y, y]), ("observe", xs, [q, q], [y, y])]
+        assert qs == [q, q] and ys == [y, y]
+    for tr in traces:
+        assert tr.losses.tolist() == [log_loss(q, y) for q, y in zip(tr.qs, tr.ys)]
+
+
+LOCKSTEP_FAMILIES = {
+    "grid": RegionFamily.threshold_grid(16),
+    "explicit": RegionFamily.explicit(16, [np.flatnonzero(row).tolist() for row in
+                                           np.random.default_rng(8).random((6, 16)) < 0.5]),
+}
+LOCKSTEP_LABELS = {
+    "greedy": {"label": "greedy"},
+    "realizable": {"label": "realizable",
+                   "f_star": {"region_index": 2, "theta0": 0.3, "theta1": 0.8}},
+    "fixed_sequence": {"label": "fixed_sequence", "labels": [1, 0, 0, 1, 1, 1, 0] * 6},
+}
+LOCKSTEP_LEARNERS = {"uniform": {"uniform": {}}, "kt": {"kt": {"beta": 0.5}},
+                     "vc_mixture": {"vc_mixture": {}}, "ftpl": {"ftpl": {"n": 20, "alpha": 0.05}}}
+
+
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("T", [1, 40])
+@pytest.mark.parametrize("family", sorted(LOCKSTEP_FAMILIES))
+@pytest.mark.parametrize("label", sorted(LOCKSTEP_LABELS))
+@pytest.mark.parametrize("learner", sorted(LOCKSTEP_LEARNERS))
+def test_lockstep_games_equal_games_played_one_round_at_a_time(monkeypatch, learner, label,
+                                                                family, T, R):
+    fam = LOCKSTEP_FAMILIES[family]
+
+    def build():
+        return (learner_from_spec(LOCKSTEP_LEARNERS[learner], fam, T, 0.3),
+                adversary_from_spec(LOCKSTEP_LABELS[label], fam, sigma=0.3))
+    made = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
+    seeds = [11 * r + T for r in range(R)]
+    traces = run_game(*build(), T, seeds, run_id=[f"r{r}" for r in range(R)])
+    monkeypatch.undo()
+    assert len(traces) == len(made) // 3 == R
+    for r, (seed, trace) in enumerate(zip(seeds, traces)):
+        want, rngs = run_game_one_round_at_a_time(*build(), T, seed, run_id=f"r{r}")
+        assert (trace.run_id, trace.seed) == (want.run_id, want.seed)
+        for column in ("xs", "ys", "qs", "losses", "comparator"):
+            got, ref = getattr(trace, column), getattr(want, column)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), column
+        # the game's context, learner and adversary generators end where the
+        # reference's do: the blocks of uniforms hold exactly T rounds
+        for kind, rng in enumerate(rngs):
+            assert made[kind * R + r].bit_generator.state == rng.bit_generator.state, kind
+
+
+def test_lockstep_games_equal_the_reference_across_blocks_of_rounds():
+    # three games draw their uniforms and take their losses 10,922 rounds at a time
+    fam = LOCKSTEP_FAMILIES["grid"]
+    T, seeds = 2 * (core._BLOCK_BYTES // 24) + 5, [3, 4, 5]
+
+    def build():
+        return KtLearner(0.5), adversary_from_spec(LOCKSTEP_LABELS["realizable"], fam, sigma=0.3)
+    traces = run_game(*build(), T, seeds, run_id=["a", "b", "c"])
+    for seed, trace in zip(seeds, traces):
+        want, _ = run_game_one_round_at_a_time(*build(), T, seed)
+        for column in ("xs", "ys", "qs", "losses"):
+            assert getattr(trace, column).tobytes() == getattr(want, column).tobytes(), column
+
+
+def test_run_game_needs_one_run_id_per_seed():
+    adv = AdversaryPolicy(StaticSubsetRule(), GreedyLabelRule(), 0.5, 8)
+    for seeds, run_ids in (([1, 2], ["a"]), ([], [])):
+        with pytest.raises(ValueError, match="need one of each per game, and at least one game"):
+            run_game(UniformLearner(), adv, 4, seeds, run_id=run_ids)
