@@ -54,9 +54,10 @@ class SmoothDistribution:
     """A distribution over the contexts {0, ..., size-1}, certified sigma-smooth
     at construction time.
 
-    It holds its support `ids` in ascending order, a read-only dense `pmf`
-    of its own, and the running cdf of the pmf on `ids`, normalized the way
-    rng.choice normalizes the dense one. A zero atom adds exactly 0.0 to a
+    It holds its support `ids` in ascending order, a dense `pmf` of its own,
+    and the running cdf of the pmf on `ids`, normalized the way rng.choice
+    normalizes the dense one; all three are read-only, so a distribution
+    cannot change after its check. A zero atom adds exactly 0.0 to a
     running sum, so the two cdfs agree at every support position, and `sample`
     draws the same context from the same generator state as
     `rng.choice(size, p=pmf)`. The cdf is built at the first sample; a
@@ -75,6 +76,7 @@ class SmoothDistribution:
             )
         pmf.flags.writeable = False
         self.size, self.sigma, self.pmf, self.ids = pmf.size, sigma, pmf, np.flatnonzero(pmf)
+        self.ids.flags.writeable = False
 
     @functools.cached_property
     def pmf(self) -> np.ndarray:
@@ -89,6 +91,7 @@ class SmoothDistribution:
         """The normalized running sum of the pmf on `ids`, as rng.choice builds it."""
         cdf = np.cumsum(self.pmf[self.ids])
         cdf /= cdf[-1]
+        cdf.flags.writeable = False
         return cdf
 
     @functools.cached_property
@@ -126,6 +129,7 @@ class SmoothDistribution:
             bad = ids[0] if ids[0] < 0 else ids[-1]
             raise SmoothnessError(f"target set has context id {bad} outside [0, {size})")
         ids = ids.astype(np.int64, copy=False)
+        ids.flags.writeable = False
         k = min_support_size(sigma, size)
         if ids.size < k:
             raise SmoothnessError(
@@ -157,22 +161,20 @@ def read_static_set(ids, size: int, sigma: float) -> Optional[list]:
 
 class StaticSubsetRule:
     """Context rule: uniform on a fixed subset of the universe, by default the
-    first ceil(sigma * U) ids."""
+    first ceil(sigma * U) ids, built and checked once per `reset`."""
 
     def __init__(self, subset: Optional[Sequence[int]] = None):
-        self.subset = None if subset is None else np.asarray(subset, dtype=np.int64)
+        self.subset = subset
 
     def reset(self, size: int, sigma: float) -> None:
-        if self.subset is None:
-            self._set = np.arange(min_support_size(sigma, size))
-        else:
-            self._set = self.subset
+        ids = np.arange(min_support_size(sigma, size)) if self.subset is None else self.subset
+        self._dist = SmoothDistribution.uniform_on(size, ids, sigma)
 
     def observe(self, xs, qs, ys) -> None:
         pass
 
-    def target_set(self) -> np.ndarray:
-        return self._set
+    def context_distribution(self) -> SmoothDistribution:
+        return self._dist
 
 
 class GreedyLabelRule:
@@ -196,8 +198,6 @@ class RealizableLabelRule:
     with the values one draw per round takes."""
 
     def __init__(self, f_star: Hypothesis, family: RegionFamily):
-        self.f_star = f_star
-        self.family = family
         self._p = evaluate(family, f_star, np.arange(family.size))     # f*(x) for every x
 
     def reset(self, rngs):
@@ -240,8 +240,9 @@ class AdversaryPolicy:
     """Context rule plus label rule over the contexts {0, ..., size-1}. The
     label rule owns the games' generators.
 
-    Every emitted distribution is validated sigma-smooth on construction, so a
-    violation anywhere in a run surfaces as SmoothnessError.
+    The context rule hands over a SmoothDistribution, checked sigma-smooth
+    when it was built; the policy refuses anything else, so a violation
+    anywhere in a run surfaces as SmoothnessError.
     """
 
     def __init__(self, context_rule, label_rule, sigma: float, size: int):
@@ -255,19 +256,19 @@ class AdversaryPolicy:
     def reset(self, rngs) -> None:
         self.context_rule.reset(self.size, self.sigma)
         self.label_rule.reset(rngs)
-        self._dist = self._key = None
 
     def context_distribution(self) -> SmoothDistribution:
-        """The uniform distribution on the rule's set. While the rule proposes
-        the ids it proposed last round (by dtype and content, so an array the
-        rule changed in place counts as new), the distribution checked then is
-        reused."""
-        ids = np.asarray(self.context_rule.target_set())
-        key = (ids.dtype, ids.shape, ids.tobytes())
-        if key != self._key:
-            self._dist = SmoothDistribution.uniform_on(self.size, ids, self.sigma)
-            self._key = key
-        return self._dist
+        """The rule's distribution this round, if it is a SmoothDistribution
+        over the policy's contexts at a sigma no smaller than the policy's."""
+        dist = self.context_rule.context_distribution()
+        if not isinstance(dist, SmoothDistribution):
+            raise SmoothnessError(f"context rule returned a {type(dist).__name__}, "
+                                  f"not a SmoothDistribution")
+        if dist.size != self.size or dist.sigma < self.sigma:
+            raise SmoothnessError(
+                f"context rule returned a distribution over {dist.size} contexts at "
+                f"sigma {dist.sigma}, not over {self.size} at sigma >= {self.sigma}")
+        return dist
 
     def label(self, xs, qs):
         return self.label_rule.label(xs, qs)

@@ -83,7 +83,8 @@ def allocate_columns(T: int, R: int = 1) -> list[np.ndarray]:
 def run_game(learner, adversary, T: int, seed, run_id="game"):
     """Play seeded trajectories of the assignment game: one GameTrace for one
     `seed`, or a list of R GameTraces for a sequence of R seeds with a
-    sequence of R `run_id`s, the R games played in lockstep.
+    sequence of R `run_id`s (a string is one run id, never a sequence of
+    them), the R games played in lockstep.
 
     Each game has its own generators for its context draws, its learner and
     its adversary, spawned from its seed, so each game of a call equals, bit
@@ -108,6 +109,9 @@ def run_game(learner, adversary, T: int, seed, run_id="game"):
         raise ValueError("horizon T must be >= 1")
     single = np.ndim(seed) == 0
     seeds, run_ids = ([seed], [run_id]) if single else (list(seed), list(run_id))
+    if not single and isinstance(run_id, str):
+        raise ValueError(f"{len(seeds)} seeds and the one run id {run_id!r}: "
+                         f"need a list of run ids, one per seed")
     if not seeds or len(run_ids) != len(seeds):
         raise ValueError(f"{len(seeds)} seeds and {len(run_ids)} run ids: need one of each "
                          f"per game, and at least one game")

@@ -8,7 +8,6 @@ threshold grid {x <= a} or an explicit list of subsets.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -75,12 +74,6 @@ class RegionFamily:
         if regions is None:
             return self._member[xs]
         return self._member[xs[..., None], regions]
-
-    def to_json(self) -> str:
-        if self.kind == THRESHOLD_GRID:
-            return json.dumps({"kind": THRESHOLD_GRID, "size": self.size})
-        regions = [np.flatnonzero(col).tolist() for col in self._member.T]
-        return json.dumps({"kind": EXPLICIT, "size": self.size, "regions": regions})
 
     @classmethod
     def from_spec(cls, obj: dict) -> "RegionFamily":

@@ -85,9 +85,7 @@ class KtLearner:
     """Context-oblivious add-beta estimator over the label stream."""
 
     def __init__(self, beta: float):
-        if beta <= 0:
-            raise ConfigError(f"kt.beta: {beta} must be positive")
-        self.beta = beta
+        self.beta = positive_finite(beta, "learner.kt.beta")
 
     def reset(self, rngs) -> None:
         self._ones = np.zeros(game_generators(rngs)[1])[()]
@@ -283,7 +281,7 @@ def learner_from_spec(spec: dict, family: RegionFamily, T: int, sigma: float):
     if kind == "uniform":
         return UniformLearner()
     if kind == "kt":
-        return KtLearner(positive_finite(_number(params, "beta", 0.5, path), f"{path}.beta"))
+        return KtLearner(_number(params, "beta", 0.5, path))
     if kind == "vc_mixture":
         eps = positive_finite(_number(params, "eps", sigma / float(T) ** 2, path), f"{path}.eps")
         return MixtureLearner(family, epsilon_cover(family, eps))

@@ -1,5 +1,6 @@
 """Reference implementations the tests check the library against."""
 
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,26 @@ def laplace_integral_log(k: int, n: int) -> float:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     log_binom = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
     return float(-math.log(n + 1) - log_binom)
+
+
+def family_to_json(family) -> str:
+    """The JSON spec `RegionFamily.from_spec` reads back as `family`; an
+    explicit family's regions are read through `contains`."""
+    if family.kind == "threshold_grid":
+        return json.dumps({"kind": "threshold_grid", "size": family.size})
+    member = family.contains(np.arange(family.size))           # (U, regions)
+    regions = [np.flatnonzero(col).tolist() for col in member.T]
+    return json.dumps({"kind": "explicit", "size": family.size, "regions": regions})
+
+
+def region_bitmaps(family):
+    """Dense (regions, U) membership oracle, row a the indicator of region a,
+    built from the family's JSON spec with one Python comparison per cell."""
+    spec = json.loads(family_to_json(family))
+    u = spec["size"]
+    if spec["kind"] == "threshold_grid":
+        return np.array([[x <= a for x in range(u)] for a in range(u)], dtype=bool)
+    return np.array([[x in ids for x in range(u)] for ids in spec["regions"]], dtype=bool)
 
 
 def run_game_one_round_at_a_time(learner, adversary, T: int, seed: int, run_id: str = "game"):

@@ -20,8 +20,8 @@ from smoothpa.harness import run
 from smoothpa.hypotheses import RegionFamily, mle_from_counts, examples_to_counts
 from smoothpa.learners import FtplLearner, MixtureLearner, epsilon_cover, truncation_range
 
-from oracles import laplace_integral_log
-from test_hypotheses import brute_force_best_loss, region_bitmaps
+from oracles import laplace_integral_log, region_bitmaps
+from test_hypotheses import brute_force_best_loss
 
 
 def criterion(num, name, budget_s):

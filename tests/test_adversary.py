@@ -67,9 +67,8 @@ def test_subset_adversary_static_quarter():
 
 def test_subset_adversary_rejects_small_set():
     adv = AdversaryPolicy(StaticSubsetRule([0]), GreedyLabelRule(), 0.5, 4)
-    adv.reset(np.random.default_rng(0))
     with pytest.raises(SmoothnessError):
-        adv.context_distribution()
+        adv.reset(np.random.default_rng(0))
 
 
 def assert_draws_match_choice(dist, pmf, seed, draws):
@@ -235,73 +234,67 @@ def test_adaptive_rule_set_fixed_when_drawn_from_itself():
     assert set(trace.xs.tolist()) <= set(range(8))
 
 
-class ListRule:
-    """A custom rule returning a set the test can replace or change in place."""
+class HandOverRule:
+    """A custom rule handing over whatever `make(size, sigma)` builds, anew
+    every round."""
 
-    def __init__(self, ids):
-        self.ids = ids
+    def __init__(self, make):
+        self.make = make
 
     def reset(self, size, sigma):
-        pass
+        self.size, self.sigma = size, sigma
 
     def observe(self, x, q, y):
         pass
 
-    def target_set(self):
-        return self.ids
-
-
-def test_policy_reuses_distribution_only_for_the_same_ids():
-    rule = ListRule(np.array([0, 2, 4, 6]))
-    adv = AdversaryPolicy(rule, GreedyLabelRule(), 0.5, 8)
-    adv.reset(np.random.default_rng(0))
-    first = adv.context_distribution()
-    assert adv.context_distribution() is first
-    rule.ids = np.array([0, 2, 4, 6])                   # a new array, the same ids
-    assert adv.context_distribution() is first
-    rule.ids = np.array([1, 3, 5, 7])                   # a new set
-    second = adv.context_distribution()
-    assert second is not first and np.array_equal(second.ids, [1, 3, 5, 7])
-    rule.ids[0] = 0                                     # the same array, changed in place
-    third = adv.context_distribution()
-    assert third is not second and np.array_equal(third.ids, [0, 3, 5, 7])
-    assert np.array_equal(second.ids, [1, 3, 5, 7])     # the checked copy is untouched
-    adv.reset(np.random.default_rng(0))
-    assert adv.context_distribution() is not third  # a new trajectory checks afresh
-
-
-def test_policy_rechecks_a_set_changed_in_place():
-    ids = np.array([0, 2, 4, 6])
-    adv = AdversaryPolicy(ListRule(ids), GreedyLabelRule(), 0.5, 8)
-    adv.reset(np.random.default_rng(0))
-    adv.context_distribution()
-    ids[0] = 2                                          # a repeated id
-    with pytest.raises(SmoothnessError, match="repeats context id 2"):
-        adv.context_distribution()
-    ids[0] = 0
-    adv.context_distribution()
-    ids.shape = (2, 2)                                  # the same bytes, another shape
-    with pytest.raises(SmoothnessError, match="shape"):
-        adv.context_distribution()
-    ids.shape = (4,)
-    adv.context_distribution()
-    ids.resize(3, refcheck=False)                       # below ceil(0.5 * 8) = 4
-    with pytest.raises(SmoothnessError, match="size 3 below minimum 4"):
-        adv.context_distribution()
+    def context_distribution(self):
+        return self.make(self.size, self.sigma)
 
 
 def test_custom_rule_with_non_integer_ids_fails_the_run():
     # these ids once played on the contexts {0, 2, 5, 7}, truncated
-    rule = ListRule(np.array([0.0, 2.5, 5.9, 7.5]))
+    rule = HandOverRule(lambda size, sigma: SmoothDistribution.uniform_on(
+        size, np.array([0.0, 2.5, 5.9, 7.5]), sigma))
     adv = AdversaryPolicy(rule, GreedyLabelRule(), 0.5, 8)
     with pytest.raises(SmoothnessError, match="^target set must hold integer ids, got float64$"):
         run_game(UniformLearner(), adv, 4, seed=0)
-    # a float array with the bytes of the int64 set checked last round
-    rule.ids = np.array([0, 2, 4, 6])
-    adv.context_distribution()
-    rule.ids = rule.ids.view(np.float64)
-    with pytest.raises(SmoothnessError, match="float64"):
-        adv.context_distribution()
+    # the built-in rule hands its subset to uniform_on uncast as well
+    adv = AdversaryPolicy(StaticSubsetRule([0.0, 2.5, 5.9, 7.5]), GreedyLabelRule(), 0.5, 8)
+    with pytest.raises(SmoothnessError, match="^target set must hold integer ids, got float64$"):
+        run_game(UniformLearner(), adv, 4, seed=0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda size, sigma: np.full(size, 1.0 / size), r"^context rule returned a ndarray, not a"),
+    (lambda size, sigma: range(size), r"^context rule returned a range, not a SmoothDistribution$"),
+    (lambda size, sigma: SmoothDistribution.uniform_on(2 * size, range(size), sigma),
+     r"^context rule returned a distribution over 16 contexts at sigma 0\.5, not over 8 at"),
+    # uniform on 2 of 8 ids is 0.25-smooth, not 0.5-smooth
+    (lambda size, sigma: SmoothDistribution.uniform_on(size, [0, 1], sigma / 2),
+     r"over 8 contexts at sigma 0\.25, not over 8 at sigma >= 0\.5$"),
+    (lambda size, sigma: SmoothDistribution(np.eye(size)[0], 1.0 / size),
+     r"at sigma 0\.125, not over 8 at sigma >= 0\.5$")],
+    ids=["pmf_array", "range", "other_size", "smaller_sigma", "point_mass"])
+def test_policy_refuses_what_is_not_smooth_at_its_sigma(make, message):
+    adv = AdversaryPolicy(HandOverRule(make), GreedyLabelRule(), 0.5, 8)
+    with pytest.raises(SmoothnessError, match=message):
+        run_game(UniformLearner(), adv, 4, seed=0)
+
+
+def test_policy_takes_a_distribution_at_a_larger_sigma():
+    # a distribution smooth at sigma = 1 is smooth at the policy's 0.5 as well
+    adv = AdversaryPolicy(HandOverRule(lambda size, sigma: SmoothDistribution.uniform_on(
+        size, range(size), 1.0)), GreedyLabelRule(), 0.5, 8)
+    assert set(run_game(UniformLearner(), adv, 40, seed=0).xs.tolist()) > set(range(4))
+
+
+@pytest.mark.parametrize("dist", [SmoothDistribution.uniform_on(8, [6, 1, 3, 5], 0.5),
+                                  SmoothDistribution(np.full(8, 0.125), 1.0)])
+def test_distribution_cannot_change_after_its_check(dist):
+    for name in ("ids", "cdf", "pmf"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(dist, name)[0] = 7
+    assert dist.sample(np.random.default_rng(0)) in dist.ids.tolist()
 
 
 def test_adaptive_rule_emits_valid_distributions_for_1000_rounds():

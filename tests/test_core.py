@@ -100,7 +100,9 @@ def test_play_game_seeded_determinism():
                       AdversaryPolicy(StaticSubsetRule(), GreedyLabelRule(), 0.5, 8), 0, seed=0),
      ValueError, "horizon T must be >= 1"),
     (lambda: RegionFamily(0), ValueError, "family size must be >= 1"),
-    (lambda: KtLearner(0.0), ConfigError, "kt.beta: 0.0 must be positive")])
+    (lambda: KtLearner(0.0), ConfigError, r"learner\.kt\.beta: 0 must be positive and finite"),
+    (lambda: KtLearner(math.nan), ConfigError, r"learner\.kt\.beta: nan must be positive and finite"),
+    (lambda: KtLearner(math.inf), ConfigError, r"learner\.kt\.beta: inf must be positive and finite")])
 def test_degenerate_sizes_are_refused(build, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         build()
@@ -264,7 +266,9 @@ LOCKSTEP_LABELS = {
     "fixed_sequence": {"label": "fixed_sequence", "labels": [1, 0, 0, 1, 1, 1, 0] * 6},
 }
 LOCKSTEP_LEARNERS = {"uniform": {"uniform": {}}, "kt": {"kt": {"beta": 0.5}},
-                     "vc_mixture": {"vc_mixture": {}}, "ftpl": {"ftpl": {"n": 20, "alpha": 0.05}}}
+                     "vc_mixture": {"vc_mixture": {}}, "ftpl": {"ftpl": {"n": 20, "alpha": 0.05}},
+                     # counts past 2^53 take the exact integer path of the MLE oracle
+                     "ftpl_largest_rate": {"ftpl": {"n": 1e18, "alpha": 0.05}}}
 
 
 @pytest.mark.parametrize("R", [1, 3])
@@ -317,3 +321,7 @@ def test_run_game_needs_one_run_id_per_seed():
     for seeds, run_ids in (([1, 2], ["a"]), ([], [])):
         with pytest.raises(ValueError, match="need one of each per game, and at least one game"):
             run_game(UniformLearner(), adv, 4, seeds, run_id=run_ids)
+    # a string is one run id, not one per character
+    for seeds in ([1, 2, 3, 4], [1]):
+        with pytest.raises(ValueError, match="the one run id 'game': need a list of run ids"):
+            run_game(UniformLearner(), adv, 4, seeds, run_id="game")

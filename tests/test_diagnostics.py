@@ -18,7 +18,7 @@ from smoothpa.diagnostics import (chi_square_bruteforce, chi_square_closed_form,
                                   rademacher_estimate, theorem_bound)
 from smoothpa.hypotheses import Hypothesis, RegionFamily
 
-from test_hypotheses import region_bitmaps
+from oracles import region_bitmaps
 
 
 def make_smooth(u, sigma, rng):

@@ -18,17 +18,9 @@ from smoothpa.hypotheses import (_BLOCK_BYTES, _TABLE_BITS, ComparatorTracker, R
                                  prefix_best_losses, region_counts)
 from smoothpa.learners import FtplLearner, MixtureLearner, epsilon_cover
 
+from oracles import family_to_json, region_bitmaps
+
 LN2 = math.log(2.0)
-
-
-def region_bitmaps(family):
-    """Dense (regions, U) membership oracle, row a the indicator of region a,
-    built from the family's JSON spec with one Python comparison per cell."""
-    spec = json.loads(family.to_json())
-    u = spec["size"]
-    if spec["kind"] == "threshold_grid":
-        return np.array([[x <= a for x in range(u)] for a in range(u)], dtype=bool)
-    return np.array([[x in ids for x in range(u)] for ids in spec["regions"]], dtype=bool)
 
 
 def brute_force_best_loss(xs, ys, family, step=1e-3):
@@ -441,15 +433,15 @@ def test_region_counts_of_int64_counts_equal_the_integer_product():
 
 def test_family_json_roundtrip():
     fam = RegionFamily.threshold_grid(12)
-    back = RegionFamily.from_spec(json.loads(fam.to_json()))
+    back = RegionFamily.from_spec(json.loads(family_to_json(fam)))
     assert back.kind == "threshold_grid" and back.size == 12
-    obj = json.loads(fam.to_json())
+    obj = json.loads(family_to_json(fam))
     assert obj == {"kind": "threshold_grid", "size": 12}
 
     fam2 = RegionFamily.explicit(5, [[0, 2], [1, 3, 4]])
-    back2 = RegionFamily.from_spec(json.loads(fam2.to_json()))
+    back2 = RegionFamily.from_spec(json.loads(family_to_json(fam2)))
     assert np.array_equal(back2.contains(np.arange(5)), fam2.contains(np.arange(5)))
-    obj2 = json.loads(fam2.to_json())
+    obj2 = json.loads(family_to_json(fam2))
     assert obj2["kind"] == "explicit" and obj2["regions"] == [[0, 2], [1, 3, 4]]
 
 

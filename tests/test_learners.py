@@ -19,8 +19,7 @@ from smoothpa.learners import (FtplLearner, KtLearner, MixtureLearner,
                                UniformLearner, epsilon_cover, learner_from_spec,
                                truncation_range)
 
-from oracles import laplace_integral_log
-from test_hypotheses import region_bitmaps
+from oracles import laplace_integral_log, region_bitmaps
 
 # ---------------------------------------------------------------- laplace
 
