@@ -151,9 +151,8 @@ def format_records_csv(traces: Sequence[GameTrace]) -> str:
     lines = [CSV_HEADER]
     for tr in traces:
         cum = tr.cum_losses
-        head = f"{tr.run_id},{tr.seed},"
-        for t, (loss, c, comp, regret) in enumerate(zip(
-                tr.losses.tolist(), cum.tolist(), tr.comparator.tolist(),
-                (cum - tr.comparator).tolist()), start=1):
-            lines.append(f"{head}{t},{loss:.12g},{c:.12g},{comp:.12g},{regret:.12g}")
+        # one %-template a trajectory; a % in the run id is escaped
+        row = f"{tr.run_id},{tr.seed},".replace("%", "%%") + "%d,%.12g,%.12g,%.12g,%.12g"
+        lines += map(row.__mod__, zip(range(1, len(cum) + 1), tr.losses.tolist(), cum.tolist(),
+                                      tr.comparator.tolist(), (cum - tr.comparator).tolist()))
     return "\n".join(lines) + "\n"

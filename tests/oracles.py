@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from smoothpa.core import GameTrace, allocate_columns, log_loss
+from smoothpa.hypotheses import _BLOCK_BYTES, _region_losses
 
 
 def laplace_integral_log(k: int, n: int) -> float:
@@ -58,3 +59,36 @@ def run_game_one_round_at_a_time(learner, adversary, T: int, seed: int, run_id: 
         adversary.observe(x, q, y)
         xs[t], ys[t], qs[t] = x, y, q
     return GameTrace(run_id, seed, xs, ys, qs, losses, comparator), (ctx_rng, learner_rng, adv_rng)
+
+
+def prefix_best_losses_all_regions(xs, ys, family) -> np.ndarray:
+    """Offline-best loss on every prefix of one trajectory (xs, ys), the
+    minimum over every region of the family: the comparator
+    `hypotheses.prefix_best_losses` had before it ran on class
+    representatives, and the reference it must equal bit for bit.
+
+    Per region, the counts inside it on every prefix are running sums over
+    time of the examples' membership rows, built a block of rounds at a time
+    in the layout `side_counts` builds; the outside counts are the prefix
+    totals less the inside ones, all int64.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.int64)
+    m = len(family)
+    rows = max(1, _BLOCK_BYTES // (8 * 11 * m))
+    out = np.empty(len(xs))
+    carry = np.zeros((2, m), dtype=np.int64)
+    total_k = np.cumsum(ys)
+    for start in range(0, len(xs), rows):
+        stop = min(start + rows, len(xs))
+        inside = family.contains(xs[start:stop])
+        counts = np.empty((2, 2, stop - start, m), dtype=np.int64)
+        counts[0, 0] = inside
+        np.multiply(inside, ys[start:stop, None], out=counts[1, 0])
+        counts[:, 0, 0] += carry
+        np.cumsum(counts[:, 0], axis=1, out=counts[:, 0])
+        np.subtract(np.arange(start + 1, stop + 1)[:, None], counts[0, 0], out=counts[0, 1])
+        np.subtract(total_k[start:stop, None], counts[1, 0], out=counts[1, 1])
+        out[start:stop] = _region_losses(counts).min(axis=1)
+        carry = counts[:, 0, -1].copy()
+    return out

@@ -182,6 +182,25 @@ def test_csv_schema_and_significant_digits():
     assert [line.split(",")[:3] for line in lines[3:5]] == [["r1", "9", "3"], ["r2", "10", "1"]]
 
 
+def test_csv_rows_equal_each_value_formatted_on_its_own():
+    # one %-template per trajectory: a % in the run id, -0, tiny and infinite
+    # values come out as formatting each value with an f-string gives them
+    losses = np.array([0.5, -0.0, 1e-300, 2.0 / 3.0, 7.0, np.inf])
+    comparator = np.array([-0.0, 0.25, 1e-310, 1.0 / 3.0, 1e16, 2.5])
+    zeros = np.zeros(6, dtype=np.int64)
+    traces = [core.GameTrace(run_id, seed, zeros, zeros, np.zeros(6), losses, comparator)
+              for run_id, seed in (("c%03dr%%d 100%", 2 ** 62), ("%s%(x)d%", -3), ("plain", 0))]
+    want = [CSV_HEADER]
+    for tr in traces:
+        cum = tr.cum_losses
+        want += [f"{tr.run_id},{tr.seed},{t},{loss:.12g},{c:.12g},{comp:.12g},{c - comp:.12g}"
+                 for t, (loss, c, comp) in enumerate(zip(losses, cum, comparator), start=1)]
+    text = format_records_csv(traces)
+    assert text == "\n".join(want) + "\n"
+    assert "c%03dr%%d 100%,4611686018427387904,6,inf,inf,2.5,inf" in text
+    assert ",2,-0," in text
+
+
 class RecordingLearner:
     """Predicts from a fixed list of probabilities, the same in every game,
     and logs every call."""

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from smoothpa.hypotheses import (_BLOCK_BYTES, _TABLE_BITS, ComparatorTracker, R
                                  prefix_best_losses, region_counts)
 from smoothpa.learners import FtplLearner, MixtureLearner, epsilon_cover
 
-from oracles import family_to_json, region_bitmaps
+from oracles import family_to_json, prefix_best_losses_all_regions, region_bitmaps
 
 LN2 = math.log(2.0)
 
@@ -393,6 +394,123 @@ def test_prefix_best_losses_block_memory_meets_its_budget():
         tracemalloc.stop()
     block = peak - 2 * 8 * len(xs)
     assert 0.75 * _BLOCK_BYTES <= block <= 1.25 * _BLOCK_BYTES, block
+
+
+def random_explicit(rng, size, count):
+    """`count` random regions of varied density over {0..size-1}."""
+    member = rng.random((count, size)) < rng.uniform(0.0, 1.0, (count, 1))
+    return RegionFamily.explicit(size, [np.flatnonzero(row).tolist() for row in member])
+
+
+def comparator_cases():
+    """(name, xs, ys, family) traces the class comparator must get right."""
+    rng = np.random.default_rng(30)
+    for i in range(40):
+        u, T = int(rng.choice([2, 7, 64, 300, 4096])), int(rng.integers(1, 300))
+        family = (RegionFamily.threshold_grid(u) if i % 2 else
+                  random_explicit(rng, u, int(rng.integers(1, 50))))
+        # contexts from a random subset, so that few or many regions merge
+        subset = rng.choice(u, size=int(rng.integers(1, u + 1)))
+        yield f"random{i}", rng.choice(subset, size=T), rng.integers(0, 2, size=T), family
+    grid, explicit = RegionFamily.threshold_grid(16), random_explicit(rng, 16, 20)
+    for family in (grid, explicit):
+        yield f"{family.kind}_T1", np.array([5]), np.array([1]), family
+        yield f"{family.kind}_T1_at_0", np.array([0]), np.array([0]), family
+        ends = rng.choice([0, 15, 7], size=50)
+        yield f"{family.kind}_hits_0_and_U-1", ends, rng.integers(0, 2, size=50), family
+    # duplicated regions: the first copy represents every later one
+    regions = [np.flatnonzero(row).tolist() for row in rng.random((6, 32)) < 0.5]
+    duplicated = RegionFamily.explicit(32, [regions[i] for i in rng.integers(0, 6, size=24)])
+    assert len({tuple(r) for r in regions}) == 6
+    yield "explicit_duplicated", rng.integers(0, 32, size=200), rng.integers(0, 2, size=200), \
+        duplicated
+    # singletons with every context seen: no two regions merge
+    singletons = RegionFamily.explicit(24, [[x] for x in range(24)])
+    xs = np.concatenate([np.arange(24), rng.integers(0, 24, size=100)])
+    yield "explicit_none_merge", xs, rng.integers(0, 2, size=len(xs)), singletons
+
+
+COMPARATOR_CASES = list(comparator_cases())
+
+
+@pytest.mark.parametrize("name, xs, ys, family", COMPARATOR_CASES,
+                         ids=[case[0] for case in COMPARATOR_CASES])
+def test_prefix_best_losses_equal_the_all_regions_oracle_bitwise(name, xs, ys, family):
+    want = prefix_best_losses_all_regions(xs, ys, family)
+    assert prefix_best_losses(xs, ys, family).tobytes() == want.tobytes()
+    assert prefix_best_losses(xs.tolist(), ys.tolist(), family).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", [
+    RegionFamily.threshold_grid(1 << 16),
+    RegionFamily.threshold_grid(64),
+    random_explicit(np.random.default_rng(31), 256, 128),
+], ids=["wide_grid", "grid64", "explicit128x256"])
+def test_prefix_best_losses_columns_equal_single_trace_calls(family):
+    # R traces as the columns of (T, R) arrays, as the harness passes a cell's
+    # repetitions: each column is the trace's own call, bit for bit
+    rng = np.random.default_rng(32)
+    T, R = 300, 4
+    xs = rng.integers(0, family.size, size=(T, R))
+    xs[:, 1] = rng.integers(0, 5, size=T)                # a column with few contexts
+    ys = rng.integers(0, 2, size=(T, R))
+    got = prefix_best_losses(xs, ys, family)
+    assert got.shape == (T, R)
+    for r in range(R):
+        single = prefix_best_losses(xs[:, r], ys[:, r], family)
+        assert got[:, r].tobytes() == single.tobytes()
+        assert single.tobytes() == prefix_best_losses_all_regions(xs[:, r], ys[:, r],
+                                                                  family).tobytes()
+    one = prefix_best_losses(xs[:, :1], ys[:, :1], family)
+    assert one.shape == (T, 1) and one.tobytes() == got[:, :1].copy().tobytes()
+
+
+def test_prefix_best_losses_runs_on_class_representatives(monkeypatch):
+    # the losses are formed for one region per class: on a 2**16-point grid
+    # with T = 64 at most one per distinct context plus one, never all 2**16;
+    # on an explicit family one per distinct membership column
+    widths = []
+    real = hypotheses._region_losses
+    monkeypatch.setattr(hypotheses, "_region_losses",
+                        lambda counts, *args: widths.append(counts.shape[-1]) or real(counts, *args))
+    rng = np.random.default_rng(33)
+    grid = RegionFamily.threshold_grid(1 << 16)
+    xs = rng.integers(1, 1 << 16, size=64)
+    ys = rng.integers(0, 2, size=64)
+    got = prefix_best_losses(xs, ys, grid)
+    assert widths and max(widths) <= len(np.unique(xs)) + 1
+    # 40 regions, 8 of them distinct on the contexts 0..7 the trace holds
+    regions = [np.flatnonzero(row).tolist() for row in rng.random((8, 16)) < 0.5]
+    explicit = RegionFamily.explicit(16, [regions[i % 8] + [8 + i % 5] for i in range(40)])
+    xs2 = np.concatenate([np.arange(8), rng.integers(0, 8, size=100)])
+    ys2 = rng.integers(0, 2, size=len(xs2))
+    classes = len({tuple(x for x in r if x < 8) for r in regions})
+    widths.clear()
+    got2 = prefix_best_losses(xs2, ys2, explicit)
+    assert widths and max(widths) == classes
+    monkeypatch.setattr(hypotheses, "_region_losses", real)
+    assert got.tobytes() == prefix_best_losses_all_regions(xs, ys, grid).tobytes()
+    assert got2.tobytes() == prefix_best_losses_all_regions(xs2, ys2, explicit).tobytes()
+
+
+def test_malformed_examples_raise_naming_the_value():
+    grid = RegionFamily.threshold_grid(4)
+    explicit = RegionFamily.explicit(4, [[0, 1], [2]])
+    cases = [
+        (grid, [0, 1], [2, 0], "label 2 not in {0, 1}"),
+        (grid, [0, 1], [1, -1], "label -1 not in {0, 1}"),
+        (grid, [0, -3], [1, 0], "context -3 outside [0, 4)"),
+        (grid, [9, 1], [1, 0], "context 9 outside [0, 4)"),
+        (explicit, [-1, 2], [0, 1], "context -1 outside [0, 4)"),
+        (explicit, [2, 4], [0, 1], "context 4 outside [0, 4)"),
+    ]
+    for family, xs, ys, message in cases:
+        for call in (prefix_best_losses, offline_best_loss, mle_oracle,
+                     lambda xs, ys, family: examples_to_counts(xs, ys, family.size)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(xs, ys, family)
+    # games never produce such values: valid ones still give the losses
+    assert offline_best_loss([0, 1], [1, 0], grid) == 0.0
 
 
 def test_threshold_fast_path_equals_generic_scan():
