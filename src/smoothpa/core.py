@@ -97,13 +97,13 @@ def run_game(learner, adversary, T: int, seed, run_id="game"):
     uniform falls in that distribution's cdf (the uniforms are drawn a block
     of rounds at a time, with the values one draw per round takes), the
     learner predicts q, the adversary picks the labels y after seeing the
-    predictions, and both players observe the round. Each value is written
-    to its column first, and the players get the column's entries: int64
-    contexts and labels, float64 predictions. The adversary learns the past
-    only through `observe(x, q, y)`. The losses are taken by `log_loss` for a
-    block of rounds once it is played, so an invalid or contradicted
-    prediction raises at the end of its block. The comparator column is left
-    at zero; the harness fills it offline.
+    predictions, and both players observe the round. The players get int64
+    contexts, read-only (R,) arrays when R > 1, and the entries of the label
+    and prediction columns: int64 labels, float64 predictions. The adversary
+    learns the past only through `observe(x, q, y)`. The losses are taken by
+    `log_loss` for a block of rounds once it is played, so an invalid or
+    contradicted prediction raises at the end of its block. The comparator
+    column is left at zero; the harness fills it offline.
     """
     if T < 1:
         raise ValueError("horizon T must be >= 1")
@@ -130,6 +130,8 @@ def run_game(learner, adversary, T: int, seed, run_id="game"):
         for t, u in enumerate(uniforms if R > 1 else uniforms[:, 0], start):
             dist = adversary.context_distribution()
             x = dist.ids[dist.cdf.searchsorted(u, side="right")]
+            if R > 1:
+                x.setflags(False)       # write=False, as a keyword 2-3x as slow
             xs[t] = x
             qs[t] = learner.predict(x)
             q = qs[t]

@@ -30,7 +30,8 @@ class Cell(NamedTuple):
     """One sweep cell: its learner spec, horizon and smoothness, and the learner
     and adversary that play the cell's repetitions in lockstep. `run_game`
     resets both with fresh generators, one per repetition, and `reset` clears
-    all of their state, so no game sees another's."""
+    all of their state, so no game sees another's; each repetition's
+    comparator is then computed from its own trajectory alone."""
 
     learner_spec: dict
     T: int
@@ -169,11 +170,12 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
     regrets with their moments, and the scaling fits.
 
     Cells run one after another in order, each one `run_game` call that plays
-    the cell's repetitions in lockstep and one `prefix_best_losses` call on
-    their columns, so outputs are byte-identical across runs of the same
-    config. A cell's CSV is written once its repetitions finish and their
-    comparators are checked; a failure writes nothing for its cell, so an
-    interrupt leaves every completed cell's CSV and no partial one.
+    the cell's repetitions in lockstep and one `prefix_best_losses` call per
+    repetition on its own trajectory, so outputs are byte-identical across
+    runs of the same config. A cell's CSV is written once its repetitions
+    finish and their comparators are checked; a failure writes nothing for
+    its cell, so an interrupt leaves every completed cell's CSV and no
+    partial one.
     A comparator column that decreases from one round to the next raises
     NumericalAssertionError naming the cell, repetition and round. An output
     file that cannot be written raises ConfigError.
@@ -192,10 +194,8 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
         traces = run_game(cell.learner, cell.adversary, cell.T,
                           [derive_seed(cfg.base_seed, cell_key, rep) for rep in reps],
                           run_id=[f"c{ci:03d}r{rep:03d}" for rep in reps])
-        comparators = prefix_best_losses(np.column_stack([tr.xs for tr in traces]),
-                                         np.column_stack([tr.ys for tr in traces]), cfg.family)
         for rep, trace in enumerate(traces):
-            trace.comparator = comparators[:, rep]
+            trace.comparator = prefix_best_losses(trace.xs, trace.ys, cfg.family)
             _check_nondecreasing(trace.comparator, ci, rep)
         _write(out / f"records_cell{ci:03d}.csv", format_records_csv(traces))
         finals = [float(tr.cum_losses[-1]) for tr in traces]

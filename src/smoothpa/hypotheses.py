@@ -310,37 +310,6 @@ def offline_best_loss(xs, ys, family: RegionFamily) -> float:
     return mle_from_counts(examples_to_counts(xs, ys, family.size), family)[1]
 
 
-def _representatives(seen: np.ndarray, family: RegionFamily):
-    """One region per class of regions whose membership agrees on every
-    context of the sorted distinct contexts `seen`, as (count, rows): rows
-    maps an array of contexts from `seen` to their membership in the
-    representatives, along a new last axis.
-
-    On a threshold grid the representatives are the thresholds at the
-    contexts of `seen`, and rows compares with them. The one class they
-    leave out, thresholds below every context, holds no context, so its loss
-    is that of the class holding all of them: a region's loss is the same
-    with inside and outside swapped. On an explicit family they are the
-    first region of each distinct membership column, found by comparing each
-    column's bytes as one value, and rows gathers from their membership
-    table indexed by context: the family's own matrix when no two regions
-    merge.
-    """
-    if family.kind == THRESHOLD_GRID:
-        return len(seen), functools.partial(family.contains, regions=seen)
-    member = family.contains(seen)
-    keys = np.ascontiguousarray(member.T).view(np.dtype((np.void, len(seen))))[:, 0].tolist()
-    # a dict from each key to its first region (filled last to first); sorting
-    # the keys with np.unique took as long and mapped 0.13-0.18 MB more of numpy
-    first = list(dict(zip(keys[::-1], range(len(keys) - 1, -1, -1))).values())
-    if len(first) == len(family):
-        return len(family), family.contains
-    # no larger than the family's matrix; the rows of contexts not in seen stay empty
-    table = np.zeros((family.size, len(first)), dtype=bool)
-    table[seen] = member[:, first]
-    return len(first), table.__getitem__
-
-
 # Temporary memory one block of rounds may use, in prefix_best_losses, in the
 # FTPL learner's hallucination draws and in a game's context uniforms; a
 # block's row count follows from it and the sizes of the family. Larger blocks
@@ -349,61 +318,64 @@ _BLOCK_BYTES = 1 << 18
 
 
 def prefix_best_losses(xs, ys, family: RegionFamily) -> np.ndarray:
-    """Offline-best loss on every prefix of (xs, ys): entry t - 1 is the best
-    in-class loss on the first t examples, as ComparatorTracker.update returns.
-    xs and ys are one trajectory's columns of shape (T,), or the columns of R
-    trajectories as (T, R) arrays, such as a cell's repetitions; the losses
-    come in the same shape. A context outside the family or a label outside
-    {0, 1} raises ValueError naming it.
+    """Offline-best loss on every prefix of one trajectory's columns (xs, ys),
+    of shape (T,): entry t - 1 is the best in-class loss on the first t
+    examples, as ComparatorTracker.update returns. Columns that are not 1-D
+    of equal length raise ValueError naming both shapes; a context outside
+    the family or a label outside {0, 1} raises ValueError naming it.
 
-    The minimum runs over one representative region per class of regions
-    whose membership agrees on every distinct context the columns hold, as
-    `_representatives` picks them: such regions have equal counts on every
-    prefix, so equal losses. Per representative, the counts inside it on
-    every prefix are running sums over time of the examples' membership
-    rows, built a block of rounds at a time in the layout `side_counts`
-    builds; the outside counts are the prefix totals less the inside ones.
-    All counts are int64, exact whatever the summation order, so the losses
-    equal those over all regions bit for bit.
+    An explicit family's minimum runs over all of its regions. A threshold
+    grid's runs over the thresholds at the trajectory's distinct contexts,
+    one per class of thresholds whose membership agrees on every context
+    seen: such regions have equal counts on every prefix, so equal losses.
+    The one class they leave out, thresholds below every context, holds no
+    context, so its loss is that of the class holding all of them: a
+    region's loss is the same with inside and outside swapped. Per region,
+    the counts inside it on every prefix are running sums over time of the
+    examples' membership rows, built a block of rounds at a time in the
+    layout `side_counts` builds; the outside counts are the prefix totals
+    less the inside ones. All counts are int64, exact whatever the summation
+    order, so the losses equal those over all regions bit for bit.
     """
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
-    shape = xs.shape
-    if not xs.size:
-        return np.empty(shape)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError(f"contexts of shape {xs.shape} and labels of shape {ys.shape}: "
+                         f"need two 1-D columns of equal length")
     _check_examples(xs, ys, family.size)
-    # the distinct contexts, sorted: a U-long mask is smaller than the family
-    # itself, and np.unique took 3-10x as long at T = 1024 (and mapped 1.6 MB
-    # more of numpy's code into memory)
-    present = np.zeros(family.size, dtype=bool)
-    present[xs] = True
-    seen = np.flatnonzero(present)
-    m, rows_of = _representatives(seen, family)
-    T = shape[0]
-    xs, ys = xs.reshape(T, -1), ys.reshape(T, -1)
-    R = xs.shape[1]
-    # 8-byte words per (round, representative) while a block's losses are
-    # formed: the membership block (bool), the four count blocks, and in _nll
-    # each side's loss, count difference and table gather
-    rows = max(1, _BLOCK_BYTES // (8 * 11 * R * m))
-    out = np.empty((T, R))
-    carry = np.zeros((2, R, m), dtype=np.int64)
-    total_k = np.cumsum(ys, axis=0)
-    for start in range(0, T, rows):
-        stop = min(start + rows, T)
-        inside = rows_of(xs[start:stop])
-        counts = np.empty((2, 2, stop - start, R, m), dtype=np.int64)
+    if not xs.size:
+        return np.empty(0)
+    regions, m = None, len(family)
+    if family.kind == THRESHOLD_GRID:
+        # the distinct contexts, sorted: a U-long mask is smaller than the
+        # family itself, and np.unique took 3-10x as long at T = 1024 (and
+        # mapped 1.6 MB more of numpy's code into memory)
+        present = np.zeros(family.size, dtype=bool)
+        present[xs] = True
+        regions = np.flatnonzero(present)
+        m = len(regions)
+    # 8-byte words per (round, region) while a block's losses are formed: the
+    # membership block (bool), the four count blocks, and in _nll each side's
+    # loss, count difference and table gather
+    rows = max(1, _BLOCK_BYTES // (8 * 11 * m))
+    out = np.empty(len(xs))
+    carry = 0
+    total_k = np.cumsum(ys)
+    for start in range(0, len(xs), rows):
+        stop = min(start + rows, len(xs))
+        inside = family.contains(xs[start:stop], regions)
+        counts = np.empty((2, 2) + inside.shape, dtype=np.int64)
         counts[0, 0] = inside
-        np.multiply(inside, ys[start:stop, :, None], out=counts[1, 0])
+        np.multiply(inside, ys[start:stop, None], out=counts[1, 0])
         counts[:, 0, 0] += carry
         np.cumsum(counts[:, 0], axis=1, out=counts[:, 0])
-        np.subtract(np.arange(start + 1, stop + 1)[:, None, None], counts[0, 0], out=counts[0, 1])
-        np.subtract(total_k[start:stop, :, None], counts[1, 0], out=counts[1, 1])
+        np.subtract(np.arange(start + 1, stop + 1)[:, None], counts[0, 0], out=counts[0, 1])
+        np.subtract(total_k[start:stop, None], counts[1, 0], out=counts[1, 1])
         # no count exceeds the prefix length
-        out[start:stop] = _region_losses(counts, stop).min(axis=-1)
+        out[start:stop] = _region_losses(counts, stop).min(axis=1)
         # a copy, so the carry does not keep this block's counts alive
         carry = counts[:, 0, -1].copy()
-    return out.reshape(shape)
+    return out
 
 
 class ComparatorTracker:

@@ -163,9 +163,13 @@ class MixtureLearner:
         """Bump the counts on x's side and shift the log marginals by the log
         Laplace factor of the realized label: one more than its count there,
         over n_j + 2. Given the very contexts object the last prediction got,
-        as a game passes it, the update reuses that prediction's sides."""
+        as a game passes it, the update reuses that prediction's sides if the
+        contexts cannot have changed since: a number, or a read-only array
+        that owns its memory."""
         predicted, self._predicted = self._predicted, None
-        if predicted is not None and predicted[0] is xs:
+        if predicted is not None and predicted[0] is xs and (
+                not xs.flags.writeable and xs.base is None if isinstance(xs, np.ndarray)
+                else isinstance(xs, (int, np.generic))):
             side, n2_j = predicted[1:]
         else:
             side, n2_j = self._sides(xs)

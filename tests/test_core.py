@@ -203,7 +203,7 @@ def test_csv_rows_equal_each_value_formatted_on_its_own():
 
 class RecordingLearner:
     """Predicts from a fixed list of probabilities, the same in every game,
-    and logs every call."""
+    logs every call, and keeps whether each call's contexts were writeable."""
 
     def __init__(self, log, qs):
         self.log = log
@@ -211,16 +211,19 @@ class RecordingLearner:
 
     def reset(self, rngs):
         self.t = 0
+        self.writeable = []
         self.log.append(("reset", rngs))
 
     def predict(self, xs):
         q = self.qs[self.t % len(self.qs)]
         self.log.append(("predict", xs.tolist(), q))
+        self.writeable.append(xs.flags.writeable)
         return q
 
     def update(self, xs, ys):
         self.t += 1
         self.log.append(("update", xs.tolist(), ys.tolist()))
+        self.writeable.append(xs.flags.writeable)
 
 
 class RecordingPolicy(AdversaryPolicy):
@@ -269,6 +272,8 @@ def test_run_game_round_protocol():
             ("context_distribution",), ("predict", xs, q), ("label", xs, [q, q], y),
             ("update", xs, [y, y]), ("observe", xs, [q, q], [y, y])]
         assert qs == [q, q] and ys == [y, y]
+    # the learner gets read-only contexts: nobody can refill them in place
+    assert learner.writeable == [False] * (2 * len(labels))
     for tr in traces:
         assert tr.losses.tolist() == [log_loss(q, y) for q, y in zip(tr.qs, tr.ys)]
 

@@ -13,6 +13,7 @@ import pytest
 
 import smoothpa
 import smoothpa.harness as harness
+import smoothpa.hypotheses as hypotheses
 from smoothpa.adversary import (AdversaryPolicy, GreedyLabelRule, StaticSubsetRule,
                                 adversary_from_spec)
 from smoothpa.cli import main as cli_main
@@ -414,8 +415,8 @@ def test_run_fails_where_the_comparator_decreases(tmp_path, monkeypatch, capsys)
     def dipping(xs, ys, family):
         out = real(xs, ys, family)
         calls.append(out)
-        if len(calls) == 2:         # the second cell, its second repetition, round 9
-            out[8, 1] = np.nextafter(out[7, 1], -np.inf)
+        if len(calls) == 4:         # the second cell, its second repetition, round 9
+            out[8] = np.nextafter(out[7], -np.inf)
         return out
 
     monkeypatch.setattr(harness, "prefix_best_losses", dipping)
@@ -431,6 +432,27 @@ def test_run_fails_where_the_comparator_decreases(tmp_path, monkeypatch, capsys)
                           "repetition 1, round 9: "), err
     assert len(read_rows(tmp_path / "out" / "records_cell000.csv")) == 32
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["records_cell000.csv"]
+
+
+def test_each_repetition_comparator_uses_only_its_own_classes(tmp_path, monkeypatch):
+    # a repetition's comparator forms its losses over the classes of its own
+    # contexts, not over those the cell's other repetitions saw: on a
+    # 4096-point grid, at most one threshold per context it saw
+    real_losses, real_comparator = hypotheses._region_losses, harness.prefix_best_losses
+    calls = []
+
+    def comparator(xs, ys, family):
+        calls.append((len(np.unique(xs)), []))
+        return real_comparator(xs, ys, family)
+
+    monkeypatch.setattr(hypotheses, "_region_losses", lambda counts, *args: (
+        calls[-1][1].append(counts.shape[-1]) or real_losses(counts, *args)))
+    monkeypatch.setattr(harness, "prefix_best_losses", comparator)
+    run(base_config(universe=4096, family={"kind": "threshold_grid", "size": 4096}, T=64,
+                    repetitions=4), tmp_path)
+    assert len(calls) == 4
+    for distinct, widths in calls:
+        assert widths and max(widths) <= distinct, (distinct, widths)
 
 
 def test_mixture_regret_meets_its_certificate_every_round(tmp_path):

@@ -441,34 +441,10 @@ def test_prefix_best_losses_equal_the_all_regions_oracle_bitwise(name, xs, ys, f
     assert prefix_best_losses(xs.tolist(), ys.tolist(), family).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("family", [
-    RegionFamily.threshold_grid(1 << 16),
-    RegionFamily.threshold_grid(64),
-    random_explicit(np.random.default_rng(31), 256, 128),
-], ids=["wide_grid", "grid64", "explicit128x256"])
-def test_prefix_best_losses_columns_equal_single_trace_calls(family):
-    # R traces as the columns of (T, R) arrays, as the harness passes a cell's
-    # repetitions: each column is the trace's own call, bit for bit
-    rng = np.random.default_rng(32)
-    T, R = 300, 4
-    xs = rng.integers(0, family.size, size=(T, R))
-    xs[:, 1] = rng.integers(0, 5, size=T)                # a column with few contexts
-    ys = rng.integers(0, 2, size=(T, R))
-    got = prefix_best_losses(xs, ys, family)
-    assert got.shape == (T, R)
-    for r in range(R):
-        single = prefix_best_losses(xs[:, r], ys[:, r], family)
-        assert got[:, r].tobytes() == single.tobytes()
-        assert single.tobytes() == prefix_best_losses_all_regions(xs[:, r], ys[:, r],
-                                                                  family).tobytes()
-    one = prefix_best_losses(xs[:, :1], ys[:, :1], family)
-    assert one.shape == (T, 1) and one.tobytes() == got[:, :1].copy().tobytes()
-
-
 def test_prefix_best_losses_runs_on_class_representatives(monkeypatch):
     # the losses are formed for one region per class: on a 2**16-point grid
     # with T = 64 at most one per distinct context plus one, never all 2**16;
-    # on an explicit family one per distinct membership column
+    # an explicit family's for all of its regions, merged or not
     widths = []
     real = hypotheses._region_losses
     monkeypatch.setattr(hypotheses, "_region_losses",
@@ -479,15 +455,14 @@ def test_prefix_best_losses_runs_on_class_representatives(monkeypatch):
     ys = rng.integers(0, 2, size=64)
     got = prefix_best_losses(xs, ys, grid)
     assert widths and max(widths) <= len(np.unique(xs)) + 1
-    # 40 regions, 8 of them distinct on the contexts 0..7 the trace holds
+    # 40 regions, only 8 of them distinct on the contexts 0..7 the trace holds
     regions = [np.flatnonzero(row).tolist() for row in rng.random((8, 16)) < 0.5]
     explicit = RegionFamily.explicit(16, [regions[i % 8] + [8 + i % 5] for i in range(40)])
     xs2 = np.concatenate([np.arange(8), rng.integers(0, 8, size=100)])
     ys2 = rng.integers(0, 2, size=len(xs2))
-    classes = len({tuple(x for x in r if x < 8) for r in regions})
     widths.clear()
     got2 = prefix_best_losses(xs2, ys2, explicit)
-    assert widths and max(widths) == classes
+    assert widths and set(widths) == {len(explicit)}
     monkeypatch.setattr(hypotheses, "_region_losses", real)
     assert got.tobytes() == prefix_best_losses_all_regions(xs, ys, grid).tobytes()
     assert got2.tobytes() == prefix_best_losses_all_regions(xs2, ys2, explicit).tobytes()
@@ -509,6 +484,20 @@ def test_malformed_examples_raise_naming_the_value():
                      lambda xs, ys, family: examples_to_counts(xs, ys, family.size)):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call(xs, ys, family)
+    # the comparator takes one trajectory's two columns of equal length
+    shapes = [
+        ([0, 1, 2, 3], [[0, 1], [1, 0]],
+         "contexts of shape (4,) and labels of shape (2, 2): need two 1-D columns of equal length"),
+        ([[0, 1], [2, 3]], [[0, 1], [1, 0]],
+         "contexts of shape (2, 2) and labels of shape (2, 2): need two 1-D columns of equal "
+         "length"),
+        ([0, 1, 2], [0, 1],
+         "contexts of shape (3,) and labels of shape (2,): need two 1-D columns of equal length"),
+    ]
+    for family in (grid, explicit):
+        for xs, ys, message in shapes:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                prefix_best_losses(xs, ys, family)
     # games never produce such values: valid ones still give the losses
     assert offline_best_loss([0, 1], [1, 0], grid) == 0.0
 

@@ -326,6 +326,36 @@ def test_mixture_predict_leaves_later_updates_exact(fam):
                              - played.log_marginal)) < 1e-10
 
 
+def test_mixture_update_reads_contexts_refilled_after_predict():
+    # a caller that refills one contexts buffer in place between predict and
+    # update, or passes a read-only view of such a buffer, bumps the new
+    # contexts' sides, as a learner given fresh arrays does
+    fam = RegionFamily.threshold_grid(8)
+    cover = epsilon_cover(fam, 1e-9)
+    learners = [MixtureLearner(fam, cover) for _ in range(3)]
+    for lr in learners:
+        lr.reset([np.random.default_rng(0), np.random.default_rng(1)])
+    refilled, viewed, fresh = learners
+    buf = np.zeros(2, dtype=np.int64)
+    view = buf.view()
+    view.flags.writeable = False
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        x_pred, x_upd = rng.integers(0, 8, size=(2, 2))
+        y = rng.integers(0, 2, size=2)
+        buf[:] = x_pred
+        refilled.predict(buf)
+        viewed.predict(view)
+        fresh.predict(x_pred.copy())
+        buf[:] = x_upd
+        refilled.update(buf, y)
+        viewed.update(view, y)
+        fresh.update(x_upd.copy(), y)
+    for lr in (refilled, viewed):
+        for name in ("n", "k", "log_marginal"):
+            assert np.array_equal(getattr(lr, name), getattr(fresh, name)), name
+
+
 @st.composite
 def family_and_game(draw):
     """An explicit family of 2 to 5 regions over 1 to 6 contexts, and up to 30
