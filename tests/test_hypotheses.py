@@ -441,6 +441,35 @@ def test_prefix_best_losses_equal_the_all_regions_oracle_bitwise(name, xs, ys, f
     assert prefix_best_losses(xs.tolist(), ys.tolist(), family).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("family", [
+    RegionFamily.threshold_grid(1 << 16),
+    RegionFamily.threshold_grid(64),
+    random_explicit(np.random.default_rng(31), 256, 128),
+], ids=["wide_grid", "grid64", "explicit128x256"])
+def test_prefix_best_losses_columns_equal_single_trace_calls(family):
+    # R traces as the columns of (T, R) arrays, as run_game fills a cell's
+    # repetitions: each column passed on its own, a strided view, gives the
+    # call on the trace's contiguous copy bit for bit, and both equal the
+    # all-regions oracle; the (T, R) arrays themselves are refused
+    rng = np.random.default_rng(32)
+    T, R = 300, 4
+    xs = rng.integers(0, family.size, size=(T, R))
+    xs[:, 1] = rng.integers(0, 5, size=T)                # a column with few contexts
+    ys = rng.integers(0, 2, size=(T, R))
+    for r in range(R):
+        column = prefix_best_losses(xs[:, r], ys[:, r], family)
+        assert column.shape == (T,)
+        single = prefix_best_losses(xs[:, r].copy(), ys[:, r].copy(), family)
+        assert column.tobytes() == single.tobytes()
+        assert single.tobytes() == prefix_best_losses_all_regions(xs[:, r], ys[:, r],
+                                                                  family).tobytes()
+    for cols in ((xs, ys), (xs[:, :1], ys[:, :1])):
+        shape = cols[0].shape
+        with pytest.raises(ValueError, match=re.escape(f"contexts of shape {shape} and labels "
+                                                       f"of shape {shape}: need two 1-D")):
+            prefix_best_losses(*cols, family)
+
+
 def test_prefix_best_losses_runs_on_class_representatives(monkeypatch):
     # the losses are formed for one region per class: on a 2**16-point grid
     # with T = 64 at most one per distinct context plus one, never all 2**16;
