@@ -30,6 +30,8 @@ def rejection_couple_batch(trials: int, m: int, target: SmoothDistribution,
     samples = rng.integers(0, u, size=(trials, m))
     coins = rng.random(size=(trials, m))
     accepted = coins < accept_p[samples]
-    success = accepted.any(axis=1)
-    index = np.where(success, accepted.argmax(axis=1), -1)
+    # the first True if any, else index 0: the entry there says whether one exists
+    first = accepted.argmax(axis=1)
+    success = accepted[np.arange(trials), first]
+    index = np.where(success, first, -1)
     return success, index, samples

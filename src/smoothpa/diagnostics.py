@@ -110,12 +110,26 @@ def rademacher_estimate(family: RegionFamily, alpha: float, sample_size: int,
     (common random numbers) and the hardest set wins. For each sign vector the
     supremum over hypotheses is exact: by linearity in (theta0, theta1) the
     optimum sits at an endpoint, so sup = max over regions of
-    max(0, S_in) + max(0, S_out), then pushed through the truncation's affine map.
+    max(0, S_in) + max(0, S_out), then pushed through the truncation's affine
+    map. With S_out = tau - S_in for the sign total tau, that sum is
+    max(0, tau, S_in, tau - S_in), so the supremum takes two reductions over
+    the regions: max(0, tau, max S_in, tau - min S_in).
+
+    S_in depends on a region only through its membership on the sample, so
+    the reductions run over `family.representatives(xs)`: every region of an
+    explicit family, and on a threshold grid the thresholds at the sample's
+    d distinct contexts; the class they leave out holds no sample, S_in = 0,
+    which the 0 term covers. A candidate costs O(mc_rounds * t * d) on a grid
+    (d = regions for an explicit family) and U-long mask work, not U times
+    mc_rounds. Every S_in is a sum of +-1, an integer below 2^53, exact in any
+    summation order, so the estimate equals the one over all regions.
     """
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
     if mc_rounds < 1:
         raise ValueError("mc_rounds must be >= 1")
+    if not 0.0 <= alpha < 0.5:
+        raise ValueError("alpha must be in [0, 1/2)")
     u = family.size
     t = sample_size
 
@@ -124,15 +138,13 @@ def rademacher_estimate(family: RegionFamily, alpha: float, sample_size: int,
         candidates.append(rng.integers(0, u, size=t))
     eps = rng.integers(0, 2, size=(mc_rounds, t)) * 2.0 - 1.0
     totals = eps.sum(axis=1)
+    floor = np.maximum(totals, 0.0)
+    eps_t = np.ascontiguousarray(eps.T)
 
     best = RademacherEstimate(-np.inf, 0.0)
     for xs in candidates:
-        s_in = eps @ family.contains(xs).astype(np.float64)     # signed counts per region
-        s_out = totals[:, None] - s_in
-        np.maximum(s_in, 0.0, out=s_in)
-        np.maximum(s_out, 0.0, out=s_out)
-        s_in += s_out
-        sup_raw = s_in.max(axis=1)
+        s_in = family.contains(xs, family.representatives(xs)).T.astype(np.float64) @ eps_t
+        sup_raw = np.maximum(np.maximum(floor, s_in.max(axis=0)), totals - s_in.min(axis=0))
         sup = (sup_raw + alpha * totals) / ((1.0 + 2.0 * alpha) * t)
         mean = float(sup.mean())
         if mean > best.mean:

@@ -75,6 +75,23 @@ class RegionFamily:
             return self._member[xs]
         return self._member[xs[..., None], regions]
 
+    def representatives(self, xs) -> Optional[np.ndarray]:
+        """Regions enough for a minimum or maximum over the family of any
+        quantity that depends on a region only through its membership on the
+        contexts xs, as the `regions` argument of `contains`: None (every
+        region) for an explicit family; for a threshold grid, the thresholds
+        at the distinct contexts of xs, sorted, one per class of thresholds
+        whose membership agrees on every context. They leave out one class,
+        the thresholds below every context, which holds none of them."""
+        if self.kind != THRESHOLD_GRID:
+            return None
+        # a U-long mask is smaller than the family itself, and np.unique took
+        # 3-10x as long at T = 1024 (and mapped 1.6 MB more of numpy's code
+        # into memory)
+        present = np.zeros(self.size, dtype=bool)
+        present[xs] = True
+        return np.flatnonzero(present)
+
     @classmethod
     def from_spec(cls, obj: dict) -> "RegionFamily":
         """The family a JSON spec describes. A malformed spec raises ConfigError
@@ -324,10 +341,10 @@ def prefix_best_losses(xs, ys, family: RegionFamily) -> np.ndarray:
     of equal length raise ValueError naming both shapes; a context outside
     the family or a label outside {0, 1} raises ValueError naming it.
 
-    An explicit family's minimum runs over all of its regions. A threshold
-    grid's runs over the thresholds at the trajectory's distinct contexts,
-    one per class of thresholds whose membership agrees on every context
-    seen: such regions have equal counts on every prefix, so equal losses.
+    The minimum runs over `family.representatives(xs)`: all of an explicit
+    family's regions, and a threshold grid's thresholds at the trajectory's
+    distinct contexts, one per class of thresholds whose membership agrees
+    on every context seen: such regions have equal counts on every prefix, so equal losses.
     The one class they leave out, thresholds below every context, holds no
     context, so its loss is that of the class holding all of them: a
     region's loss is the same with inside and outside swapped. Per region,
@@ -345,15 +362,8 @@ def prefix_best_losses(xs, ys, family: RegionFamily) -> np.ndarray:
     _check_examples(xs, ys, family.size)
     if not xs.size:
         return np.empty(0)
-    regions, m = None, len(family)
-    if family.kind == THRESHOLD_GRID:
-        # the distinct contexts, sorted: a U-long mask is smaller than the
-        # family itself, and np.unique took 3-10x as long at T = 1024 (and
-        # mapped 1.6 MB more of numpy's code into memory)
-        present = np.zeros(family.size, dtype=bool)
-        present[xs] = True
-        regions = np.flatnonzero(present)
-        m = len(regions)
+    regions = family.representatives(xs)
+    m = len(family) if regions is None else len(regions)
     # 8-byte words per (round, region) while a block's losses are formed: the
     # membership block (bool), the four count blocks, and in _nll each side's
     # loss, count difference and table gather

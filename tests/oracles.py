@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from smoothpa.core import GameTrace, allocate_columns, log_loss
+from smoothpa.diagnostics import RademacherEstimate
 from smoothpa.hypotheses import _BLOCK_BYTES, _region_losses
 
 
@@ -92,3 +93,35 @@ def prefix_best_losses_all_regions(xs, ys, family) -> np.ndarray:
         out[start:stop] = _region_losses(counts).min(axis=1)
         carry = counts[:, 0, -1].copy()
     return out
+
+
+def rademacher_estimate_all_regions(family, alpha, sample_size, mc_rounds, rng):
+    """Monte Carlo Rademacher complexity with the supremum taken over every
+    region of the family, per region the sum max(0, S_in) + max(0, S_out):
+    the estimate `diagnostics.rademacher_estimate` made before it took two
+    reductions over class representatives, and the reference it must equal.
+    It draws the candidates and then the signs, as that function does.
+    """
+    u = family.size
+    t = sample_size
+
+    candidates = [np.tile(np.arange(u), (t + u - 1) // u)[:t]]
+    for _ in range(mc_rounds):
+        candidates.append(rng.integers(0, u, size=t))
+    eps = rng.integers(0, 2, size=(mc_rounds, t)) * 2.0 - 1.0
+    totals = eps.sum(axis=1)
+
+    best = RademacherEstimate(-np.inf, 0.0)
+    for xs in candidates:
+        s_in = eps @ family.contains(xs).astype(np.float64)     # signed counts per region
+        s_out = totals[:, None] - s_in
+        np.maximum(s_in, 0.0, out=s_in)
+        np.maximum(s_out, 0.0, out=s_out)
+        s_in += s_out
+        sup_raw = s_in.max(axis=1)
+        sup = (sup_raw + alpha * totals) / ((1.0 + 2.0 * alpha) * t)
+        mean = float(sup.mean())
+        if mean > best.mean:
+            best = RademacherEstimate(mean, float(sup.std(ddof=1) / math.sqrt(len(sup)))
+                                      if len(sup) > 1 else 0.0)
+    return best

@@ -18,7 +18,7 @@ from smoothpa.diagnostics import (chi_square_bruteforce, chi_square_closed_form,
                                   rademacher_estimate, theorem_bound)
 from smoothpa.hypotheses import Hypothesis, RegionFamily
 
-from oracles import region_bitmaps
+from oracles import rademacher_estimate_all_regions, region_bitmaps
 
 
 def make_smooth(u, sigma, rng):
@@ -206,6 +206,46 @@ def test_rademacher_validates_inputs():
         rademacher_estimate(fam, 0.0, 0, 10, np.random.default_rng(0))
     with pytest.raises(ValueError, match=r"^mc_rounds must be >= 1$"):
         rademacher_estimate(fam, 0.0, 8, 0, np.random.default_rng(0))
+    # NaN makes every mean NaN, which never beats -inf; -1/2 zeroes the divisor
+    for alpha in (math.nan, -0.5, 0.5, -1e-9):
+        with pytest.raises(ValueError, match=r"^alpha must be in \[0, 1/2\)$"):
+            rademacher_estimate(fam, alpha, 8, 10, np.random.default_rng(0))
+
+
+def rademacher_cases():
+    """(name, family, alpha, sample_size, mc_rounds) the class reductions must
+    get right."""
+    grid64, grid3, grid1 = (RegionFamily.threshold_grid(u) for u in (64, 3, 1))
+    # two copies of each region, an empty one and the whole space
+    rng = np.random.default_rng(50)
+    regions = [np.flatnonzero(row).tolist() for row in rng.random((5, 12)) < 0.4]
+    duplicated = RegionFamily.explicit(12, regions + regions + [[], list(range(12))])
+    only_empty = RegionFamily.explicit(6, [[], []])
+    # neither empty nor whole: no region alone gives the 0 or the tau term
+    one_region = RegionFamily.explicit(4, [[0, 1]])
+    yield "grid64_t64", grid64, 0.01, 64, 40        # the repeat pattern holds 0 and U-1
+    yield "grid64_t1", grid64, 0.2, 1, 30
+    yield "grid64_t200_mc1", grid64, 0.0, 200, 1     # t > U; one round gives stderr 0
+    yield "grid3_t16", grid3, 0.2, 16, 25            # draws hit 0 and U-1
+    yield "grid1_t5", grid1, 0.0, 5, 20
+    yield "grid1_t1_mc1", grid1, 0.2, 1, 1
+    yield "explicit_duplicated", duplicated, 0.0, 20, 30
+    yield "explicit_duplicated_t1", duplicated, 0.2, 1, 10
+    yield "explicit_only_empty", only_empty, 0.2, 9, 15
+    yield "explicit_one_region", one_region, 0.0, 3, 30
+
+
+RADEMACHER_CASES = list(rademacher_cases())
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name, family, alpha, t, rounds", RADEMACHER_CASES,
+                         ids=[case[0] for case in RADEMACHER_CASES])
+def test_rademacher_equals_the_all_regions_oracle(name, family, alpha, t, rounds, seed):
+    got = rademacher_estimate(family, alpha, t, rounds, np.random.default_rng(seed))
+    want = rademacher_estimate_all_regions(family, alpha, t, rounds,
+                                           np.random.default_rng(seed))
+    assert got == want
 
 
 # ---------------------------------------------------------------- bound

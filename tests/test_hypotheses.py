@@ -120,6 +120,9 @@ def test_grid_paths_hold_no_universe_squared_matrix():
                                        xs[:4]),
         "rademacher_estimate": lambda: rademacher_estimate(
             RegionFamily.threshold_grid(u), 0.05, 64, 50, np.random.default_rng(1)),
+        # mc_rounds x U float64 signed counts per candidate would be 13 MB
+        "rademacher_estimate_mc400": lambda: rademacher_estimate(
+            RegionFamily.threshold_grid(u), 0.05, 64, 400, np.random.default_rng(1)),
     }
     for name, call in calls.items():
         tracemalloc.start()
@@ -418,13 +421,15 @@ def comparator_cases():
         yield f"{family.kind}_T1_at_0", np.array([0]), np.array([0]), family
         ends = rng.choice([0, 15, 7], size=50)
         yield f"{family.kind}_hits_0_and_U-1", ends, rng.integers(0, 2, size=50), family
-    # duplicated regions: the first copy represents every later one
+    # duplicated regions: an explicit family runs on all of its regions,
+    # every copy included
     regions = [np.flatnonzero(row).tolist() for row in rng.random((6, 32)) < 0.5]
     duplicated = RegionFamily.explicit(32, [regions[i] for i in rng.integers(0, 6, size=24)])
     assert len({tuple(r) for r in regions}) == 6
     yield "explicit_duplicated", rng.integers(0, 32, size=200), rng.integers(0, 2, size=200), \
         duplicated
-    # singletons with every context seen: no two regions merge
+    # singletons with every context seen: as many distinct memberships on
+    # the trajectory as regions
     singletons = RegionFamily.explicit(24, [[x] for x in range(24)])
     xs = np.concatenate([np.arange(24), rng.integers(0, 24, size=100)])
     yield "explicit_none_merge", xs, rng.integers(0, 2, size=len(xs)), singletons
