@@ -58,10 +58,11 @@ class SmoothDistribution:
     and the running cdf of the pmf on `ids`, normalized the way rng.choice
     normalizes the dense one; all three are read-only, so a distribution
     cannot change after its check. A zero atom adds exactly 0.0 to a
-    running sum, so the two cdfs agree at every support position, and `sample`
-    draws the same context from the same generator state as
-    `rng.choice(size, p=pmf)`. The cdf is built at the first sample; a
-    distribution from `uniform_on` builds its pmf only when it is read.
+    running sum, so the two cdfs agree at every support position, and the
+    support id where a uniform draw falls in the cdf, as `core.run_game`
+    looks it up, is the context `rng.choice(size, p=pmf)` draws from the same
+    generator state. The cdf is built when it is first read; a distribution
+    from `uniform_on` builds its pmf only when it is read.
     """
 
     def __init__(self, pmf, sigma: float):
@@ -99,10 +100,6 @@ class SmoothDistribution:
         """sum_x D(x)^2, the chance that two independent draws coincide;
         1/k for the uniform distribution on k ids."""
         return float(np.sum(self.pmf ** 2))
-
-    def sample(self, rng: np.random.Generator) -> int:
-        """One context: the support id where a uniform draw falls in the cdf."""
-        return int(self.ids[self.cdf.searchsorted(rng.random(), side="right")])
 
     @classmethod
     def uniform_on(cls, size: int, support: Sequence[int], sigma: float) -> "SmoothDistribution":

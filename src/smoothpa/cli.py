@@ -52,8 +52,10 @@ def _cmd_chi2(args) -> dict:
     if not args.no_brute:
         try:
             brute, discarded = chi_square_bruteforce(target, args.n, args.cutoff)
-        except ValueError:
-            pass  # enumeration infeasible at this size; report closed form only
+        except ValueError as e:
+            # past the enumeration's size cap only the closed form is reported
+            if not str(e).startswith("enumeration"):
+                raise ConfigError(f"--cutoff: {e}") from None
     return {"chi2": {"closed": closed, "brute": brute, "bound": bound,
                      "discarded": discarded}}
 

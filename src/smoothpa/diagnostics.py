@@ -25,7 +25,7 @@ NML_MAX_HYPOTHESES = 10_000
 def chi_square_closed_form(target: SmoothDistribution, n_rate: float) -> tuple[float, float]:
     """Collision form (2U/n) * sum_x D(x)^2 of the one-step chi-square divergence,
     together with its smoothness bound 2/(sigma*n)."""
-    if n_rate <= 0:
+    if not n_rate > 0:
         raise ValueError("n_rate must be positive")
     value = float(2.0 * target.size / n_rate * target.collision)
     scale = target.sigma * n_rate
@@ -43,7 +43,7 @@ def chi_square_bruteforce(target: SmoothDistribution, n_rate: float,
     by one (label rule y(x) == 1, which the closed form is independent of).
     Returns (sum_S Q^2/P - 1, truncation diagnostic: P-mass plus Q-mass lost).
     """
-    if n_rate <= 0:
+    if not n_rate > 0:
         raise ValueError("n_rate must be positive")
     if not 0.0 < tail_cutoff < 1.0:
         raise ValueError("tail_cutoff must be in (0, 1)")
@@ -162,7 +162,7 @@ def theorem_bound(n_rate: float, alpha: float, sigma: float, T: int,
     truncated class. With m set, the inner bracket is evaluated at that block
     size; with m None it is minimized over a 32-point log grid in [1, n].
     """
-    if n_rate <= 0 or T <= 0:
+    if not n_rate > 0 or not T > 0:
         raise ValueError("n_rate and T must be positive")
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 1/2)")

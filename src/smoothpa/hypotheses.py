@@ -327,10 +327,11 @@ def offline_best_loss(xs, ys, family: RegionFamily) -> float:
     return mle_from_counts(examples_to_counts(xs, ys, family.size), family)[1]
 
 
-# Temporary memory one block of rounds may use, in prefix_best_losses, in the
-# FTPL learner's hallucination draws and in a game's context uniforms; a
-# block's row count follows from it and the sizes of the family. Larger blocks
-# save only some per-block dispatch and raise peak memory.
+# Temporary memory one block of rows may use: rounds in prefix_best_losses, in
+# the FTPL learner's hallucination draws and in a game's context uniforms, and
+# one half's count vectors in nml_value's pair sums; a block's row count
+# follows from it and the sizes of the family or table. Larger blocks save
+# only some per-block dispatch and raise peak memory.
 _BLOCK_BYTES = 1 << 18
 
 

@@ -28,7 +28,7 @@ def epsilon_cover(family: RegionFamily, eps: float) -> np.ndarray:
     giving at most ceil(1/eps) + 1 elements. Explicit families use a greedy
     farthest-point sweep seeded at region 0.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     m = len(family)
     if eps >= 1.0 or m == 1:
@@ -103,34 +103,38 @@ class MixtureLearner:
     """Uniform Bayes mixture over a cover of the region family, such as the
     regions `epsilon_cover` picks.
 
-    Per game and cover element i it keeps counts n[i, j] on side j (0 inside,
-    1 outside), the counts of each label there (`k` holds the 1s) and the log
-    marginal ln[B(k0, n0) * B(k1, n1)] of the labels seen so far. It stores
-    the counts as n + 2 and as label counts + 1, the terms of the Laplace
-    factors, exact while they are integers below 2^53. Context x's side of
-    element i is a flat index into them, 2i + j plus the game's offset, read
-    through `family.contains`, so the learner holds O(cover) memory per game
-    whatever the size of the context space.
+    Per game and cover element i it keeps the counts of each label on side j
+    (0 inside, 1 outside) and the log marginal ln[B(k0, n0) * B(k1, n1)] of
+    the labels seen so far. It stores the label counts + 1, the numerators of
+    the Laplace factors; their sum on a side is n_j + 2, the denominator, and
+    all of them are exact while they are integers below 2^53. Context x's
+    side of element i is a flat index into each label's counts, 2i + j plus
+    the game's offset, read through `family.contains`, so the learner holds
+    O(cover) memory per game whatever the size of the context space.
     """
 
     def __init__(self, family: RegionFamily, cover):
         self.family = family
         self.cover = np.asarray(cover, dtype=np.int64)
+        if not self.cover.size:
+            raise ValueError("cover is empty")
+        bad = self.cover[(self.cover < 0) | (self.cover >= len(family))]
+        if bad.size:
+            raise ValueError(f"cover index {bad[0]} outside [0, {len(family)})")
 
     def reset(self, rngs) -> None:
         shape, m = game_generators(rngs)[1], self.cover.size
-        self._n2 = np.full(shape + (m, 2), 2.0)
         self._labels1 = np.ones((2,) + shape + (m, 2))      # the 0s, then the 1s
         self.log_marginal = np.zeros(shape + (m,))
         # element i's outside side is 2i + 1 past its game's offset, its inside one less
-        games = np.arange(self._n2.size // (2 * m)).reshape(shape + (1,))
+        games = np.arange(self.log_marginal.size // m).reshape(shape + (1,))
         self._outside = np.arange(1, 2 * m, 2) + 2 * m * games
         self._predicted = None      # the last prediction's contexts, sides and n_j + 2
 
     @property
     def n(self) -> np.ndarray:
         """The examples per game, cover element and side."""
-        return self._n2 - 2.0
+        return self._labels1.sum(axis=0) - 2.0
 
     @property
     def k(self) -> np.ndarray:
@@ -138,9 +142,10 @@ class MixtureLearner:
         return self._labels1[1] - 1.0
 
     def _sides(self, xs):
-        """The flat side indices of xs and the terms n_j + 2 on them."""
+        """The flat side indices of xs, and the label-1 counts + 1 and n_j + 2 there."""
         side = self._outside - self.family.contains(xs, self.cover)
-        return side, self._n2.take(side)
+        ones = self._labels1[1].take(side)
+        return side, ones, self._labels1[0].take(side) + ones
 
     def predict(self, xs):
         """Posterior-weighted add-one rule: sum_i w_i (k_j + 1)/(n_j + 2) on x's side.
@@ -151,9 +156,9 @@ class MixtureLearner:
         so they cannot all underflow. Each game's weighted sum is one matrix
         product of a row and a column, which rounds as the dot product does.
         """
-        side, n2_j = self._sides(xs)
+        side, ones, n2_j = self._sides(xs)
         self._predicted = xs, side, n2_j
-        f = self._labels1[1].take(side) / n2_j
+        f = ones / n2_j
         lm = self.log_marginal
         w = np.exp(lm - lm.max(axis=-1, keepdims=True))
         q1 = (w[..., None, :] @ f[..., None])[..., 0, 0] / w.sum(axis=-1)
@@ -172,11 +177,10 @@ class MixtureLearner:
                 else isinstance(xs, (int, np.generic))):
             side, n2_j = predicted[1:]
         else:
-            side, n2_j = self._sides(xs)
-        label_side = side + np.multiply(ys, self._n2.size)[..., None]
+            side, _, n2_j = self._sides(xs)
+        label_side = side + np.multiply(ys, self._labels1[0].size)[..., None]
         hits = self._labels1.take(label_side)
         self.log_marginal += np.log(hits / n2_j)
-        self._n2.put(side, n2_j + 1.0)
         self._labels1.put(label_side, hits + 1.0)
 
 

@@ -41,6 +41,12 @@ def region_bitmaps(family):
     return np.array([[x in ids for x in range(u)] for ids in spec["regions"]], dtype=bool)
 
 
+def sample(dist, rng) -> int:
+    """One context from a smooth distribution: the support id where one
+    uniform from `rng` falls in its cdf, the lookup `core.run_game` makes."""
+    return int(dist.ids[dist.cdf.searchsorted(rng.random(), side="right")])
+
+
 def run_game_one_round_at_a_time(learner, adversary, T: int, seed: int, run_id: str = "game"):
     """One seeded trajectory played one round at a time, with Python scalars:
     the game loop `core.run_game` had before it played games in lockstep,
@@ -52,7 +58,7 @@ def run_game_one_round_at_a_time(learner, adversary, T: int, seed: int, run_id: 
     adversary.reset(adv_rng)
     xs, ys, qs, losses, comparator = allocate_columns(T)
     for t in range(T):
-        x = int(adversary.context_distribution().sample(ctx_rng))
+        x = sample(adversary.context_distribution(), ctx_rng)
         q = float(learner.predict(x))
         y = int(adversary.label(x, q))
         losses[t] = log_loss(q, y)

@@ -78,7 +78,9 @@ def test_chi2_bruteforce_discarded_grows_with_cutoff():
 
 @pytest.mark.parametrize("call, message", [
     (lambda d: chi_square_closed_form(d, 0.0), r"^n_rate must be positive$"),
+    (lambda d: chi_square_closed_form(d, math.nan), r"^n_rate must be positive$"),
     (lambda d: chi_square_bruteforce(d, -1.0), r"^n_rate must be positive$"),
+    (lambda d: chi_square_bruteforce(d, math.nan), r"^n_rate must be positive$"),
     (lambda d: chi_square_bruteforce(d, 4.0, 0.0), r"^tail_cutoff must be in \(0, 1\)$"),
     (lambda d: chi_square_bruteforce(d, 4.0, 1.0), r"^tail_cutoff must be in \(0, 1\)$"),
     (lambda d: chi_square_bruteforce(d, 4.0, 0.5), r"^cutoff 0\.5 empties the support at rate 1$"),
@@ -297,6 +299,9 @@ def test_theorem_bound_input_validation():
         theorem_bound(-1.0, 0.01, 1.0, 100, rad=lambda s: 0.0)
     with pytest.raises(ValueError, match=r"^sigma must be in \(0, 1\]$"):
         theorem_bound(10.0, 0.01, 1.5, 100, rad=lambda s: 0.0)
+    for n_rate, T in ((math.nan, 100), (10.0, math.nan)):
+        with pytest.raises(ValueError, match=r"^n_rate and T must be positive$"):
+            theorem_bound(n_rate, 0.01, 1.0, T, rad=lambda s: 0.0)
 
 
 # ---------------------------------------------------------------- nml

@@ -730,6 +730,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     (["chi2", "--sigma", "0.5", "--n", "4", "--universe", "0"], "--universe: 0 must be >= 1"),
     (["chi2", "--sigma", "0.5", "--n", "4", "--universe", "2", "--cutoff", "2"],
      "--cutoff: 2 outside (0, 1)"),
+    (["chi2", "--sigma", "0.5", "--n", "4", "--universe", "2", "--cutoff", "0.9"],
+     "--cutoff: cutoff 0.9 empties the support at rate 1"),
     (["cover", "--family", "family.json", "--eps", "0"], "--eps: 0 must be positive and finite"),
     (["chi2", "--sigma", "0.5", "--n", "inf", "--universe", "4"],
      "--n: inf must be positive and finite"),

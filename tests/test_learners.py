@@ -11,7 +11,8 @@ from scipy.special import logsumexp, xlogy
 import smoothpa.hypotheses as hypotheses
 import smoothpa.learners as learners_mod
 
-from smoothpa.core import log_loss
+from smoothpa.adversary import adversary_from_spec
+from smoothpa.core import log_loss, run_game
 from smoothpa.errors import ConfigError, NumericalAssertionError
 from smoothpa.hypotheses import (RegionFamily, evaluate, mle_from_counts, mle_oracle,
                                  prefix_best_losses)
@@ -120,6 +121,10 @@ def test_cover_explicit_greedy_covers_everything():
 def test_cover_rejects_nonpositive_eps():
     with pytest.raises(ValueError):
         epsilon_cover(RegionFamily.threshold_grid(4), 0.0)
+    explicit = RegionFamily.explicit(4, [[0], [1, 2]])
+    for family in (RegionFamily.threshold_grid(4), explicit):
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            epsilon_cover(family, math.nan)
 
 
 # ---------------------------------------------------------------- mixture
@@ -354,6 +359,36 @@ def test_mixture_update_reads_contexts_refilled_after_predict():
     for lr in (refilled, viewed):
         for name in ("n", "k", "log_marginal"):
             assert np.array_equal(getattr(lr, name), getattr(fresh, name)), name
+
+
+@pytest.mark.parametrize("fam", [
+    RegionFamily.threshold_grid(16),
+    RegionFamily.explicit(16, [[0, 1, 2], [3, 5, 7, 11], [], list(range(16)), [2, 9, 15]]),
+], ids=["grid", "explicit"])
+def test_mixture_counts_in_lockstep_equal_each_game_played_alone(fam):
+    # each game's rows of n and k in an R-game learner are, bit for bit, the
+    # counts of the same game played alone
+    adversary = adversary_from_spec({"label": "greedy"}, fam, sigma=0.3)
+    together = MixtureLearner(fam, epsilon_cover(fam, 1e-9))
+    seeds = [5, 6, 7]
+    run_game(together, adversary, 40, seeds, run_id=["a", "b", "c"])
+    for r, seed in enumerate(seeds):
+        alone = MixtureLearner(fam, together.cover)
+        run_game(alone, adversary, 40, seed)
+        for name in ("n", "k"):
+            got, want = getattr(together, name)[r], getattr(alone, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("fam, cover, message", [
+    (RegionFamily.threshold_grid(8), [3, 99], r"^cover index 99 outside \[0, 8\)$"),
+    (RegionFamily.threshold_grid(8), [-1, 3], r"^cover index -1 outside \[0, 8\)$"),
+    (RegionFamily.explicit(4, [[0], [1, 2]]), [0, 2], r"^cover index 2 outside \[0, 2\)$"),
+    (RegionFamily.threshold_grid(8), [], r"^cover is empty$"),
+], ids=["grid_past_end", "negative", "explicit_past_end", "empty"])
+def test_mixture_rejects_a_cover_outside_its_family(fam, cover, message):
+    with pytest.raises(ValueError, match=message):
+        MixtureLearner(fam, cover)
 
 
 @st.composite
