@@ -136,26 +136,6 @@ class SmoothDistribution:
         return dist
 
 
-def read_static_set(ids, size: int, sigma: float) -> Optional[list]:
-    """A configured static target set as Python ints, None if there is none.
-    An entry `read_ids` refuses, a repeated id or fewer than ceil(sigma * size)
-    ids raises ConfigError. A sigma outside (0, 1] is left for AdversaryPolicy
-    to name."""
-    if ids is None:
-        return None
-    ids = read_ids(ids, "adversary.set", size)
-    seen = set()
-    for i, v in enumerate(ids):
-        if v in seen:
-            raise ConfigError(f"adversary.set[{i}]: context id {v} repeated")
-        seen.add(v)
-    k = min_support_size(sigma, size) if 0.0 < sigma <= 1.0 else 0
-    if len(ids) < k:
-        raise ConfigError(f"adversary.set: {len(ids)} contexts, fewer than "
-                          f"ceil(sigma * U) = {k} at sigma = {sigma:g}")
-    return ids
-
-
 class StaticSubsetRule:
     """Context rule: uniform on a fixed subset of the universe, by default the
     first ceil(sigma * U) ids, built and checked once per `reset`."""
@@ -294,7 +274,8 @@ def adversary_from_spec(spec: dict, family: RegionFamily, sigma: float) -> Adver
     Label side: {"label": "greedy" | "realizable" | "fixed_sequence", ...}.
     Any other key is unknown, `sigma` among them, as is a `set` under the
     adaptive rule, an `f_star` under non-realizable labels and `labels` under
-    non-fixed ones. A static `set` smaller than ceil(sigma * U) is rejected here.
+    non-fixed ones. A static `set` gets the check every game's reset makes,
+    `uniform_on`, here: a repeat or too few ids raise ConfigError naming it.
     """
     if not isinstance(spec, dict):
         raise ConfigError("adversary: must be an object")
@@ -302,7 +283,8 @@ def adversary_from_spec(spec: dict, family: RegionFamily, sigma: float) -> Adver
     if context != "subset_uniform":
         raise ConfigError(f"adversary.context: unknown kind {context!r}")
     rule = spec.get("rule", "static")
-    subset = read_static_set(spec.get("set") if rule == "static" else None, family.size, sigma)
+    subset = spec.get("set") if rule == "static" else None
+    subset = None if subset is None else read_ids(subset, "adversary.set", family.size)
 
     label_kind = spec.get("label", "greedy")
     if label_kind == "greedy":
@@ -324,6 +306,10 @@ def adversary_from_spec(spec: dict, family: RegionFamily, sigma: float) -> Adver
     context_rule = StaticSubsetRule(subset)
 
     policy = AdversaryPolicy(context_rule, label_rule, sigma, family.size)
+    try:
+        context_rule.reset(family.size, sigma)
+    except SmoothnessError as e:
+        raise ConfigError(f"adversary.set: {e}") from None
     known = ["context", "rule", "label", *_LABEL_KEYS[label_kind]]
     check_keys(spec, "adversary", known + (["set"] if rule == "static" else []))
     return policy

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .adversary import SmoothDistribution
-from .hypotheses import _BLOCK_BYTES, Hypothesis, RegionFamily
+from .hypotheses import _BLOCK_BYTES, Hypothesis, RegionFamily, read_indices
 
 LOG_ZERO = -1e300
 # Work limits: the count vectors chi_square_bruteforce may enumerate, and the
@@ -25,7 +25,7 @@ NML_MAX_HYPOTHESES = 10_000
 def chi_square_closed_form(target: SmoothDistribution, n_rate: float) -> tuple[float, float]:
     """Collision form (2U/n) * sum_x D(x)^2 of the one-step chi-square divergence,
     together with its smoothness bound 2/(sigma*n)."""
-    if not n_rate > 0:
+    if not 0 < n_rate < math.inf:
         raise ValueError("n_rate must be positive")
     value = float(2.0 * target.size / n_rate * target.collision)
     scale = target.sigma * n_rate
@@ -43,7 +43,7 @@ def chi_square_bruteforce(target: SmoothDistribution, n_rate: float,
     by one (label rule y(x) == 1, which the closed form is independent of).
     Returns (sum_S Q^2/P - 1, truncation diagnostic: P-mass plus Q-mass lost).
     """
-    if not n_rate > 0:
+    if not 0 < n_rate < math.inf:
         raise ValueError("n_rate must be positive")
     if not 0.0 < tail_cutoff < 1.0:
         raise ValueError("tail_cutoff must be in (0, 1)")
@@ -162,7 +162,7 @@ def theorem_bound(n_rate: float, alpha: float, sigma: float, T: int,
     truncated class. With m set, the inner bracket is evaluated at that block
     size; with m None it is minimized over a 32-point log grid in [1, n].
     """
-    if not n_rate > 0 or not T > 0:
+    if not (0 < n_rate < math.inf and 0 < T < math.inf):
         raise ValueError("n_rate and T must be positive")
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 1/2)")
@@ -203,16 +203,17 @@ def nml_value(family: RegionFamily, hypotheses: Sequence[Hypothesis],
     split in the middle: each half of the classes gets a table of per-hypothesis
     log-likelihoods plus log-binomial weights, and the maximum over hypotheses
     of a pair of entries is filled in row blocks. The work is prod (m_c + 1)
-    times the hypothesis count, at most 2^t times it.
+    times the hypothesis count, at most 2^t times it. The contexts and region
+    indices must be 1-D lists of integers in range (`read_indices`).
     """
-    xs = np.sort(np.asarray(contexts, dtype=np.int64))
+    xs = np.sort(read_indices(contexts, "context", family.size))
     t = xs.size
     n_hyp = len(hypotheses)
     if t < 1 or t > NML_MAX_HORIZON:
         raise ValueError(f"horizon {t} outside [1, {NML_MAX_HORIZON}]")
     if n_hyp < 1 or n_hyp > NML_MAX_HYPOTHESES:
         raise ValueError(f"hypothesis count {n_hyp} outside [1, {NML_MAX_HYPOTHESES}]")
-    regions = np.array([h.region_index for h in hypotheses], dtype=np.int64)
+    regions = read_indices([h.region_index for h in hypotheses], "region index", len(family))
     classes, sizes = np.unique(family.contains(xs, regions), axis=0,
                                return_counts=True)          # (n_cls, n_hyp), (n_cls,)
     theta0 = np.array([h.theta0 for h in hypotheses], dtype=np.float64)

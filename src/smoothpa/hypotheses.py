@@ -220,21 +220,38 @@ def _nll(n, k, top=None):
     return out
 
 
-def _check_examples(xs: np.ndarray, ys: np.ndarray, size: int) -> None:
-    """Raise ValueError naming the first context of xs outside [0, size) or
-    label of ys outside {0, 1}."""
-    for values, top, what in ((xs, size - 1, f"context {{}} outside [0, {size})"),
-                              (ys, 1, "label {} not in {{0, 1}}")):
-        if values.size and not (values.min() >= 0 and values.max() <= top):
-            raise ValueError(what.format(values[(values < 0) | (values > top)][0]))
+def read_indices(values, noun: str, top: int, outside: str = "") -> np.ndarray:
+    """values as a 1-D int64 array of entries in [0, top). Another shape, a
+    float, string or object array, or an entry outside the range (checked
+    before the cast, so no id wraps into it) raises ValueError naming it,
+    e.g. `context 9 outside [0, 4)`, or `label 2 not in {0, 1}` with that
+    `outside`."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError(f"{noun} array of shape {arr.shape}, not 1-D")
+    if arr.size and arr.dtype.kind not in "biu":
+        raise ValueError(f"{noun} of type {arr.dtype} is not an integer")
+    if arr.size and not (arr.min() >= 0 and arr.max() < top):
+        bad = arr[(arr < 0) | (arr >= top)][0]
+        raise ValueError(f"{noun} {bad} {outside or f'outside [0, {top})'}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _read_examples(xs, ys, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The examples' columns as int64 arrays, read by `read_indices`, after
+    a check that they are 1-D and of equal length."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError(f"contexts of shape {xs.shape} and labels of shape {ys.shape}: "
+                         f"need two 1-D columns of equal length")
+    return read_indices(xs, "context", size), read_indices(ys, "label", 2, "not in {0, 1}")
 
 
 def examples_to_counts(xs, ys, size: int) -> np.ndarray:
     """Per-context counts of the examples (xs[i], ys[i]) as one int64 array of
-    shape (2, size): row 0 the samples, row 1 the positive labels. A context
-    outside [0, size) or a label outside {0, 1} raises ValueError naming it."""
-    xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
-    _check_examples(xs, ys, size)
+    shape (2, size): row 0 the samples, row 1 the positive labels. Columns
+    `_read_examples` refuses raise ValueError."""
+    xs, ys = _read_examples(xs, ys, size)
     return np.stack((np.bincount(xs, minlength=size), np.bincount(xs[ys == 1], minlength=size)))
 
 
@@ -338,9 +355,8 @@ _BLOCK_BYTES = 1 << 18
 def prefix_best_losses(xs, ys, family: RegionFamily) -> np.ndarray:
     """Offline-best loss on every prefix of one trajectory's columns (xs, ys),
     of shape (T,): entry t - 1 is the best in-class loss on the first t
-    examples, as ComparatorTracker.update returns. Columns that are not 1-D
-    of equal length raise ValueError naming both shapes; a context outside
-    the family or a label outside {0, 1} raises ValueError naming it.
+    examples, as ComparatorTracker.update returns. Columns `_read_examples`
+    refuses raise ValueError.
 
     The minimum runs over `family.representatives(xs)`: all of an explicit
     family's regions, and a threshold grid's thresholds at the trajectory's
@@ -355,12 +371,7 @@ def prefix_best_losses(xs, ys, family: RegionFamily) -> np.ndarray:
     less the inside ones. All counts are int64, exact whatever the summation
     order, so the losses equal those over all regions bit for bit.
     """
-    xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
-    if xs.ndim != 1 or xs.shape != ys.shape:
-        raise ValueError(f"contexts of shape {xs.shape} and labels of shape {ys.shape}: "
-                         f"need two 1-D columns of equal length")
-    _check_examples(xs, ys, family.size)
+    xs, ys = _read_examples(xs, ys, family.size)
     if not xs.size:
         return np.empty(0)
     regions = family.representatives(xs)
@@ -399,5 +410,6 @@ class ComparatorTracker:
 
     def update(self, x: int, y: int) -> float:
         """Account for one more example and return the best loss on the prefix so far."""
+        (x,), (y,) = _read_examples([x], [y], self.family.size)
         self.counts[:1 + y, x] += 1
         return mle_from_counts(self.counts, self.family)[1]

@@ -18,7 +18,7 @@ from .core import game_generators
 from .errors import (ConfigError, NumericalAssertionError, check_keys, parse_field,
                      positive_finite)
 from .hypotheses import (_BLOCK_BYTES, RegionFamily, THRESHOLD_GRID, evaluate,
-                         mle_from_region_counts, side_counts)
+                         mle_from_region_counts, read_indices, side_counts)
 
 
 def epsilon_cover(family: RegionFamily, eps: float) -> np.ndarray:
@@ -101,7 +101,7 @@ class KtLearner:
 
 class MixtureLearner:
     """Uniform Bayes mixture over a cover of the region family, such as the
-    regions `epsilon_cover` picks.
+    regions `epsilon_cover` picks: integer region indices, read by `read_indices`.
 
     Per game and cover element i it keeps the counts of each label on side j
     (0 inside, 1 outside) and the log marginal ln[B(k0, n0) * B(k1, n1)] of
@@ -115,12 +115,9 @@ class MixtureLearner:
 
     def __init__(self, family: RegionFamily, cover):
         self.family = family
-        self.cover = np.asarray(cover, dtype=np.int64)
+        self.cover = read_indices(cover, "cover index", len(family))
         if not self.cover.size:
             raise ValueError("cover is empty")
-        bad = self.cover[(self.cover < 0) | (self.cover >= len(family))]
-        if bad.size:
-            raise ValueError(f"cover index {bad[0]} outside [0, {len(family)})")
 
     def reset(self, rngs) -> None:
         shape, m = game_generators(rngs)[1], self.cover.size

@@ -84,8 +84,8 @@ def assert_draws_match_choice(dist, pmf, seed, draws):
 
 
 def test_smooth_distribution_sample_matches_choice():
-    # every constructor draws through the one sampler, which must consume the
-    # generator exactly as rng.choice over the dense pmf does
+    # a draw is run_game's cdf lookup, which `sample` repeats; it must consume
+    # the generator exactly as rng.choice over the dense pmf does
     rng = np.random.default_rng(1)
     raw = rng.random(20)
     pmf = 0.5 / 20 + 0.5 * raw / raw.sum()
@@ -200,10 +200,10 @@ def test_static_rule_with_bad_id_fails_the_run():
 @pytest.mark.parametrize("ids, message", [
     ([-1, 0, 1, 2], r"adversary\.set\[0\]: context id -1 outside \[0, 8\)"),
     ([0, 1, 8, 2], r"adversary\.set\[2\]: context id 8 outside \[0, 8\)"),
-    ([0, 5, 1, 5], r"adversary\.set\[3\]: context id 5 repeated"),
+    ([0, 5, 1, 5], r"adversary\.set: target set repeats context id 5"),
     ([0, 1.5], r"adversary\.set\[1\]: 1\.5 is not a valid int"),
     ("0,1", r"adversary\.set: must be a list"),
-    ([0, 1, 2], r"adversary\.set: 3 contexts, fewer than ceil\(sigma \* U\) = 4 at sigma = 0\.5"),
+    ([0, 1, 2], r"adversary\.set: target set of size 3 below minimum 4 for sigma=0\.5"),
 ])
 def test_adversary_from_spec_rejects_bad_static_set(ids, message):
     spec = {"rule": "static", "set": ids, "label": "greedy"}

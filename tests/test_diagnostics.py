@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +82,9 @@ def test_chi2_bruteforce_discarded_grows_with_cutoff():
     (lambda d: chi_square_closed_form(d, math.nan), r"^n_rate must be positive$"),
     (lambda d: chi_square_bruteforce(d, -1.0), r"^n_rate must be positive$"),
     (lambda d: chi_square_bruteforce(d, math.nan), r"^n_rate must be positive$"),
+    # an infinite rate once gave (0.0, 0.0), and the brute force blamed the cutoff
+    (lambda d: chi_square_closed_form(d, math.inf), r"^n_rate must be positive$"),
+    (lambda d: chi_square_bruteforce(d, math.inf), r"^n_rate must be positive$"),
     (lambda d: chi_square_bruteforce(d, 4.0, 0.0), r"^tail_cutoff must be in \(0, 1\)$"),
     (lambda d: chi_square_bruteforce(d, 4.0, 1.0), r"^tail_cutoff must be in \(0, 1\)$"),
     (lambda d: chi_square_bruteforce(d, 4.0, 0.5), r"^cutoff 0\.5 empties the support at rate 1$"),
@@ -299,7 +303,8 @@ def test_theorem_bound_input_validation():
         theorem_bound(-1.0, 0.01, 1.0, 100, rad=lambda s: 0.0)
     with pytest.raises(ValueError, match=r"^sigma must be in \(0, 1\]$"):
         theorem_bound(10.0, 0.01, 1.5, 100, rad=lambda s: 0.0)
-    for n_rate, T in ((math.nan, 100), (10.0, math.nan)):
+    # an infinite n_rate once gave NaN after a numpy warning, an infinite T inf
+    for n_rate, T in ((math.nan, 100), (10.0, math.nan), (math.inf, 100), (10.0, math.inf)):
         with pytest.raises(ValueError, match=r"^n_rate and T must be positive$"):
             theorem_bound(n_rate, 0.01, 1.0, T, rad=lambda s: 0.0)
 
@@ -338,6 +343,26 @@ def test_nml_rejects_oversize():
         nml_value(fam, h, [0] * 23)
     with pytest.raises(ValueError):
         nml_value(fam, h * 10_001, [0, 1])
+
+
+def test_nml_rejects_malformed_contexts_and_regions():
+    # each once returned a value: -1 wrapped to context U - 1 on an explicit
+    # family, 2.5 was cast to 2, a 2-D list was read as its rows and region
+    # 50 compared as a threshold
+    grid, explicit = RegionFamily.threshold_grid(8), RegionFamily.explicit(8, [[0, 1], [2, 7]])
+    h = [Hypothesis(1, 0.2, 0.7)]
+    for fam in (grid, explicit):
+        for xs, message in (([100, 3], "context 100 outside [0, 8)"),
+                            ([-1, 3], "context -1 outside [0, 8)"),
+                            ([2.5, 3], "context of type float64 is not an integer"),
+                            ([[0, 1], [2, 3]], "context array of shape (2, 2), not 1-D"),
+                            (3, "context array of shape (), not 1-D")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                nml_value(fam, h, xs)
+    for fam, region in ((grid, 50), (explicit, 2)):
+        message = f"region index {region} outside [0, {len(fam)})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            nml_value(fam, [Hypothesis(region, 0.2, 0.7)], [1, 3])
 
 
 def nml_oracle(family, hypotheses, contexts):

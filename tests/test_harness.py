@@ -74,7 +74,7 @@ def test_parse_config_field_paths():
         parse_config(base_config(adversary=dict(static, set=[0, 8, 1, 2])))
     with pytest.raises(ConfigError, match=r"adversary\.set\[0\]: context id -1 outside"):
         parse_config(base_config(adversary=dict(static, set=[-1, 0, 1, 2])))
-    with pytest.raises(ConfigError, match=r"adversary\.set\[2\]: context id 1 repeated"):
+    with pytest.raises(ConfigError, match=r"adversary\.set: target set repeats context id 1"):
         parse_config(base_config(adversary=dict(static, set=[0, 1, 1, 2])))
     for universe in (4, 16):        # the family is an 8-point grid
         with pytest.raises(ConfigError, match=f"family.size: 8 differs from universe {universe}"):
@@ -235,7 +235,7 @@ def test_bad_learner_spec_fails_before_any_output(tmp_path):
     # the set is large enough at sigma 0.25, too small at 0.75 on 4 contexts
     ({"adversary": {"rule": "static", "set": [0, 1], "label": "greedy"},
       "sigma": [0.25, 0.75]},
-     r"^adversary\.set: 2 contexts, fewer than ceil\(sigma \* U\) = 3 at sigma = 0\.75$"),
+     r"^adversary\.set: target set of size 2 below minimum 3 for sigma=0\.75$"),
     ({"adversary": {"label": "fixed_sequence", "labels": [0, 1, 1, 0, 1]}, "T": [4, 10]},
      r"^adversary\.labels: 5 labels, fewer than T = 10$"),
 ])

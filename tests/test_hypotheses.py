@@ -512,10 +512,21 @@ def test_malformed_examples_raise_naming_the_value():
         (grid, [9, 1], [1, 0], "context 9 outside [0, 4)"),
         (explicit, [-1, 2], [0, 1], "context -1 outside [0, 4)"),
         (explicit, [2, 4], [0, 1], "context 4 outside [0, 4)"),
+        # ids are cast only once they are read as integers: 2.9 once fit context 2
+        (grid, [2.9], [1], "context of type float64 is not an integer"),
+        (grid, [0.7, 3], [1, 0], "context of type float64 is not an integer"),
+        (grid, [0.5, 1.5], [1, 0], "context of type float64 is not an integer"),
+        (explicit, ["0", "1"], [1, 0], "context of type <U1 is not an integer"),
+        (grid, np.array([0, 1], dtype=object), [1, 0], "context of type object is not an integer"),
+        (grid, [0, 1], [1.0, 0.0], "label of type float64 is not an integer"),
+        # compared before the int64 cast, which would wrap 2**63 to a negative id
+        (grid, np.array([2 ** 63, 1], dtype=np.uint64), [1, 0],
+         f"context {2 ** 63} outside [0, 4)"),
     ]
+    calls = (prefix_best_losses, offline_best_loss, mle_oracle,
+             lambda xs, ys, family: examples_to_counts(xs, ys, family.size))
     for family, xs, ys, message in cases:
-        for call in (prefix_best_losses, offline_best_loss, mle_oracle,
-                     lambda xs, ys, family: examples_to_counts(xs, ys, family.size)):
+        for call in calls:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call(xs, ys, family)
     # the comparator takes one trajectory's two columns of equal length
@@ -530,10 +541,28 @@ def test_malformed_examples_raise_naming_the_value():
     ]
     for family in (grid, explicit):
         for xs, ys, message in shapes:
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                prefix_best_losses(xs, ys, family)
-    # games never produce such values: valid ones still give the losses
+            for call in calls:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    call(xs, ys, family)
+    # games never produce such values: valid ones, bool labels among them,
+    # still give the losses
     assert offline_best_loss([0, 1], [1, 0], grid) == 0.0
+    assert offline_best_loss([0, 1], [True, False], grid) == 0.0
+
+
+def test_comparator_tracker_rejects_what_the_comparator_does():
+    # -1 once counted context 7, a label of -1 counted nothing and 2 a 1
+    grid = RegionFamily.threshold_grid(8)
+    cases = [(-1, 1, "context -1 outside [0, 8)"), (8, 0, "context 8 outside [0, 8)"),
+             (3, -1, "label -1 not in {0, 1}"), (3, 2, "label 2 not in {0, 1}"),
+             (2.5, 1, "context of type float64 is not an integer")]
+    for x, y, message in cases:
+        tracker = ComparatorTracker(grid)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tracker.update(x, y)
+        assert not tracker.counts.any()
+    tracker = ComparatorTracker(grid)
+    assert tracker.update(np.int64(3), True) == offline_best_loss([3], [1], grid)
 
 
 def test_threshold_fast_path_equals_generic_scan():

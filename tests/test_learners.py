@@ -385,7 +385,12 @@ def test_mixture_counts_in_lockstep_equal_each_game_played_alone(fam):
     (RegionFamily.threshold_grid(8), [-1, 3], r"^cover index -1 outside \[0, 8\)$"),
     (RegionFamily.explicit(4, [[0], [1, 2]]), [0, 2], r"^cover index 2 outside \[0, 2\)$"),
     (RegionFamily.threshold_grid(8), [], r"^cover is empty$"),
-], ids=["grid_past_end", "negative", "explicit_past_end", "empty"])
+    # once cast to [1, 3]
+    (RegionFamily.threshold_grid(8), [1.5, 3.7], r"^cover index of type float64 is not an integer$"),
+    # once failed only at the first predict
+    (RegionFamily.threshold_grid(8), [[1, 2], [3, 4]],
+     r"^cover index array of shape \(2, 2\), not 1-D$"),
+], ids=["grid_past_end", "negative", "explicit_past_end", "empty", "float", "2d"])
 def test_mixture_rejects_a_cover_outside_its_family(fam, cover, message):
     with pytest.raises(ValueError, match=message):
         MixtureLearner(fam, cover)
