@@ -153,17 +153,27 @@ def read_hypothesis(values, path: str, family: RegionFamily) -> Hypothesis:
     return Hypothesis(region, *thetas)
 
 
+def _inside(family: RegionFamily, xs, regions):
+    """Whether context xs lies in region regions, elementwise over arrays of
+    one shape; both go unchecked."""
+    if family.kind == THRESHOLD_GRID:
+        return xs <= regions
+    return family._member[xs, regions]
+
+
 def evaluate(family: RegionFamily, h: Hypothesis, x):
     """Predicted probability of label 1 at context x: theta0 inside A, theta1
     outside. x may be an array of contexts, and h's fields arrays of its
-    shape, one hypothesis per context."""
-    lo, hi = (x.min(), x.max()) if isinstance(x, np.ndarray) else (x, x)
-    if lo < 0 or hi >= family.size:
-        raise ValueError(f"context {x} outside universe")
-    if family.kind == THRESHOLD_GRID:
-        inside = x <= h.region_index
-    else:
-        inside = family._member[x, h.region_index]
+    shape, one hypothesis per context. A context or region that is not an
+    integer, or outside [0, family.size) or [0, len(family)), raises
+    ValueError naming it, e.g. `context 1.5 is not an integer` or
+    `region 9 outside [0, 8)`."""
+    for noun, value, top in (("context", x, family.size), ("region", h.region_index, len(family))):
+        arr = np.asarray(value)
+        if arr.size and arr.dtype.kind not in "biu":
+            raise ValueError(f"{noun} {arr.ravel()[0].item()!r} is not an integer")
+        read_indices(arr.ravel(), noun, top)
+    inside = _inside(family, x, h.region_index)
     if isinstance(inside, np.ndarray):
         return np.where(inside, h.theta0, h.theta1)
     return h.theta0 if inside else h.theta1
@@ -271,13 +281,14 @@ def region_counts(values: np.ndarray, family: RegionFamily) -> np.ndarray:
 
 
 def side_counts(values: np.ndarray, family: RegionFamily) -> np.ndarray:
-    """The counts `mle_from_region_counts` reads, from per-context counts of
+    """The counts `_region_losses` reads, from per-context counts of
     shape (..., 2, U), row 0 the samples and row 1 the positive labels: shape
     (..., 2, 2, len(family)), indexed (n, k) x (inside, outside) x region. The
     outside counts are the row totals less the inside ones, exact for
-    integer counts."""
+    integer counts; a grid's totals are its last threshold's inside counts."""
     inside = region_counts(values, family)
-    return np.stack((inside, values.sum(axis=-1)[..., None] - inside), axis=-2)
+    total = inside[..., -1:] if family.kind == THRESHOLD_GRID else values.sum(axis=-1)[..., None]
+    return np.stack((inside, total - inside), axis=-2)
 
 
 def _region_losses(counts: np.ndarray, top=None) -> np.ndarray:
@@ -301,36 +312,38 @@ def _frequency(k, n):
     return np.array([_frequency(a, b) for a, b in zip(k.tolist(), n.tolist())])
 
 
-# The (n, k) and (inside, outside) axes of the counts, whole
-_BOTH_SIDES = (slice(None), slice(None))
-
-
-def mle_from_region_counts(counts: np.ndarray) -> tuple[Hypothesis, float]:
-    """Loss-minimizing hypothesis from per-region counts, plus its loss.
-
-    counts[0] holds the samples and counts[1] the positive labels, each as
-    (inside, outside) x region, the layout `side_counts` builds, integer-valued
-    as `_region_losses` needs. An axis between the side and the region axes,
-    counts of shape (2, 2, games, regions), holds independent problems, such
-    as the games a learner plays in lockstep: the hypothesis's fields and the
-    loss are then arrays over the games.
+def mle_from_counts(counts: np.ndarray, family: RegionFamily) -> tuple[Hypothesis, float]:
+    """Loss-minimizing hypothesis from (2, U) per-context counts, row 0 the
+    samples and row 1 the positive labels, plus its loss.
 
     Per region the optimal theta_j is the empirical frequency k_j/n_j (1/2 when
     the side is empty); ties between regions break to the lowest index.
     """
+    counts = side_counts(counts, family)
     losses = _region_losses(counts)
-    idx = losses.argmin(axis=-1)
-    at = (np.arange(idx.size), idx) if idx.ndim else (idx,)
-    picked = counts[_BOTH_SIDES + at]
-    (n_in, n_out), (k_in, k_out) = picked if idx.ndim else picked.tolist()
-    h = Hypothesis(idx if idx.ndim else int(idx), _frequency(k_in, n_in), _frequency(k_out, n_out))
-    return h, losses[at]
+    a = int(losses.argmin())
+    (n_in, n_out), (k_in, k_out) = counts[:, :, a].tolist()
+    return Hypothesis(a, _frequency(k_in, n_in), _frequency(k_out, n_out)), losses[a]
 
 
-def mle_from_counts(counts: np.ndarray, family: RegionFamily) -> tuple[Hypothesis, float]:
-    """Loss-minimizing hypothesis from (2, U) per-context counts, row 0 the
-    samples and row 1 the positive labels, plus its loss."""
-    return mle_from_region_counts(side_counts(counts, family))
+def leader_frequency(counts: np.ndarray, family: RegionFamily, xs, top):
+    """The loss-minimizing hypothesis's prediction at context xs: k/n on xs's
+    side of the leading region, or 1/2 when that side is empty, read after
+    the argmin from that side alone. The counts are per region, in the
+    layout `side_counts` builds and integer-valued as `_region_losses` needs,
+    and top is a bound no sample count exceeds, as `_nll` takes it. Counts
+    of shape (2, 2, games, regions) with one context per game in xs give an
+    array over the games, each entry equal to its game's frequency alone;
+    counts past 2^53 keep the correctly rounded quotient of their integers.
+    The contexts go unchecked.
+    """
+    idx = _region_losses(counts, top).argmin(axis=-1)
+    if not idx.ndim:
+        a = int(idx)
+        n, k = counts[:, 0 if _inside(family, xs, a) else 1, a].tolist()
+        return _frequency(k, n)
+    n, k = counts[:, 1 - _inside(family, xs, idx), np.arange(idx.size), idx]
+    return _frequency(k, n)
 
 
 def mle_oracle(xs, ys, family: RegionFamily) -> Hypothesis:

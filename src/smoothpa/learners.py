@@ -17,8 +17,8 @@ import numpy as np
 from .core import game_generators
 from .errors import (ConfigError, NumericalAssertionError, check_keys, parse_field,
                      positive_finite)
-from .hypotheses import (_BLOCK_BYTES, RegionFamily, THRESHOLD_GRID, evaluate,
-                         mle_from_region_counts, read_indices, side_counts)
+from .hypotheses import (_BLOCK_BYTES, RegionFamily, THRESHOLD_GRID, leader_frequency,
+                         read_indices, side_counts)
 
 
 def epsilon_cover(family: RegionFamily, eps: float) -> np.ndarray:
@@ -194,6 +194,14 @@ class FtplLearner:
     once from that game's generator, in the same layout, which takes the
     same values from it as one draw per round. Every block holds as many
     rounds as the shared byte budget allows for one game.
+
+    With each block the learner keeps every row's hallucinated sample total,
+    the most of any game's: no count of a round exceeds that plus the
+    examples seen, so a prediction passes the sum to `leader_frequency` as
+    its count bound and reads only the leader's side at x. Any j ln j table
+    that holds the bound gives the same losses, so the predictions are the
+    full oracle's bit for bit, and the Poisson draw, whose values are
+    pinned, is the largest cost left in a round.
     """
 
     def __init__(self, family: RegionFamily, n: float, alpha: float):
@@ -209,30 +217,37 @@ class FtplLearner:
         self._rngs, self._shape = game_generators(rngs)
         self._counts = np.zeros((2, 2) + self._shape + (m,), dtype=np.int64)
         self._bump = np.ones((2, 1) + self._shape + (1,), dtype=bool)     # rows an update adds to
+        self._seen = 0      # the examples each game's history holds
         # 8-byte words per row of a game's block while it is drawn: the draw
         # (2U), the inside and outside counts (2m each), the stacked block row
-        # (4m) and the previous block's row (4m), alive until replaced; the
-        # games' draws are stacked into one more copy (2U) while it is built
+        # (4m) and the previous block's row (4m), alive until replaced; games
+        # in lockstep stack their draws into one more copy (2U)
         self._rows = max(1, _BLOCK_BYTES // (8 * (2 * u + 12 * m)))
-        self._block = np.zeros((0, 2, 2) + self._shape + (m,), dtype=np.int64)
+        self._tops = []
         self._row = 0
 
     def _draw_block(self) -> None:
         u = self.family.size
-        hal = np.stack([rng.poisson(self.n / (2.0 * u), size=(self._rows, 2, u))
-                        for rng in self._rngs], axis=1)
+        draws = [rng.poisson(self.n / (2.0 * u), size=(self._rows, 2, u)) for rng in self._rngs]
+        hal = np.stack(draws, axis=1) if self._shape else draws[0]     # (rows, [games,] 2, U)
         hal[..., 0, :] += hal[..., 1, :]      # (samples, positive labels) per context
-        counts = np.moveaxis(side_counts(hal, self.family), 1, -2)
-        self._block = counts.reshape(counts.shape[:3] + self._shape + counts.shape[-1:])
+        counts = side_counts(hal, self.family)
+        self._block = np.moveaxis(counts, 1, -2) if self._shape else counts
+        # each row's hallucinated samples, inside plus outside any one region,
+        # the most of any game's
+        total = counts[..., 0, 0, 0] + counts[..., 0, 1, 0]
+        self._tops = total.reshape(self._rows, -1).max(axis=1).tolist()
 
     def predict(self, xs):
         i = self._row
-        if i == len(self._block):
+        if i == len(self._tops):
             self._draw_block()
             i = 0
         self._row = i + 1
-        h, _ = mle_from_region_counts(self._counts + self._block[i])
-        q = (evaluate(self.family, h, xs) + self.alpha) / (1.0 + 2.0 * self.alpha)
+        # no count exceeds the examples seen plus the row's hallucinated samples
+        f = leader_frequency(self._counts + self._block[i], self.family, xs,
+                             self._seen + self._tops[i])
+        q = (f + self.alpha) / (1.0 + 2.0 * self.alpha)
         # a single game's q is a float
         if not (self._lo <= q <= self._hi if isinstance(q, float)
                 else ((self._lo <= q) & (q <= self._hi)).all()):
@@ -248,6 +263,7 @@ class FtplLearner:
         # y = 1, the k row
         self._bump[1, 0, ..., 0] = ys
         np.add(self._counts, np.array((inside, ~inside)), out=self._counts, where=self._bump)
+        self._seen += 1
 
 
 def default_ftpl_tuning(T: int, sigma: float) -> tuple[float, float]:

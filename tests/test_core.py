@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from smoothpa import AdversaryPolicy, InfiniteLossError, UniformLearner, core, log_loss, run_game
+from smoothpa import (AdversaryPolicy, InfiniteLossError, UniformLearner, core, learners,
+                      log_loss, run_game)
 from smoothpa.adversary import (FixedSequenceLabelRule, GreedyLabelRule, StaticSubsetRule,
                                 adversary_from_spec)
 from smoothpa.core import CSV_HEADER, format_records_csv
 from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import RegionFamily, offline_best_loss, prefix_best_losses
-from smoothpa.learners import KtLearner, learner_from_spec
+from smoothpa.learners import FtplLearner, KtLearner, learner_from_spec
 
 from oracles import run_game_one_round_at_a_time
 
@@ -334,6 +335,40 @@ def test_lockstep_games_equal_the_reference_across_blocks_of_rounds():
     def build():
         return KtLearner(0.5), adversary_from_spec(LOCKSTEP_LABELS["realizable"], fam, sigma=0.3)
     traces = run_game(*build(), T, seeds, run_id=["a", "b", "c"])
+    for seed, trace in zip(seeds, traces):
+        want, _ = run_game_one_round_at_a_time(*build(), T, seed)
+        for column in ("xs", "ys", "qs", "losses"):
+            assert getattr(trace, column).tobytes() == getattr(want, column).tobytes(), column
+
+
+@pytest.mark.parametrize("n", [500.0, float((1 << 20) - 500)])
+@pytest.mark.parametrize("family", sorted(LOCKSTEP_FAMILIES))
+def test_lockstep_ftpl_games_equal_games_alone_across_blocks(monkeypatch, family, n):
+    # Three FTPL games cross at least three blocks of hallucinations, each
+    # row's count bound the most of the three games'. At n = 500 the bound
+    # passes a doubling of the j ln j table within the game; at 2^20 - 500 it
+    # passes the table's cap, while an explicit family's counts may stay below.
+    fam = LOCKSTEP_FAMILIES[family]
+    T, seeds = 1000, [3, 4, 5]
+
+    def build():
+        return (FtplLearner(fam, n, 0.05),
+                adversary_from_spec(LOCKSTEP_LABELS["greedy"], fam, sigma=0.3))
+    tops = []
+    real = learners.leader_frequency
+
+    def spy(counts, family, xs, top):
+        assert top >= counts.max()
+        tops.append(top)
+        return real(counts, family, xs, top)
+
+    monkeypatch.setattr(learners, "leader_frequency", spy)
+    learner, adversary = build()
+    traces = run_game(learner, adversary, T, seeds, run_id=["a", "b", "c"])
+    monkeypatch.undo()
+    assert T > 3 * learner._rows
+    limit = 1024 if n == 500.0 else 1 << 20
+    assert min(tops) < limit <= max(tops)
     for seed, trace in zip(seeds, traces):
         want, _ = run_game_one_round_at_a_time(*build(), T, seed)
         for column in ("xs", "ys", "qs", "losses"):

@@ -66,6 +66,22 @@ def test_evaluate_threshold_membership():
         evaluate(fam, Hypothesis(5, 0.3, 0.6), 10)
 
 
+@pytest.mark.parametrize("family, h, x, message", [
+    (RegionFamily.threshold_grid(8), Hypothesis(1, 0.2, 0.7), 1.5, "context 1.5 is not an integer"),
+    (RegionFamily.threshold_grid(8), Hypothesis(9, 0.2, 0.7), 1, "region 9 outside [0, 8)"),
+    (RegionFamily.explicit(4, [[0, 1], [2]]), Hypothesis(-1, 0.2, 0.7), 1,
+     "region -1 outside [0, 2)"),
+    (RegionFamily.explicit(4, [[0, 1], [2]]), Hypothesis(0, 0.2, 0.7), 1.5,
+     "context 1.5 is not an integer"),
+    (RegionFamily.threshold_grid(8), Hypothesis(1, 0.2, 0.7), np.array([0, 3, 8]),
+     "context 8 outside [0, 8)"),
+], ids=["grid_float_context", "grid_region_past_the_end", "explicit_negative_region",
+        "explicit_float_context", "grid_context_array"])
+def test_evaluate_names_a_bad_context_or_region(family, h, x, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate(family, h, x)
+
+
 @pytest.mark.parametrize("family", [
     RegionFamily.threshold_grid(1),
     RegionFamily.threshold_grid(9),
@@ -333,6 +349,22 @@ def test_split_losses_do_not_depend_on_tables_built_before(order):
     for top in tops:
         assert_table_equals_xlogy(rng, top)
     assert hypotheses._jlnj(4).flags.writeable is False
+
+
+def test_nll_with_a_caller_bound_equals_nll_with_its_own_maximum():
+    # Any bound at or above the largest count reads the same j ln j values:
+    # from a table that holds it, whatever its size, or past the table's cap
+    # from _j_ln_j, over counts on either side of the cap
+    rng = np.random.default_rng(27)
+    for top in (1, 2, 5, 1000, 1023, 1024, (1 << _TABLE_BITS) - 1, 1 << _TABLE_BITS, 3 << 20):
+        n, k, _, _ = random_split_counts(rng, top, (4, 16))
+        assert n.max() == top
+        bounds = [top, top + 1, 1 << top.bit_length(), 2 * top + 5, 1 << _TABLE_BITS, 1 << 40]
+        for counts in ((n, k), (n.astype(np.float64), k.astype(np.float64))):
+            want = hypotheses._nll(*counts).tobytes()
+            for bound in bounds:
+                if bound >= top:
+                    assert hypotheses._nll(*counts, bound).tobytes() == want, (top, bound)
 
 
 def xlogy_prefix_best_losses(xs, ys, family):

@@ -542,20 +542,25 @@ def test_ftpl_learner_equals_per_round_reference(name, n):
 def test_ftpl_counts_stay_exact_at_the_largest_rate(monkeypatch, name):
     # At n = 1e18 the counts pass 2**53, where float sums round and an outside
     # count could come out negative. The oracle must see the exact counts,
-    # all >= 0, and finite losses, and its leader's loss must equal the one
-    # from Python-integer counts.
+    # all >= 0, and finite losses, under a bound no count exceeds (on a grid,
+    # the last threshold's count, the largest); its leader's loss must equal
+    # the one from Python-integer counts, and its frequency the leader's k/n
+    # on x's side from those counts.
     fam = FTPL_FAMILIES[name][0]
     u, bitmaps = fam.size, region_bitmaps(fam)
     seen = []
-    oracle = learners_mod.mle_from_region_counts
+    oracle = learners_mod.leader_frequency
 
-    def spy(counts):
+    def spy(counts, family, x, top):
         assert (counts >= 0).all()
-        assert np.isfinite(hypotheses._nll(counts[0], counts[1])).all()
-        seen.append((counts, *oracle(counts)))
-        return seen[-1][1:]
+        assert top >= counts.max()
+        if family.kind == "threshold_grid":
+            assert top == counts.max()
+        assert np.isfinite(hypotheses._nll(counts[0], counts[1], top)).all()
+        seen.append((counts, top, oracle(counts, family, x, top)))
+        return seen[-1][-1]
 
-    monkeypatch.setattr(learners_mod, "mle_from_region_counts", spy)
+    monkeypatch.setattr(learners_mod, "leader_frequency", spy)
     recorder = PoissonRecorder(33)
     lr = FtplLearner(fam, 1e18, 0.01)
     lr.reset(recorder)
@@ -568,7 +573,7 @@ def test_ftpl_counts_stay_exact_at_the_largest_rate(monkeypatch, name):
     member = bitmaps.astype(object)             # (regions, U) of Python ints
     history = np.zeros((2, u), dtype=object)
     hal = np.concatenate(recorder.draws).astype(object)
-    for (counts, h, loss), (label0, label1), (x, y) in zip(seen, hal, examples):
+    for (counts, top, f), (label0, label1), (x, y) in zip(seen, hal, examples):
         ctx = history + [label0 + label1, label1]
         inside = ctx @ member.T
         exact = np.stack([inside, ctx.sum(axis=1)[:, None] - inside], axis=1)
@@ -576,7 +581,11 @@ def test_ftpl_counts_stay_exact_at_the_largest_rate(monkeypatch, name):
         n, k, gap = (c.astype(np.float64) for c in (exact[0], exact[1], exact[0] - exact[1]))
         side = xlogy(n, n) - xlogy(k, k) - xlogy(gap, gap)
         ref = side[0] + side[1]
-        assert ref[h.region_index] == ref.min() == loss
+        losses = hypotheses._region_losses(counts, top)
+        leader = int(losses.argmin())
+        assert ref[leader] == ref.min() == losses[leader]
+        n_x, k_x = exact[:, 0 if bitmaps[leader, x] else 1, leader]
+        assert f == (k_x / n_x if n_x else 0.5)
         history[:, x] += [1, y]
 
 
@@ -619,16 +628,17 @@ def test_ftpl_hallucinated_counts_follow_the_bincount_law(monkeypatch):
     # threshold holds every sample.
     u, n, draws = 4, 24.0, 4000
     seen = []
-    oracle = learners_mod.mle_from_region_counts
+    oracle = learners_mod.leader_frequency
 
-    def spy(counts):
+    def spy(counts, family, x, top):
         assert counts.shape == (2, 2, u) and counts.dtype == np.int64
         assert (counts[:, 1, -1] == 0).all()
+        assert top == counts.max()              # the last threshold's sample count
         cnt, pos = np.diff(counts[:, 0], prepend=0)
         seen.append(np.stack([cnt - pos, pos]))
-        return oracle(counts)
+        return oracle(counts, family, x, top)
 
-    monkeypatch.setattr(learners_mod, "mle_from_region_counts", spy)
+    monkeypatch.setattr(learners_mod, "leader_frequency", spy)
     lr = FtplLearner(RegionFamily.threshold_grid(u), n=n, alpha=0.1)
     lr.reset(np.random.default_rng(11))
     for _ in range(draws):
