@@ -39,9 +39,9 @@ def _cmd_chi2(args) -> dict:
     if not 0.0 < args.cutoff < 1.0:
         raise ConfigError(f"--cutoff: {args.cutoff:g} outside (0, 1)")
     u, k = args.universe, min_support_size(args.sigma, args.universe)
-    # The k support ids and uniform_on's copy of them are the whole working
-    # set: the closed form reads no dense pmf, and the brute force enumerates
-    # only universes of a few contexts.
+    # The k support ids and uniform_on's copy of them are the closed form's
+    # whole working set: it reads no dense pmf. The brute force refuses more
+    # than 64 contexts before it reads the pmf.
     try:
         target = SmoothDistribution.uniform_on(
             u, allocate(k, "--universe", "contexts", lambda: np.arange(k)), args.sigma)
@@ -52,8 +52,11 @@ def _cmd_chi2(args) -> dict:
     if not args.no_brute:
         try:
             brute, discarded = chi_square_bruteforce(target, args.n, args.cutoff)
+        except MemoryError:
+            pass    # count vectors within the size rule that the process cannot hold
         except ValueError as e:
-            # past the enumeration's size cap only the closed form is reported
+            # past the enumeration's size rule (64 contexts, CHI2_MAX_CELLS
+            # label-1 count vectors) only the closed form is reported
             if not str(e).startswith("enumeration"):
                 raise ConfigError(f"--cutoff: {e}") from None
     return {"chi2": {"closed": closed, "brute": brute, "bound": bound,

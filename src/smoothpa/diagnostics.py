@@ -5,6 +5,7 @@ evaluator, and the exact NML (stochastic-complexity) value on fixed contexts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -15,8 +16,9 @@ from .adversary import SmoothDistribution
 from .hypotheses import _BLOCK_BYTES, Hypothesis, RegionFamily, read_indices
 
 LOG_ZERO = -1e300
-# Work limits: the count vectors chi_square_bruteforce may enumerate, and the
-# horizon and hypothesis count nml_value accepts
+# Work limits: the label-1 count vectors chi_square_bruteforce may enumerate
+# (k^U for a k-count support over U contexts), and the horizon and hypothesis
+# count nml_value accepts
 CHI2_MAX_CELLS = 2e8
 NML_MAX_HORIZON = 22
 NML_MAX_HYPOTHESES = 10_000
@@ -37,10 +39,14 @@ def chi_square_bruteforce(target: SmoothDistribution, n_rate: float,
                           tail_cutoff: float = 1e-12) -> tuple[float, float]:
     """Chi-square divergence by explicit enumeration of hallucination count vectors.
 
-    Enumerates all ``{n_y(x)}`` with every coordinate in the per-coordinate
-    Poisson(n/2U) support above ``tail_cutoff``. P is the product Poisson law;
-    Q is the mixture over x* ~ D of P with the (x*, y=1) coordinate shifted up
-    by one (label rule y(x) == 1, which the closed form is independent of).
+    P is the product law of the 2U counts ``n_y(x)``, each Poisson(n/2U) cut
+    to its support above ``tail_cutoff``; Q is the mixture over x* ~ D of P
+    with the (x*, y=1) count shifted up by one (label rule y(x) == 1, which
+    the closed form is independent of). Q/P = sum_x D(x) r(n_1(x)) reads only
+    the U label-1 counts, so each label-0 cell adds just its truncated mass p0
+    to every sum: the enumeration runs over the k^U label-1 count vectors, one
+    axis per context, times p0^U. It takes at most 64 contexts (numpy's axes)
+    and k^U <= CHI2_MAX_CELLS, and raises ValueError past either.
     Returns (sum_S Q^2/P - 1, truncation diagnostic: P-mass plus Q-mass lost).
     """
     if not 0 < n_rate < math.inf:
@@ -58,41 +64,26 @@ def chi_square_bruteforce(target: SmoothDistribution, n_rate: float,
         pm.pop()
     pm = np.asarray(pm)
     k_sup = len(pm)
-    # the exact power has 2u log2(k) bits, so it is built only near the limit
-    if (2 * u * math.log(k_sup) > math.log(CHI2_MAX_CELLS) + 1.0
-            or k_sup ** (2 * u) > CHI2_MAX_CELLS):
+    # the axis limit comes first, so the exact power has at most 64 log2(500) bits
+    if u > 64 or k_sup ** u > CHI2_MAX_CELLS:
         raise ValueError(
-            f"enumeration of {k_sup}^{2 * u} count vectors exceeds {CHI2_MAX_CELLS:g} cells")
-
-    # Axes: (x, y=0) for x = 0..U-1 then (x, y=1); axis 0 is (0, 0) so the
-    # mixture ratio, which only touches y=1 coordinates, is constant along it.
-    rest_axes = 2 * u - 1
-    shape = (k_sup,) * rest_axes
-
-    def axis_vec(pos: int, vec: np.ndarray) -> np.ndarray:
-        s = [1] * rest_axes
-        s[pos] = k_sup
-        return vec.reshape(s)
-
-    p_rest = np.ones(shape)
-    for a in range(rest_axes):
-        p_rest = p_rest * axis_vec(a, pm)
+            f"enumeration of {k_sup}^{u} count vectors exceeds {CHI2_MAX_CELLS:g} cells"
+            if k_sup > 1 else f"enumeration over {u} contexts exceeds numpy's 64 axes")
 
     # per-coordinate shifted/unshifted pmf ratio; a zero count cannot be shifted into
     ratio = np.zeros(k_sup)
     ratio[1:] = pm[:-1] / pm[1:]
-    mix_ratio = np.zeros(shape)
-    for x in range(u):
-        mix_ratio = mix_ratio + target.pmf[x] * axis_vec(u + x - 1, ratio)
-
-    # axis 0 factors out of every sum: each is pm.sum() times its sum over the rest
-    p0 = float(pm.sum())
-    q_rest = p_rest * mix_ratio
-    chi_acc = p0 * float(np.sum(q_rest * mix_ratio))
-    p_mass = p0 * float(p_rest.sum())
-    q_mass = p0 * float(q_rest.sum())
+    mix_ratio = functools.reduce(np.add.outer, [d * ratio for d in target.pmf])
+    # P, then Q, then Q^2/P in one new buffer (the 1.0 keeps it apart from pm
+    # at U = 1); p0^U is a factor of every sum
+    grid = functools.reduce(np.multiply.outer, [pm] * u, 1.0)
+    label0 = float(pm.sum()) ** u
+    p_mass = label0 * float(grid.sum())
+    grid *= mix_ratio
+    q_mass = label0 * float(grid.sum())
+    grid *= mix_ratio
     discarded = (1.0 - p_mass) + (1.0 - q_mass)
-    return chi_acc - 1.0, discarded
+    return label0 * float(grid.sum()) - 1.0, discarded
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from smoothpa.cli import main as cli_main
 
@@ -214,6 +214,9 @@ def test_valid_argv_exit_0():
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(near_miss_argv())
+# a one-count support over 2^62 contexts once ended in a MemoryError traceback
+@example(["chi2", "--sigma", "5e-324", "--n", "4", "--universe", "4611686018427387904",
+          "--cutoff", "1e-6"])
 def test_cli_argv_fuzz(argv):
     code, err = run_argv(argv)
     assert code in (0, 2, 3)

@@ -160,13 +160,37 @@ def chi_square_per_c0(target, n_rate, tail_cutoff=1e-12):
     return chi_acc - 1.0, (1.0 - p_mass) + (1.0 - q_mass)
 
 
-@pytest.mark.parametrize("u, n_rate", [(1, 3.0), (2, 8.0), (3, 4.0), (3, 6.0)])
+@pytest.mark.parametrize("u, n_rate", [(1, 3.0), (2, 8.0), (3, 4.0), (3, 6.0), (2, 1e-12)])
 def test_chi2_bruteforce_folds_constant_axis(u, n_rate):
     d = make_smooth(u, 0.5, np.random.default_rng(u * 10 + int(n_rate)))
     value, discarded = chi_square_bruteforce(d, n_rate)
     ref_value, ref_discarded = chi_square_per_c0(d, n_rate)
     assert value == pytest.approx(ref_value, abs=1e-14)
     assert discarded == pytest.approx(ref_discarded, abs=1e-14)
+
+
+@pytest.mark.parametrize("make_target", [
+    lambda: SmoothDistribution.uniform_on(6, range(6), 1.0),
+    lambda: SmoothDistribution.uniform_on(6, range(3), 0.5),
+    lambda: make_smooth(6, 0.4, np.random.default_rng(6)),
+], ids=["uniform", "half_set", "skewed"])
+def test_chi2_bruteforce_matches_closed_at_six_contexts(make_target):
+    # 9^6 label-1 count vectors; counting the label-0 cells too gave 9^12 > 2e8
+    d = make_target()
+    closed, _ = chi_square_closed_form(d, 2.0)
+    brute, discarded = chi_square_bruteforce(d, 2.0)
+    assert abs(brute - closed) <= 1e-6 + discarded
+
+
+def test_chi2_bruteforce_one_count_support_up_to_64_contexts():
+    # at rate 1e-11 every count's support is {0}, so Q's mass is all cut away;
+    # 40 contexts once took 79 axes, past numpy's 64
+    value, discarded = chi_square_bruteforce(SmoothDistribution.uniform_on(40, range(40), 1.0),
+                                             1e-11)
+    assert value == -1.0
+    assert discarded == pytest.approx(2.0 - math.exp(-1e-11), abs=1e-14)
+    with pytest.raises(ValueError, match=r"^enumeration over 65 contexts exceeds numpy's 64 axes$"):
+        chi_square_bruteforce(SmoothDistribution.uniform_on(65, range(65), 1.0), 1e-11)
 
 
 def test_chi2_report_shape(capsys):

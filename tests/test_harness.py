@@ -605,6 +605,18 @@ def test_cli_chi2_bound_when_sigma_times_n_underflows(capsys):
     assert json.loads(capsys.readouterr().out)["chi2"]["bound"] == math.inf
 
 
+@pytest.mark.parametrize("sigma, n_rate, universe, brute", [
+    # 2^62 contexts: past the enumeration's 64 axes, once a MemoryError traceback
+    ("5e-324", "4", "4611686018427387904", None),
+    # 40 contexts: within them, once numpy's 64-axis error blamed --cutoff
+    ("1", "1e-6", "40", -1.0),
+])
+def test_cli_chi2_one_count_support(capsys, sigma, n_rate, universe, brute):
+    assert cli_main(["chi2", "--sigma", sigma, "--n", n_rate, "--universe", universe,
+                     "--cutoff", "1e-6"]) == 0
+    assert json.loads(capsys.readouterr().out)["chi2"]["brute"] == brute
+
+
 def test_cli_chi2_report(capsys):
     assert cli_main(["chi2", "--sigma", "0.5", "--n", "4", "--universe", "2"]) == 0
     rep = json.loads(capsys.readouterr().out)["chi2"]
@@ -641,6 +653,21 @@ def test_cli_chi2_working_set_fits_or_is_a_universe_error(universe):
         assert (done.returncode, done.stderr) == (
             2, f"config error: --universe: {universe} contexts are more than numpy "
                f"can allocate\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_cli_chi2_reports_no_brute_force_it_cannot_hold():
+    # 15^7 label-1 count vectors pass the size rule, but one 1.3 GiB grid of
+    # them does not fit in 500 MiB: the closed form alone, and no traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", TIGHT_MEMORY_CHI2, "chi2", "--sigma", "1",
+                           "--n", "14", "--universe", "7"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rep = json.loads(done.stdout)["chi2"]
+    assert rep["brute"] is None and rep["discarded"] is None
+    assert rep["closed"] == pytest.approx(1.0 / 7.0, rel=1e-12)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
