@@ -15,39 +15,44 @@ import numpy as np
 
 from .core import game_generators
 from .errors import ConfigError, SmoothnessError, check_keys, parse_field, read_ids
-from .hypotheses import HYPOTHESIS_KEYS, Hypothesis, RegionFamily, evaluate, read_hypothesis
+from .hypotheses import (HYPOTHESIS_KEYS, Hypothesis, RegionFamily, evaluate, read_hypothesis,
+                         read_indices)
 
 SUM_TOL = 1e-12
 MASS_TOL = 1e-12
 
 
+def smooth_cap(sigma: float, size: int) -> float:
+    """The heaviest atom a sigma-smooth pmf over U contexts holds: (1 + MASS_TOL)/(sigma*U)."""
+    return (1.0 + MASS_TOL) / (sigma * size)
+
+
 def validate_smooth(pmf: np.ndarray, sigma: float) -> tuple[bool, Optional[int]]:
     """Check sigma-smoothness of a pmf; on failure return the first offending index.
 
-    Passing requires nonnegative entries summing to 1 within 1e-12 and
-    max_x pmf(x) <= 1/(sigma*U) + 1e-12.
+    Passing requires nonnegative entries summing to 1 within SUM_TOL and no
+    atom above `smooth_cap(sigma, U)`, 1/(sigma*U) up to a relative 1e-12.
     """
     pmf = np.asarray(pmf, dtype=np.float64)
-    if not 0.0 < sigma <= 1.0:
-        return False, None
-    if pmf.ndim != 1 or pmf.size == 0:
+    if not 0.0 < sigma <= 1.0 or pmf.ndim != 1 or pmf.size == 0:
         return False, None
     neg = np.flatnonzero(~(pmf >= 0.0))      # a NaN entry is not nonnegative either
     if neg.size:
         return False, int(neg[0])
     if abs(float(pmf.sum()) - 1.0) > SUM_TOL:
         return False, None
-    cap = 1.0 / (sigma * pmf.size) + MASS_TOL
-    over = np.flatnonzero(pmf > cap)
+    over = np.flatnonzero(pmf > smooth_cap(sigma, pmf.size))
     if over.size:
         return False, int(over[0])
     return True, None
 
 
 def min_support_size(sigma: float, size: int) -> int:
-    """Smallest subset size ceil(sigma*U) on which a uniform pmf is sigma-smooth;
-    at least one, however small sigma * U is."""
-    return max(1, int(math.ceil(sigma * size - 1e-12)))
+    """The least k whose uniform atom 1/k is within `smooth_cap`: max(1, ceil(sigma*U /
+    (1 + MASS_TOL))), moved by one where that form's float rounding misses it."""
+    cap = smooth_cap(sigma, size)
+    k = max(1, math.ceil(1.0 / cap))
+    return k + (1.0 / k > cap) - (k > 1 and 1.0 / (k - 1) <= cap)
 
 
 class SmoothDistribution:
@@ -105,32 +110,28 @@ class SmoothDistribution:
     def uniform_on(cls, size: int, support: Sequence[int], sigma: float) -> "SmoothDistribution":
         """Uniform distribution on a set of distinct context ids, in any order.
 
-        Uniform mass on k >= ceil(sigma*U) atoms is at most 1/(sigma*U), so the
-        size check certifies sigma-smoothness without building the dense pmf; a
-        sigma outside (0, 1], an id that is not an integer, a repeated id, an
-        id outside [0, U) or too small a set raises SmoothnessError.
+        Its atom 1/k meets `smooth_cap` as `validate_smooth` checks the dense pmf,
+        so it needs `min_support_size` ids. A sigma outside (0, 1], booleans, ids
+        `read_indices` refuses, a repeat or too small a set raise SmoothnessError.
         """
         if not 0.0 < sigma <= 1.0:
             raise SmoothnessError(f"sigma {sigma} outside (0, 1]")
         ids = np.array(support)      # a copy: the caller may reuse its array
-        if ids.size and ids.dtype.kind not in "iu":
-            raise SmoothnessError(f"target set must hold integer ids, got {ids.dtype}")
-        if ids.ndim != 1:
-            raise SmoothnessError(f"target set must be a flat list of ids, got shape {ids.shape}")
+        if ids.dtype == bool:
+            raise SmoothnessError("target set must hold integer ids, got bool")
+        try:
+            ids = read_indices(ids, "context id", size)
+        except ValueError as e:
+            raise SmoothnessError(str(e)) from None
         if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
             ids = np.sort(ids)
             dup = np.flatnonzero(ids[1:] == ids[:-1])
             if dup.size:
                 raise SmoothnessError(f"target set repeats context id {ids[dup[0]]}")
-        if ids.size and (ids[0] < 0 or ids[-1] >= size):     # ids ascend here, in their own dtype
-            bad = ids[0] if ids[0] < 0 else ids[-1]
-            raise SmoothnessError(f"target set has context id {bad} outside [0, {size})")
-        ids = ids.astype(np.int64, copy=False)
         ids.flags.writeable = False
-        k = min_support_size(sigma, size)
-        if ids.size < k:
-            raise SmoothnessError(
-                f"target set of size {ids.size} below minimum {k} for sigma={sigma}")
+        if not ids.size or 1.0 / ids.size > smooth_cap(sigma, size):
+            raise SmoothnessError(f"target set of size {ids.size} below minimum "
+                                  f"{min_support_size(sigma, size)} for sigma={sigma}")
         dist = cls.__new__(cls)
         dist.size, dist.sigma, dist.ids, dist.collision = size, sigma, ids, 1.0 / ids.size
         return dist
@@ -138,7 +139,7 @@ class SmoothDistribution:
 
 class StaticSubsetRule:
     """Context rule: uniform on a fixed subset of the universe, by default the
-    first ceil(sigma * U) ids, built and checked once per `reset`."""
+    first `min_support_size` ids, built and checked once per `reset`."""
 
     def __init__(self, subset: Optional[Sequence[int]] = None):
         self.subset = subset

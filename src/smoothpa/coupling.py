@@ -25,7 +25,8 @@ def rejection_couple_batch(trials: int, m: int, target: SmoothDistribution,
     if m < 1:
         raise ValueError("block size m must be >= 1")
     u = len(target.pmf)
-    # sigma * U * target(x) <= 1 up to the smoothness tolerance; clip the slack
+    # the certificate caps target(x) at (1 + MASS_TOL)/(sigma * U), so the clip
+    # removes at most MASS_TOL (and a rounding) from any acceptance probability
     accept_p = np.minimum(target.sigma * u * target.pmf, 1.0)
     samples = rng.integers(0, u, size=(trials, m))
     coins = rng.random(size=(trials, m))

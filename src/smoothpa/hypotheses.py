@@ -166,13 +166,10 @@ def evaluate(family: RegionFamily, h: Hypothesis, x):
     outside. x may be an array of contexts, and h's fields arrays of its
     shape, one hypothesis per context. A context or region that is not an
     integer, or outside [0, family.size) or [0, len(family)), raises
-    ValueError naming it, e.g. `context 1.5 is not an integer` or
-    `region 9 outside [0, 8)`."""
+    ValueError from `read_indices` naming it, e.g. `context of type float64
+    is not an integer` or `region 9 outside [0, 8)`."""
     for noun, value, top in (("context", x, family.size), ("region", h.region_index, len(family))):
-        arr = np.asarray(value)
-        if arr.size and arr.dtype.kind not in "biu":
-            raise ValueError(f"{noun} {arr.ravel()[0].item()!r} is not an integer")
-        read_indices(arr.ravel(), noun, top)
+        read_indices(np.ravel(value), noun, top)
     inside = _inside(family, x, h.region_index)
     if isinstance(inside, np.ndarray):
         return np.where(inside, h.theta0, h.theta1)

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from smoothpa import Hypothesis, SmoothnessError, UniformLearner, run_game, validate_smooth
 from smoothpa.adversary import (AdversaryPolicy, FixedSequenceLabelRule, GreedyLabelRule,
                                 RealizableLabelRule, SmoothDistribution, StaticSubsetRule,
-                                adversary_from_spec, min_support_size)
+                                adversary_from_spec, min_support_size, smooth_cap)
 from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import RegionFamily
 from smoothpa.learners import MixtureLearner, epsilon_cover
@@ -163,7 +164,8 @@ def test_validate_smooth_rejects_a_pmf_that_is_not_a_flat_nonempty_vector(pmf):
 @pytest.mark.parametrize("subset, bad", [([-1, 0, 1, 2], "-1"), ([0, 1, 2, 8], "8"),
                                          ([3, 1, 3, 5], "3"), ([[0, 1], [2, 3]], "shape"),
                                          ([], "size 0 below minimum 4"),
-                                         ([0.0, 1.0, 2.0, 3.0], "integer ids, got float64"),
+                                         ([0.0, 1.0, 2.0, 3.0],
+                                          "context id of type float64 is not an integer"),
                                          ([True, True, False, True], "integer ids, got bool")])
 def test_subset_uniform_rejects_bad_ids(subset, bad):
     with pytest.raises(SmoothnessError, match=bad):
@@ -258,11 +260,11 @@ def test_custom_rule_with_non_integer_ids_fails_the_run():
     rule = HandOverRule(lambda size, sigma: SmoothDistribution.uniform_on(
         size, np.array([0.0, 2.5, 5.9, 7.5]), sigma))
     adv = AdversaryPolicy(rule, GreedyLabelRule(), 0.5, 8)
-    with pytest.raises(SmoothnessError, match="^target set must hold integer ids, got float64$"):
+    with pytest.raises(SmoothnessError, match="^context id of type float64 is not an integer$"):
         run_game(UniformLearner(), adv, 4, seed=0)
     # the built-in rule hands its subset to uniform_on uncast as well
     adv = AdversaryPolicy(StaticSubsetRule([0.0, 2.5, 5.9, 7.5]), GreedyLabelRule(), 0.5, 8)
-    with pytest.raises(SmoothnessError, match="^target set must hold integer ids, got float64$"):
+    with pytest.raises(SmoothnessError, match="^context id of type float64 is not an integer$"):
         run_game(UniformLearner(), adv, 4, seed=0)
 
 
@@ -402,3 +404,122 @@ def test_fixed_sequence_exhaustion():
     assert rule.label(0, 0.5) == 1
     with pytest.raises(ConfigError, match="exhausted after 1 rounds"):
         rule.label(0, 0.5)
+
+
+# The certificate's boundary. TOL is MASS_TOL and SUM_TOL as README states
+# them, written out so that a looser constant in the library fails here.
+TOL = 1e-12
+# (sigma, U) with sigma*U integral, fractional on either side of 1/2, and a
+# hair above an integer (0.1 * 30 = 3.0000000000000004)
+BOUNDARY = [(0.37, 10), (0.83, 10), (0.5, 8), (0.1, 30), (1.0, 64), (0.3, 1000),
+            (1000.5 / 2 ** 20, 2 ** 20), (1.0, 2 ** 20)]
+
+
+def with_atoms(u, atom, at):
+    """A pmf over u contexts with `atom` at each index in `at` and the rest of
+    the mass spread evenly, which stays below 1/(sigma*U) while sigma <= 1."""
+    pmf = np.full(u, (1.0 - atom * len(at)) / (u - len(at)))
+    pmf[at] = atom
+    return pmf
+
+
+@pytest.mark.parametrize("sigma, u", BOUNDARY)
+def test_validate_smooth_cap_is_exact_at_its_boundary(sigma, u):
+    s, at = sigma * u, [u // 3, 2 * u // 3]
+    assert validate_smooth(with_atoms(u, 1.0 / s, at), sigma) == (True, None)
+    # over the cap by twice the slack, at two indices: the first is reported
+    assert validate_smooth(with_atoms(u, (1 + 3 * TOL) / s, at), sigma) == (False, at[0])
+    for off in (-2 * TOL, 2 * TOL):
+        assert validate_smooth(np.full(u, (1 + off) / u), sigma) == (False, None)
+
+
+@pytest.mark.parametrize("sigma, u", BOUNDARY)
+def test_policy_takes_its_own_sigma_and_refuses_the_next_float_below(sigma, u):
+    for at, taken in ((sigma, True), (np.nextafter(sigma, 0.0), False)):
+        dist = SmoothDistribution.uniform_on(u, np.arange(min_support_size(at, u)), at)
+        adv = AdversaryPolicy(HandOverRule(lambda size, s: dist), GreedyLabelRule(), sigma, u)
+        adv.reset(np.random.default_rng(0))
+        if taken:
+            assert adv.context_distribution() is dist
+        else:
+            with pytest.raises(SmoothnessError, match=rf"not over {u} at sigma >= {sigma}$"):
+                adv.context_distribution()
+
+
+@pytest.mark.parametrize("sigma, u", BOUNDARY)
+def test_certified_acceptance_probability_is_within_the_slack(sigma, u):
+    # rejection_couple_batch accepts x with probability sigma*U*D(x), clipped
+    # at 1: for the heaviest atoms the certificate takes, that is at most
+    # 1 + MASS_TOL up to one rounding, so the clip removes no more than that
+    heaviest = with_atoms(u, smooth_cap(sigma, u), [u // 2])
+    for dist in (SmoothDistribution(heaviest, sigma),
+                 SmoothDistribution.uniform_on(u, np.arange(min_support_size(sigma, u)), sigma)):
+        assert (dist.sigma * len(dist.pmf) * dist.pmf).max() <= np.nextafter(1 + TOL, 2.0)
+
+
+def test_uniform_on_takes_the_set_validate_smooth_takes():
+    # the two checks once disagreed: validate_smooth took the uniform pmf on
+    # 1000 ids and uniform_on refused them, "below minimum 1001"
+    u, sigma = 2 ** 20, (1000 + 5e-10) / 2 ** 20
+    pmf = np.zeros(u)
+    pmf[:1000] = 1 / 1000
+    assert validate_smooth(pmf, sigma) == (True, None)
+    assert SmoothDistribution.uniform_on(u, np.arange(1000), sigma).ids.size == 1000
+    assert min_support_size(sigma, u) == 1000
+
+
+def test_cap_slack_is_relative_at_a_wide_universe():
+    # an absolute slack of 1e-12 is 4.2e-6 of the cap 1/U at U = 2^22: an atom
+    # 2e-6 above it once passed, and the coupling clipped its sigma*U*D(x)
+    # of 1 + 2e-6 down to 1
+    u = 2 ** 22
+    pmf = np.full(u, 1.0 / u)
+    pmf[[5, u - 1]] *= [1 + 2e-6, 1 - 2e-6]
+    assert validate_smooth(pmf, 1.0) == (False, 5)
+
+
+@st.composite
+def sigma_and_size(draw):
+    """(sigma, U) with sigma*U drawn with a fractional part in (0, 1/2) or in
+    [1/2, 1), integral, up to 2e-12 relative above an integer (either side of
+    the slack), or a few floats from the slack's edge n(1 + 1e-12)."""
+    u = draw(st.integers(1, 4096))
+    n = draw(st.integers(1, u))
+    kind = draw(st.sampled_from(["low", "high", "integral", "hair", "edge"]))
+    if kind == "low":
+        s = n - 1 + draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    elif kind == "high":
+        s = n - 1 + draw(st.floats(0.5, 1.0, exclude_max=True))
+    elif kind == "integral":
+        s = float(n)
+    elif kind == "hair":
+        s = n * (1 + draw(st.floats(0.0, 2 * TOL, exclude_min=True)))
+    else:
+        s = n * (1 + TOL)
+        for _ in range(draw(st.integers(0, 8))):
+            s = math.nextafter(s, draw(st.sampled_from([0.0, math.inf])))
+    assume(s / u > 0.0)        # a fractional part of 5e-324 over U underflows
+    return min(s / u, 1.0), u
+
+
+@settings(deadline=None)
+@given(sigma_and_size())
+@example(((1000 + 5e-10) / 2 ** 20, 2 ** 20))   # the two checks' old disagreement
+@example((1000.5 / 2 ** 20, 2 ** 20))
+@example((0.1, 30))
+@example((0.83, 10))
+@example((0.8359375000008361, 128))             # the float closed form reads 108, not 107
+@example((0.6926350245506109, 3055))            # and 2116, not 2117
+def test_uniform_on_takes_exactly_what_validate_smooth_takes(case):
+    sigma, u = case
+    k = min_support_size(sigma, u)
+    assert 1 <= k <= u
+    for size in {max(k - 1, 1), k, min(k + 1, u)}:
+        pmf = np.zeros(u)
+        pmf[:size] = 1.0 / size
+        try:
+            SmoothDistribution.uniform_on(u, np.arange(size), sigma)
+            taken = True
+        except SmoothnessError:
+            taken = False
+        assert taken == validate_smooth(pmf, sigma)[0] == (size >= k)

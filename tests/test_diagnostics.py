@@ -101,7 +101,8 @@ def test_chi2_bruteforce_rejects_oversize():
 
 
 # The brute force's size check under an address-space limit 64 MiB above what
-# the interpreter already maps: 15^(2e10) cells, a count whose exact value takes 9 GiB
+# the interpreter already maps: 10^10 contexts, refused by the 64-context rule
+# before any power of the support size is built
 TIGHT_MEMORY_BRUTE = """
 import resource, types
 from smoothpa.diagnostics import chi_square_bruteforce

@@ -672,7 +672,7 @@ def test_cli_chi2_reports_no_brute_force_it_cannot_hold():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_cli_chi2_reports_no_brute_force_past_its_cell_limit():
-    # 2^(2U) count vectors at U = 5e7: the closed form alone, and no exact power
+    # U = 5e7 is past the 64-context rule: the closed form alone, and no exact power
     env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     done = subprocess.run([sys.executable, "-c", TIGHT_MEMORY_CHI2, "chi2", "--sigma", "0.5",

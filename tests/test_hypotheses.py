@@ -67,12 +67,13 @@ def test_evaluate_threshold_membership():
 
 
 @pytest.mark.parametrize("family, h, x, message", [
-    (RegionFamily.threshold_grid(8), Hypothesis(1, 0.2, 0.7), 1.5, "context 1.5 is not an integer"),
+    (RegionFamily.threshold_grid(8), Hypothesis(1, 0.2, 0.7), 1.5,
+     "context of type float64 is not an integer"),
     (RegionFamily.threshold_grid(8), Hypothesis(9, 0.2, 0.7), 1, "region 9 outside [0, 8)"),
     (RegionFamily.explicit(4, [[0, 1], [2]]), Hypothesis(-1, 0.2, 0.7), 1,
      "region -1 outside [0, 2)"),
     (RegionFamily.explicit(4, [[0, 1], [2]]), Hypothesis(0, 0.2, 0.7), 1.5,
-     "context 1.5 is not an integer"),
+     "context of type float64 is not an integer"),
     (RegionFamily.threshold_grid(8), Hypothesis(1, 0.2, 0.7), np.array([0, 3, 8]),
      "context 8 outside [0, 8)"),
 ], ids=["grid_float_context", "grid_region_past_the_end", "explicit_negative_region",
