@@ -257,8 +257,10 @@ class AdversaryPolicy:
 
 def _f_star(fs, family: RegionFamily) -> Hypothesis:
     """The realizable labels' hypothesis from its spec, read by `read_hypothesis`."""
-    if not isinstance(fs, dict):
+    if fs is None:
         raise ConfigError("adversary.f_star: required for realizable labels")
+    if not isinstance(fs, dict):
+        raise ConfigError("adversary.f_star: must be an object")
     check_keys(fs, "adversary.f_star", HYPOTHESIS_KEYS)
     return read_hypothesis([fs.get(key) for key in HYPOTHESIS_KEYS], "adversary.f_star", family)
 

@@ -151,7 +151,8 @@ def theorem_bound(n_rate: float, alpha: float, sigma: float, T: int,
 
     rad maps a (real) sample size to a Rademacher complexity value for the
     truncated class. With m set, the inner bracket is evaluated at that block
-    size; with m None it is minimized over a 32-point log grid in [1, n].
+    size; with m None it is minimized over a 32-point log grid in
+    [min(1, n), n], the block sizes m may take.
     """
     if not (0 < n_rate < math.inf and 0 < T < math.inf):
         raise ValueError("n_rate and T must be positive")
@@ -173,7 +174,7 @@ def theorem_bound(n_rate: float, alpha: float, sigma: float, T: int,
     if m is not None:
         inner = bracket(m)
     else:
-        grid = np.unique(np.geomspace(1.0, n, 32))
+        grid = np.unique(np.geomspace(min(1.0, n), n, 32))
         inner = min(bracket(float(b)) for b in grid)
     return base + T * inner
 

@@ -102,10 +102,7 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     learners = sweep.get("learner", obj.get("learner"))
     if learners is None:
         raise ConfigError("learner: missing")
-    if isinstance(learners, dict):
-        learners = [learners]
-    if not isinstance(learners, list) or not all(isinstance(v, dict) for v in learners):
-        raise ConfigError("learner: must be an object or list of objects")
+    learners = learners if isinstance(learners, list) else [learners]
     if not learners:
         raise ConfigError("learner: empty list")
     horizons = _as_list(sweep.get("T", obj.get("T")), "T", int)
@@ -128,8 +125,6 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError(f"output_dir: {output_dir!r} is not a string or null")
 
-    if not isinstance(family_spec, dict):
-        raise ConfigError("family: must be an object")
     family = RegionFamily.from_spec(family_spec)
     if "universe" in obj:
         universe = parse_field(obj["universe"], "universe", int)

@@ -97,7 +97,9 @@ class RegionFamily:
         """The family a JSON spec describes. A malformed spec raises ConfigError
         naming the field, e.g. `family.regions[0][1]: context id 9 outside [0, 8)`.
         An explicit family without a size covers its largest context id."""
-        if not isinstance(obj, dict) or "kind" not in obj:
+        if not isinstance(obj, dict):
+            raise ConfigError("family: must be an object")
+        if "kind" not in obj:
             raise ConfigError("family.kind: missing")
         kind = obj["kind"]
         if kind == THRESHOLD_GRID:
@@ -205,18 +207,16 @@ def _jlnj(bits: int) -> np.ndarray:
     return table
 
 
-def _nll(n, k, top=None):
+def _nll(n, k, top):
     """Minimized negative log-likelihood n*H(k/n) for integer-valued arrays of
-    Bernoulli counts 0 <= k <= n, 0 ln 0 = 0. top, if given, is a bound the
-    caller knows no count of n exceeds; n's largest count otherwise.
+    Bernoulli counts 0 <= k <= n, 0 ln 0 = 0, with top a bound the caller
+    knows no count of n exceeds: any such bound gives the same bits.
 
     Below 2**_TABLE_BITS each j ln j is a gather from the table that holds
     top. Larger counts go to _j_ln_j as given: integer counts, n - k
     included, are exact and cast to float once, there. Both read the same
     _j_ln_j values, so the bits do not depend on which path a count takes.
     """
-    if top is None:
-        top = n.max()
     if not top < 1 << _TABLE_BITS:
         return _j_ln_j(n) - _j_ln_j(k) - _j_ln_j(n - k)
     n, k = n.astype(np.intp, copy=False), k.astype(np.intp, copy=False)
@@ -277,10 +277,19 @@ def region_counts(values: np.ndarray, family: RegionFamily) -> np.ndarray:
     return product.astype(values.dtype, copy=False)
 
 
+# The oracle's count layout, which `_region_losses`, `leader_frequency` and
+# `prefix_best_losses` read: (n, k) x (inside, outside) x [rounds or games] x
+# region, the samples and the labels 1 on each side of each region.
+# `side_counts` puts any batch axes first instead, and FTPL moves its games
+# axis into place. One order for both slowed a caller either way: the
+# readers' order in `side_counts` FTPL's single-game round, and
+# `side_counts`' order in the readers the explicit-family comparator.
+
+
 def side_counts(values: np.ndarray, family: RegionFamily) -> np.ndarray:
-    """The counts `_region_losses` reads, from per-context counts of
-    shape (..., 2, U), row 0 the samples and row 1 the positive labels: shape
-    (..., 2, 2, len(family)), indexed (n, k) x (inside, outside) x region. The
+    """Per-region counts from per-context counts of shape (..., 2, U), row 0
+    the samples and row 1 the positive labels: shape (..., 2, 2,
+    len(family)), the oracle's count layout with the batch axes first. The
     outside counts are the row totals less the inside ones, exact for
     integer counts; a grid's totals are its last threshold's inside counts."""
     inside = region_counts(values, family)
@@ -288,12 +297,12 @@ def side_counts(values: np.ndarray, family: RegionFamily) -> np.ndarray:
     return np.stack((inside, total - inside), axis=-2)
 
 
-def _region_losses(counts: np.ndarray, top=None) -> np.ndarray:
+def _region_losses(counts: np.ndarray, top) -> np.ndarray:
     """Per-region minimized log-loss, the inside side's plus the outside's,
-    from counts in the layout `side_counts` builds, with top, if given, a
-    bound on the sample counts as `_nll` takes it. All counts must be
-    integer-valued, in integer or float arrays: the losses index a j ln j
-    table with them, which would truncate a fractional count."""
+    from counts in the oracle's count layout, with top a bound on the sample
+    counts as `_nll` takes it. All counts must be integer-valued, in integer
+    or float arrays: the losses index a j ln j table with them, which would
+    truncate a fractional count."""
     side = _nll(counts[0], counts[1], top)
     return side[0] + side[1]
 
@@ -315,9 +324,24 @@ def mle_from_counts(counts: np.ndarray, family: RegionFamily) -> tuple[Hypothesi
 
     Per region the optimal theta_j is the empirical frequency k_j/n_j (1/2 when
     the side is empty); ties between regions break to the lowest index.
+    Counts no examples give raise ValueError, before the sample total becomes
+    the losses' count bound: another shape, a dtype that is not integer, or a
+    context whose labels 1 are not in [0, samples], the first such one named,
+    e.g. `context 0: 3 labels 1 of 2 samples, outside [0, 2]`.
     """
+    counts = np.asarray(counts)
+    if counts.shape != (2, family.size):
+        raise ValueError(f"counts of shape {counts.shape}, not (2, {family.size})")
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"counts of type {counts.dtype} are not integers")
+    bad = ~((0 <= counts[1]) & (counts[1] <= counts[0]))
+    if bad.any():
+        x = int(bad.argmax())
+        n, k = counts[:, x].tolist()
+        raise ValueError(f"context {x}: {k} labels 1 of {n} samples, outside [0, {n}]")
     counts = side_counts(counts, family)
-    losses = _region_losses(counts)
+    # the sample total, inside plus outside any one region, bounds every count
+    losses = _region_losses(counts, counts[0, 0, 0] + counts[0, 1, 0])
     a = int(losses.argmin())
     (n_in, n_out), (k_in, k_out) = counts[:, :, a].tolist()
     return Hypothesis(a, _frequency(k_in, n_in), _frequency(k_out, n_out)), losses[a]
@@ -327,7 +351,7 @@ def leader_frequency(counts: np.ndarray, family: RegionFamily, xs, top):
     """The loss-minimizing hypothesis's prediction at context xs: k/n on xs's
     side of the leading region, or 1/2 when that side is empty, read after
     the argmin from that side alone. The counts are per region, in the
-    layout `side_counts` builds and integer-valued as `_region_losses` needs,
+    oracle's count layout and integer-valued as `_region_losses` needs,
     and top is a bound no sample count exceeds, as `_nll` takes it. Counts
     of shape (2, 2, games, regions) with one context per game in xs give an
     array over the games, each entry equal to its game's frequency alone;
@@ -377,7 +401,7 @@ def prefix_best_losses(xs, ys, family: RegionFamily) -> np.ndarray:
     region's loss is the same with inside and outside swapped. Per region,
     the counts inside it on every prefix are running sums over time of the
     examples' membership rows, built a block of rounds at a time in the
-    layout `side_counts` builds; the outside counts are the prefix totals
+    oracle's count layout; the outside counts are the prefix totals
     less the inside ones. All counts are int64, exact whatever the summation
     order, so the losses equal those over all regions bit for bit.
     """

@@ -188,8 +188,8 @@ class FtplLearner:
     Each prediction refits the oracle on the history plus fresh hallucinated
     samples: Poisson(n) of them uniform over (context, label), drawn as
     independent Poisson(n / 2U) counts per cell (Poisson splitting). The
-    learner keeps each game's history as the oracle's int64 (n, k) x
-    (inside, outside) x region counts, the games on the axis before the
+    learner keeps each game's history as int64 counts in the oracle's count
+    layout (see `hypotheses.side_counts`), the games on the axis before the
     regions, and draws each game's hallucinations for a block of rounds at
     once from that game's generator, in the same layout, which takes the
     same values from it as one draw per round. Every block holds as many
@@ -232,6 +232,7 @@ class FtplLearner:
         hal = np.stack(draws, axis=1) if self._shape else draws[0]     # (rows, [games,] 2, U)
         hal[..., 0, :] += hal[..., 1, :]      # (samples, positive labels) per context
         counts = side_counts(hal, self.family)
+        # the games axis from before the (n, k) axis to before the regions
         self._block = np.moveaxis(counts, 1, -2) if self._shape else counts
         # each row's hallucinated samples, inside plus outside any one region,
         # the most of any game's

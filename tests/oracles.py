@@ -76,8 +76,9 @@ def prefix_best_losses_all_regions(xs, ys, family) -> np.ndarray:
 
     Per region, the counts inside it on every prefix are running sums over
     time of the examples' membership rows, built a block of rounds at a time
-    in the layout `side_counts` builds; the outside counts are the prefix
-    totals less the inside ones, all int64.
+    in the oracle's count layout; the outside counts are the prefix totals
+    less the inside ones, all int64. Each block's count bound is its own
+    largest count, not the prefix length the library passes.
     """
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
@@ -96,7 +97,7 @@ def prefix_best_losses_all_regions(xs, ys, family) -> np.ndarray:
         np.cumsum(counts[:, 0], axis=1, out=counts[:, 0])
         np.subtract(np.arange(start + 1, stop + 1)[:, None], counts[0, 0], out=counts[0, 1])
         np.subtract(total_k[start:stop, None], counts[1, 0], out=counts[1, 1])
-        out[start:stop] = _region_losses(counts).min(axis=1)
+        out[start:stop] = _region_losses(counts, counts[0].max()).min(axis=1)
         carry = counts[:, 0, -1].copy()
     return out
 

@@ -319,6 +319,16 @@ def test_theorem_bound_scaling_windows():
     assert 0.75 <= slope_wide <= 0.9
 
 
+def test_theorem_bound_default_blocks_stay_at_most_n_rate():
+    # below n_rate = 1 the log grid once ran up from block 1.0, a size m may
+    # not take; rad sees n / block, so a block at most n is a value >= 1
+    seen = []
+    rad = lambda s: seen.append(s) or 1.0 / s
+    bound = theorem_bound(0.5, 0.1, 0.5, 10, rad)
+    assert seen and min(seen) >= 1.0
+    assert bound == theorem_bound(0.5, 0.1, 0.5, 10, rad, m=0.5)
+
+
 def test_theorem_bound_input_validation():
     with pytest.raises(ValueError):
         theorem_bound(10.0, 0.01, 1.0, 100, rad=lambda s: 0.0, m=20.0)

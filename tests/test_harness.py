@@ -911,6 +911,41 @@ def test_cli_file_errors_exit_2(tmp_path, capsys, argv, files, message):
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == sorted(files)
 
 
+@pytest.mark.parametrize("spec", [[8], "threshold_grid", 8, None])
+def test_one_family_reader_for_every_command(tmp_path, capsys, spec):
+    # run, cover and nml read a family with `RegionFamily.from_spec` alone, so
+    # a spec that is not an object reads one message under each of them
+    commands = [(["run", "--config", "c.json"], {"c.json": base_config(family=spec)}),
+                (["cover", "--family", "f.json", "--eps", "0.3"], {"f.json": spec}),
+                (["nml", "--class", "c.json", "--contexts", "x.json"],
+                 {"c.json": dict(GRID4_CLASS, family=spec), "x.json": [0, 3]})]
+    got = []
+    for i, (argv, files) in enumerate(commands):
+        work = tmp_path / str(i)
+        work.mkdir()
+        for name, obj in files.items():
+            (work / name).write_text(json.dumps(obj))
+        code = cli_main([str(work / a) if a in files else a for a in argv])
+        got.append((argv[0], code, capsys.readouterr().err))
+    assert got == [(command, 2, "config error: family: must be an object\n")
+                   for command in ("run", "cover", "nml")]
+
+
+def test_spec_readers_check_the_type_of_their_spec():
+    # the learner and f_star readers, not parse_config, refuse a spec that is
+    # not an object, whether it stands alone or in a list
+    for learner in (5, [5], [{"uniform": {}}, "kt"]):
+        with pytest.raises(ConfigError,
+                           match=r"^learner: must be an object with exactly one kind key$"):
+            parse_config(base_config(learner=learner))
+    realizable = {"rule": "static", "label": "realizable"}
+    for f_star in ([2, 0.2, 0.7], "f", 2):
+        with pytest.raises(ConfigError, match=r"^adversary\.f_star: must be an object$"):
+            parse_config(base_config(adversary=dict(realizable, f_star=f_star)))
+    with pytest.raises(ConfigError, match=r"^adversary\.f_star: required for realizable labels$"):
+        parse_config(base_config(adversary=realizable))
+
+
 def summary_with_t(t):
     """A fit summary of four uniform-learner cells, the first at horizon t."""
     return {"cells": [{"learner": {"uniform": {}}, "sigma": 0.5, "T": h,

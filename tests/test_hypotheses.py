@@ -277,8 +277,9 @@ def xlogy_split_losses(n0, k0, total_n, total_k):
 
 
 def side_layout(n0, k0, total_n, total_k):
-    """The counts inside each region and the totals in the layout
-    `side_counts` builds: (n, k) x (inside, outside) x the counts' shape."""
+    """The counts inside each region and the totals in the oracle's count
+    layout, which `_region_losses` reads: (n, k) x (inside, outside) x the
+    counts' shape."""
     return np.stack([np.stack(np.broadcast_arrays(inside, total - inside))
                      for inside, total in ((n0, total_n), (k0, total_k))])
 
@@ -301,9 +302,9 @@ def random_split_counts(rng, top, shape):
 def assert_table_equals_xlogy(rng, top, shape=(5, 40)):
     counts = random_split_counts(rng, top, shape)
     want = xlogy_split_losses(*(c.astype(np.float64) for c in counts))
-    assert np.array_equal(_region_losses(side_layout(*counts)), want)
-    assert np.array_equal(_region_losses(side_layout(*(c.astype(np.float64) for c in counts))),
-                          want)
+    assert np.array_equal(_region_losses(side_layout(*counts), top), want)
+    assert np.array_equal(_region_losses(side_layout(*(c.astype(np.float64) for c in counts)),
+                                         top), want)
 
 
 def test_split_losses_equal_xlogy_form_bitwise():
@@ -339,7 +340,7 @@ def test_split_losses_past_the_cap_call_xlogy_on_the_float_counts():
     assert n0[0] > 0 and n0[-1] >= 1 << 53
     want = xlogy_split_losses(n0, k0, n0[-1], k0[-1])
     assert np.isfinite(want).all()
-    assert np.array_equal(_region_losses(side_layout(n0, k0, n0[-1], k0[-1])), want)
+    assert np.array_equal(_region_losses(side_layout(n0, k0, n0[-1], k0[-1]), n0[-1]), want)
 
 
 @pytest.mark.parametrize("order", ["large_first", "small_first"])
@@ -362,10 +363,34 @@ def test_nll_with_a_caller_bound_equals_nll_with_its_own_maximum():
         assert n.max() == top
         bounds = [top, top + 1, 1 << top.bit_length(), 2 * top + 5, 1 << _TABLE_BITS, 1 << 40]
         for counts in ((n, k), (n.astype(np.float64), k.astype(np.float64))):
-            want = hypotheses._nll(*counts).tobytes()
+            want = hypotheses._nll(*counts, counts[0].max()).tobytes()
             for bound in bounds:
                 if bound >= top:
                     assert hypotheses._nll(*counts, bound).tobytes() == want, (top, bound)
+
+
+def test_nll_at_the_table_cap_builds_no_larger_table(monkeypatch):
+    # a bound of 2**_TABLE_BITS or more takes each j ln j from _j_ln_j, so no
+    # table holds more than 2**_TABLE_BITS entries (8 MiB)
+    built = []
+    real = hypotheses._jlnj
+    monkeypatch.setattr(hypotheses, "_jlnj", lambda bits: built.append(bits) or real(bits))
+    n, k = np.array([1 << _TABLE_BITS, 7]), np.array([5, 2])
+    want = hypotheses._j_ln_j(n) - hypotheses._j_ln_j(k) - hypotheses._j_ln_j(n - k)
+    for top in (1 << _TABLE_BITS, (1 << _TABLE_BITS) + 1):
+        assert hypotheses._nll(n, k, top).tobytes() == want.tobytes()
+    assert built == []
+
+
+def test_counts_just_past_2_53_stay_exact():
+    # an explicit family's row totalling 2**53 + 1 takes the integer product,
+    # whose float64 form would round the sum to 2**53; a quotient of counts
+    # past 2**53 is the correctly rounded one, which float64 counts miss
+    family = RegionFamily.explicit(2, [[0, 1], [1]])
+    assert region_counts(np.array([(1 << 53) - 1, 2]), family).tolist() == [(1 << 53) + 1, 2]
+    k, n = (1 << 53) + 1, (1 << 53) + 3
+    assert k / n != float(k) / float(n)
+    assert hypotheses._frequency(np.array([k, 1]), np.array([n, 3])).tolist() == [k / n, 1 / 3]
 
 
 def xlogy_prefix_best_losses(xs, ys, family):
@@ -581,6 +606,27 @@ def test_malformed_examples_raise_naming_the_value():
     # still give the losses
     assert offline_best_loss([0, 1], [1, 0], grid) == 0.0
     assert offline_best_loss([0, 1], [True, False], grid) == 0.0
+
+
+def test_mle_from_counts_refuses_counts_no_examples_give():
+    # these once gave theta0 = 1.5, a loss of -5.21, a loss of -1.39 and an
+    # IndexError; the first bad context is named
+    grid = RegionFamily.threshold_grid(2)
+    cases = [
+        ([[2, 0], [3, 0]], "context 0: 3 labels 1 of 2 samples, outside [0, 2]"),
+        ([[3, 0], [2, 1]], "context 1: 1 labels 1 of 0 samples, outside [0, 0]"),
+        ([[1, 0], [-1, 0]], "context 0: -1 labels 1 of 1 samples, outside [0, 1]"),
+        ([[1, -2], [0, 0]], "context 1: 0 labels 1 of -2 samples, outside [0, -2]"),
+        ([[2, 1, 0], [1, 0, 0]], "counts of shape (2, 3), not (2, 2)"),
+        ([2, 1], "counts of shape (2,), not (2, 2)"),
+        ([[2.0, 1.0], [1.0, 0.0]], "counts of type float64 are not integers"),
+        (np.ones((2, 2), dtype=bool), "counts of type bool are not integers"),
+    ]
+    for counts, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mle_from_counts(counts, grid)
+    # counts at the edge of the rule still fit: every label 1, and none
+    assert mle_from_counts([[2, 3], [2, 0]], grid) == (Hypothesis(0, 1.0, 0.0), 0.0)
 
 
 def test_comparator_tracker_rejects_what_the_comparator_does():

@@ -451,7 +451,7 @@ def reference_ftpl_predict(counts, n, alpha, family, rng, x):
     u = family.size
     hal = rng.poisson(n / (2.0 * u), size=(2, u))
     hal[0] += hal[1]
-    h, _ = mle_from_counts(counts + hal, family)
+    h, _ = mle_from_counts((counts + hal).astype(np.int64), family)
     q = (evaluate(family, h, x) + alpha) / (1.0 + 2.0 * alpha)
     lo, hi = truncation_range(alpha)
     if not lo <= q <= hi:
