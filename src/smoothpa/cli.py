@@ -8,7 +8,7 @@ subcommands emit JSON reports on stdout. Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import sys
 
@@ -17,7 +17,7 @@ import numpy as np
 from .adversary import SmoothDistribution, min_support_size
 from .diagnostics import chi_square_bruteforce, chi_square_closed_form, nml_value
 from .errors import (ConfigError, InfiniteLossError, NumericalAssertionError, allocate,
-                     load_json, parse_field, positive_finite, read_ids)
+                     format_json, load_json, parse_field, positive_finite, read_ids)
 from .harness import fit_scaling, parse_config, run
 from .hypotheses import Hypothesis, RegionFamily, read_hypothesis
 from .learners import epsilon_cover
@@ -139,7 +139,9 @@ def _cmd_fit(args) -> dict:
     return {"fits": fit_scaling(_read_summary(load_json(args.summary, "summary")))}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(prog="smoothpa")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -174,8 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
     except ConfigError as e:
@@ -184,7 +185,7 @@ def main(argv=None) -> int:
     except (NumericalAssertionError, InfiniteLossError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(format_json(report))
     return 0
 
 

@@ -22,6 +22,9 @@ LOG_ZERO = -1e300
 CHI2_MAX_CELLS = 2e8
 NML_MAX_HORIZON = 22
 NML_MAX_HYPOTHESES = 10_000
+# Largest sample size whose +-1 sums rademacher_estimate takes in float32:
+# every integer of magnitude <= 2^24 is a float32
+FLOAT32_EXACT_SUMS = 2 ** 24
 
 
 def chi_square_closed_form(target: SmoothDistribution, n_rate: float) -> tuple[float, float]:
@@ -112,8 +115,10 @@ def rademacher_estimate(family: RegionFamily, alpha: float, sample_size: int,
     d distinct contexts; the class they leave out holds no sample, S_in = 0,
     which the 0 term covers. A candidate costs O(mc_rounds * t * d) on a grid
     (d = regions for an explicit family) and U-long mask work, not U times
-    mc_rounds. Every S_in is a sum of +-1, an integer below 2^53, exact in any
-    summation order, so the estimate equals the one over all regions.
+    mc_rounds. Every S_in and each of its partial sums is a sum of +-1, an
+    integer of magnitude <= t, exact in any summation order: in float32 while
+    t <= FLOAT32_EXACT_SUMS = 2^24, the product used there, and in float64
+    past it. So the estimate equals the one over all regions.
     """
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
@@ -130,11 +135,13 @@ def rademacher_estimate(family: RegionFamily, alpha: float, sample_size: int,
     eps = rng.integers(0, 2, size=(mc_rounds, t)) * 2.0 - 1.0
     totals = eps.sum(axis=1)
     floor = np.maximum(totals, 0.0)
-    eps_t = np.ascontiguousarray(eps.T)
+    # the reductions below promote the float32 sums to float64
+    dtype = np.float32 if t <= FLOAT32_EXACT_SUMS else np.float64
+    eps_t = np.ascontiguousarray(eps.T, dtype=dtype)
 
     best = RademacherEstimate(-np.inf, 0.0)
     for xs in candidates:
-        s_in = family.contains(xs, family.representatives(xs)).T.astype(np.float64) @ eps_t
+        s_in = family.contains(xs, family.representatives(xs)).T.astype(dtype) @ eps_t
         sup_raw = np.maximum(np.maximum(floor, s_in.max(axis=0)), totals - s_in.min(axis=0))
         sup = (sup_raw + alpha * totals) / ((1.0 + 2.0 * alpha) * t)
         mean = float(sup.mean())

@@ -21,7 +21,8 @@ import numpy as np
 
 from .adversary import AdversaryPolicy, adversary_from_spec
 from .core import allocate_columns, format_records_csv, run_game
-from .errors import ConfigError, NumericalAssertionError, check_keys, load_json, parse_field
+from .errors import (ConfigError, NumericalAssertionError, check_keys, format_json, load_json,
+                     parse_field)
 from .hypotheses import RegionFamily, prefix_best_losses
 from .learners import learner_from_spec
 
@@ -208,7 +209,7 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
     except ConfigError:
         fits = {}
     summary = {"config": cfg.echo, "cells": summary_cells, "fits": fits}
-    _write(out / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _write(out / "summary.json", format_json(summary) + "\n")
     return summary
 
 

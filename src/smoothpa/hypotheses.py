@@ -327,7 +327,8 @@ def mle_from_counts(counts: np.ndarray, family: RegionFamily) -> tuple[Hypothesi
     Counts no examples give raise ValueError, before the sample total becomes
     the losses' count bound: another shape, a dtype that is not integer, or a
     context whose labels 1 are not in [0, samples], the first such one named,
-    e.g. `context 0: 3 labels 1 of 2 samples, outside [0, 2]`.
+    e.g. `context 0: 3 labels 1 of 2 samples, outside [0, 2]`, or a sample
+    total at or past 2^63, which int64 cannot hold.
     """
     counts = np.asarray(counts)
     if counts.shape != (2, family.size):
@@ -339,6 +340,12 @@ def mle_from_counts(counts: np.ndarray, family: RegionFamily) -> tuple[Hypothesi
         x = int(bad.argmax())
         n, k = counts[:, x].tolist()
         raise ValueError(f"context {x}: {k} labels 1 of {n} samples, outside [0, {n}]")
+    # an int64 total at or past 2^63 wraps; the float64 sum is within far less
+    # than half of the total, so only one near 2^63 takes the exact int sum
+    if counts[0].sum(dtype=np.float64) >= 2.0 ** 62:
+        total = sum(counts[0].tolist())
+        if total >= 2 ** 63:
+            raise ValueError(f"sample total {total} is at or past 2^63")
     counts = side_counts(counts, family)
     # the sample total, inside plus outside any one region, bounds every count
     losses = _region_losses(counts, counts[0, 0, 0] + counts[0, 1, 0])

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 import smoothpa
+import smoothpa.diagnostics as diagnostics
 from smoothpa.adversary import SmoothDistribution
 from smoothpa.cli import main as cli_main
 from smoothpa.diagnostics import (chi_square_bruteforce, chi_square_closed_form, nml_value,
@@ -277,6 +278,18 @@ def test_rademacher_equals_the_all_regions_oracle(name, family, alpha, t, rounds
     want = rademacher_estimate_all_regions(family, alpha, t, rounds,
                                            np.random.default_rng(seed))
     assert got == want
+
+
+@pytest.mark.parametrize("branch", ["float32", "float64"])
+@pytest.mark.parametrize("name, family, alpha, t, rounds", RADEMACHER_CASES,
+                         ids=[case[0] for case in RADEMACHER_CASES])
+def test_rademacher_float32_and_float64_sums_equal_the_oracle(monkeypatch, branch, name,
+                                                              family, alpha, t, rounds):
+    # the bound at t keeps the float32 product, one below it takes float64's
+    monkeypatch.setattr(diagnostics, "FLOAT32_EXACT_SUMS", t if branch == "float32" else t - 1)
+    got = rademacher_estimate(family, alpha, t, rounds, np.random.default_rng(3))
+    assert got == rademacher_estimate_all_regions(family, alpha, t, rounds,
+                                                  np.random.default_rng(3))
 
 
 # ---------------------------------------------------------------- bound

@@ -16,7 +16,7 @@ import smoothpa.harness as harness
 import smoothpa.hypotheses as hypotheses
 from smoothpa.adversary import (AdversaryPolicy, GreedyLabelRule, StaticSubsetRule,
                                 adversary_from_spec)
-from smoothpa.cli import main as cli_main
+from smoothpa.cli import build_parser, main as cli_main
 from smoothpa.core import run_game
 from smoothpa.errors import ConfigError
 from smoothpa.harness import derive_seed, fit_scaling, parse_config, run
@@ -615,6 +615,30 @@ def test_cli_chi2_one_count_support(capsys, sigma, n_rate, universe, brute):
     assert cli_main(["chi2", "--sigma", sigma, "--n", n_rate, "--universe", universe,
                      "--cutoff", "1e-6"]) == 0
     assert json.loads(capsys.readouterr().out)["chi2"]["brute"] == brute
+
+
+def test_cli_cached_parser_prints_what_a_fresh_parser_prints(tmp_path, capsys):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"kind": "explicit", "size": 4, "regions": [[0, 1], [2]]}))
+    # a value argparse refuses after it has parsed the subcommand, then a good call
+    calls = [["cover", "--family", str(family), "--eps", "abc"],
+             ["cover", "--family", str(family), "--eps", "0.3"]]
+
+    def call(argv, fresh):
+        if fresh:
+            build_parser.cache_clear()
+        try:
+            code = cli_main(argv)
+        except SystemExit as e:
+            code = e.code
+        return code, *capsys.readouterr()
+
+    fresh = [call(argv, fresh=True) for argv in calls]
+    build_parser.cache_clear()
+    cached = [call(argv, fresh=False) for argv in calls]
+    assert [code for code, _, _ in cached] == [2, 0]
+    assert cached == fresh
+    assert build_parser() is build_parser()
 
 
 def test_cli_chi2_report(capsys):

@@ -629,6 +629,23 @@ def test_mle_from_counts_refuses_counts_no_examples_give():
     assert mle_from_counts([[2, 3], [2, 0]], grid) == (Hypothesis(0, 1.0, 0.0), 0.0)
 
 
+def test_mle_from_counts_refuses_a_sample_total_past_int64():
+    # [[2^62, 2^62], [0, 0]] once ended in an overflow RuntimeWarning and
+    # numpy's "Maximum allowed size exceeded"; three samples of 2^63 - 1 sum
+    # in int64 to 2^63 - 3, a positive total that would pass for the true one
+    wrapped = np.array([[2 ** 63 - 1] * 3, [0] * 3], dtype=np.int64)
+    assert int(wrapped[0].sum()) == 2 ** 63 - 3
+    cases = [(np.array([[2 ** 62, 2 ** 62], [0, 0]], dtype=np.int64), 2 ** 63),
+             (wrapped, 3 * (2 ** 63 - 1)),
+             (np.array([[2 ** 63, 0], [1, 0]], dtype=np.uint64), 2 ** 63)]
+    for counts, total in cases:
+        with pytest.raises(ValueError, match=f"^sample total {total} is at or past 2\\^63$"):
+            mle_from_counts(counts, RegionFamily.threshold_grid(counts.shape[1]))
+    # one below still fits, every sample on the outside of threshold 0
+    fit = mle_from_counts(np.array([[0, 2 ** 63 - 1], [0, 0]]), RegionFamily.threshold_grid(2))
+    assert fit[0] == Hypothesis(0, 0.5, 0.0) and fit[1] == 0.0
+
+
 def test_comparator_tracker_rejects_what_the_comparator_does():
     # -1 once counted context 7, a label of -1 counted nothing and 2 a 1
     grid = RegionFamily.threshold_grid(8)
