@@ -221,6 +221,14 @@ class AdversaryPolicy:
     The context rule hands over a SmoothDistribution, checked sigma-smooth
     when it was built; the policy refuses anything else, so a violation
     anywhere in a run surfaces as SmoothnessError.
+
+    A policy plays its games as `cells`, one-cell policies that each cover a
+    consecutive slice of the games, in order: `(self,)` for a policy built
+    from one context rule, whose slice is every game. `lockstep` joins the
+    policies of several cells; each cell's context rule is then reset at its
+    own sigma, hands over the distribution of its own slice, certified at its
+    own sigma by its cell's `context_distribution`, and observes only its own
+    games' rounds, while one label rule labels every game.
     """
 
     def __init__(self, context_rule, label_rule, sigma: float, size: int):
@@ -230,9 +238,32 @@ class AdversaryPolicy:
         self.label_rule = label_rule
         self.sigma = sigma
         self.size = size
+        self.cells = (self,)
+
+    @classmethod
+    def lockstep(cls, policies: Sequence["AdversaryPolicy"]) -> "AdversaryPolicy":
+        """One policy over the games of `policies`, played in one call cell
+        by cell, each cell's games `1/len(policies)` of the call's; the one
+        policy itself if there is one. Its label rule, context rule and sigma
+        are the first policy's; the other policies' label rules play no game,
+        so every policy's must label alike, as the rules one spec builds do."""
+        first = policies[0]
+        if len(policies) == 1:
+            return first
+        policy = cls(first.context_rule, first.label_rule, first.sigma, first.size)
+        policy.cells = tuple(policies)
+        return policy
 
     def reset(self, rngs) -> None:
-        self.context_rule.reset(self.size, self.sigma)
+        """Reset every cell's context rule at its sigma and the label rule with
+        `rngs`, and split the games into `slices`, one per cell."""
+        games, cells = len(game_generators(rngs)[0]), len(self.cells)
+        if games % cells:
+            raise ValueError(f"{games} games do not split evenly among {cells} cells")
+        n = games // cells
+        self.slices = [slice(k * n, (k + 1) * n) for k in range(cells)]
+        for cell in self.cells:
+            cell.context_rule.reset(cell.size, cell.sigma)
         self.label_rule.reset(rngs)
 
     def context_distribution(self) -> SmoothDistribution:
@@ -252,7 +283,12 @@ class AdversaryPolicy:
         return self.label_rule.label(xs, qs)
 
     def observe(self, xs, qs, ys) -> None:
-        self.context_rule.observe(xs, qs, ys)
+        """Show each cell's context rule its own games' round."""
+        if len(self.cells) == 1:
+            self.context_rule.observe(xs, qs, ys)
+            return
+        for cell, s in zip(self.cells, self.slices):
+            cell.context_rule.observe(xs[s], qs[s], ys[s])
 
 
 def _f_star(fs, family: RegionFamily) -> Hypothesis:

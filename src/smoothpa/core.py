@@ -75,7 +75,7 @@ def allocate_columns(T: int, R: int = 1) -> list[np.ndarray]:
     comparator (float64), row t - 1 holding round t. A size numpy cannot
     allocate raises ConfigError, e.g. `T: 4611686018427387904 rounds are more
     than numpy can allocate`."""
-    unit, shape = ("rounds", (T,)) if R == 1 else (f"rounds of {R} repetitions", (T, R))
+    unit, shape = ("rounds", (T,)) if R == 1 else (f"rounds of {R} games", (T, R))
     return [allocate(T, "T", unit, lambda: np.zeros(shape, dtype))
             for dtype in (np.int64, np.int64, np.float64, np.float64, np.float64)]
 
@@ -92,12 +92,14 @@ def run_game(learner, adversary, T: int, seed, run_id="game"):
     is bit-identical. Both players are reset with the generators of their kind:
     a list of R of them when R > 1, and every round's contexts, predictions
     and labels are then (R,) arrays; the one generator, and scalars, for a
-    single game. Per round the adversary emits one smooth context
-    distribution for all games, each game's context is where its next
-    uniform falls in that distribution's cdf (the uniforms are drawn a block
-    of rounds at a time, with the values one draw per round takes), the
-    learner predicts q, the adversary picks the labels y after seeing the
-    predictions, and both players observe the round. The players get int64
+    single game. The adversary is an `AdversaryPolicy`, whose `cells` each
+    play a consecutive slice of the games (one cell plays them all). Per
+    round each cell emits one smooth context distribution, checked by its
+    own `context_distribution`, for its slice; each game's context is where
+    its next uniform falls in its slice's cdf (the uniforms are drawn a
+    block of rounds at a time, with the values one draw per round takes),
+    the learner predicts q, the adversary picks the labels y after seeing
+    the predictions, and both players observe the round. The players get int64
     contexts, read-only (R,) arrays when R > 1, and the entries of the label
     and prediction columns: int64 labels, float64 predictions. The adversary
     learns the past only through `observe(x, q, y)`. The losses are taken by
@@ -123,13 +125,21 @@ def run_game(learner, adversary, T: int, seed, run_id="game"):
     adversary.reset(adv_rngs if R > 1 else adv_rngs[0])
 
     xs, ys, qs, losses, comparator = allocate_columns(T, R)
+    # each cell's games: a slice of the (R,) rounds, or the one game's scalar
+    slices = adversary.slices if R > 1 else [0]
     rows = max(1, _BLOCK_BYTES // (8 * R))
     for start in range(0, T, rows):
         stop = min(start + rows, T)
         uniforms = np.stack([rng.random(stop - start) for rng in ctx_rngs], axis=-1)
-        for t, u in enumerate(uniforms if R > 1 else uniforms[:, 0], start):
-            dist = adversary.context_distribution()
-            x = dist.ids[dist.cdf.searchsorted(u, side="right")]
+        # per cell, its distribution and its games' uniforms, row i for round start + i
+        cells = [(cell.context_distribution, uniforms[:, s])
+                 for cell, s in zip(adversary.cells, slices)]
+        for i, t in enumerate(range(start, stop)):
+            x = None
+            for context_distribution, u in cells:
+                dist = context_distribution()
+                part = dist.ids[dist.cdf.searchsorted(u[i], side="right")]
+                x = part if x is None else np.concatenate((x, part))
             if R > 1:
                 x.setflags(False)       # write=False, as a keyword 2-3x as slow
             xs[t] = x

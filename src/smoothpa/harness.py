@@ -24,12 +24,13 @@ from .core import allocate_columns, format_records_csv, run_game
 from .errors import (ConfigError, NumericalAssertionError, check_keys, format_json, load_json,
                      parse_field)
 from .hypotheses import RegionFamily, prefix_best_losses
-from .learners import learner_from_spec
+from .learners import interchangeable, learner_from_spec
 
 
 class Cell(NamedTuple):
     """One sweep cell: its learner spec, horizon and smoothness, and the learner
-    and adversary that play the cell's repetitions in lockstep. `run_game`
+    and adversary that play the cell's repetitions in lockstep; in a group of
+    cells, the first cell's learner plays every cell's games. `run_game`
     resets both with fresh generators, one per repetition, and `reset` clears
     all of their state, so no game sees another's; each repetition's
     comparator is then computed from its own trajectory alone."""
@@ -44,11 +45,13 @@ class Cell(NamedTuple):
 @dataclass
 class ExperimentConfig:
     """A checked sweep: the region family, the cells in deterministic order
-    (learner-major, then T, then sigma), and `echo`, the config as
-    summary.json records it."""
+    (learner-major, then T, then sigma), `groups`, the runs of consecutive
+    cells' indices that `run` plays in one `run_game` call each, and `echo`,
+    the config as summary.json records it."""
 
     family: RegionFamily
     cells: list[Cell]
+    groups: list[list[int]]
     repetitions: int
     base_seed: int
     echo: dict
@@ -75,10 +78,12 @@ _SWEPT = ("learner", "T", "sigma")
 
 def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     """Check a config document (or the JSON file at a path) and build its sweep:
-    the region family, whose size must equal `universe` if one is given, and
-    per cell one learner and one adversary. Fixed-sequence labels must cover
+    the region family, whose size must equal `universe` if one is given, per
+    cell one learner and one adversary, and the groups of cells `run` plays
+    in lockstep (see `_lockstep_groups`). Fixed-sequence labels must cover
     the longest horizon, whose columns for all repetitions numpy must be able
-    to allocate. Error messages carry the offending field path."""
+    to allocate, as it must those of the games of the widest group. Error
+    messages carry the offending field path."""
     if isinstance(obj, (str, Path)):
         obj = load_json(obj, "config")
     if not isinstance(obj, dict):
@@ -134,13 +139,37 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     cells = [Cell(ls, t, s, learner_from_spec(ls, family, t, s),
                   adversary_from_spec(adversary_spec, family, s))
              for ls, t, s in itertools.product(learners, horizons, sigmas)]
+    groups = _lockstep_groups(cells, repetitions)
+    widest = max(groups, key=lambda g: cells[g[0]].T * len(g))
+    if len(widest) > 1:     # the columns of the games one call holds
+        allocate_columns(cells[widest[0]].T, repetitions * len(widest))
     labels = adversary_spec.get("labels")
     if adversary_spec.get("label") == "fixed_sequence" and len(labels) < t_max:
         raise ConfigError(f"adversary.labels: {len(labels)} labels, fewer than T = {t_max}")
     echo = {"universe": family.size, "family": family_spec, "adversary": adversary_spec,
             "learner": learners, "T": horizons, "sigma": sigmas,
             "repetitions": repetitions, "base_seed": base_seed}
-    return ExperimentConfig(family, cells, repetitions, base_seed, echo, output_dir)
+    return ExperimentConfig(family, cells, groups, repetitions, base_seed, echo, output_dir)
+
+
+def _lockstep_groups(cells: list[Cell], repetitions: int) -> list[list[int]]:
+    """The indices of `cells` in runs of consecutive cells that one
+    `run_game` call can play: with 2 or more repetitions, consecutive cells
+    with one learner spec and one T, which differ only in sigma, join a run
+    if their learners are `interchangeable` and their adversaries are plain
+    `AdversaryPolicy`s, whose label rules one spec built. Every other cell
+    is a run of its own, as is every cell of a sweep with one repetition: a
+    game alone plays on scalars, which cost less a round than a pair's arrays."""
+    groups: list[list[int]] = []
+    for ci, cell in enumerate(cells):
+        prev = cells[ci - 1] if ci else None
+        if prev and repetitions > 1 and (prev.T, prev.learner_spec) == (cell.T, cell.learner_spec) \
+                and interchangeable(prev.learner, cell.learner) \
+                and type(prev.adversary) is type(cell.adversary) is AdversaryPolicy:
+            groups[-1].append(ci)
+        else:
+            groups.append([ci])
+    return groups
 
 
 def derive_seed(base_seed: int, cell_key, rep: int) -> int:
@@ -165,13 +194,17 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
     and return the summary.json document: the config echo, the per-cell final
     regrets with their moments, and the scaling fits.
 
-    Cells run one after another in order, each one `run_game` call that plays
-    the cell's repetitions in lockstep and one `prefix_best_losses` call per
-    repetition on its own trajectory, so outputs are byte-identical across
-    runs of the same config. A cell's CSV is written once its repetitions
-    finish and their comparators are checked; a failure writes nothing for
-    its cell, so an interrupt leaves every completed cell's CSV and no
-    partial one.
+    The groups of cells run one after another in order, each one `run_game`
+    call that plays the repetitions of its cells in lockstep, cell by cell,
+    each game with its cell's derived seed and run id, on one learner and
+    `AdversaryPolicy.lockstep` of the cells' adversaries. Every game equals,
+    bit for bit, the game its cell alone plays, so outputs are the same,
+    byte for byte, whatever the grouping, and across runs of the same
+    config. After the call, cell by cell, each repetition's comparator is
+    one `prefix_best_losses` call on its own trajectory, checked, and the
+    cell's CSV is written. A failure inside a call writes nothing for its
+    cells, which finish together, so an interrupt leaves every completed
+    cell's CSV and no partial one.
     A comparator column that decreases from one round to the next raises
     NumericalAssertionError naming the cell, repetition and round. An output
     file that cannot be written raises ConfigError.
@@ -184,25 +217,29 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
         raise ConfigError(f"output_dir: cannot create {out}: {e.strerror}") from None
 
     summary_cells: list[dict] = []
-    for ci, cell in enumerate(cfg.cells):
-        cell_key = {"learner": cell.learner_spec, "T": cell.T, "sigma": cell.sigma}
-        reps = range(cfg.repetitions)
-        traces = run_game(cell.learner, cell.adversary, cell.T,
-                          [derive_seed(cfg.base_seed, cell_key, rep) for rep in reps],
-                          run_id=[f"c{ci:03d}r{rep:03d}" for rep in reps])
-        for rep, trace in enumerate(traces):
-            trace.comparator = prefix_best_losses(trace.xs, trace.ys, cfg.family)
-            _check_nondecreasing(trace.comparator, ci, rep)
-        _write(out / f"records_cell{ci:03d}.csv", format_records_csv(traces))
-        finals = [float(tr.cum_losses[-1]) for tr in traces]
-        regrets = np.array([f - tr.comparator[-1] for f, tr in zip(finals, traces)])
-        summary_cells.append({
-            "cell": ci, "learner": cell.learner_spec, "T": cell.T, "sigma": cell.sigma,
-            "final_regrets": [float(v) for v in regrets],
-            "mean_final_regret": float(regrets.mean()),
-            "stddev_final_regret": float(regrets.std(ddof=1)) if len(regrets) > 1 else 0.0,
-            "mean_final_loss": float(np.mean(finals)),
-        })
+    reps = range(cfg.repetitions)
+    for group in cfg.groups:
+        cells = [cfg.cells[ci] for ci in group]
+        keys = [{"learner": c.learner_spec, "T": c.T, "sigma": c.sigma} for c in cells]
+        traces = run_game(cells[0].learner, AdversaryPolicy.lockstep([c.adversary for c in cells]),
+                          cells[0].T,
+                          [derive_seed(cfg.base_seed, key, rep) for key in keys for rep in reps],
+                          run_id=[f"c{ci:03d}r{rep:03d}" for ci in group for rep in reps])
+        for k, (ci, cell) in enumerate(zip(group, cells)):
+            cell_traces = traces[k * len(reps):(k + 1) * len(reps)]
+            for rep, trace in enumerate(cell_traces):
+                trace.comparator = prefix_best_losses(trace.xs, trace.ys, cfg.family)
+                _check_nondecreasing(trace.comparator, ci, rep)
+            _write(out / f"records_cell{ci:03d}.csv", format_records_csv(cell_traces))
+            finals = [float(tr.cum_losses[-1]) for tr in cell_traces]
+            regrets = np.array([f - tr.comparator[-1] for f, tr in zip(finals, cell_traces)])
+            summary_cells.append({
+                "cell": ci, "learner": cell.learner_spec, "T": cell.T, "sigma": cell.sigma,
+                "final_regrets": [float(v) for v in regrets],
+                "mean_final_regret": float(regrets.mean()),
+                "stddev_final_regret": float(regrets.std(ddof=1)) if len(regrets) > 1 else 0.0,
+                "mean_final_loss": float(np.mean(finals)),
+            })
 
     try:
         fits = fit_scaling({"cells": summary_cells})

@@ -267,6 +267,26 @@ class FtplLearner:
         self._seen += 1
 
 
+def interchangeable(a, b) -> bool:
+    """Whether learners a and b are built-ins that play every game alike, so
+    that one of them can play both's games in one lockstep call: uniform; kt
+    with equal beta; vc_mixture with equal covers of one family; ftpl with
+    equal n and alpha over one family. A learner of any other type, a
+    subclass of a built-in among them, is interchangeable with none."""
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind is UniformLearner:
+        return True
+    if kind is KtLearner:
+        return a.beta == b.beta
+    if kind is MixtureLearner:
+        return a.family is b.family and np.array_equal(a.cover, b.cover)
+    if kind is FtplLearner:
+        return a.family is b.family and (a.n, a.alpha) == (b.n, b.alpha)
+    return False
+
+
 def default_ftpl_tuning(T: int, sigma: float) -> tuple[float, float]:
     """Rate/truncation pair n = round(T^{4/5} / sqrt(sigma)), alpha = 1/T."""
     return float(round(T ** 0.8 / math.sqrt(sigma))), 1.0 / T

@@ -292,6 +292,56 @@ def test_policy_takes_a_distribution_at_a_larger_sigma():
     assert set(run_game(UniformLearner(), adv, 40, seed=0).xs.tolist()) > set(range(4))
 
 
+def test_lockstep_policy_certifies_each_cell_at_its_own_sigma():
+    # uniform on 4 of 8 ids is 0.5-smooth: the sigma = 0.5 cell takes it, and
+    # the sigma = 1.0 cell beside it in the same call refuses it
+    half = SmoothDistribution.uniform_on(8, range(4), 0.5)
+    cells = [AdversaryPolicy(HandOverRule(lambda size, sigma: half), GreedyLabelRule(), sigma, 8)
+             for sigma in (0.5, 1.0)]
+    assert len(run_game(UniformLearner(), cells[0], 6, [1, 2], run_id=["a", "b"])) == 2
+    with pytest.raises(SmoothnessError, match=r"^context rule returned a distribution over 8 "
+                                              r"contexts at sigma 0\.5, not over 8 at sigma >= "
+                                              r"1\.0$"):
+        run_game(UniformLearner(), AdversaryPolicy.lockstep(cells), 6, [1, 2, 3, 4],
+                 run_id=list("abcd"))
+
+
+class ObservingRule(StaticSubsetRule):
+    """The built-in rule on its default set, logging every round it observes."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def observe(self, xs, qs, ys):
+        self.seen.append((xs.tolist(), qs.tolist(), ys.tolist()))
+
+
+def test_lockstep_policy_shows_each_cell_only_its_own_games():
+    fam = RegionFamily.threshold_grid(16)
+    sigmas, rules = (0.25, 0.5), [ObservingRule(), ObservingRule()]
+    cells = [AdversaryPolicy(rule, GreedyLabelRule(), sigma, 16)
+             for rule, sigma in zip(rules, sigmas)]
+    traces = run_game(MixtureLearner(fam, epsilon_cover(fam, 0.1)),
+                      AdversaryPolicy.lockstep(cells), 30, [5, 6, 7, 8], run_id=list("abcd"))
+    for k, (rule, sigma) in enumerate(zip(rules, sigmas)):
+        games = traces[2 * k: 2 * k + 2]
+        assert rule.seen == [tuple([getattr(tr, c)[t].item() for tr in games]
+                                   for c in ("xs", "qs", "ys")) for t in range(30)]
+        # each cell's games draw from its own set, the first 4 or 8 ids
+        drawn = {x for tr in games for x in tr.xs.tolist()}
+        assert drawn == set(range(min_support_size(sigma, 16)))
+
+
+def test_lockstep_policy_needs_as_many_games_in_each_cell():
+    cells = [AdversaryPolicy(StaticSubsetRule(), GreedyLabelRule(), sigma, 8)
+             for sigma in (0.5, 1.0)]
+    for seeds, run_id in (([1, 2, 3], ["a", "b", "c"]), (1, "a")):
+        games = np.size(seeds)
+        with pytest.raises(ValueError, match=f"^{games} games do not split evenly among 2 cells$"):
+            run_game(UniformLearner(), AdversaryPolicy.lockstep(cells), 4, seeds, run_id=run_id)
+
+
 @pytest.mark.parametrize("dist", [SmoothDistribution.uniform_on(8, [6, 1, 3, 5], 0.5),
                                   SmoothDistribution(np.full(8, 0.125), 1.0)])
 def test_distribution_cannot_change_after_its_check(dist):

@@ -327,6 +327,25 @@ def test_lockstep_games_equal_games_played_one_round_at_a_time(monkeypatch, lear
             assert made[kind * R + r].bit_generator.state == rng.bit_generator.state, kind
 
 
+@pytest.mark.parametrize("label", sorted(LOCKSTEP_LABELS))
+@pytest.mark.parametrize("learner", ["kt", "vc_mixture", "ftpl"])
+def test_games_of_several_cells_equal_games_played_one_round_at_a_time(learner, label):
+    # two cells at sigma 0.3 and 0.6, two games each, in one call: every
+    # game is its own cell's game alone, drawn from its own cell's set
+    fam, T, sigmas = LOCKSTEP_FAMILIES["explicit"], 40, (0.3, 0.6)
+
+    def build(sigma):
+        return (learner_from_spec(LOCKSTEP_LEARNERS[learner], fam, T, sigma),
+                adversary_from_spec(LOCKSTEP_LABELS[label], fam, sigma=sigma))
+    seeds = [7, 8, 9, 10]
+    adversary = AdversaryPolicy.lockstep([build(sigma)[1] for sigma in sigmas])
+    traces = run_game(build(sigmas[0])[0], adversary, T, seeds, run_id=list("abcd"))
+    for r, (seed, trace) in enumerate(zip(seeds, traces)):
+        want, _ = run_game_one_round_at_a_time(*build(sigmas[r // 2]), T, seed)
+        for column in ("xs", "ys", "qs", "losses"):
+            assert getattr(trace, column).tobytes() == getattr(want, column).tobytes(), column
+
+
 def test_lockstep_games_equal_the_reference_across_blocks_of_rounds():
     # three games draw their uniforms and take their losses 10,922 rounds at a time
     fam = LOCKSTEP_FAMILIES["grid"]

@@ -21,7 +21,7 @@ from smoothpa.core import run_game
 from smoothpa.errors import ConfigError
 from smoothpa.harness import derive_seed, fit_scaling, parse_config, run
 from smoothpa.hypotheses import RegionFamily
-from smoothpa.learners import learner_from_spec
+from smoothpa.learners import KtLearner, learner_from_spec
 
 
 def base_config(**overrides):
@@ -291,6 +291,23 @@ def test_horizon_check_sizes_all_of_a_games_columns(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_horizon_check_sizes_the_columns_of_a_calls_games(tmp_path):
+    # the five columns of a cell's 2 repetitions of 1.5e7 rounds fit, those
+    # of the 4 games of the call that plays both sigma cells do not; the
+    # 16-round cells could play first
+    cfg = base_config(universe=4, family={"kind": "threshold_grid", "size": 4}, repetitions=2,
+                      sweep={"T": [16, 15 * 10 ** 6], "sigma": [0.5, 1.0]})
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", TIGHT_MEMORY_RUN, json.dumps(cfg),
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"T: {15 * 10 ** 6} rounds of 4 games are more than numpy can allocate\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("learner", [{"uniform": {}}, {"kt": {"beta": 0.5}}])
 def test_run_rejects_family_universe_mismatch(tmp_path, learner):
     cfg = base_config(universe=16, learner=learner, base_seed=3)
@@ -432,6 +449,108 @@ def test_run_fails_where_the_comparator_decreases(tmp_path, monkeypatch, capsys)
                           "repetition 1, round 9: "), err
     assert len(read_rows(tmp_path / "out" / "records_cell000.csv")) == 32
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["records_cell000.csv"]
+
+
+# Two-sigma sweeps whose two cells of each T share one run_game call:
+# (learner, adversary, repetitions)
+GROUPED_SWEEPS = {
+    "vc_mixture_greedy": ({"vc_mixture": {}}, {"rule": "adaptive", "label": "greedy"}, 2),
+    "ftpl_realizable": ({"ftpl": {"n": 30, "alpha": 0.05}},
+                        {"rule": "static", "label": "realizable",
+                         "f_star": {"region_index": 3, "theta0": 0.2, "theta1": 0.7}}, 3),
+    "kt_fixed_sequence": ({"kt": {"beta": 0.5}},
+                          {"rule": "static", "label": "fixed_sequence",
+                           "labels": [1, 0, 0, 1, 1, 1, 0, 1] * 3}, 2),
+}
+
+
+def spy_on_run_game(monkeypatch):
+    """The run ids of every harness.run_game call, in call order."""
+    calls, real = [], harness.run_game
+
+    def spy(learner, adversary, T, seeds, run_id):
+        calls.append(list(run_id))
+        return real(learner, adversary, T, seeds, run_id=run_id)
+    monkeypatch.setattr(harness, "run_game", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(GROUPED_SWEEPS))
+def test_grouped_sweep_writes_the_bytes_of_its_cells_played_alone(tmp_path, monkeypatch, name):
+    learner, adversary, reps = GROUPED_SWEEPS[name]
+    cfg = base_config(universe=16, family={"kind": "threshold_grid", "size": 16},
+                      adversary=dict(adversary, context="subset_uniform"), repetitions=reps,
+                      sweep={"learner": [learner], "T": [12, 24], "sigma": [0.25, 0.5]})
+    calls = spy_on_run_game(monkeypatch)
+    run(cfg, output_dir=tmp_path / "grouped")
+    # one call per T, each holding its two cells' games cell by cell
+    assert calls == [[f"c{ci:03d}r{rep:03d}" for ci in cells for rep in range(reps)]
+                     for cells in ((0, 1), (2, 3))]
+    # the same cells, one call each: every artifact keeps its bytes
+    alone = parse_config(cfg)
+    alone.groups = [[ci] for ci in range(len(alone.cells))]
+    run(alone, output_dir=tmp_path / "alone")
+    assert len(calls) == 6
+    names = sorted(p.name for p in (tmp_path / "alone").iterdir())
+    assert len(names) == 5
+    for n in names:
+        assert (tmp_path / "grouped" / n).read_bytes() == (tmp_path / "alone" / n).read_bytes(), n
+    # each sigma as a config of its own plays the same games: the same rows
+    # but for the cell number in the run ids
+    for k, sigma in enumerate((0.25, 0.5)):
+        run(dict(cfg, sweep=dict(cfg["sweep"], sigma=[sigma])), output_dir=tmp_path / str(k))
+        for j in range(2):
+            ci = 2 * j + k
+            want = (tmp_path / str(k) / f"records_cell{j:03d}.csv").read_text()
+            assert (tmp_path / "grouped" / f"records_cell{ci:03d}.csv").read_text() == \
+                want.replace(f"c{j:03d}r", f"c{ci:03d}r")
+
+
+@pytest.mark.parametrize("case", ["one_repetition", "wide_grid_vc_mixture", "default_ftpl",
+                                  "custom_learner"])
+def test_cells_that_cannot_share_a_call_play_one_call_each(tmp_path, monkeypatch, case):
+    cfg = base_config(repetitions=2, learner={"uniform": {}}, sweep={"sigma": [0.25, 0.5]})
+    if case == "one_repetition":
+        cfg.update(repetitions=1, learner={"kt": {}})
+    elif case == "wide_grid_vc_mixture":
+        # eps = sigma / T^2 takes every ceil(4 sigma)-th of the 2^14 thresholds
+        cfg.update(universe=2 ** 14, family={"kind": "threshold_grid", "size": 2 ** 14},
+                   learner={"vc_mixture": {}}, T=64)
+    elif case == "default_ftpl":
+        cfg.update(learner={"ftpl": {}})        # n = round(T^0.8 / sqrt(sigma))
+    else:
+        monkeypatch.setattr(harness, "learner_from_spec",
+                            lambda spec, family, t, sigma: ExplodingLearner(0, 0))
+    parsed = parse_config(cfg)
+    assert parsed.groups == [[0], [1]]
+    if case == "wide_grid_vc_mixture":
+        assert [cell.learner.cover.size for cell in parsed.cells] == [2 ** 14, 2 ** 13 + 1]
+    calls = spy_on_run_game(monkeypatch)
+    run(parsed, output_dir=tmp_path)
+    reps = range(cfg["repetitions"])
+    assert calls == [[f"c{ci:03d}r{rep:03d}" for rep in reps] for ci in (0, 1)]
+
+
+def test_failure_inside_a_call_writes_none_of_its_cells(tmp_path, monkeypatch):
+    # kt at T = 8 and 16, sigma 0.5 and 1.0: cells 0 and 1 share the first
+    # call, cells 2 and 3 the second, whose learner raises in round 5; it
+    # plays both cells' games at once, so a failure in the second cell's
+    # games is a failure of the call
+    cfg = parse_config(base_config(learner={"kt": {}}, repetitions=2,
+                                   sweep={"T": [8, 16], "sigma": [0.5, 1.0]}))
+    assert cfg.groups == [[0, 1], [2, 3]]
+    real = KtLearner.predict
+
+    def predict(self, xs):
+        if self is cfg.cells[2].learner and self._rounds == 4:
+            raise RuntimeError("boom")
+        return real(self, xs)
+    monkeypatch.setattr(KtLearner, "predict", predict)
+    with pytest.raises(RuntimeError, match="^boom$"):
+        run(cfg, output_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records_cell000.csv",
+                                                          "records_cell001.csv"]
+    assert [len(read_rows(tmp_path / f"records_cell00{ci}.csv")) for ci in (0, 1)] == [16, 16]
 
 
 def test_each_repetition_comparator_uses_only_its_own_classes(tmp_path, monkeypatch):
