@@ -220,15 +220,9 @@ class AdversaryPolicy:
 
     The context rule hands over a SmoothDistribution, checked sigma-smooth
     when it was built; the policy refuses anything else, so a violation
-    anywhere in a run surfaces as SmoothnessError.
-
-    A policy plays its games as `cells`, one-cell policies that each cover a
-    consecutive slice of the games, in order: `(self,)` for a policy built
-    from one context rule, whose slice is every game. `lockstep` joins the
-    policies of several cells; each cell's context rule is then reset at its
-    own sigma, hands over the distribution of its own slice, certified at its
-    own sigma by its cell's `context_distribution`, and observes only its own
-    games' rounds, while one label rule labels every game.
+    anywhere in a run surfaces as SmoothnessError. Every game of a call
+    draws its context from that one distribution a round; `LockstepPolicy`
+    plays the games of several policies in one call.
     """
 
     def __init__(self, context_rule, label_rule, sigma: float, size: int):
@@ -238,32 +232,9 @@ class AdversaryPolicy:
         self.label_rule = label_rule
         self.sigma = sigma
         self.size = size
-        self.cells = (self,)
-
-    @classmethod
-    def lockstep(cls, policies: Sequence["AdversaryPolicy"]) -> "AdversaryPolicy":
-        """One policy over the games of `policies`, played in one call cell
-        by cell, each cell's games `1/len(policies)` of the call's; the one
-        policy itself if there is one. Its label rule, context rule and sigma
-        are the first policy's; the other policies' label rules play no game,
-        so every policy's must label alike, as the rules one spec builds do."""
-        first = policies[0]
-        if len(policies) == 1:
-            return first
-        policy = cls(first.context_rule, first.label_rule, first.sigma, first.size)
-        policy.cells = tuple(policies)
-        return policy
 
     def reset(self, rngs) -> None:
-        """Reset every cell's context rule at its sigma and the label rule with
-        `rngs`, and split the games into `slices`, one per cell."""
-        games, cells = len(game_generators(rngs)[0]), len(self.cells)
-        if games % cells:
-            raise ValueError(f"{games} games do not split evenly among {cells} cells")
-        n = games // cells
-        self.slices = [slice(k * n, (k + 1) * n) for k in range(cells)]
-        for cell in self.cells:
-            cell.context_rule.reset(cell.size, cell.sigma)
+        self.context_rule.reset(self.size, self.sigma)
         self.label_rule.reset(rngs)
 
     def context_distribution(self) -> SmoothDistribution:
@@ -279,16 +250,50 @@ class AdversaryPolicy:
                 f"sigma {dist.sigma}, not over {self.size} at sigma >= {self.sigma}")
         return dist
 
+    def contexts(self, u):
+        """This round's contexts: where each game's uniform in `u` falls in
+        the cdf of the round's `context_distribution`."""
+        dist = self.context_distribution()
+        return dist.ids[dist.cdf.searchsorted(u, side="right")]
+
     def label(self, xs, qs):
         return self.label_rule.label(xs, qs)
 
     def observe(self, xs, qs, ys) -> None:
-        """Show each cell's context rule its own games' round."""
-        if len(self.cells) == 1:
-            self.context_rule.observe(xs, qs, ys)
-            return
+        self.context_rule.observe(xs, qs, ys)
+
+
+class LockstepPolicy:
+    """The policies of several cells playing one call's games, cell by cell:
+    each cell's games are a consecutive `1/len(cells)` of the call's. Each
+    cell's context rule is reset at its own sigma, hands over the
+    distribution of its own games, certified at its own sigma by its own
+    `context_distribution`, and observes only its own games' rounds. The
+    first cell's label rule labels every game, so every cell's must label
+    alike, as the rules one spec builds do."""
+
+    def __init__(self, cells: Sequence[AdversaryPolicy]):
+        self.cells = tuple(cells)
+
+    def reset(self, rngs) -> None:
+        games, cells = len(game_generators(rngs)[0]), len(self.cells)
+        if games % cells:
+            raise ValueError(f"{games} games do not split evenly among {cells} cells")
+        n = games // cells
+        self.slices = [slice(k * n, (k + 1) * n) for k in range(cells)]
+        for cell in self.cells:
+            cell.context_rule.reset(cell.size, cell.sigma)
+        self.cells[0].label_rule.reset(rngs)
+
+    def contexts(self, u):
+        return np.concatenate([cell.contexts(u[s]) for cell, s in zip(self.cells, self.slices)])
+
+    def label(self, xs, qs):
+        return self.cells[0].label(xs, qs)
+
+    def observe(self, xs, qs, ys) -> None:
         for cell, s in zip(self.cells, self.slices):
-            cell.context_rule.observe(xs[s], qs[s], ys[s])
+            cell.observe(xs[s], qs[s], ys[s])
 
 
 def _f_star(fs, family: RegionFamily) -> Hypothesis:

@@ -92,20 +92,20 @@ def run_game(learner, adversary, T: int, seed, run_id="game"):
     is bit-identical. Both players are reset with the generators of their kind:
     a list of R of them when R > 1, and every round's contexts, predictions
     and labels are then (R,) arrays; the one generator, and scalars, for a
-    single game. The adversary is an `AdversaryPolicy`, whose `cells` each
-    play a consecutive slice of the games (one cell plays them all). Per
-    round each cell emits one smooth context distribution, checked by its
-    own `context_distribution`, for its slice; each game's context is where
-    its next uniform falls in its slice's cdf (the uniforms are drawn a
-    block of rounds at a time, with the values one draw per round takes),
-    the learner predicts q, the adversary picks the labels y after seeing
-    the predictions, and both players observe the round. The players get int64
-    contexts, read-only (R,) arrays when R > 1, and the entries of the label
-    and prediction columns: int64 labels, float64 predictions. The adversary
-    learns the past only through `observe(x, q, y)`. The losses are taken by
-    `log_loss` for a block of rounds once it is played, so an invalid or
-    contradicted prediction raises at the end of its block. The comparator
-    column is left at zero; the harness fills it offline.
+    single game. Per round the adversary's `contexts(u)` maps each game's
+    next uniform u to its context, where u falls in the cdf of a smooth
+    context distribution: one for all games of a plain `AdversaryPolicy`,
+    one per cell's slice of the games of a `LockstepPolicy` (the uniforms
+    are drawn a block of rounds at a time, with the values one draw per
+    round takes). The learner predicts q, the adversary picks the labels y
+    after seeing the predictions, and both players observe the round. The
+    players get int64 contexts, read-only (R,) arrays when R > 1, and the
+    entries of the label and prediction columns: int64 labels, float64
+    predictions. The adversary learns the past only through `observe(x, q,
+    y)`. The losses are taken by `log_loss` for a block of rounds once it is
+    played, so an invalid or contradicted prediction raises at the end of
+    its block. The comparator column is left at zero; the harness fills it
+    offline.
     """
     if T < 1:
         raise ValueError("horizon T must be >= 1")
@@ -125,21 +125,12 @@ def run_game(learner, adversary, T: int, seed, run_id="game"):
     adversary.reset(adv_rngs if R > 1 else adv_rngs[0])
 
     xs, ys, qs, losses, comparator = allocate_columns(T, R)
-    # each cell's games: a slice of the (R,) rounds, or the one game's scalar
-    slices = adversary.slices if R > 1 else [0]
     rows = max(1, _BLOCK_BYTES // (8 * R))
     for start in range(0, T, rows):
         stop = min(start + rows, T)
         uniforms = np.stack([rng.random(stop - start) for rng in ctx_rngs], axis=-1)
-        # per cell, its distribution and its games' uniforms, row i for round start + i
-        cells = [(cell.context_distribution, uniforms[:, s])
-                 for cell, s in zip(adversary.cells, slices)]
-        for i, t in enumerate(range(start, stop)):
-            x = None
-            for context_distribution, u in cells:
-                dist = context_distribution()
-                part = dist.ids[dist.cdf.searchsorted(u[i], side="right")]
-                x = part if x is None else np.concatenate((x, part))
+        for t, u in enumerate(uniforms if R > 1 else uniforms[:, 0], start):
+            x = adversary.contexts(u)
             if R > 1:
                 x.setflags(False)       # write=False, as a keyword 2-3x as slow
             xs[t] = x

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .adversary import AdversaryPolicy, adversary_from_spec
+from .adversary import AdversaryPolicy, LockstepPolicy, adversary_from_spec
 from .core import allocate_columns, format_records_csv, run_game
 from .errors import (ConfigError, NumericalAssertionError, check_keys, format_json, load_json,
                      parse_field)
@@ -152,20 +152,27 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     return ExperimentConfig(family, cells, groups, repetitions, base_seed, echo, output_dir)
 
 
+# The most bytes of game columns (five 8-byte entries a game-round) that a
+# call playing several cells holds at once. A cell joins a call only while
+# the call's columns stay within it, so a group needs at most this much more
+# memory than its cells played one call each.
+_GROUP_BYTES = 1 << 24
+
+
 def _lockstep_groups(cells: list[Cell], repetitions: int) -> list[list[int]]:
     """The indices of `cells` in runs of consecutive cells that one
     `run_game` call can play: with 2 or more repetitions, consecutive cells
     with one learner spec and one T, which differ only in sigma, join a run
-    if their learners are `interchangeable` and their adversaries are plain
-    `AdversaryPolicy`s, whose label rules one spec built. Every other cell
-    is a run of its own, as is every cell of a sweep with one repetition: a
-    game alone plays on scalars, which cost less a round than a pair's arrays."""
+    if their learners are `interchangeable` and the run's columns stay
+    within `_GROUP_BYTES`. Every other cell is a run of its own, as is every
+    cell of a sweep with one repetition: a game alone plays on scalars,
+    which cost less a round than a pair's arrays."""
     groups: list[list[int]] = []
     for ci, cell in enumerate(cells):
         prev = cells[ci - 1] if ci else None
         if prev and repetitions > 1 and (prev.T, prev.learner_spec) == (cell.T, cell.learner_spec) \
                 and interchangeable(prev.learner, cell.learner) \
-                and type(prev.adversary) is type(cell.adversary) is AdversaryPolicy:
+                and 40 * cell.T * repetitions * (len(groups[-1]) + 1) <= _GROUP_BYTES:
             groups[-1].append(ci)
         else:
             groups.append([ci])
@@ -196,8 +203,10 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
 
     The groups of cells run one after another in order, each one `run_game`
     call that plays the repetitions of its cells in lockstep, cell by cell,
-    each game with its cell's derived seed and run id, on one learner and
-    `AdversaryPolicy.lockstep` of the cells' adversaries. Every game equals,
+    each game with its cell's derived seed and run id, on one learner and a
+    `LockstepPolicy` of the cells' adversaries (a cell alone plays on its
+    own adversary; `_lockstep_groups` says which cells share a call). Every
+    game equals,
     bit for bit, the game its cell alone plays, so outputs are the same,
     byte for byte, whatever the grouping, and across runs of the same
     config. After the call, cell by cell, each repetition's comparator is
@@ -221,8 +230,9 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
     for group in cfg.groups:
         cells = [cfg.cells[ci] for ci in group]
         keys = [{"learner": c.learner_spec, "T": c.T, "sigma": c.sigma} for c in cells]
-        traces = run_game(cells[0].learner, AdversaryPolicy.lockstep([c.adversary for c in cells]),
-                          cells[0].T,
+        adversary = cells[0].adversary if len(cells) == 1 else \
+            LockstepPolicy([c.adversary for c in cells])
+        traces = run_game(cells[0].learner, adversary, cells[0].T,
                           [derive_seed(cfg.base_seed, key, rep) for key in keys for rep in reps],
                           run_id=[f"c{ci:03d}r{rep:03d}" for ci in group for rep in reps])
         for k, (ci, cell) in enumerate(zip(group, cells)):

@@ -6,8 +6,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from smoothpa import Hypothesis, SmoothnessError, UniformLearner, run_game, validate_smooth
 from smoothpa.adversary import (AdversaryPolicy, FixedSequenceLabelRule, GreedyLabelRule,
-                                RealizableLabelRule, SmoothDistribution, StaticSubsetRule,
-                                adversary_from_spec, min_support_size, smooth_cap)
+                                LockstepPolicy, RealizableLabelRule, SmoothDistribution,
+                                StaticSubsetRule, adversary_from_spec, min_support_size,
+                                smooth_cap)
 from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import RegionFamily
 from smoothpa.learners import MixtureLearner, epsilon_cover
@@ -302,7 +303,7 @@ def test_lockstep_policy_certifies_each_cell_at_its_own_sigma():
     with pytest.raises(SmoothnessError, match=r"^context rule returned a distribution over 8 "
                                               r"contexts at sigma 0\.5, not over 8 at sigma >= "
                                               r"1\.0$"):
-        run_game(UniformLearner(), AdversaryPolicy.lockstep(cells), 6, [1, 2, 3, 4],
+        run_game(UniformLearner(), LockstepPolicy(cells), 6, [1, 2, 3, 4],
                  run_id=list("abcd"))
 
 
@@ -323,7 +324,7 @@ def test_lockstep_policy_shows_each_cell_only_its_own_games():
     cells = [AdversaryPolicy(rule, GreedyLabelRule(), sigma, 16)
              for rule, sigma in zip(rules, sigmas)]
     traces = run_game(MixtureLearner(fam, epsilon_cover(fam, 0.1)),
-                      AdversaryPolicy.lockstep(cells), 30, [5, 6, 7, 8], run_id=list("abcd"))
+                      LockstepPolicy(cells), 30, [5, 6, 7, 8], run_id=list("abcd"))
     for k, (rule, sigma) in enumerate(zip(rules, sigmas)):
         games = traces[2 * k: 2 * k + 2]
         assert rule.seen == [tuple([getattr(tr, c)[t].item() for tr in games]
@@ -339,7 +340,7 @@ def test_lockstep_policy_needs_as_many_games_in_each_cell():
     for seeds, run_id in (([1, 2, 3], ["a", "b", "c"]), (1, "a")):
         games = np.size(seeds)
         with pytest.raises(ValueError, match=f"^{games} games do not split evenly among 2 cells$"):
-            run_game(UniformLearner(), AdversaryPolicy.lockstep(cells), 4, seeds, run_id=run_id)
+            run_game(UniformLearner(), LockstepPolicy(cells), 4, seeds, run_id=run_id)
 
 
 @pytest.mark.parametrize("dist", [SmoothDistribution.uniform_on(8, [6, 1, 3, 5], 0.5),

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from smoothpa import (AdversaryPolicy, InfiniteLossError, UniformLearner, core, learners,
                       log_loss, run_game)
-from smoothpa.adversary import (FixedSequenceLabelRule, GreedyLabelRule, StaticSubsetRule,
-                                adversary_from_spec)
+from smoothpa.adversary import (FixedSequenceLabelRule, GreedyLabelRule, LockstepPolicy,
+                                StaticSubsetRule, adversary_from_spec)
 from smoothpa.core import CSV_HEADER, format_records_csv
 from smoothpa.errors import ConfigError
 from smoothpa.hypotheses import RegionFamily, offline_best_loss, prefix_best_losses
@@ -338,7 +338,7 @@ def test_games_of_several_cells_equal_games_played_one_round_at_a_time(learner, 
         return (learner_from_spec(LOCKSTEP_LEARNERS[learner], fam, T, sigma),
                 adversary_from_spec(LOCKSTEP_LABELS[label], fam, sigma=sigma))
     seeds = [7, 8, 9, 10]
-    adversary = AdversaryPolicy.lockstep([build(sigma)[1] for sigma in sigmas])
+    adversary = LockstepPolicy([build(sigma)[1] for sigma in sigmas])
     traces = run_game(build(sigmas[0])[0], adversary, T, seeds, run_id=list("abcd"))
     for r, (seed, trace) in enumerate(zip(seeds, traces)):
         want, _ = run_game_one_round_at_a_time(*build(sigmas[r // 2]), T, seed)

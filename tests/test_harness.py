@@ -292,20 +292,43 @@ def test_horizon_check_sizes_all_of_a_games_columns(tmp_path):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_horizon_check_sizes_the_columns_of_a_calls_games(tmp_path):
-    # the five columns of a cell's 2 repetitions of 1.5e7 rounds fit, those
-    # of the 4 games of the call that plays both sigma cells do not; the
-    # 16-round cells could play first
+def test_cells_too_large_to_share_a_call_fit_where_they_fit_alone(tmp_path):
+    # under the limit of TIGHT_MEMORY_RUN the five columns of a cell's 2
+    # repetitions of 1.5e7 rounds fit, those of both sigma cells' 4 games
+    # would not: the 16-round cells share a call, the 1.5e7-round cells
+    # each play one of their own, as one call per cell played them
     cfg = base_config(universe=4, family={"kind": "threshold_grid", "size": 4}, repetitions=2,
                       sweep={"T": [16, 15 * 10 ** 6], "sigma": [0.5, 1.0]})
     env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", TIGHT_MEMORY_RUN, json.dumps(cfg),
-                           str(tmp_path)], env=env, capture_output=True, text=True,
-                          timeout=120)
+    parse = TIGHT_MEMORY_RUN.replace("import run", "import parse_config").replace(
+        "run(json.loads(sys.argv[1]), output_dir=sys.argv[2])",
+        "print(parse_config(json.loads(sys.argv[1])).groups)")
+    done = subprocess.run([sys.executable, "-c", parse, json.dumps(cfg), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == f"T: {15 * 10 ** 6} rounds of 4 games are more than numpy can allocate\n"
-    assert list(tmp_path.iterdir()) == []
+    assert done.stdout == "[[0, 1], [2], [3]]\n"
+
+
+def test_a_call_holds_no_more_columns_than_its_cap(tmp_path, monkeypatch):
+    # a cap of 2 cells' columns at T = 24: the three T = 12 cells share a
+    # call, the T = 24 cells share one two at a time; the bytes are those of
+    # one call per cell
+    monkeypatch.setattr(harness, "_GROUP_BYTES", 40 * 24 * 2 * 2)
+    cfg = base_config(learner={"kt": {}}, repetitions=2,
+                      sweep={"T": [12, 24], "sigma": [0.25, 0.5, 1.0]})
+    parsed = parse_config(cfg)
+    assert parsed.groups == [[0, 1, 2], [3, 4], [5]]
+    calls = spy_on_run_game(monkeypatch)
+    run(parsed, output_dir=tmp_path / "grouped")
+    assert calls == [[f"c{ci:03d}r{rep:03d}" for ci in group for rep in range(2)]
+                     for group in parsed.groups]
+    parsed.groups = [[ci] for ci in range(6)]
+    run(parsed, output_dir=tmp_path / "alone")
+    names = sorted(p.name for p in (tmp_path / "alone").iterdir())
+    assert len(names) == 7
+    for n in names:
+        assert (tmp_path / "grouped" / n).read_bytes() == (tmp_path / "alone" / n).read_bytes(), n
 
 
 @pytest.mark.parametrize("learner", [{"uniform": {}}, {"kt": {"beta": 0.5}}])
