@@ -342,9 +342,7 @@ def adversary_from_spec(spec: dict, family: RegionFamily, sigma: float) -> Adver
     else:
         raise ConfigError(f"adversary.label: unknown kind {label_kind!r}")
 
-    # "adaptive" names the default static set: a rule that moved toward the
-    # learner's most extreme predictions never left it, as every context is
-    # drawn from the set itself
+    # "adaptive" names the default static set; configs, the bench's among them, use it
     if rule not in ("static", "adaptive"):
         raise ConfigError(f"adversary.rule: unknown rule {rule!r}")
     context_rule = StaticSubsetRule(subset)

@@ -69,15 +69,20 @@ class GameTrace:
         return np.cumsum(self.losses)
 
 
+# The dtypes of a game's columns, xs and ys, then qs, losses and comparator,
+# and the bytes one game-round takes in them
+_COLUMN_DTYPES = (np.int64, np.int64, np.float64, np.float64, np.float64)
+ROUND_BYTES = sum(np.dtype(dtype).itemsize for dtype in _COLUMN_DTYPES)
+
+
 def allocate_columns(T: int, R: int = 1) -> list[np.ndarray]:
-    """The five zeroed columns of R games played in lockstep, of shape (T,)
-    for one game and (T, R) for more: xs and ys (int64), then qs, losses and
-    comparator (float64), row t - 1 holding round t. A size numpy cannot
-    allocate raises ConfigError, e.g. `T: 4611686018427387904 rounds are more
-    than numpy can allocate`."""
+    """The zeroed columns of R games played in lockstep, one per entry of
+    _COLUMN_DTYPES, of shape (T,) for one game and (T, R) for more, row t - 1
+    holding round t. A size numpy cannot allocate raises ConfigError, e.g.
+    `T: 4611686018427387904 rounds are more than numpy can allocate`."""
     unit, shape = ("rounds", (T,)) if R == 1 else (f"rounds of {R} games", (T, R))
     return [allocate(T, "T", unit, lambda: np.zeros(shape, dtype))
-            for dtype in (np.int64, np.int64, np.float64, np.float64, np.float64)]
+            for dtype in _COLUMN_DTYPES]
 
 
 def run_game(learner, adversary, T: int, seed, run_id="game"):

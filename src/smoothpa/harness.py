@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .adversary import AdversaryPolicy, LockstepPolicy, adversary_from_spec
-from .core import allocate_columns, format_records_csv, run_game
+from .core import ROUND_BYTES, allocate_columns, format_records_csv, run_game
 from .errors import (ConfigError, NumericalAssertionError, check_keys, format_json, load_json,
                      parse_field)
 from .hypotheses import RegionFamily, prefix_best_losses
@@ -30,10 +30,11 @@ from .learners import interchangeable, learner_from_spec
 class Cell(NamedTuple):
     """One sweep cell: its learner spec, horizon and smoothness, and the learner
     and adversary that play the cell's repetitions in lockstep; in a group of
-    cells, the first cell's learner plays every cell's games. `run_game`
-    resets both with fresh generators, one per repetition, and `reset` clears
-    all of their state, so no game sees another's; each repetition's
-    comparator is then computed from its own trajectory alone."""
+    cells, the first cell's learner plays every cell's games, and the cells at
+    one sigma share one adversary. `run_game` resets both with fresh
+    generators, one per repetition, and `reset` clears all of their state, so
+    no game sees another's; each repetition's comparator is then computed
+    from its own trajectory alone."""
 
     learner_spec: dict
     T: int
@@ -58,15 +59,14 @@ class ExperimentConfig:
     output_dir: Optional[str]
 
 
-def _as_list(value, name: str, cast):
+def _as_list(value, name: str, cast=None) -> list:
+    """A swept key's values, a lone one as a list, read by `parse_field` if a `cast` is given."""
     if value is None:
         raise ConfigError(f"{name}: missing")
-    if isinstance(value, (list, tuple)):
-        out = [parse_field(v, name, cast) for v in value]
-        if not out:
-            raise ConfigError(f"{name}: empty list")
-        return out
-    return [parse_field(value, name, cast)]
+    values = list(value) if isinstance(value, (list, tuple)) else [value]
+    if not values:
+        raise ConfigError(f"{name}: empty list")
+    return values if cast is None else [parse_field(v, name, cast) for v in values]
 
 
 # The keys a config reads at its top level, and those `sweep` may set instead;
@@ -79,11 +79,10 @@ _SWEPT = ("learner", "T", "sigma")
 def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     """Check a config document (or the JSON file at a path) and build its sweep:
     the region family, whose size must equal `universe` if one is given, per
-    cell one learner and one adversary, and the groups of cells `run` plays
-    in lockstep (see `_lockstep_groups`). Fixed-sequence labels must cover
-    the longest horizon, whose columns for all repetitions numpy must be able
-    to allocate, as it must those of the games of the widest group. Error
-    messages carry the offending field path."""
+    sigma one adversary, per cell one learner, and the groups of cells `run`
+    plays in lockstep (see `_lockstep_groups`). Fixed-sequence labels must
+    cover the longest horizon, whose columns for all repetitions numpy must
+    be able to allocate. Error messages carry the offending field path."""
     if isinstance(obj, (str, Path)):
         obj = load_json(obj, "config")
     if not isinstance(obj, dict):
@@ -105,12 +104,7 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     for key in _SWEPT:
         if key in sweep and key in obj:
             raise ConfigError(f"{key}: set both at the top level and in sweep")
-    learners = sweep.get("learner", obj.get("learner"))
-    if learners is None:
-        raise ConfigError("learner: missing")
-    learners = learners if isinstance(learners, list) else [learners]
-    if not learners:
-        raise ConfigError("learner: empty list")
+    learners = _as_list(sweep.get("learner", obj.get("learner")), "learner")
     horizons = _as_list(sweep.get("T", obj.get("T")), "T", int)
     if any(t < 1 for t in horizons):
         raise ConfigError("T: horizons must be >= 1")
@@ -136,13 +130,11 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
         universe = parse_field(obj["universe"], "universe", int)
         if family.size != universe:
             raise ConfigError(f"family.size: {family.size} differs from universe {universe}")
-    cells = [Cell(ls, t, s, learner_from_spec(ls, family, t, s),
-                  adversary_from_spec(adversary_spec, family, s))
+    adversaries = {s: adversary_from_spec(adversary_spec, family, s)
+                   for s in dict.fromkeys(sigmas)}
+    cells = [Cell(ls, t, s, learner_from_spec(ls, family, t, s), adversaries[s])
              for ls, t, s in itertools.product(learners, horizons, sigmas)]
     groups = _lockstep_groups(cells, repetitions)
-    widest = max(groups, key=lambda g: cells[g[0]].T * len(g))
-    if len(widest) > 1:     # the columns of the games one call holds
-        allocate_columns(cells[widest[0]].T, repetitions * len(widest))
     labels = adversary_spec.get("labels")
     if adversary_spec.get("label") == "fixed_sequence" and len(labels) < t_max:
         raise ConfigError(f"adversary.labels: {len(labels)} labels, fewer than T = {t_max}")
@@ -152,8 +144,8 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     return ExperimentConfig(family, cells, groups, repetitions, base_seed, echo, output_dir)
 
 
-# The most bytes of game columns (five 8-byte entries a game-round) that a
-# call playing several cells holds at once. A cell joins a call only while
+# The most bytes of game columns (`ROUND_BYTES` a game-round) that a call
+# playing several cells holds at once. A cell joins a call only while
 # the call's columns stay within it, so a group needs at most this much more
 # memory than its cells played one call each.
 _GROUP_BYTES = 1 << 24
@@ -172,7 +164,7 @@ def _lockstep_groups(cells: list[Cell], repetitions: int) -> list[list[int]]:
         prev = cells[ci - 1] if ci else None
         if prev and repetitions > 1 and (prev.T, prev.learner_spec) == (cell.T, cell.learner_spec) \
                 and interchangeable(prev.learner, cell.learner) \
-                and 40 * cell.T * repetitions * (len(groups[-1]) + 1) <= _GROUP_BYTES:
+                and ROUND_BYTES * cell.T * repetitions * (len(groups[-1]) + 1) <= _GROUP_BYTES:
             groups[-1].append(ci)
         else:
             groups.append([ci])

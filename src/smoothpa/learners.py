@@ -11,6 +11,7 @@ the add-one Laplace rule per region side, reweighted by the region marginals.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -86,6 +87,9 @@ class KtLearner:
 
     def __init__(self, beta: float):
         self.beta = positive_finite(beta, "learner.kt.beta")
+        if beta > sys.float_info.max / 2:
+            raise ConfigError(f"learner.kt.beta: {beta!r} must be at most "
+                              f"{sys.float_info.max / 2!r}, so that 2 beta is finite")
 
     def reset(self, rngs) -> None:
         self._ones = np.zeros(game_generators(rngs)[1])[()]

@@ -339,7 +339,7 @@ def test_run_rejects_family_universe_mismatch(tmp_path, learner):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_run_builds_the_family_once_and_each_cell_once(tmp_path, monkeypatch):
+def test_run_builds_one_family_one_adversary_a_sigma_one_learner_a_cell(tmp_path, monkeypatch):
     counts = {"family": 0, "learner": 0, "adversary": 0}
 
     def counting(key, fn):
@@ -356,9 +356,15 @@ def test_run_builds_the_family_once_and_each_cell_once(tmp_path, monkeypatch):
                         counting("adversary", harness.adversary_from_spec))
     cfg = base_config(sweep={"learner": [{"kt": {}}, {"vc_mixture": {}}, {"ftpl": {}}],
                              "T": [8, 16], "sigma": [0.5, 1.0]}, repetitions=3)
-    summary = run(cfg, output_dir=tmp_path)
+    parsed = parse_config(cfg)
+    assert counts == {"family": 1, "learner": 12, "adversary": 2}
+    # one adversary a sigma, which every cell at that sigma plays on
+    for cell in parsed.cells:
+        assert cell.adversary is parsed.cells[cell.sigma == 1.0].adversary
+    assert parsed.cells[0].adversary is not parsed.cells[1].adversary
+    summary = run(parsed, output_dir=tmp_path)
     assert len(summary["cells"]) == 12
-    assert counts == {"family": 1, "learner": 12, "adversary": 12}
+    assert counts == {"family": 1, "learner": 12, "adversary": 2}
 
 
 REUSE_LABELS = {
@@ -527,6 +533,41 @@ def test_grouped_sweep_writes_the_bytes_of_its_cells_played_alone(tmp_path, monk
             want = (tmp_path / str(k) / f"records_cell{j:03d}.csv").read_text()
             assert (tmp_path / "grouped" / f"records_cell{ci:03d}.csv").read_text() == \
                 want.replace(f"c{j:03d}r", f"c{ci:03d}r")
+
+
+def test_cells_at_a_repeated_sigma_share_a_call_and_an_adversary(tmp_path, monkeypatch):
+    # the two sigma = 0.5 cells share one adversary, which plays two of the
+    # call's three slices of games; the bytes are those of one call per cell
+    cfg = base_config(learner={"vc_mixture": {}}, repetitions=2,
+                      sweep={"sigma": [0.5, 0.5, 0.25]})
+    built, build = [], harness.adversary_from_spec
+
+    def counting(spec, family, sigma):
+        built.append(sigma)
+        return build(spec, family, sigma)
+    monkeypatch.setattr(harness, "adversary_from_spec", counting)
+    parsed = parse_config(cfg)
+    assert built == [0.5, 0.25]
+    assert parsed.groups == [[0, 1, 2]]
+    p, q = parsed.cells[0].adversary, parsed.cells[2].adversary
+    assert parsed.cells[1].adversary is p and q is not p
+    policies, lockstep = [], harness.LockstepPolicy
+    monkeypatch.setattr(harness, "LockstepPolicy",
+                        lambda cells: policies.append(cells) or lockstep(cells))
+    calls = spy_on_run_game(monkeypatch)
+    run(parsed, output_dir=tmp_path / "grouped")
+    assert calls == [[f"c{ci:03d}r{rep:03d}" for ci in range(3) for rep in range(2)]]
+    assert len(policies) == 1 and list(map(id, policies[0])) == [id(p), id(p), id(q)]
+    parsed.groups = [[0], [1], [2]]
+    run(parsed, output_dir=tmp_path / "alone")
+    names = sorted(path.name for path in (tmp_path / "alone").iterdir())
+    assert len(names) == 4
+    for n in names:
+        assert (tmp_path / "grouped" / n).read_bytes() == (tmp_path / "alone" / n).read_bytes(), n
+    # one sigma, one seed a repetition: the two cells play the same games
+    first, second = ((tmp_path / "grouped" / f"records_cell{ci:03d}.csv").read_text()
+                     for ci in (0, 1))
+    assert second == first.replace("c000r", "c001r") != first
 
 
 @pytest.mark.parametrize("case", ["one_repetition", "wide_grid_vc_mixture", "default_ftpl",

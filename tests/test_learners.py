@@ -1,5 +1,7 @@
 import copy
 import math
+import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +74,20 @@ def test_kt_matches_exact_rational(labels):
     got = kt_after(labels)
     want = Fraction(2 * sum(labels) + 1, 2 * (len(labels) + 1))
     assert got == float(want)
+
+
+def test_kt_beta_is_at_most_half_the_largest_float():
+    # at the bound 2 beta is the largest float and the first prediction 1/2;
+    # one float above it 2 beta overflows, and the learner is refused
+    bound = sys.float_info.max / 2
+    assert kt_after([], beta=bound) == 0.5
+    assert kt_after([1, 1, 0], beta=bound) == 0.5
+    above = math.nextafter(bound, math.inf)
+    message = f"learner.kt.beta: {above!r} must be at most {bound!r}, so that 2 beta is finite"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        KtLearner(above)
+    with pytest.raises(ConfigError, match=r"^learner\.kt\.beta: 1e\+308 must be at most "):
+        learner_from_spec({"kt": {"beta": 1e308}}, RegionFamily.threshold_grid(4), 3, 0.5)
 
 
 def test_kt_learner_streams():
