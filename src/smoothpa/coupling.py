@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adversary import SmoothDistribution
+from .hypotheses import _BLOCK_BYTES
 
 
 def rejection_couple_batch(trials: int, m: int, target: SmoothDistribution,
@@ -19,8 +20,14 @@ def rejection_couple_batch(trials: int, m: int, target: SmoothDistribution,
     """Independent first-acceptance scans, one per trial, each over m fresh
     uniform samples.
 
-    Returns (success mask, accepted index with -1 on failure, samples matrix
-    of shape (trials, m)); trials = 0 gives empty arrays.
+    Returns (success mask, accepted int64 index with -1 on failure, samples
+    matrix of shape (trials, m) in the narrowest unsigned type that holds
+    U - 1); trials = 0 gives empty arrays.
+
+    It draws every sample, then every acceptance coin, a block of trials at
+    a time, which takes the same values from `rng` as one draw each, and
+    scans each block of coins as it is drawn, so its temporaries stay within
+    the shared block budget whatever the trial count.
     """
     if m < 1:
         raise ValueError("block size m must be >= 1")
@@ -28,11 +35,21 @@ def rejection_couple_batch(trials: int, m: int, target: SmoothDistribution,
     # the certificate caps target(x) at (1 + MASS_TOL)/(sigma * U), so the clip
     # removes at most MASS_TOL (and a rounding) from any acceptance probability
     accept_p = np.minimum(target.sigma * u * target.pmf, 1.0)
-    samples = rng.integers(0, u, size=(trials, m))
-    coins = rng.random(size=(trials, m))
-    accepted = coins < accept_p[samples]
-    # the first True if any, else index 0: the entry there says whether one exists
-    first = accepted.argmax(axis=1)
-    success = accepted[np.arange(trials), first]
-    index = np.where(success, first, -1)
+    # bytes per trial while a block is scanned: its coins, the samples' intp
+    # copy that the gather takes, the gathered acceptance probabilities (8 a
+    # sample each) and the acceptance mask (1 a sample), then the first
+    # acceptance, the row index and the index column (8 a trial each)
+    rows = max(1, _BLOCK_BYTES // (25 * m + 24))
+    blocks = [slice(start, start + rows) for start in range(0, trials, rows)]
+    samples = np.empty((trials, m), dtype=np.min_scalar_type(u - 1))
+    for b in blocks:
+        samples[b] = rng.integers(0, u, size=samples[b].shape)
+    success = np.empty(trials, dtype=bool)
+    index = np.empty(trials, dtype=np.int64)
+    for b in blocks:
+        accepted = rng.random(size=samples[b].shape) < accept_p[samples[b]]
+        # the first True if any, else index 0: the entry there says whether one exists
+        first = accepted.argmax(axis=1)
+        success[b] = accepted[np.arange(len(first)), first]
+        index[b] = np.where(success[b], first, -1)
     return success, index, samples

@@ -69,6 +69,16 @@ def _as_list(value, name: str, cast=None) -> list:
     return values if cast is None else [parse_field(v, name, cast) for v in values]
 
 
+def _refuse_repeats(keys: list, name: str) -> None:
+    """Refuse a swept value whose key repeats an earlier one's: its cells
+    would replay the same seeds, so they would add no sample."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ConfigError(f"{name}: repeats {key}")
+        seen.add(key)
+
+
 # The keys a config reads at its top level, and those `sweep` may set instead;
 # each swept key is set in one of the two places
 _TOP_LEVEL = ("universe", "family", "adversary", "sweep", "repetitions", "base_seed",
@@ -80,9 +90,10 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     """Check a config document (or the JSON file at a path) and build its sweep:
     the region family, whose size must equal `universe` if one is given, per
     sigma one adversary, per cell one learner, and the groups of cells `run`
-    plays in lockstep (see `_lockstep_groups`). Fixed-sequence labels must
-    cover the longest horizon, whose columns for all repetitions numpy must
-    be able to allocate. Error messages carry the offending field path."""
+    plays in lockstep (see `_lockstep_groups`). No swept list may repeat a
+    value. Fixed-sequence labels must cover the longest horizon, whose
+    columns for all repetitions numpy must be able to allocate. Error
+    messages carry the offending field path."""
     if isinstance(obj, (str, Path)):
         obj = load_json(obj, "config")
     if not isinstance(obj, dict):
@@ -108,9 +119,11 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
     horizons = _as_list(sweep.get("T", obj.get("T")), "T", int)
     if any(t < 1 for t in horizons):
         raise ConfigError("T: horizons must be >= 1")
+    _refuse_repeats(horizons, "T")
     sigmas = _as_list(sweep.get("sigma", obj.get("sigma")), "sigma", float)
     if any(not 0.0 < s <= 1.0 for s in sigmas):
         raise ConfigError("sigma: values must be in (0, 1]")
+    _refuse_repeats(sigmas, "sigma")
     repetitions = parse_field(obj.get("repetitions", 1), "repetitions", int)
     if repetitions < 1:
         raise ConfigError(f"repetitions: {repetitions} must be >= 1")
@@ -130,10 +143,11 @@ def parse_config(obj: Union[dict, str, Path]) -> ExperimentConfig:
         universe = parse_field(obj["universe"], "universe", int)
         if family.size != universe:
             raise ConfigError(f"family.size: {family.size} differs from universe {universe}")
-    adversaries = {s: adversary_from_spec(adversary_spec, family, s)
-                   for s in dict.fromkeys(sigmas)}
+    adversaries = {s: adversary_from_spec(adversary_spec, family, s) for s in sigmas}
     cells = [Cell(ls, t, s, learner_from_spec(ls, family, t, s), adversaries[s])
              for ls, t, s in itertools.product(learners, horizons, sigmas)]
+    # the specs as derive_seed serializes them, once each reader has checked its own
+    _refuse_repeats([_canonical(ls) for ls in learners], "learner")
     groups = _lockstep_groups(cells, repetitions)
     labels = adversary_spec.get("labels")
     if adversary_spec.get("label") == "fixed_sequence" and len(labels) < t_max:
@@ -171,11 +185,14 @@ def _lockstep_groups(cells: list[Cell], repetitions: int) -> list[list[int]]:
     return groups
 
 
+def _canonical(obj) -> str:
+    """The JSON text derive_seed hashes for obj: keys sorted, no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def derive_seed(base_seed: int, cell_key, rep: int) -> int:
     """Stable 63-bit seed from (base seed, cell coordinates, repetition index)."""
-    payload = json.dumps([base_seed, cell_key, rep], sort_keys=True,
-                         separators=(",", ":")).encode()
-    digest = hashlib.sha256(payload).digest()
+    digest = hashlib.sha256(_canonical([base_seed, cell_key, rep]).encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
 

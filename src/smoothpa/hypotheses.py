@@ -265,16 +265,25 @@ def examples_to_counts(xs, ys, size: int) -> np.ndarray:
 def region_counts(values: np.ndarray, family: RegionFamily) -> np.ndarray:
     """Per-region sums of non-negative per-context counts along the last axis:
     entry a sums the contexts inside region a. Threshold grids take one
-    prefix-sum pass, explicit families the product with the membership matrix;
-    integer counts come out as exact int64 sums."""
+    prefix-sum pass, explicit families the product with the membership matrix,
+    one column block of it at a time; integer counts come out as exact int64
+    sums."""
     if family.kind == THRESHOLD_GRID:
         return np.cumsum(values, axis=-1)
     # An integer product does not run on BLAS (about 20x slower than float64 @
-    # bool); the float64 one is exact while every row totals below 2**53.
-    if values.dtype.kind == "i" and not values.sum(axis=-1).max() < 1 << 53:
-        return values @ family._member
-    product = values.astype(np.float64, copy=False) @ family._member
-    return product.astype(values.dtype, copy=False)
+    # bool); the float64 one is exact while every row totals below 2**53, as
+    # every partial sum then does.
+    if values.dtype.kind != "i" or values.sum(axis=-1).max() < 1 << 53:
+        lhs = values.astype(np.float64, copy=False)
+    else:
+        lhs = values
+    member = family._member
+    out = np.empty(values.shape[:-1] + member.shape[1:], dtype=values.dtype)
+    # each block of membership columns, cast to the product's type, fits _MEMBER_BYTES
+    cols = max(1, _MEMBER_BYTES // (8 * family.size))
+    for a in range(0, member.shape[1], cols):
+        out[..., a:a + cols] = lhs @ member[:, a:a + cols].astype(lhs.dtype)
+    return out
 
 
 # The oracle's count layout, which `_region_losses`, `leader_frequency` and
@@ -386,11 +395,16 @@ def offline_best_loss(xs, ys, family: RegionFamily) -> float:
 
 
 # Temporary memory one block of rows may use: rounds in prefix_best_losses, in
-# the FTPL learner's hallucination draws and in a game's context uniforms, and
-# one half's count vectors in nml_value's pair sums; a block's row count
+# the FTPL learner's hallucination draws (region_counts included) and in a
+# game's context uniforms, trials in the rejection coupling's draw and scan,
+# and one half's count vectors in nml_value's pair sums; a block's row count
 # follows from it and the sizes of the family or table. Larger blocks save
 # only some per-block dispatch and raise peak memory.
 _BLOCK_BYTES = 1 << 18
+# The share of that budget region_counts gives an explicit family's
+# membership: one column block of it at a time, cast to the product's type
+# (at least one column), which FTPL's draw counts in its row sizing.
+_MEMBER_BYTES = _BLOCK_BYTES // 8
 
 
 def prefix_best_losses(xs, ys, family: RegionFamily) -> np.ndarray:

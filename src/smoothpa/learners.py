@@ -18,8 +18,8 @@ import numpy as np
 from .core import game_generators
 from .errors import (ConfigError, NumericalAssertionError, check_keys, parse_field,
                      positive_finite)
-from .hypotheses import (_BLOCK_BYTES, RegionFamily, THRESHOLD_GRID, leader_frequency,
-                         read_indices, side_counts)
+from .hypotheses import (_BLOCK_BYTES, _MEMBER_BYTES, RegionFamily, THRESHOLD_GRID,
+                         leader_frequency, read_indices, side_counts)
 
 
 def epsilon_cover(family: RegionFamily, eps: float) -> np.ndarray:
@@ -225,8 +225,13 @@ class FtplLearner:
         # 8-byte words per row of a game's block while it is drawn: the draw
         # (2U), the inside and outside counts (2m each), the stacked block row
         # (4m) and the previous block's row (4m), alive until replaced; games
-        # in lockstep stack their draws into one more copy (2U)
-        self._rows = max(1, _BLOCK_BYTES // (8 * (2 * u + 12 * m)))
+        # in lockstep stack their draws into one more copy (2U). An explicit
+        # family's region_counts adds the draw's float64 copy (2U) and a
+        # product block (at most 2m), beside its membership block
+        words, budget = 2 * u + 12 * m, _BLOCK_BYTES
+        if self.family.kind != THRESHOLD_GRID:
+            words, budget = words + 2 * u + 2 * m, budget - _MEMBER_BYTES
+        self._rows = max(1, budget // (8 * words))
         self._tops = []
         self._row = 0
 

@@ -132,3 +132,19 @@ def rademacher_estimate_all_regions(family, alpha, sample_size, mc_rounds, rng):
             best = RademacherEstimate(mean, float(sup.std(ddof=1) / math.sqrt(len(sup)))
                                       if len(sup) > 1 else 0.0)
     return best
+
+
+def rejection_couple_batch_one_shot(trials, m, target, rng):
+    """Every trial's first-acceptance scan from one draw of all samples and
+    then one of all coins, int64 samples: the body `coupling.rejection_couple_batch`
+    had before it drew and scanned a block of trials at a time, and the
+    reference its three outputs must equal in value."""
+    u = len(target.pmf)
+    accept_p = np.minimum(target.sigma * u * target.pmf, 1.0)
+    samples = rng.integers(0, u, size=(trials, m))
+    coins = rng.random(size=(trials, m))
+    accepted = coins < accept_p[samples]
+    first = accepted.argmax(axis=1)
+    success = accepted[np.arange(trials), first]
+    index = np.where(success, first, -1)
+    return success, index, samples

@@ -150,7 +150,17 @@ def test_parse_config_field_paths():
                                                        f"the most numpy can index"),
                                 ("output_dir", 5, "output_dir: 5 is not a string or null"),
                                 ("output_dir", ["out"],
-                                 r"output_dir: \['out'\] is not a string or null")):
+                                 r"output_dir: \['out'\] is not a string or null"),
+                                # a repeated swept value would replay its cells' seeds
+                                ("sigma", [0.5, 0.25, 0.5], r"sigma: repeats 0\.5"),
+                                ("T", [16, 8, 16.0], "T: repeats 16"),
+                                ("learner", [{"kt": {"beta": 0.5}}, {"kt": {}},
+                                             {"kt": {"beta": 0.5}}],
+                                 r'learner: repeats \{"kt":\{"beta":0\.5\}\}'),
+                                # specs compare as derive_seed serializes them, keys sorted
+                                ("learner", [{"ftpl": {"n": 10, "alpha": 0.1}},
+                                             {"ftpl": {"alpha": 0.1, "n": 10}}],
+                                 r'learner: repeats \{"ftpl":\{"alpha":0\.1,"n":10\}\}')):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             parse_config(base_config(**{key: value}))
     # a key that nothing reads, at every level, ends with its path
@@ -535,11 +545,12 @@ def test_grouped_sweep_writes_the_bytes_of_its_cells_played_alone(tmp_path, monk
                 want.replace(f"c{j:03d}r", f"c{ci:03d}r")
 
 
-def test_cells_at_a_repeated_sigma_share_a_call_and_an_adversary(tmp_path, monkeypatch):
-    # the two sigma = 0.5 cells share one adversary, which plays two of the
-    # call's three slices of games; the bytes are those of one call per cell
+def test_cells_at_one_sigma_share_an_adversary_across_calls(tmp_path, monkeypatch):
+    # one adversary per sigma: the cells of each T hold their own in a call,
+    # and the calls at the two horizons share them; the bytes are those of
+    # one call per cell
     cfg = base_config(learner={"vc_mixture": {}}, repetitions=2,
-                      sweep={"sigma": [0.5, 0.5, 0.25]})
+                      sweep={"T": [12, 16], "sigma": [0.5, 0.25]})
     built, build = [], harness.adversary_from_spec
 
     def counting(spec, family, sigma):
@@ -548,26 +559,24 @@ def test_cells_at_a_repeated_sigma_share_a_call_and_an_adversary(tmp_path, monke
     monkeypatch.setattr(harness, "adversary_from_spec", counting)
     parsed = parse_config(cfg)
     assert built == [0.5, 0.25]
-    assert parsed.groups == [[0, 1, 2]]
-    p, q = parsed.cells[0].adversary, parsed.cells[2].adversary
-    assert parsed.cells[1].adversary is p and q is not p
+    assert parsed.groups == [[0, 1], [2, 3]]
+    p, q = parsed.cells[0].adversary, parsed.cells[1].adversary
+    assert q is not p
+    assert parsed.cells[2].adversary is p and parsed.cells[3].adversary is q
     policies, lockstep = [], harness.LockstepPolicy
     monkeypatch.setattr(harness, "LockstepPolicy",
                         lambda cells: policies.append(cells) or lockstep(cells))
     calls = spy_on_run_game(monkeypatch)
     run(parsed, output_dir=tmp_path / "grouped")
-    assert calls == [[f"c{ci:03d}r{rep:03d}" for ci in range(3) for rep in range(2)]]
-    assert len(policies) == 1 and list(map(id, policies[0])) == [id(p), id(p), id(q)]
-    parsed.groups = [[0], [1], [2]]
+    assert calls == [[f"c{ci:03d}r{rep:03d}" for ci in cells for rep in range(2)]
+                     for cells in ((0, 1), (2, 3))]
+    assert [list(map(id, cells)) for cells in policies] == [[id(p), id(q)]] * 2
+    parsed.groups = [[0], [1], [2], [3]]
     run(parsed, output_dir=tmp_path / "alone")
     names = sorted(path.name for path in (tmp_path / "alone").iterdir())
-    assert len(names) == 4
+    assert len(names) == 5
     for n in names:
         assert (tmp_path / "grouped" / n).read_bytes() == (tmp_path / "alone" / n).read_bytes(), n
-    # one sigma, one seed a repetition: the two cells play the same games
-    first, second = ((tmp_path / "grouped" / f"records_cell{ci:03d}.csv").read_text()
-                     for ci in (0, 1))
-    assert second == first.replace("c000r", "c001r") != first
 
 
 @pytest.mark.parametrize("case", ["one_repetition", "wide_grid_vc_mixture", "default_ftpl",

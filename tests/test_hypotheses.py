@@ -697,6 +697,21 @@ def test_region_counts_of_int64_counts_equal_the_integer_product():
                               region_counts(past, family))
 
 
+def test_region_counts_across_membership_column_blocks():
+    # at U = 512 a column block holds 8 regions, so 61 regions take 8 blocks,
+    # the last one short; both the float64 and, with totals past 2**53, the
+    # integer product sum exactly
+    family = RegionFamily.explicit(512, [np.flatnonzero(row).tolist() for row in
+                                         np.random.default_rng(28).random((61, 512)) < 0.3])
+    assert hypotheses._MEMBER_BYTES // (8 * 512) == 8
+    member = region_bitmaps(family).T.astype(object)
+    rng = np.random.default_rng(29)
+    for values in (rng.integers(0, 1000, size=(3, 2, 512)), rng.integers(0, 1 << 52, size=512)):
+        got = region_counts(values, family)
+        assert got.dtype == np.int64 and got.shape == values.shape[:-1] + (61,)
+        assert got.tolist() == (values.astype(object) @ member).tolist()
+
+
 def test_family_json_roundtrip():
     fam = RegionFamily.threshold_grid(12)
     back = RegionFamily.from_spec(json.loads(family_to_json(fam)))

@@ -2,6 +2,7 @@ import copy
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,8 @@ import smoothpa.learners as learners_mod
 from smoothpa.adversary import adversary_from_spec
 from smoothpa.core import log_loss, run_game
 from smoothpa.errors import ConfigError, NumericalAssertionError
-from smoothpa.hypotheses import (RegionFamily, evaluate, mle_from_counts, mle_oracle,
-                                 prefix_best_losses)
+from smoothpa.hypotheses import (_BLOCK_BYTES, RegionFamily, evaluate, mle_from_counts,
+                                 mle_oracle, prefix_best_losses)
 from smoothpa.learners import (FtplLearner, KtLearner, MixtureLearner,
                                UniformLearner, epsilon_cover, learner_from_spec,
                                truncation_range)
@@ -677,6 +678,27 @@ def test_ftpl_hallucinated_counts_follow_the_bincount_law(monkeypatch):
                                       minlength=top + 1) for c in (new, old)])
         table = table[:, table.sum(axis=0) > 0]
         assert stats.chi2_contingency(table).pvalue > 1e-3, cell
+
+
+def test_ftpl_explicit_draw_memory_meets_its_budget():
+    # a block draw on an explicit family, with the previous block alive as in
+    # play, stays within the block budget: region_counts casts its membership
+    # a column block at a time, and the row sizing counts its temporaries
+    # (a whole-matrix cast and uncounted temporaries peaked at 1.88x)
+    family = RegionFamily.explicit(256, [np.flatnonzero(row).tolist() for row in
+                                         np.random.default_rng(24).random((128, 256)) < 0.5])
+    lr = FtplLearner(family, n=300.0, alpha=0.01)
+    lr.reset(np.random.default_rng(3))
+    lr._draw_block()            # the tables it reads, built untraced
+    tracemalloc.start()
+    try:
+        lr._draw_block()
+        tracemalloc.reset_peak()
+        lr._draw_block()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _BLOCK_BYTES, peak
 
 
 def test_ftpl_config_validation():
