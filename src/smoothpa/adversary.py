@@ -173,7 +173,8 @@ _LABEL_ROWS = 256
 class RealizableLabelRule:
     """Labels drawn from a fixed hypothesis: y ~ Bernoulli(f*(x)), one uniform
     from the game's generator per round, drawn _LABEL_ROWS rounds at a time
-    with the values one draw per round takes."""
+    with the values one draw per round takes. In lockstep a round labels the
+    first len(xs) games, and a new block holds the draws of those games alone."""
 
     def __init__(self, f_star: Hypothesis, family: RegionFamily):
         self._p = evaluate(family, f_star, np.arange(family.size))     # f*(x) for every x
@@ -186,11 +187,13 @@ class RealizableLabelRule:
     def label(self, xs, qs):
         i = self._row
         if i == len(self._uniforms):
-            self._uniforms = np.stack([rng.random(_LABEL_ROWS) for rng in self._rngs],
-                                      axis=1).reshape((_LABEL_ROWS,) + self._shape)
+            if self._shape:     # the games past the first len(xs) have ended
+                self._rngs = self._rngs[:len(xs)]
+            uniforms = np.stack([rng.random(_LABEL_ROWS) for rng in self._rngs], axis=1)
+            self._uniforms = uniforms if self._shape else uniforms[:, 0]
             i = 0
         self._row = i + 1
-        return self._uniforms[i] < self._p[xs]
+        return (self._uniforms[i, :len(xs)] if self._shape else self._uniforms[i]) < self._p[xs]
 
 
 class FixedSequenceLabelRule:
@@ -265,12 +268,16 @@ class AdversaryPolicy:
 
 class LockstepPolicy:
     """The policies of several cells playing one call's games, cell by cell:
-    each cell's games are a consecutive `1/len(cells)` of the call's. Each
-    cell's context rule is reset at its own sigma, hands over the
-    distribution of its own games, certified at its own sigma by its own
-    `context_distribution`, and observes only its own games' rounds. The
-    first cell's label rule labels every game, so every cell's must label
-    alike, as the rules one spec builds do."""
+    each cell's games are a consecutive `1/len(cells)` of the call's. A
+    policy may stand for several cells, as the one policy of a sigma does for
+    that sigma's cell at every T; `reset` resets each distinct policy's
+    context rule once, at its own sigma. Each cell hands over the
+    distribution of its own games, certified at its policy's sigma by its
+    policy's `context_distribution`, and observes only its own games'
+    rounds, so a policy that stands for several cells observes each of
+    their games. A round plays the first len(u) games: a cell whose games
+    have all ended is skipped. The first cell's label rule labels every
+    game, so every cell's must label alike, as the rules one spec builds do."""
 
     def __init__(self, cells: Sequence[AdversaryPolicy]):
         self.cells = tuple(cells)
@@ -281,18 +288,23 @@ class LockstepPolicy:
             raise ValueError(f"{games} games do not split evenly among {cells} cells")
         n = games // cells
         self.slices = [slice(k * n, (k + 1) * n) for k in range(cells)]
-        for cell in self.cells:
-            cell.context_rule.reset(cell.size, cell.sigma)
+        self._pairs = list(zip(self.cells, self.slices))
+        for policy in {id(cell): cell for cell in self.cells}.values():
+            policy.context_rule.reset(policy.size, policy.sigma)
         self.cells[0].label_rule.reset(rngs)
 
+    def _playing(self, n: int) -> list:
+        """The cells whose slices hold some of the first n games, with their slices."""
+        return self._pairs[:-(-n // self.slices[0].stop)]      # ceil(n / games a cell)
+
     def contexts(self, u):
-        return np.concatenate([cell.contexts(u[s]) for cell, s in zip(self.cells, self.slices)])
+        return np.concatenate([cell.contexts(u[s]) for cell, s in self._playing(len(u))])
 
     def label(self, xs, qs):
         return self.cells[0].label(xs, qs)
 
     def observe(self, xs, qs, ys) -> None:
-        for cell, s in zip(self.cells, self.slices):
+        for cell, s in self._playing(len(xs)):
             cell.observe(xs[s], qs[s], ys[s])
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .adversary import AdversaryPolicy, LockstepPolicy, adversary_from_spec
-from .core import ROUND_BYTES, allocate_columns, format_records_csv, run_game
+from .core import ROUND_BYTES, GameTrace, allocate_columns, format_records_csv, run_game
 from .errors import (ConfigError, NumericalAssertionError, check_keys, format_json, load_json,
                      parse_field)
 from .hypotheses import RegionFamily, prefix_best_losses
@@ -30,8 +30,9 @@ from .learners import interchangeable, learner_from_spec
 class Cell(NamedTuple):
     """One sweep cell: its learner spec, horizon and smoothness, and the learner
     and adversary that play the cell's repetitions in lockstep; in a group of
-    cells, the first cell's learner plays every cell's games, and the cells at
-    one sigma share one adversary. `run_game` resets both with fresh
+    cells, which may span every T and sigma of one learner spec, the learner
+    of the cell with the longest horizon plays every cell's games, and the
+    cells at one sigma share one adversary. `run_game` resets both with fresh
     generators, one per repetition, and `reset` clears all of their state, so
     no game sees another's; each repetition's comparator is then computed
     from its own trajectory alone."""
@@ -47,8 +48,9 @@ class Cell(NamedTuple):
 class ExperimentConfig:
     """A checked sweep: the region family, the cells in deterministic order
     (learner-major, then T, then sigma), `groups`, the runs of consecutive
-    cells' indices that `run` plays in one `run_game` call each, and `echo`,
-    the config as summary.json records it."""
+    cells' indices that `run` plays in one `run_game` call each (cells of
+    one learner spec, at any T and sigma), and `echo`, the config as
+    summary.json records it."""
 
     family: RegionFamily
     cells: list[Cell]
@@ -168,20 +170,24 @@ _GROUP_BYTES = 1 << 24
 def _lockstep_groups(cells: list[Cell], repetitions: int) -> list[list[int]]:
     """The indices of `cells` in runs of consecutive cells that one
     `run_game` call can play: with 2 or more repetitions, consecutive cells
-    with one learner spec and one T, which differ only in sigma, join a run
-    if their learners are `interchangeable` and the run's columns stay
-    within `_GROUP_BYTES`. Every other cell is a run of its own, as is every
-    cell of a sweep with one repetition: a game alone plays on scalars,
-    which cost less a round than a pair's arrays."""
+    of one learner spec, at any T and sigma, join a run if their learners
+    are `interchangeable` and the run's columns, `ROUND_BYTES` for each
+    round of each repetition of each cell, stay within `_GROUP_BYTES`.
+    Every other cell is a run of its own, as is every cell of a sweep with
+    one repetition: a game alone plays on scalars, which cost less a round
+    than a pair's arrays."""
     groups: list[list[int]] = []
+    rounds = 0      # the rounds of one repetition of each cell of the last run
     for ci, cell in enumerate(cells):
         prev = cells[ci - 1] if ci else None
-        if prev and repetitions > 1 and (prev.T, prev.learner_spec) == (cell.T, cell.learner_spec) \
+        if prev and repetitions > 1 and prev.learner_spec == cell.learner_spec \
                 and interchangeable(prev.learner, cell.learner) \
-                and ROUND_BYTES * cell.T * repetitions * (len(groups[-1]) + 1) <= _GROUP_BYTES:
+                and ROUND_BYTES * repetitions * (rounds + cell.T) <= _GROUP_BYTES:
             groups[-1].append(ci)
+            rounds += cell.T
         else:
             groups.append([ci])
+            rounds = cell.T
     return groups
 
 
@@ -211,18 +217,20 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
     regrets with their moments, and the scaling fits.
 
     The groups of cells run one after another in order, each one `run_game`
-    call that plays the repetitions of its cells in lockstep, cell by cell,
-    each game with its cell's derived seed and run id, on one learner and a
-    `LockstepPolicy` of the cells' adversaries (a cell alone plays on its
-    own adversary; `_lockstep_groups` says which cells share a call). Every
-    game equals,
+    call that plays the repetitions of its cells in lockstep, the cells
+    longest horizon first (in sweep order among equal horizons), each game
+    to its own cell's T, with its cell's derived seed and run id, on the
+    learner of the group's first cell in that order and a `LockstepPolicy`
+    of the cells' adversaries (a cell alone plays on its own adversary;
+    `_lockstep_groups` says which cells share a call). Every game equals,
     bit for bit, the game its cell alone plays, so outputs are the same,
     byte for byte, whatever the grouping, and across runs of the same
-    config. After the call, cell by cell, each repetition's comparator is
-    one `prefix_best_losses` call on its own trajectory, checked, and the
-    cell's CSV is written. A failure inside a call writes nothing for its
-    cells, which finish together, so an interrupt leaves every completed
-    cell's CSV and no partial one.
+    config. After the call, cell by cell in sweep order, each repetition's
+    comparator is one `prefix_best_losses` call on its own trajectory,
+    checked, the cell's CSV is written and its traces are let go. A failure
+    inside a call writes nothing for its cells, which finish together: all
+    the cells of a learner spec that share its call, at every T and sigma.
+    An interrupt leaves every completed cell's CSV and no partial one.
     A comparator column that decreases from one round to the next raises
     NumericalAssertionError naming the cell, repetition and round. An output
     file that cannot be written raises ConfigError.
@@ -235,17 +243,10 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
         raise ConfigError(f"output_dir: cannot create {out}: {e.strerror}") from None
 
     summary_cells: list[dict] = []
-    reps = range(cfg.repetitions)
     for group in cfg.groups:
-        cells = [cfg.cells[ci] for ci in group]
-        keys = [{"learner": c.learner_spec, "T": c.T, "sigma": c.sigma} for c in cells]
-        adversary = cells[0].adversary if len(cells) == 1 else \
-            LockstepPolicy([c.adversary for c in cells])
-        traces = run_game(cells[0].learner, adversary, cells[0].T,
-                          [derive_seed(cfg.base_seed, key, rep) for key in keys for rep in reps],
-                          run_id=[f"c{ci:03d}r{rep:03d}" for ci in group for rep in reps])
-        for k, (ci, cell) in enumerate(zip(group, cells)):
-            cell_traces = traces[k * len(reps):(k + 1) * len(reps)]
+        by_cell = _play(cfg, group)
+        for ci in group:
+            cell, cell_traces = cfg.cells[ci], by_cell.pop(ci)
             for rep, trace in enumerate(cell_traces):
                 trace.comparator = prefix_best_losses(trace.xs, trace.ys, cfg.family)
                 _check_nondecreasing(trace.comparator, ci, rep)
@@ -267,6 +268,22 @@ def run(config: Union[dict, str, Path, ExperimentConfig],
     summary = {"config": cfg.echo, "cells": summary_cells, "fits": fits}
     _write(out / "summary.json", format_json(summary) + "\n")
     return summary
+
+
+def _play(cfg: ExperimentConfig, group: list[int]) -> dict[int, list[GameTrace]]:
+    """Play the cells of a group in one `run_game` call, longest horizon
+    first (in sweep order among equal horizons), and return each cell's
+    traces by its index; nothing else of the call outlives it."""
+    order = sorted(group, key=lambda ci: -cfg.cells[ci].T)
+    cells = [cfg.cells[ci] for ci in order]
+    reps = range(cfg.repetitions)
+    keys = [{"learner": c.learner_spec, "T": c.T, "sigma": c.sigma} for c in cells]
+    adversary = cells[0].adversary if len(cells) == 1 else \
+        LockstepPolicy([c.adversary for c in cells])
+    traces = run_game(cells[0].learner, adversary, [c.T for c in cells for _ in reps],
+                      [derive_seed(cfg.base_seed, key, rep) for key in keys for rep in reps],
+                      run_id=[f"c{ci:03d}r{rep:03d}" for ci in order for rep in reps])
+    return {ci: traces[k * len(reps):(k + 1) * len(reps)] for k, ci in enumerate(order)}
 
 
 def _check_nondecreasing(comparator: np.ndarray, cell: int, rep: int) -> None:

@@ -96,10 +96,15 @@ class KtLearner:
         self._rounds = 0
 
     def predict(self, xs):
-        return (self._ones + self.beta) / (self._rounds + 2.0 * self.beta)
+        # in lockstep, the first len(xs) games play this round
+        ones = self._ones[:len(xs)] if self._ones.ndim else self._ones
+        return (ones + self.beta) / (self._rounds + 2.0 * self.beta)
 
     def update(self, xs, ys) -> None:
-        self._ones = self._ones + ys
+        if self._ones.ndim:
+            self._ones[:len(ys)] += ys
+        else:
+            self._ones = self._ones + ys
         self._rounds += 1
 
 
@@ -114,7 +119,9 @@ class MixtureLearner:
     all of them are exact while they are integers below 2^53. Context x's
     side of element i is a flat index into each label's counts, 2i + j plus
     the game's offset, read through `family.contains`, so the learner holds
-    O(cover) memory per game whatever the size of the context space.
+    O(cover) memory per game whatever the size of the context space. In
+    lockstep a round's contexts are those of the first len(xs) games, whose
+    rows of the marginals and offsets it reads and writes.
     """
 
     def __init__(self, family: RegionFamily, cover):
@@ -130,6 +137,7 @@ class MixtureLearner:
         # element i's outside side is 2i + 1 past its game's offset, its inside one less
         games = np.arange(self.log_marginal.size // m).reshape(shape + (1,))
         self._outside = np.arange(1, 2 * m, 2) + 2 * m * games
+        self._lockstep = bool(shape)
         self._predicted = None      # the last prediction's contexts, sides and n_j + 2
 
     @property
@@ -144,7 +152,8 @@ class MixtureLearner:
 
     def _sides(self, xs):
         """The flat side indices of xs, and the label-1 counts + 1 and n_j + 2 there."""
-        side = self._outside - self.family.contains(xs, self.cover)
+        outside = self._outside[:len(xs)] if self._lockstep else self._outside
+        side = outside - self.family.contains(xs, self.cover)
         ones = self._labels1[1].take(side)
         return side, ones, self._labels1[0].take(side) + ones
 
@@ -160,7 +169,7 @@ class MixtureLearner:
         side, ones, n2_j = self._sides(xs)
         self._predicted = xs, side, n2_j
         f = ones / n2_j
-        lm = self.log_marginal
+        lm = self.log_marginal[:len(xs)] if self._lockstep else self.log_marginal
         w = np.exp(lm - lm.max(axis=-1, keepdims=True))
         q1 = (w[..., None, :] @ f[..., None])[..., 0, 0] / w.sum(axis=-1)
         return np.minimum(np.maximum(q1, _Q_MIN), _Q_MAX)
@@ -181,7 +190,8 @@ class MixtureLearner:
             side, _, n2_j = self._sides(xs)
         label_side = side + np.multiply(ys, self._labels1[0].size)[..., None]
         hits = self._labels1.take(label_side)
-        self.log_marginal += np.log(hits / n2_j)
+        lm = self.log_marginal[:len(xs)] if self._lockstep else self.log_marginal
+        lm += np.log(hits / n2_j)
         self._labels1.put(label_side, hits + 1.0)
 
 
@@ -205,7 +215,9 @@ class FtplLearner:
     its count bound and reads only the leader's side at x. Any j ln j table
     that holds the bound gives the same losses, so the predictions are the
     full oracle's bit for bit, and the Poisson draw, whose values are
-    pinned, is the largest cost left in a round.
+    pinned, is the largest cost left in a round. In lockstep a round's
+    contexts are those of the first len(xs) games: it reads and bumps their
+    counts, and a new block holds the draws of those games alone.
     """
 
     def __init__(self, family: RegionFamily, n: float, alpha: float):
@@ -251,12 +263,16 @@ class FtplLearner:
     def predict(self, xs):
         i = self._row
         if i == len(self._tops):
+            if self._shape:     # the games past the first len(xs) have ended
+                self._rngs = self._rngs[:len(xs)]
             self._draw_block()
             i = 0
         self._row = i + 1
+        counts, block = self._counts, self._block[i]
+        if self._shape:     # the games on the axis before the regions
+            counts, block = counts[..., :len(xs), :], block[..., :len(xs), :]
         # no count exceeds the examples seen plus the row's hallucinated samples
-        f = leader_frequency(self._counts + self._block[i], self.family, xs,
-                             self._seen + self._tops[i])
+        f = leader_frequency(counts + block, self.family, xs, self._seen + self._tops[i])
         q = (f + self.alpha) / (1.0 + 2.0 * self.alpha)
         # a single game's q is a float
         if not (self._lo <= q <= self._hi if isinstance(q, float)
@@ -269,10 +285,13 @@ class FtplLearner:
 
     def update(self, xs, ys) -> None:
         inside = self.family.contains(xs)
+        counts, bump = self._counts, self._bump
+        if self._shape:
+            counts, bump = counts[..., :len(xs), :], bump[..., :len(xs), :]
         # x's side of every region, into the n row and, in the games where
         # y = 1, the k row
-        self._bump[1, 0, ..., 0] = ys
-        np.add(self._counts, np.array((inside, ~inside)), out=self._counts, where=self._bump)
+        bump[1, 0, ..., 0] = ys
+        np.add(counts, np.array((inside, ~inside)), out=counts, where=bump)
         self._seen += 1
 
 

@@ -334,6 +334,35 @@ def test_lockstep_policy_shows_each_cell_only_its_own_games():
         assert drawn == set(range(min_support_size(sigma, 16)))
 
 
+def test_lockstep_policy_skips_a_cell_once_its_games_end():
+    # the second cell's games end after 12 rounds, and its rule observes
+    # those 12 rounds alone
+    fam = RegionFamily.threshold_grid(16)
+    rules = [ObservingRule(), ObservingRule()]
+    cells = [AdversaryPolicy(rule, GreedyLabelRule(), sigma, 16)
+             for rule, sigma in zip(rules, (0.25, 0.5))]
+    traces = run_game(MixtureLearner(fam, epsilon_cover(fam, 0.1)), LockstepPolicy(cells),
+                      [30, 30, 12, 12], [5, 6, 7, 8], run_id=list("abcd"))
+    for k, (rule, T) in enumerate(zip(rules, (30, 12))):
+        games = traces[2 * k: 2 * k + 2]
+        assert rule.seen == [tuple([getattr(tr, c)[t].item() for tr in games]
+                                   for c in ("xs", "qs", "ys")) for t in range(T)]
+
+
+def test_lockstep_policy_resets_a_policy_of_several_cells_once():
+    resets = []
+
+    class CountingRule(StaticSubsetRule):
+        def reset(self, size, sigma):
+            resets.append(sigma)
+            super().reset(size, sigma)
+    p, q = (AdversaryPolicy(CountingRule(), GreedyLabelRule(), sigma, 8) for sigma in (0.5, 1.0))
+    resets.clear()
+    run_game(UniformLearner(), LockstepPolicy([p, q, p, q]), [6, 6, 6, 6, 3, 3, 3, 3],
+             list(range(8)), run_id=list("abcdefgh"))
+    assert sorted(resets) == [0.5, 1.0]
+
+
 def test_lockstep_policy_needs_as_many_games_in_each_cell():
     cells = [AdversaryPolicy(StaticSubsetRule(), GreedyLabelRule(), sigma, 8)
              for sigma in (0.5, 1.0)]

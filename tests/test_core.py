@@ -296,33 +296,45 @@ LOCKSTEP_LEARNERS = {"uniform": {"uniform": {}}, "kt": {"kt": {"beta": 0.5}},
                      "ftpl_largest_rate": {"ftpl": {"n": 1e18, "alpha": 0.05}}}
 
 
-@pytest.mark.parametrize("R", [1, 3])
-@pytest.mark.parametrize("T", [1, 40])
+# Each game's horizon: T rounds for each of R games, or per-game horizons
+LOCKSTEP_HORIZONS = [pytest.param((T,) * R, id=f"{T}-{R}") for T in (1, 40) for R in (1, 3)] + [
+    pytest.param((9, 9, 5, 5, 1), id="9-9-5-5-1")]
+
+
+@pytest.mark.parametrize("horizons", LOCKSTEP_HORIZONS)
 @pytest.mark.parametrize("family", sorted(LOCKSTEP_FAMILIES))
 @pytest.mark.parametrize("label", sorted(LOCKSTEP_LABELS))
 @pytest.mark.parametrize("learner", sorted(LOCKSTEP_LEARNERS))
 def test_lockstep_games_equal_games_played_one_round_at_a_time(monkeypatch, learner, label,
-                                                                family, T, R):
-    fam = LOCKSTEP_FAMILIES[family]
+                                                                family, horizons):
+    fam, R, T = LOCKSTEP_FAMILIES[family], len(horizons), horizons[0]
 
     def build():
         return (learner_from_spec(LOCKSTEP_LEARNERS[learner], fam, T, 0.3),
                 adversary_from_spec(LOCKSTEP_LABELS[label], fam, sigma=0.3))
+    # blocks of a few rounds, so that new blocks start inside the games and
+    # inside the segments of per-game horizons, and segments start inside
+    # blocks: the context uniforms' (1 to 6 rounds here), FTPL's
+    # hallucinations' (3 rounds on the grid, 1 on the explicit family) and
+    # the realizable labels' uniforms' (3 rounds)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 48)
+    monkeypatch.setattr(learners, "_BLOCK_BYTES", 3 * 8 * (2 * 16 + 12 * 16))
+    monkeypatch.setattr("smoothpa.adversary._LABEL_ROWS", 3)
     made = []
     real = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
     seeds = [11 * r + T for r in range(R)]
-    traces = run_game(*build(), T, seeds, run_id=[f"r{r}" for r in range(R)])
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
+        traces = run_game(*build(), list(horizons), seeds, run_id=[f"r{r}" for r in range(R)])
     assert len(traces) == len(made) // 3 == R
-    for r, (seed, trace) in enumerate(zip(seeds, traces)):
-        want, rngs = run_game_one_round_at_a_time(*build(), T, seed, run_id=f"r{r}")
+    for r, (seed, horizon, trace) in enumerate(zip(seeds, horizons, traces)):
+        want, rngs = run_game_one_round_at_a_time(*build(), horizon, seed, run_id=f"r{r}")
         assert (trace.run_id, trace.seed) == (want.run_id, want.seed)
         for column in ("xs", "ys", "qs", "losses", "comparator"):
             got, ref = getattr(trace, column), getattr(want, column)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), column
         # the game's context, learner and adversary generators end where the
-        # reference's do: the blocks of uniforms hold exactly T rounds
+        # reference's do: its blocks of draws hold exactly its rounds
         for kind, rng in enumerate(rngs):
             assert made[kind * R + r].bit_generator.state == rng.bit_generator.state, kind
 
@@ -331,19 +343,36 @@ def test_lockstep_games_equal_games_played_one_round_at_a_time(monkeypatch, lear
 @pytest.mark.parametrize("learner", ["kt", "vc_mixture", "ftpl"])
 def test_games_of_several_cells_equal_games_played_one_round_at_a_time(learner, label):
     # two cells at sigma 0.3 and 0.6, two games each, in one call: every
-    # game is its own cell's game alone, drawn from its own cell's set
+    # game is its own cell's game alone, drawn from its own cell's set, all
+    # games to T = 40, or to their own horizons, the second cell's games
+    # ending together or one of them first
     fam, T, sigmas = LOCKSTEP_FAMILIES["explicit"], 40, (0.3, 0.6)
 
     def build(sigma):
         return (learner_from_spec(LOCKSTEP_LEARNERS[learner], fam, T, sigma),
                 adversary_from_spec(LOCKSTEP_LABELS[label], fam, sigma=sigma))
     seeds = [7, 8, 9, 10]
-    adversary = LockstepPolicy([build(sigma)[1] for sigma in sigmas])
-    traces = run_game(build(sigmas[0])[0], adversary, T, seeds, run_id=list("abcd"))
-    for r, (seed, trace) in enumerate(zip(seeds, traces)):
-        want, _ = run_game_one_round_at_a_time(*build(sigmas[r // 2]), T, seed)
-        for column in ("xs", "ys", "qs", "losses"):
-            assert getattr(trace, column).tobytes() == getattr(want, column).tobytes(), column
+    for horizons in (T, [T, T, 25, 25], [T, T, T, 9]):
+        adversary = LockstepPolicy([build(sigma)[1] for sigma in sigmas])
+        traces = run_game(build(sigmas[0])[0], adversary, horizons, seeds, run_id=list("abcd"))
+        for r, (seed, trace) in enumerate(zip(seeds, traces)):
+            horizon = horizons if horizons == T else horizons[r]
+            want, _ = run_game_one_round_at_a_time(*build(sigmas[r // 2]), horizon, seed)
+            for column in ("xs", "ys", "qs", "losses"):
+                assert getattr(trace, column).tobytes() == getattr(want, column).tobytes(), \
+                    (horizons, column)
+
+
+def test_run_game_reads_one_horizon_per_game_in_non_increasing_order():
+    adv = AdversaryPolicy(StaticSubsetRule(), GreedyLabelRule(), 0.5, 8)
+    traces = run_game(UniformLearner(), adv, [5, 3, 3], [1, 2, 3], run_id=list("abc"))
+    assert [len(tr.losses) for tr in traces] == [5, 3, 3]
+    for T, message in (([3, 5], r"^horizons \[3, 5\] are not in non-increasing order$"),
+                       ([5, 0], "^horizon T must be >= 1$"),
+                       ([5], r"^1 horizons and 2 seeds: need one horizon for all games or "
+                             r"one per game$")):
+        with pytest.raises(ValueError, match=message):
+            run_game(UniformLearner(), adv, T, [1, 2], run_id=["a", "b"])
 
 
 def test_lockstep_games_equal_the_reference_across_blocks_of_rounds():

@@ -1,11 +1,13 @@
 import ast
 import csv
+import gc
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -321,24 +323,54 @@ def test_cells_too_large_to_share_a_call_fit_where_they_fit_alone(tmp_path):
 
 
 def test_a_call_holds_no_more_columns_than_its_cap(tmp_path, monkeypatch):
-    # a cap of 2 cells' columns at T = 24: the three T = 12 cells share a
-    # call, the T = 24 cells share one two at a time; the bytes are those of
-    # one call per cell
-    monkeypatch.setattr(harness, "_GROUP_BYTES", 40 * 24 * 2 * 2)
+    # a cap of 60 rounds for each of 2 repetitions: the three T = 12 cells
+    # and the first T = 24 cell fill a call, the fifth cell would pass the
+    # cap and starts the next; the bytes are those of one call per cell
+    monkeypatch.setattr(harness, "_GROUP_BYTES", 40 * 2 * (3 * 12 + 24))
     cfg = base_config(learner={"kt": {}}, repetitions=2,
                       sweep={"T": [12, 24], "sigma": [0.25, 0.5, 1.0]})
     parsed = parse_config(cfg)
-    assert parsed.groups == [[0, 1, 2], [3, 4], [5]]
+    assert parsed.groups == [[0, 1, 2, 3], [4, 5]]
     calls = spy_on_run_game(monkeypatch)
     run(parsed, output_dir=tmp_path / "grouped")
-    assert calls == [[f"c{ci:03d}r{rep:03d}" for ci in group for rep in range(2)]
-                     for group in parsed.groups]
+    assert calls == [[f"c{ci:03d}r{rep:03d}" for ci in cells for rep in range(2)]
+                     for cells in ((3, 0, 1, 2), (4, 5))]
     parsed.groups = [[ci] for ci in range(6)]
     run(parsed, output_dir=tmp_path / "alone")
     names = sorted(p.name for p in (tmp_path / "alone").iterdir())
     assert len(names) == 7
     for n in names:
         assert (tmp_path / "grouped" / n).read_bytes() == (tmp_path / "alone" / n).read_bytes(), n
+
+
+def test_a_sweep_in_one_call_peaks_no_higher_than_one_call_per_horizon(tmp_path):
+    # the bench's mixture_adaptive sweep, its twelve cells in one call or
+    # one call per T. Both peak while a T = 512 cell's CSV is formatted,
+    # holding the traces of both T = 512 cells: the one call lets each
+    # cell's traces go once its CSV is written, and each segment's columns
+    # once they are copied, so the peaks agree up to the interpreter's own
+    # small allocations (a few KiB). A call that kept every cell's traces
+    # to its end peaked 80 KiB higher.
+    cfg = parse_config(base_config(
+        universe=64, family={"kind": "threshold_grid", "size": 64},
+        adversary={"context": "subset_uniform", "rule": "adaptive", "label": "greedy"},
+        learner={"vc_mixture": {}}, repetitions=2,
+        sweep={"T": [2 ** e for e in range(4, 10)], "sigma": [0.05, 0.2]}))
+    one_call, per_T = [list(range(12))], [[2 * k, 2 * k + 1] for k in range(6)]
+    assert cfg.groups == one_call
+
+    def peak(groups, name):
+        cfg.groups = groups
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run(cfg, output_dir=tmp_path / name)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a first pass builds the caches every later one reads, and tracemalloc's own state
+    peak(per_T, "first")
+    assert peak(one_call, "one_call") <= peak(per_T, "per_T") + 4096
 
 
 @pytest.mark.parametrize("learner", [{"uniform": {}}, {"kt": {"beta": 0.5}}])
@@ -490,7 +522,7 @@ def test_run_fails_where_the_comparator_decreases(tmp_path, monkeypatch, capsys)
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["records_cell000.csv"]
 
 
-# Two-sigma sweeps whose two cells of each T share one run_game call:
+# Two-sigma sweeps whose four cells, two of each T, share one run_game call:
 # (learner, adversary, repetitions)
 GROUPED_SWEEPS = {
     "vc_mixture_greedy": ({"vc_mixture": {}}, {"rule": "adaptive", "label": "greedy"}, 2),
@@ -522,14 +554,13 @@ def test_grouped_sweep_writes_the_bytes_of_its_cells_played_alone(tmp_path, monk
                       sweep={"learner": [learner], "T": [12, 24], "sigma": [0.25, 0.5]})
     calls = spy_on_run_game(monkeypatch)
     run(cfg, output_dir=tmp_path / "grouped")
-    # one call per T, each holding its two cells' games cell by cell
-    assert calls == [[f"c{ci:03d}r{rep:03d}" for ci in cells for rep in range(reps)]
-                     for cells in ((0, 1), (2, 3))]
+    # one call, its cells' games cell by cell, the T = 24 cells first
+    assert calls == [[f"c{ci:03d}r{rep:03d}" for ci in (2, 3, 0, 1) for rep in range(reps)]]
     # the same cells, one call each: every artifact keeps its bytes
     alone = parse_config(cfg)
     alone.groups = [[ci] for ci in range(len(alone.cells))]
     run(alone, output_dir=tmp_path / "alone")
-    assert len(calls) == 6
+    assert len(calls) == 5
     names = sorted(p.name for p in (tmp_path / "alone").iterdir())
     assert len(names) == 5
     for n in names:
@@ -546,9 +577,9 @@ def test_grouped_sweep_writes_the_bytes_of_its_cells_played_alone(tmp_path, monk
 
 
 def test_cells_at_one_sigma_share_an_adversary_across_calls(tmp_path, monkeypatch):
-    # one adversary per sigma: the cells of each T hold their own in a call,
-    # and the calls at the two horizons share them; the bytes are those of
-    # one call per cell
+    # one adversary per sigma, which the one call of both horizons holds
+    # once for each T and resets once; the bytes are those of one call per
+    # T and of one call per cell
     cfg = base_config(learner={"vc_mixture": {}}, repetitions=2,
                       sweep={"T": [12, 16], "sigma": [0.5, 0.25]})
     built, build = [], harness.adversary_from_spec
@@ -559,24 +590,32 @@ def test_cells_at_one_sigma_share_an_adversary_across_calls(tmp_path, monkeypatc
     monkeypatch.setattr(harness, "adversary_from_spec", counting)
     parsed = parse_config(cfg)
     assert built == [0.5, 0.25]
-    assert parsed.groups == [[0, 1], [2, 3]]
+    assert parsed.groups == [[0, 1, 2, 3]]
     p, q = parsed.cells[0].adversary, parsed.cells[1].adversary
     assert q is not p
     assert parsed.cells[2].adversary is p and parsed.cells[3].adversary is q
     policies, lockstep = [], harness.LockstepPolicy
     monkeypatch.setattr(harness, "LockstepPolicy",
                         lambda cells: policies.append(cells) or lockstep(cells))
+    resets = []
+    for policy in (p, q):
+        monkeypatch.setattr(policy.context_rule, "reset",
+                            lambda *args, real=policy.context_rule.reset:
+                            resets.append(args[1]) or real(*args))
     calls = spy_on_run_game(monkeypatch)
     run(parsed, output_dir=tmp_path / "grouped")
-    assert calls == [[f"c{ci:03d}r{rep:03d}" for ci in cells for rep in range(2)]
-                     for cells in ((0, 1), (2, 3))]
-    assert [list(map(id, cells)) for cells in policies] == [[id(p), id(q)]] * 2
-    parsed.groups = [[0], [1], [2], [3]]
-    run(parsed, output_dir=tmp_path / "alone")
-    names = sorted(path.name for path in (tmp_path / "alone").iterdir())
-    assert len(names) == 5
-    for n in names:
-        assert (tmp_path / "grouped" / n).read_bytes() == (tmp_path / "alone" / n).read_bytes(), n
+    assert calls == [[f"c{ci:03d}r{rep:03d}" for ci in (2, 3, 0, 1) for rep in range(2)]]
+    assert [list(map(id, cells)) for cells in policies] == [[id(p), id(q), id(p), id(q)]]
+    assert sorted(resets) == [0.25, 0.5]
+    for name, groups in (("per_T", [[0, 1], [2, 3]]), ("alone", [[0], [1], [2], [3]])):
+        parsed.groups = groups
+        run(parsed, output_dir=tmp_path / name)
+        names = sorted(path.name for path in (tmp_path / name).iterdir())
+        assert len(names) == 5
+        for n in names:
+            assert (tmp_path / "grouped" / n).read_bytes() == \
+                (tmp_path / name / n).read_bytes(), (name, n)
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize("case", ["one_repetition", "wide_grid_vc_mixture", "default_ftpl",
@@ -605,25 +644,27 @@ def test_cells_that_cannot_share_a_call_play_one_call_each(tmp_path, monkeypatch
 
 
 def test_failure_inside_a_call_writes_none_of_its_cells(tmp_path, monkeypatch):
-    # kt at T = 8 and 16, sigma 0.5 and 1.0: cells 0 and 1 share the first
-    # call, cells 2 and 3 the second, whose learner raises in round 5; it
-    # plays both cells' games at once, so a failure in the second cell's
-    # games is a failure of the call
-    cfg = parse_config(base_config(learner={"kt": {}}, repetitions=2,
-                                   sweep={"T": [8, 16], "sigma": [0.5, 1.0]}))
-    assert cfg.groups == [[0, 1], [2, 3]]
+    # two kt specs at T = 8 and 16, sigma 0.5 and 1.0: each spec's four
+    # cells share one call, and the second call's learner raises in round
+    # 11, when only the T = 16 games still play; the call plays all four
+    # cells' games, so the failure writes none of them, not even the T = 8
+    # cells, whose games had ended
+    cfg = parse_config(base_config(repetitions=2, sweep={
+        "learner": [{"kt": {}}, {"kt": {"beta": 1.0}}], "T": [8, 16], "sigma": [0.5, 1.0]}))
+    assert cfg.groups == [[0, 1, 2, 3], [4, 5, 6, 7]]
     real = KtLearner.predict
 
     def predict(self, xs):
-        if self is cfg.cells[2].learner and self._rounds == 4:
+        if self._rounds == 10 and any(self is cell.learner for cell in cfg.cells[4:]):
             raise RuntimeError("boom")
         return real(self, xs)
     monkeypatch.setattr(KtLearner, "predict", predict)
     with pytest.raises(RuntimeError, match="^boom$"):
         run(cfg, output_dir=tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["records_cell000.csv",
-                                                          "records_cell001.csv"]
-    assert [len(read_rows(tmp_path / f"records_cell00{ci}.csv")) for ci in (0, 1)] == [16, 16]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"records_cell00{ci}.csv"
+                                                          for ci in range(4)]
+    assert [len(read_rows(tmp_path / f"records_cell00{ci}.csv")) for ci in range(4)] == \
+        [16, 16, 32, 32]
 
 
 def test_each_repetition_comparator_uses_only_its_own_classes(tmp_path, monkeypatch):
